@@ -232,8 +232,7 @@ def _cmd_adjusted_set(kind, payload, args, out_dir):
     sets = {"sublevel": sub.contains_many(flat)}
     if not strict_handle.is_empty:
         sets["strict_sublevel"] = strict_handle.polytope.contains_many(flat)
-    adjusted = np.array([f.adjusted_contains(at, p) for p in flat])
-    sets["adjusted"] = adjusted
+    sets["adjusted"] = f.adjusted_contains_many(at, flat)
     for name, mask in sets.items():
         for point in boundary(mask):
             rows.append([name] + [float(v) for v in point])
@@ -405,10 +404,27 @@ _DISPATCH = {
 }
 
 
+_VALUE_OPTIONS = ("--at", "--radii")
+
+
+def _join_values(argv):
+    """``--at -1.2,0.3`` as ``--at=-1.2,0.3``: argparse would otherwise
+    read a comma-separated value starting with ``-`` as an option."""
+    out = []
+    args = iter(argv)
+    for arg in args:
+        if arg in _VALUE_OPTIONS:
+            value = next(args, None)
+            out.append(arg if value is None else f"{arg}={value}")
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv) -> int:
     parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     out_dir = args.out

@@ -13,6 +13,13 @@ union of the level polytopes.  For a valid nested family this coincides
 with the single-polytope realizations returned by ``sublevel`` and
 ``strict_sublevel``; for deliberately corrupted non-nested families the
 union semantics is what lets the diagnostic checks detect the damage.
+
+The batch kernels ``evaluate_many`` and ``adjusted_contains_many`` answer
+an array of points with one ``contains_many``/``project_many`` call per
+level.  ``adjusted_contains_many`` is the one home of the adjusted
+membership rule (``adjusted_contains`` is its one-row case), and the
+``adjusted-set`` mesh, ``adjusted_sample``, the sampled checks and the
+quasiopt grid oracles all go through these kernels.
 """
 
 from __future__ import annotations
@@ -101,7 +108,6 @@ class StepLevelFunction:
         # Chebyshev radii witness the nonempty-interior hypothesis of the
         # chart construction for full-dimensional families.
         self._cheb = tuple(p.chebyshev_center() for p in self.polytopes)
-        self._rho_cache: dict[bytes, float] = {}
 
     @property
     def domain(self) -> Polytope:
@@ -124,6 +130,14 @@ class StepLevelFunction:
             if poly.contains(x):
                 return lam
         return math.inf
+
+    def evaluate_many(self, points):
+        """``evaluate`` on every row of ``points``: one float array."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        values = np.full(pts.shape[0], math.inf)
+        for lam, poly in zip(reversed(self.levels), reversed(self.polytopes)):
+            values[poly.contains_many(pts)] = lam
+        return values
 
     def level_index(self, x):
         """Index of the level attained at x, or None outside the domain."""
@@ -177,9 +191,6 @@ class StepLevelFunction:
         Undefined on the argmin set and outside the domain.
         """
         x = np.asarray(x, dtype=float).ravel()
-        key = x.tobytes()
-        if key in self._rho_cache:
-            return self._rho_cache[key]
         value = self.evaluate(x)
         if math.isinf(value):
             raise DomainError("rho is undefined outside the domain")
@@ -188,21 +199,43 @@ class StepLevelFunction:
         dist = self.strict_level_distance(value, x)
         if not math.isfinite(dist) or dist <= 0:
             raise DomainError("strict sublevel set empty or touching x")
-        self._rho_cache[key] = dist
         return dist
 
     def adjusted_contains(self, x, y, tol=None):
         """Membership of y in the adjusted sublevel set anchored at x."""
+        return bool(self.adjusted_contains_many(x, [y], tol=tol)[0])
+
+    def adjusted_contains_many(self, x, ys, tol=None):
+        """Membership of every row of ``ys`` in the adjusted sublevel set
+        anchored at x, as a boolean array.
+
+        A point belongs when it lies in the sublevel set of f(x) and, off
+        the argmin set, within ``rho(x) + tol`` of the strict sublevel
+        set.  f(x), the argmin test and rho(x) are computed once; only
+        rows already in the sublevel set are projected.
+        """
         slack = tol if tol is not None else self.tolerances.feas
+        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        if ys.shape[1] != self.dim:
+            raise ValueError(f"expected points of dimension {self.dim}, "
+                             f"got {ys.shape[1]}")
         value = self.evaluate(x)
         if math.isinf(value):
             raise DomainError("adjusted set undefined outside the domain")
-        if not self.sublevel_contains(value, y):
-            return False
-        if self.in_argmin(x):
-            return True
+        member = np.zeros(ys.shape[0], dtype=bool)
+        for lam, poly in zip(self.levels, self.polytopes):
+            if lam <= value + 1e-12:
+                member |= poly.contains_many(ys)
+        if not member.any() or self.in_argmin(x):
+            return member
         radius = self.rho(x)
-        return self.strict_level_distance(value, y) <= radius + slack
+        inside = ys[member]
+        dist = np.full(inside.shape[0], math.inf)
+        for lam, poly in zip(self.levels, self.polytopes):
+            if lam < value - 1e-12:
+                dist = np.minimum(dist, poly.project_many(inside)[1])
+        member[member] = dist <= radius + slack
+        return member
 
     def adjusted_sample(self, x, rng, count):
         """Points of the adjusted sublevel set anchored at x.
@@ -222,12 +255,11 @@ class StepLevelFunction:
         for poly in eligible:
             cand = np.vstack([poly.sample(rng, per), poly.vertices()])
             for t in (1.0, 0.5, 0.25):
+                room = 4 * count - len(pool)
+                if room <= 0:
+                    break
                 blended = x + t * (cand - x)
-                for y in blended:
-                    if len(pool) >= 4 * count:
-                        break
-                    if self.adjusted_contains(x, y):
-                        pool.append(y)
+                pool.extend(blended[self.adjusted_contains_many(x, blended)][:room])
         pts = np.array(pool)
         if len(pts) > count:
             idx = rng.choice(len(pts), size=count, replace=False)
@@ -309,12 +341,52 @@ def _domain_pool(f, rng, count):
     return np.vstack([f.domain.sample(rng, count), f.domain.vertices()])
 
 
+def _draw_segments(rng, size, count):
+    """``count`` draws of an index pair and a weight, in the order the
+    sampled checks consume them: two indices, then one uniform."""
+    ii, jj, ts = np.empty(count, int), np.empty(count, int), np.empty(count)
+    for k in range(count):
+        ii[k], jj[k] = rng.integers(0, size, size=2)
+        ts[k] = rng.uniform()
+    return ii, jj, ts
+
+
+def _blend(ts, first, second):
+    return ts[:, None] * first + (1.0 - ts)[:, None] * second
+
+
 def quasiconvexity_check(f, plan=None):
-    """Segment test: f(t x + (1-t) y) <= max(f(x), f(y)) on sampled triples."""
+    """Segment test: f(t x + (1-t) y) <= max(f(x), f(y)) on sampled triples.
+
+    Step functions are evaluated in two batches (the pool, then every
+    midpoint); analytic functions point by point, stopping at the first
+    failure.  Both report the first failing triple in draw order.
+    """
     plan = plan or SamplingPlan()
     rng = np.random.default_rng(plan.seed)
     pool = _domain_pool(f, rng, plan.points)
     tol = 1e-9
+
+    def failure(x, y, t, checked, fx, fy, fmid):
+        return CheckVerdict(False, {
+            "x": x, "y": y, "t": t,
+            "f_x": float(fx), "f_y": float(fy), "f_mid": float(fmid),
+        }, checked, kind="quasiconvexity")
+
+    if isinstance(f, StepLevelFunction):
+        ii, jj, ts = _draw_segments(rng, len(pool), plan.points)
+        values = f.evaluate_many(pool)
+        keep = np.flatnonzero(np.isfinite(values[ii]) & np.isfinite(values[jj]))
+        ii, jj, ts = ii[keep], jj[keep], ts[keep]
+        fx, fy = values[ii], values[jj]
+        fmid = f.evaluate_many(_blend(ts, pool[ii], pool[jj]))
+        bad = np.flatnonzero(fmid > np.maximum(fx, fy) + tol)
+        if bad.size:
+            k = bad[0]
+            return failure(pool[ii[k]], pool[jj[k]], float(ts[k]), int(k) + 1,
+                           fx[k], fy[k], fmid[k])
+        return CheckVerdict(True, None, len(keep), kind="quasiconvexity")
+
     checked = 0
     for _ in range(plan.points):
         i, j = rng.integers(0, len(pool), size=2)
@@ -327,10 +399,7 @@ def quasiconvexity_check(f, plan=None):
         fmid = f.evaluate(mid)
         checked += 1
         if fmid > max(fx, fy) + tol:
-            return CheckVerdict(False, {
-                "x": x, "y": y, "t": t,
-                "f_x": fx, "f_y": fy, "f_mid": fmid,
-            }, checked, kind="quasiconvexity")
+            return failure(x, y, t, checked, fx, fy, fmid)
     return CheckVerdict(True, None, checked, kind="quasiconvexity")
 
 
@@ -398,16 +467,16 @@ def adjusted_convexity_check(f, plan=None):
         members = f.adjusted_sample(x, rng, max(8, plan.pairs // 4))
         if len(members) < 2:
             continue
-        for _ in range(plan.pairs):
-            i, j = rng.integers(0, len(members), size=2)
-            t = float(rng.uniform())
-            mid = t * members[i] + (1.0 - t) * members[j]
-            checked += 1
-            if not f.adjusted_contains(x, mid, tol=1e-7):
-                return CheckVerdict(False, {
-                    "x": x, "y1": members[i], "y2": members[j],
-                    "t": t, "mid": mid,
-                }, checked, kind="adjusted_convexity")
+        ii, jj, ts = _draw_segments(rng, len(members), plan.pairs)
+        mids = _blend(ts, members[ii], members[jj])
+        bad = np.flatnonzero(~f.adjusted_contains_many(x, mids, tol=1e-7))
+        if bad.size:
+            k = bad[0]
+            return CheckVerdict(False, {
+                "x": x, "y1": members[ii[k]], "y2": members[jj[k]],
+                "t": float(ts[k]), "mid": mids[k],
+            }, checked + int(k) + 1, kind="adjusted_convexity")
+        checked += plan.pairs
     return CheckVerdict(True, None, checked, kind="adjusted_convexity")
 
 

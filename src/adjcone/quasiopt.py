@@ -142,7 +142,7 @@ def solve_quasiopt(instance: QuasioptInstance) -> QuasioptReport:
     x = report.x
     f_value = instance.f.evaluate(x)
     grid = _constraint_grid(instance, x)
-    values = np.array([instance.f.evaluate(p) for p in grid])
+    values = instance.f.evaluate_many(grid)
     grid_min = float(values.min()) if len(values) else math.inf
     if f_value > grid_min + instance.tol_opt:
         raise VerificationError(
@@ -159,7 +159,7 @@ def brute_force_quasiopt(instance: QuasioptInstance, mesh):
     fix = fixed_point_set(instance.constraint_map)
     lo, hi = instance.constraint_map.box.bounding_box()
     box_grid = _grid_points(Polytope.from_box(lo, hi), mesh)
-    f_on_grid = np.array([instance.f.evaluate(p) for p in box_grid])
+    f_on_grid = instance.f.evaluate_many(box_grid)
     solutions = []
     for x in _grid_points(fix, mesh):
         if not instance.constraint_map.contains(x, x):

@@ -1,0 +1,127 @@
+"""Property tests: the batch kernels of StepLevelFunction against
+per-point references.
+
+``reference_contains`` is the adjusted-membership rule written point by
+point from the scalar primitives (``evaluate``, ``in_argmin``, ``rho``,
+``Polytope.contains``/``distance``); the batch kernel must agree with it
+row for row, including which error it raises.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from adjcone.geometry import Polytope
+from adjcone.quasiconvex import ArgminError, DomainError, StepLevelFunction
+
+FAMILIES = ["step1d", "sq2d", "nested3d", "corrupted1d", "pentagons2d"]
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@pytest.fixture(scope="module")
+def pentagons2d():
+    """Nested non-box family: rotated regular pentagons of growing radius."""
+    def pentagon(radius, turn):
+        angles = turn + 2 * np.pi * np.arange(5) / 5
+        return Polytope.from_vertices(
+            radius * np.column_stack([np.cos(angles), np.sin(angles)]))
+
+    return StepLevelFunction(
+        [0.0, 1.0, 2.0],
+        [pentagon(0.5, 0.0), pentagon(1.2, 0.3), pentagon(2.0, 0.1)])
+
+
+def reference_contains(f, x, y, tol=None):
+    slack = tol if tol is not None else f.tolerances.feas
+    value = f.evaluate(x)
+    if math.isinf(value):
+        raise DomainError("adjusted set undefined outside the domain")
+    if not any(poly.contains(y) for lam, poly in zip(f.levels, f.polytopes)
+               if lam <= value + 1e-12):
+        return False
+    if f.in_argmin(x):
+        return True
+    dist = min((poly.distance(y) for lam, poly in zip(f.levels, f.polytopes)
+                if lam < value - 1e-12), default=math.inf)
+    return dist <= f.rho(x) + slack
+
+
+def special_points(f):
+    """Level vertices, Chebyshev centers (the argmin anchors among them)
+    and the grid spanned by every level's bounding-box coordinates, which
+    for boxes lies on the level boundaries."""
+    pts = [p.vertices() for p in f.polytopes]
+    pts.append(np.array([p.chebyshev_center()[0] for p in f.polytopes]))
+    bounds = [p.bounding_box() for p in f.polytopes]
+    axes = [sorted({b[side][k] for b in bounds for side in (0, 1)})
+            for k in range(f.dim)]
+    pts.append(np.array(list(itertools.product(*axes))))
+    return np.vstack(pts)
+
+
+def points(f):
+    """Single points: uniform in the union's bounding box grown by 0.5
+    (so some fall outside the domain), or one of the special points."""
+    bounds = [p.bounding_box() for p in f.polytopes]
+    lo = np.min([b[0] for b in bounds], axis=0) - 0.5
+    hi = np.max([b[1] for b in bounds], axis=0) + 0.5
+    uniform = st.tuples(*[st.floats(float(lo[k]), float(hi[k]))
+                          for k in range(f.dim)]).map(np.array)
+    special = special_points(f)
+    return st.one_of(uniform, st.sampled_from(list(special)))
+
+
+def outcome(compute):
+    try:
+        return np.asarray(compute())
+    except (DomainError, ArgminError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@PROPERTY
+@given(data=st.data())
+def test_evaluate_many_matches_evaluate(name, request, data):
+    f = request.getfixturevalue(name)
+    ys = np.array(data.draw(st.lists(points(f), min_size=1, max_size=30)))
+    expected = np.array([f.evaluate(y) for y in ys])
+    assert np.array_equal(f.evaluate_many(ys), expected)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-7])
+@pytest.mark.parametrize("name", FAMILIES)
+@PROPERTY
+@given(data=st.data())
+def test_adjusted_contains_many_matches_reference(name, tol, request, data):
+    f = request.getfixturevalue(name)
+    x = data.draw(points(f))
+    ys = np.array(data.draw(st.lists(points(f), min_size=1, max_size=30)))
+    if data.draw(st.booleans()):
+        ys = np.vstack([ys, x])
+    expected = outcome(lambda: [reference_contains(f, x, y, tol) for y in ys])
+    got = outcome(lambda: f.adjusted_contains_many(x, ys, tol=tol))
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert got.dtype == bool and np.array_equal(got, expected)
+
+
+def test_kernels_reject_wrong_dimension(sq2d):
+    with pytest.raises(ValueError, match="dimension"):
+        sq2d.adjusted_contains_many([1.5, 0.5], [[0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("tol, expected", [(None, [False, True, False]),
+                                           (1e-7, [True, True, False])])
+def test_tol_widens_the_enlargement(step1d, tol, expected):
+    # rho(0.5) = 0.5; the rows sit 5e-8, 5e-10 and 2e-7 beyond it.
+    ys = [[0.5 + 5e-8], [0.5 + 5e-10], [0.5 + 2e-7]]
+    assert step1d.adjusted_contains_many([0.5], ys, tol=tol).tolist() == expected
+    assert [reference_contains(step1d, [0.5], y, tol) for y in ys] == expected

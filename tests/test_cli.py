@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -7,6 +8,7 @@ import pytest
 from adjcone.cli import run
 from adjcone.geometry import Polytope
 from adjcone.gqvi import ConstantOperator, GqviInstance, MovingPolytope
+from adjcone.quasiconvex import StepLevelFunction
 from adjcone.serialization import (
     dump_json,
     function_to_dict,
@@ -56,6 +58,9 @@ def files(tmp_path_factory, step1d, sq2d):
     }, root / "quasiopt.json")
     paths["quasiopt"] = root / "quasiopt.json"
     return paths
+
+
+SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
 
 
 def report_of(out_dir):
@@ -247,3 +252,110 @@ def test_adjusted_set_1d(files, tmp_path):
     adjusted = [float(r.split(",")[1]) for r in rows[1:]
                 if r.startswith("adjusted")]
     assert adjusted and min(abs(v - 0.5) for v in adjusted) < 0.05
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# sha256 of (report.json, boundary.csv), recorded from the point-by-point
+# membership loop that the batched mesh replaced.
+ADJUSTED_SET_DIGESTS = {
+    ("sq2d", "2,2"): (
+        "b9a8e1c6905af8ad74420c7b2b058eee70491d578cb6010f373e75a4cf832d60",
+        "6a658c69756274cec1f5c97366eaa8f58b60f4a5aa5c44285019689311cde078"),
+    ("sq2d", "1.5,0.5"): (
+        "92c2ab60622b1726d0e481b6e61dcc954648261b7890174e5c26eda3a9cb3422",
+        "87684fd1333ef717103b85f1c127b02788246467afc1c366a1b42256bb1a2f95"),
+    ("sq2d", "-1.5,-1.5"): (
+        "08e40c771c1a7f8ca4a430858398112b88b8edd79f17a5682ca9bc06459e80b5",
+        "088dcbe06e757f89de8cad9031a4271b047b6f2ece82881d507408c7e08bd146"),
+    ("step1d", "0.5"): (
+        "e7b7defca30b7f23c1966b41f22af0545ac0ab309436656e402447bab56e78cd",
+        "9e58fa20fdf845d4cc751e37d299a4858291420201c92b4c612719aad36d12e0"),
+}
+
+
+@pytest.mark.parametrize("name, at", sorted(ADJUSTED_SET_DIGESTS))
+def test_adjusted_set_outputs_pinned(name, at, tmp_path):
+    out = tmp_path / "o"
+    code = run(["adjusted-set", "--instance",
+                os.path.join(SHIPPED, f"{name}.json"), f"--at={at}",
+                "--out", str(out)])
+    assert code == 0
+    assert (sha256_of(out / "report.json"),
+            sha256_of(out / "boundary.csv")) == ADJUSTED_SET_DIGESTS[name, at]
+
+
+# Both verdicts of check-quasiconvex at seed 42, recorded from the
+# point-by-point checks; corrupted1d fails at the first checked draw.
+CHECK_QUASICONVEX_VERDICTS = {
+    "two_wells": {
+        "quasiconvexity": {
+            "checked": 22, "kind": "quasiconvexity", "passed": False,
+            "witness": {"f_mid": 0.9791796983997227, "f_x": 0.9263042340835982,
+                        "f_y": 0.35494243545402915, "t": 0.6131094189941395,
+                        "x": [0.27146964087426384], "y": [-0.803154757531804]}},
+        "adjusted_convexity": {
+            "checked": 101, "kind": "adjusted_convexity", "passed": False,
+            "witness": {"f_mid": 0.9991, "f_x": 0.6555712221599967,
+                        "mid": [0.030000000000000027],
+                        "x": [-0.5868805481867696],
+                        "y1": [-0.9199999999999999], "y2": [0.98]}},
+        "agree": True,
+    },
+    "corrupted1d": {
+        "quasiconvexity": {
+            "checked": 1, "kind": "quasiconvexity", "passed": False,
+            "witness": {"f_mid": "inf", "f_x": 2.0, "f_y": 0.0,
+                        "t": 0.5045452397039372, "x": [2.8782609982404046],
+                        "y": [0.08172049027759964]}},
+        "adjusted_convexity": {
+            "checked": 1, "kind": "adjusted_convexity", "passed": False,
+            "witness": {"mid": [0.773995964116197], "t": 0.29535902534408986,
+                        "x": [1.1050278989188642], "y1": [0.0556453746674932],
+                        "y2": [1.0751015449526349]}},
+        "agree": True,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_QUASICONVEX_VERDICTS))
+def test_check_quasiconvex_verdicts_pinned(name, corrupted1d, tmp_path):
+    if name == "corrupted1d":
+        instance = tmp_path / "corrupted1d.json"
+        dump_json({"schema_version": 1, **function_to_dict(corrupted1d),
+                   "validate": False}, instance)
+    else:
+        instance = os.path.join(SHIPPED, f"{name}.json")
+    out = tmp_path / "o"
+    code = run(["check-quasiconvex", "--instance", str(instance),
+                "--out", str(out)])
+    assert code == 2
+    assert report_of(out)["report"] == CHECK_QUASICONVEX_VERDICTS[name]
+
+
+def test_negative_point_as_separate_argument(files, tmp_path):
+    reports = []
+    for form in (["--at", "-1.5,0.5", "--radii", "0.1,0.01"],
+                 ["--at=-1.5,0.5", "--radii=0.1,0.01"]):
+        out = tmp_path / f"o{len(reports)}"
+        code = run(["usc-probe", "--instance", str(files["sq2d"]), *form,
+                    "--out", str(out)])
+        assert code == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])["report"]
+    assert report["point"] == [-1.5, 0.5] and report["radii"] == [0.1, 0.01]
+
+
+def test_quasimono_probe_single_level(tmp_path):
+    f = StepLevelFunction([0.0], [Polytope.from_box([-1.0], [1.0])])
+    instance = tmp_path / "one_level.json"
+    dump_json({"schema_version": 1, **function_to_dict(f)}, instance)
+    out = tmp_path / "o"
+    code = run(["quasimono-probe", "--instance", str(instance),
+                "--out", str(out)])
+    assert code == 0
+    report = report_of(out)["report"]
+    assert report["checked"] == 0 and report["violation_count"] == 0

@@ -18,7 +18,7 @@ from adjcone.normal_op import (
     strict_normal_cone,
     usc_probe,
 )
-from adjcone.quasiconvex import ArgminError
+from adjcone.quasiconvex import ArgminError, StepLevelFunction
 
 
 def polar_oracle(f, x, cone, rng, trials=300):
@@ -211,6 +211,18 @@ class TestAtlas:
                     assert bumps[i] == 0.0
                     assert np.linalg.norm(p - c.center) >= c.radius
 
+    def test_covers_many_matches_covers(self, atlas1d, atlas2d):
+        for atlas in (atlas1d, atlas2d):
+            grid = atlas.verification_grid()
+            # chart boundary points, where a bulk norm can round either way
+            rims = [c.center + sign * c.radius * axis
+                    for c in atlas.charts for sign in (-1.0, 1.0)
+                    for axis in np.eye(len(c.center))]
+            probe = np.vstack([grid, grid + 0.3 * atlas.cover_step, rims])
+            expected = [atlas.covers(p) for p in probe]
+            assert not all(expected)
+            assert atlas.covers_many(probe).tolist() == expected
+
     def test_region_touching_argmin_rejected(self, step1d):
         with pytest.raises(CoverageError):
             build_atlas(step1d, Polytope.from_box([0.05], [1.0]), 0.25)
@@ -331,6 +343,12 @@ class TestQuasimonotonicityProbe:
             verdict = quasimonotonicity_probe(f, pair_samples=1000, seed=7)
             assert verdict.passed
             assert verdict.checked > 500
+
+    def test_single_level_has_no_pairs(self):
+        f = StepLevelFunction([0.0], [Polytope.from_box([-1.0], [1.0])])
+        verdict = quasimonotonicity_probe(f, pair_samples=100, seed=7)
+        assert verdict.passed and verdict.checked == 0
+        assert verdict.violations == []
 
     def test_corrupted_instance_violations(self, corrupted1d):
         verdict = quasimonotonicity_probe(corrupted1d, pair_samples=1500, seed=7)

@@ -183,6 +183,41 @@ class TestChecks:
         assert not adj.passed
         assert qc.passed == adj.passed
 
+    # (seed, quasiconvexity checked, adjusted convexity checked) on the
+    # corrupted families, recorded from the point-by-point checks; the
+    # batched checks must stop at the same draw.
+    @pytest.mark.parametrize("seed, qc_checked, adj_checked",
+                             [(0, 9, 2), (6, 3, 102), (8, 2, 205), (9, 10, 3)])
+    def test_corrupted1d_first_failure_pinned(self, corrupted1d, seed,
+                                              qc_checked, adj_checked):
+        self._assert_first_failures(corrupted1d, seed, qc_checked, adj_checked)
+
+    @pytest.mark.parametrize("seed, qc_checked, adj_checked",
+                             [(1, 21, 307), (6, 3, 412)])
+    def test_corrupted2d_first_failure_pinned(self, seed, qc_checked,
+                                              adj_checked):
+        f = StepLevelFunction(
+            [0.0, 1.0, 2.0],
+            [Polytope.from_box([-1.0, -1.0], [-0.5, -0.5]),
+             Polytope.from_box([0.0, 0.0], [1.0, 1.0]),
+             Polytope.from_box([-1.0, -1.0], [2.0, 2.0])],
+            validate=False)
+        self._assert_first_failures(f, seed, qc_checked, adj_checked)
+
+    @staticmethod
+    def _assert_first_failures(f, seed, qc_checked, adj_checked):
+        plan = SamplingPlan(points=1000, pairs=100, seed=seed)
+        qc = quasiconvexity_check(f, plan)
+        adj = adjusted_convexity_check(f, plan)
+        assert (qc.passed, qc.checked) == (False, qc_checked)
+        assert (adj.passed, adj.checked) == (False, adj_checked)
+        w = qc.witness
+        mid = w["t"] * w["x"] + (1 - w["t"]) * w["y"]
+        assert f.evaluate(mid) == w["f_mid"] > max(w["f_x"], w["f_y"])
+        w = adj.witness
+        assert np.array_equal(w["mid"], w["t"] * w["y1"] + (1 - w["t"]) * w["y2"])
+        assert not f.adjusted_contains(w["x"], w["mid"], tol=1e-7)
+
     def test_max_abs_passes(self):
         f = analytic_from_name("max_abs", Polytope.from_box([-1, -1], [1, 1]))
         assert quasiconvexity_check(f, SamplingPlan(points=800, seed=2)).passed
