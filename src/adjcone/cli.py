@@ -458,7 +458,6 @@ def run(argv) -> int:
             "radii": args.radii, "at": args.at, "trace": args.trace,
             "out": os.path.abspath(out_dir),
         },
-        "environment": {"ADJCONE_THREADS": os.environ.get("ADJCONE_THREADS")},
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "wall_time": time.time() - started,

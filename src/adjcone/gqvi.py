@@ -73,11 +73,18 @@ class MovingPolytope:
 
     def value(self, x) -> Polytope:
         """K(x); raises EmptyPolytopeError when infeasible at x."""
+        return self._slice(x, check_feasible=True)
+
+    def _slice(self, x, check_feasible):
+        # Without the feasibility LP, only the closed-form checks (zero
+        # rows, crossing box bounds) can raise; the caller must settle
+        # emptiness itself.
         x = np.asarray(x, dtype=float).ravel()
         box_a, box_b = self.box.halfspaces
         return Polytope(np.vstack([self.a, box_a]),
                         np.concatenate([self.b + self.d @ x, box_b]),
-                        tolerances=self.tolerances, check_bounded=False)
+                        tolerances=self.tolerances, check_bounded=False,
+                        check_feasible=check_feasible)
 
     def contains(self, x, y, tol=None):
         slack = tol if tol is not None else self.tolerances.feas
@@ -200,11 +207,13 @@ def minimax_value(operator, constraint_map, x) -> MinimaxResult:
     """One-LP evaluation of ``min_{y in K(x)} max_j <v_j, y - x>``.
 
     x solves the inequality iff it lies in K(x) and the value is
-    nonnegative.
+    nonnegative.  Raises EmptyPolytopeError when K(x) is empty.
     """
     x = np.asarray(x, dtype=float).ravel()
     n = x.size
-    feasible = constraint_map.value(x)  # raises on empty K(x)
+    # K(x) skips its own feasibility LP: t is free, so the minimax LP is
+    # feasible exactly when K(x) is, and its phase 1 decides emptiness.
+    feasible = constraint_map._slice(x, check_feasible=False)
     vertices = operator.value(x).vertices()
     k_a, k_b = feasible.halfspaces
     # variables (y, t): minimize t subject to v_j.y - t <= v_j.x, y in K(x)
@@ -215,6 +224,8 @@ def minimax_value(operator, constraint_map, x) -> MinimaxResult:
     c = np.zeros(n + 1)
     c[n] = 1.0
     sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+    if sol.status == "infeasible":
+        raise EmptyPolytopeError("constraint set K(x) is empty")
     if not sol.optimal:
         raise InstanceError(f"minimax LP ended with status {sol.status}")
     y_opt = sol.x[:n]

@@ -4,11 +4,14 @@ Self-contained solver for the desk-scale subproblems generated by the
 geometric operations: feasibility checks, support functions, Chebyshev
 centers, cone membership tests, and piecewise-linear minimax steps.
 Bland's smallest-index rule is used for both the entering and the
-leaving variable, which makes the iteration cycle-free.
+leaving variable, which makes the iteration cycle-free.  Each pivot is
+one masked rank-1 update of the tableau; every element goes through the
+same multiply and subtract as a row-by-row update would.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,42 +39,48 @@ class LPSolution:
 
 
 def _pivot(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > 1e-14:
-            tableau[i] -= tableau[i, col] * tableau[row]
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
+    factors = tableau[:, col]
+    mask = np.abs(factors) > 1e-14
+    mask[row] = False
+    np.subtract(tableau, factors[:, None] * pivot_row, out=tableau,
+                where=mask[:, None])
     basis[row] = col
 
 
 def _run_phase(tableau, basis, cost, max_iter):
     """Minimize cost over the current tableau; returns 'optimal'/'unbounded'."""
-    m = tableau.shape[0]
     n = tableau.shape[1] - 1
     for _ in range(max_iter):
         reduced = cost[:n] - cost[basis] @ tableau[:, :n]
-        entering = -1
-        for j in range(n):
-            if reduced[j] < -_COST_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = reduced < -_COST_TOL
+        entering = improving.argmax()  # Bland: the first improving column
+        if not improving[entering]:
             return "optimal"
         col = tableau[:, entering]
-        rhs = tableau[:, n]
+        rows = (col > _PIVOT_TOL).nonzero()[0]
+        ratios = tableau[rows, n] / col[rows]
+        # Bland's rule with a 1e-12 tie band: the first strictly smaller
+        # ratio wins, a tie goes to the smaller basic index.
         leaving = -1
-        best = np.inf
-        for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                ratio = rhs[i] / col[i]
-                if ratio < best - 1e-12:
-                    best = ratio
-                    leaving = i
-                elif leaving >= 0 and abs(ratio - best) <= 1e-12 and basis[i] < basis[leaving]:
-                    leaving = i
+        best = math.inf
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best - 1e-12:
+                best = ratio
+                leaving = i
+            elif (leaving >= 0 and abs(ratio - best) <= 1e-12
+                  and basis[i] < basis[leaving]):
+                leaving = i
         if leaving < 0:
             return "unbounded"
         _pivot(tableau, basis, leaving, entering)
     raise LPError("simplex pivot budget exhausted")
+
+
+def _finite(name, arr):
+    if not np.isfinite(arr).all():
+        raise ValueError(f"solve_lp: {name} has a non-finite entry")
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
@@ -81,9 +90,11 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
     Variables are free unless ``bounds`` gives a per-variable ``(lo, hi)``
     pair; either side may be ``None`` for unbounded.  Returns an
     :class:`LPSolution` whose status is one of ``optimal``, ``infeasible``
-    or ``unbounded``.
+    or ``unbounded``.  Raises ``ValueError`` naming the argument when the
+    data holds a NaN or an infinity.
     """
     c = np.asarray(c, dtype=float).ravel()
+    _finite("c", c)
     n = c.size
     if a_ub is None:
         a_ub = np.zeros((0, n))
@@ -91,90 +102,92 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
     else:
         a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n)
         b_ub = np.asarray(b_ub, dtype=float).ravel()
+        _finite("a_ub", a_ub)
+        _finite("b_ub", b_ub)
     if a_eq is None:
         a_eq = np.zeros((0, n))
         b_eq = np.zeros(0)
     else:
         a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n)
         b_eq = np.asarray(b_eq, dtype=float).ravel()
+        _finite("a_eq", a_eq)
+        _finite("b_eq", b_eq)
     if bounds is None:
         bounds = [(None, None)] * n
+    elif not all(math.isfinite(v) for pair in bounds for v in pair
+                 if v is not None):
+        raise ValueError("solve_lp: bounds has a non-finite entry")
 
     # Substitute every original variable by nonnegative ones:
-    #   x_j = shift_j + sum(coef * u_col).
-    col_of = []          # per variable: list of (column, coefficient)
+    #   x_j = shift_j + sum(coef[k] * u_k for the columns k with var_of[k] == j).
+    var_of = []
+    coef = []
     shift = np.zeros(n)
-    extra_rows = []      # (coefvec over u in sparse form, rhs) for two-sided bounds
-    ncols = 0
+    capped = []          # (column, hi - lo) for two-sided bounds
     for j, (lo, hi) in enumerate(bounds):
         if lo is None and hi is None:
-            col_of.append([(ncols, 1.0), (ncols + 1, -1.0)])
-            ncols += 2
-        elif lo is not None and hi is None:
+            var_of += [j, j]
+            coef += [1.0, -1.0]
+            continue
+        if hi is None:
             shift[j] = lo
-            col_of.append([(ncols, 1.0)])
-            ncols += 1
-        elif lo is None and hi is not None:
+            coef.append(1.0)
+        elif lo is None:
             shift[j] = hi
-            col_of.append([(ncols, -1.0)])
-            ncols += 1
+            coef.append(-1.0)
         else:
             if hi < lo - 1e-12:
                 return LPSolution("infeasible", None, None)
             shift[j] = lo
-            col_of.append([(ncols, 1.0)])
-            extra_rows.append((ncols, hi - lo))
-            ncols += 1
+            capped.append((len(var_of), hi - lo))
+            coef.append(1.0)
+        var_of.append(j)
+    ncols = len(var_of)
+    var_of = np.array(var_of, dtype=int)
+    coef = np.array(coef)
 
-    def expand(mat):
-        out = np.zeros((mat.shape[0], ncols))
-        for j in range(n):
-            for col, coef in col_of[j]:
-                out[:, col] += coef * mat[:, j]
-        return out
-
-    ub_mat = expand(a_ub)
-    ub_rhs = b_ub - a_ub @ shift
-    eq_mat = expand(a_eq)
-    eq_rhs = b_eq - a_eq @ shift
-    for col, ub_val in extra_rows:
-        row = np.zeros(ncols)
-        row[col] = 1.0
-        ub_mat = np.vstack([ub_mat, row])
-        ub_rhs = np.append(ub_rhs, ub_val)
-
-    n_ub = ub_mat.shape[0]
-    n_eq = eq_mat.shape[0]
+    n_ub = a_ub.shape[0] + len(capped)
+    n_eq = a_eq.shape[0]
     m = n_ub + n_eq
     if m == 0:
         # No constraints: only bounded if the cost over u is nonnegative.
-        cu = expand(c.reshape(1, -1)).ravel()
-        if np.any(cu < -_COST_TOL):
+        if np.any(coef * c[var_of] < -_COST_TOL):
             return LPSolution("unbounded", None, None)
         return LPSolution("optimal", shift.copy(), float(c @ shift))
 
     # Columns: u variables, then slacks for the ub rows, then artificials.
-    slack = np.vstack([np.eye(n_ub), np.zeros((n_eq, n_ub))]) if n_ub else np.zeros((m, 0))
-    body = np.hstack([np.vstack([ub_mat, eq_mat]), slack])
-    rhs = np.concatenate([ub_rhs, eq_rhs])
+    # Rows with a negative right-hand side are negated, so their slack
+    # cannot start the basis; those rows and the equality rows get an
+    # artificial column each.
+    n_a = a_ub.shape[0]
+    rhs = np.empty(m)
+    rhs[:n_a] = b_ub - a_ub @ shift
+    rhs[n_a:n_ub] = [width for _, width in capped]
+    rhs[n_ub:] = b_eq - a_eq @ shift
     neg = rhs < 0
-    body[neg] *= -1.0
-    rhs = np.abs(rhs)
-
-    n_struct = body.shape[1]
-    basis = np.full(m, -1, dtype=int)
-    # Slack columns that survived the sign flip give a free starting basis.
-    for i in range(n_ub):
-        if not neg[i]:
-            basis[i] = ncols + i
-    need_art = [i for i in range(m) if basis[i] < 0]
-    n_art = len(need_art)
-    art = np.zeros((m, n_art))
-    for k, i in enumerate(need_art):
-        art[i, k] = 1.0
-        basis[i] = n_struct + k
-    tableau = np.hstack([body, art, rhs.reshape(-1, 1)])
+    n_struct = ncols + n_ub
+    has_slack = ~neg
+    has_slack[n_ub:] = False
+    need_art = (~has_slack).nonzero()[0]
+    n_art = need_art.size
     total = n_struct + n_art
+    basis = np.arange(ncols, ncols + m)
+
+    # Coefficients over u are added onto zeros, as a column-by-column
+    # expansion of x into u would add them, so signed zeros agree.
+    tableau = np.zeros((m, total + 1))
+    tableau[:n_a, :ncols] += coef * a_ub[:, var_of]
+    if capped:
+        tableau[np.arange(n_a, n_ub), [col for col, _ in capped]] = 1.0
+    if n_eq:
+        tableau[n_ub:, :ncols] += coef * a_eq[:, var_of]
+    tableau[np.arange(n_ub), np.arange(ncols, n_struct)] = 1.0
+    if n_art:
+        tableau[neg, :n_struct] *= -1.0
+        art_cols = np.arange(n_struct, total)
+        tableau[need_art, art_cols] = 1.0
+        basis[need_art] = art_cols
+    tableau[:, total] = np.abs(rhs)
 
     budget = max(max_iter, 50 * (m + total))
     if n_art:
@@ -187,36 +200,25 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
             return LPSolution("infeasible", None, None)
         # Drive remaining artificial variables out of the basis.
         keep_rows = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= n_struct:
-                piv = -1
-                for j in range(n_struct):
-                    if abs(tableau[i, j]) > 1e-9:
-                        piv = j
-                        break
-                if piv >= 0:
-                    _pivot(tableau, basis, i, piv)
-                else:
-                    keep_rows[i] = False  # redundant row
+        for i in (basis >= n_struct).nonzero()[0]:
+            nonzero = (np.abs(tableau[i, :n_struct]) > 1e-9).nonzero()[0]
+            if nonzero.size:
+                _pivot(tableau, basis, i, nonzero[0])
+            else:
+                keep_rows[i] = False  # redundant row
         if not keep_rows.all():
             tableau = tableau[keep_rows]
             basis = basis[keep_rows]
-            m = tableau.shape[0]
         tableau = np.hstack([tableau[:, :n_struct], tableau[:, total:]])
 
     cost2 = np.zeros(n_struct)
-    cu = expand(c.reshape(1, -1)).ravel()
-    cost2[:ncols] = cu
+    cost2[:ncols] += coef * c[var_of]
     status = _run_phase(tableau, basis, cost2, budget)
     if status == "unbounded":
         return LPSolution("unbounded", None, None)
 
     u = np.zeros(n_struct)
-    for i in range(m):
-        if basis[i] < n_struct:
-            u[basis[i]] = tableau[i, -1]
+    u[basis] = tableau[:, -1]
     x = shift.copy()
-    for j in range(n):
-        for col, coef in col_of[j]:
-            x[j] += coef * u[col]
+    np.add.at(x, var_of, coef * u[:ncols])
     return LPSolution("optimal", x, float(c @ x))

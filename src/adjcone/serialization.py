@@ -9,6 +9,7 @@ Atlases persist their charts with the keys ``z``, ``lambda``, ``z0``,
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -208,12 +209,28 @@ def gqvi_instance_from_dict(data) -> GqviInstance:
     return GqviInstance(cm, operator, config=config)
 
 
+def _reject_non_finite(value, where):
+    """Python's json reads NaN, Infinity and overflowing literals as
+    non-finite floats; name the first one by its path in the file."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise SchemaError(f"{where} must be a finite number, got {value!r}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}" if where else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{i}]")
+
+
 def load_instance(path):
     """Load and classify an instance file.
 
     Returns ``(kind, payload)`` where kind is one of ``function``,
     ``gqvi`` or ``quasiopt``.  Quasiopt payloads keep their raw pieces
     (function, K, atlas or atlas_build) for the caller to assemble.
+    A NaN or infinite number raises SchemaError naming its field, such
+    as ``K.D[0][0]``.
     """
     with open(path) as handle:
         try:
@@ -222,6 +239,7 @@ def load_instance(path):
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("instance file must hold a JSON object")
+    _reject_non_finite(data, "")
     if "type" in data:
         return "function", {"function": function_from_dict(data), "raw": data}
     if "function" in data and "K" in data:

@@ -104,7 +104,7 @@ def test_usc_probe_exit_and_series(files, tmp_path):
     code = run(["usc-probe", "--instance", str(files["step1d"]),
                 "--at", "0.5", "--out", str(out)])
     assert code == 0
-    rows = open(out / "deviation.csv").read().strip().splitlines()
+    rows = (out / "deviation.csv").read_text().strip().splitlines()
     assert rows[0] == "radius,deviation"
     devs = [float(line.split(",")[1]) for line in rows[1:]]
     assert all(a >= b - 1e-15 for a, b in zip(devs, devs[1:]))
@@ -134,7 +134,7 @@ def test_adjusted_set_emits_boundaries(files, tmp_path):
     code = run(["adjusted-set", "--instance", str(files["sq2d"]),
                 "--at", "2,2", "--out", str(out)])
     assert code == 0
-    rows = open(out / "boundary.csv").read().strip().splitlines()
+    rows = (out / "boundary.csv").read_text().strip().splitlines()
     names = {line.split(",")[0] for line in rows[1:]}
     assert {"sublevel", "strict_sublevel", "adjusted"} <= names
 
@@ -185,9 +185,10 @@ def test_reports_embed_instance_hash(files, tmp_path):
     run(["solve-gqvi", "--instance", str(files["gqvi"]), "--out", str(out)])
     doc = report_of(out)
     assert len(doc["instance_hash"]) == 64
-    manifest = json.load(open(out / "manifest.json"))
+    manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["instance_hash"] == doc["instance_hash"]
     assert "timestamp" in manifest
+    assert "ADJCONE_THREADS" not in json.dumps(manifest)  # read by nothing
 
 
 def test_malformed_instance_exits_1(tmp_path, capsys):
@@ -247,7 +248,7 @@ def test_adjusted_set_1d(files, tmp_path):
     assert code == 0
     report = report_of(out)["report"]
     assert report["rho"] == pytest.approx(0.5)
-    rows = open(out / "boundary.csv").read().strip().splitlines()
+    rows = (out / "boundary.csv").read_text().strip().splitlines()
     # the adjusted interval [-1, 0.5] must contribute a boundary point near 0.5
     adjusted = [float(r.split(",")[1]) for r in rows[1:]
                 if r.startswith("adjusted")]
@@ -359,3 +360,95 @@ def test_quasimono_probe_single_level(tmp_path):
     assert code == 0
     report = report_of(out)["report"]
     assert report["checked"] == 0 and report["violation_count"] == 0
+
+
+# Two moving polytopes with non-box A and a constant operator that avoids
+# the origin, so every minimax step is a general LP, not a box formula.
+GQVI_2D = {
+    "schema_version": 1,
+    "K": {"A": [[1.0, 0.5], [-0.5, 1.0], [-1.0, -0.3], [0.2, -1.0], [0.8, -0.8]],
+          "b": [1.0, 1.2, 1.0, 0.9, 1.1],
+          "D": [[0.2, 0.0], [0.0, -0.1], [0.1, 0.1], [-0.1, 0.2], [0.0, 0.1]],
+          "box": {"A": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+                  "b": [2.0] * 4}},
+    "T": {"kind": "constant",
+          "polytope": {"A": [[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]],
+                       "b": [-1.0, -0.2, 2.5]}},
+    "solver": {"starts": 4, "seed": 7},
+}
+GQVI_3D = {
+    "schema_version": 1,
+    "K": {"A": [[1.0, 0.2, 0.0], [0.0, 1.0, 0.3], [0.1, 0.0, 1.0],
+                [-1.0, -0.5, 0.2], [0.3, -1.0, -0.4], [-0.2, 0.4, -1.0],
+                [0.6, 0.6, 0.6]],
+          "b": [1.0, 1.1, 0.9, 1.2, 1.0, 1.1, 1.3],
+          "D": [[0.1, 0.0, 0.0], [0.0, 0.1, -0.1], [0.0, 0.0, 0.2],
+                [-0.1, 0.1, 0.0], [0.0, -0.1, 0.1], [0.1, 0.0, -0.1],
+                [0.0, 0.1, 0.0]],
+          "box": {"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                        [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]],
+                  "b": [2.0] * 6}},
+    "T": {"kind": "constant",
+          "polytope": {"A": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0],
+                             [0.0, 0.0, -1.0], [1.0, 1.0, 1.0]],
+                       "b": [-1.0, 0.3, 0.2, 2.6]}},
+    "solver": {"starts": 4, "seed": 7},
+}
+NON_BOX_GQVI = {"gqvi2d": GQVI_2D, "gqvi3d": GQVI_3D}
+
+# sha256 of report.json, recorded from the row-by-row simplex kernel with
+# a separate feasibility LP for K(x) in every minimax step.
+SOLVER_DIGESTS = {
+    ("solve-gqvi", "moving_interval"):
+        "3a30017b41dcc253d1651c78be1eafb58c17697d97a0f7149b15977afe461ba0",
+    ("solve-gqvi", "gqvi2d"):
+        "3a13b81a6d035adadc075876422fbaf7d5e78cedfb1e4789931c6bd686a261ff",
+    ("solve-gqvi", "gqvi3d"):
+        "4bb4caeb01ec0ce618a2cd3a316a0882cc0aee0f0a2ef8c2425a372271191f8b",
+    ("solve-quasiopt", "quasiopt_window1d"):
+        "ec1bafb3ef2eeae3de3229b4dc9be2fcf1b437f707b68540950748a70c46c58e",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(SOLVER_DIGESTS))
+def test_solver_outputs_pinned(command, name, tmp_path):
+    if name in NON_BOX_GQVI:
+        instance = tmp_path / f"{name}.json"
+        dump_json(NON_BOX_GQVI[name], instance)
+    else:
+        instance = os.path.join(SHIPPED, f"{name}.json")
+    out = tmp_path / "o"
+    code = run([command, "--instance", str(instance), "--out", str(out)])
+    assert code == 0
+    assert sha256_of(out / "report.json") == SOLVER_DIGESTS[command, name]
+
+
+@pytest.mark.parametrize("name, path, value, command", [
+    pytest.param("sq2d", ("polytopes", 0, "A", 0, 0), "NaN",
+                 ["adjusted-set", "--at=2,2"], id="sq2d-A-nan"),
+    pytest.param("moving_interval", ("K", "b", 0), "Infinity",
+                 ["solve-gqvi"], id="moving_interval-b-inf"),
+    pytest.param("moving_interval", ("K", "D", 0, 0), "NaN",
+                 ["solve-gqvi"], id="moving_interval-D-nan"),
+    pytest.param("quasiopt_window1d", ("K", "box", "b", 1), "-Infinity",
+                 ["solve-quasiopt"], id="window1d-box-b-neginf"),
+])
+def test_non_finite_instance_names_the_field(name, path, value, command,
+                                             tmp_path, capsys):
+    # Unchecked, the NaN in A read as "box is unbounded in a coordinate",
+    # the infinite b solved (exit 0) and the NaN in D ran to a residual
+    # floor (exit 2).
+    with open(os.path.join(SHIPPED, f"{name}.json")) as handle:
+        data = json.load(handle)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@"
+    instance = tmp_path / f"{name}.json"
+    instance.write_text(json.dumps(data).replace('"@"', value))
+    code = run([command[0], "--instance", str(instance), *command[1:],
+                "--out", str(tmp_path / "o")])
+    assert code == 1
+    field = path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                              for k in path[1:])
+    assert f"adjcone: {field} must be a finite number" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from adjcone.geometry import Polytope
+from adjcone import geometry, gqvi
+from adjcone.geometry import EmptyPolytopeError, Polytope
 from adjcone.gqvi import (
     ConstantOperator,
     GqviInstance,
@@ -228,3 +231,50 @@ def test_solve_reports_infeasible_when_operator_never_evaluates(moving_interval)
     report = solve(GqviInstance(moving_interval, _FailingOperator()))
     assert report.status == "infeasible"
     assert report.x is None
+
+
+@pytest.fixture(scope="module")
+def pinched_strip():
+    """Non-box K(x) = {y : -x1 <= y1 + y2 <= x1, y1 - y2 <= 1} ∩ [-2, 2]^2:
+    empty for x1 < 0, a segment at x1 = 0, a strip beyond."""
+    box = Polytope.from_box([-2.0, -2.0], [2.0, 2.0])
+    return MovingPolytope(a=[[1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]],
+                          b=[0.0, 0.0, 1.0],
+                          d=[[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]], box=box)
+
+
+def test_minimax_empty_exactly_where_value_is(pinched_strip):
+    # minimax_value decides emptiness from its own LP's phase 1, not from
+    # a separate feasibility LP; both must agree point for point.
+    operator = ConstantOperator(Polytope.from_vertices(
+        [[1.0, 0.5], [1.5, 0.0], [1.2, 1.0]]))
+    empty = 0
+    for x in itertools.product(np.linspace(-1.0, 1.0, 9), [-1.0, 0.0, 1.5]):
+        try:
+            pinched_strip.value(x)
+        except EmptyPolytopeError:
+            empty += 1
+            with pytest.raises(EmptyPolytopeError):
+                minimax_value(operator, pinched_strip, x)
+            continue
+        res = minimax_value(operator, pinched_strip, x)
+        assert pinched_strip.contains(x, res.y_opt)
+    assert empty == 12
+
+
+def test_minimax_value_runs_one_lp(pinched_strip, monkeypatch):
+    calls = []
+    solve_lp = gqvi.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(gqvi, "solve_lp", counting)
+    monkeypatch.setattr(geometry, "solve_lp", counting)
+    operator = ConstantOperator(Polytope.from_vertices([[1.0, 0.5], [1.5, 0.0]]))
+    minimax_value(operator, pinched_strip, [0.5, 0.0])
+    assert len(calls) == 1
+    with pytest.raises(EmptyPolytopeError):
+        minimax_value(operator, pinched_strip, [-0.5, 0.0])
+    assert len(calls) == 2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -123,3 +125,16 @@ def test_atlas_missing_chart_field_named():
         atlas_from_dict({"charts": [{"z": [0.5], "lambda": 0.5, "eps": 0.2}],
                          "region": {"A": [[1.0], [-1.0]], "b": [1.0, 1.0]},
                          "cover_step": 0.2})
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"type": "step", "levels": [0.0, 1e400], "polytopes": []}', "levels[1]"),
+    ('{"K": {"A": [[1.0]], "b": [NaN]}, "T": {}}', "K.b[0]"),
+])
+def test_load_instance_names_non_finite_field(text, field, tmp_path):
+    # Python's json accepts NaN and Infinity and turns overflowing
+    # literals into inf; none of them may reach the geometry.
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=rf"^{re.escape(field)} must be a finite"):
+        load_instance(path)
