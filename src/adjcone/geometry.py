@@ -125,8 +125,8 @@ class Polytope:
     """Nonempty bounded polyhedron ``{x : a_i . x <= b_i}``.
 
     Rows are normalized to unit normals on construction.  Construction
-    checks feasibility by LP and boundedness in every +/- coordinate
-    direction unless the caller vouches for them.
+    rejects non-finite data and checks feasibility by LP and boundedness
+    in every +/- coordinate direction unless the caller vouches for them.
     """
 
     def __init__(self, a, b, vertices=None, *, tolerances=None,
@@ -134,6 +134,10 @@ class Polytope:
         tol = tolerances or DEFAULT_TOLERANCES
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.asarray(b, dtype=float).ravel()
+        if not np.isfinite(a).all():
+            raise ValueError("Polytope: a has a non-finite entry")
+        if not np.isfinite(b).all():
+            raise ValueError("Polytope: b has a non-finite entry")
         if a.shape[0] != b.size:
             raise ValueError("halfspace matrix and offset vector disagree")
         if a.shape[0] == 0:

@@ -63,6 +63,9 @@ class MovingPolytope:
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.b = np.asarray(b, dtype=float).ravel()
         self.d = np.atleast_2d(np.asarray(d, dtype=float))
+        for name in ("a", "b", "d"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"MovingPolytope: {name} has a non-finite entry")
         if self.a.shape != self.d.shape or self.a.shape[0] != self.b.size:
             raise ValueError("A, b, D shapes disagree")
         if self.a.shape[1] != box.dim:

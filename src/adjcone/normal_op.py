@@ -1,13 +1,23 @@
 """Normal cone operators, local cone bases, and the glued global base map.
 
 For a step level function the strict normal cone at a point is the polar
-of the translated strict sublevel polytope and the adjusted normal cone
-is assembled from the active facet normals of the sublevel polytope plus
-the enlargement ray toward the strict sublevel set.  The assembled
-generators are verified against the set definition by sampling; on a
-verification failure (a constraint-qualification breakdown, which only
-corrupted instances trigger) the operation falls back to a direct polar
-computation from sampled points of the adjusted set.
+of the translated strict sublevel polytope.  The adjusted normal cone at
+x is the normal cone at x of the adjusted sublevel set
+``S^a(x) = sub ∩ E``, where ``sub`` is the sublevel polytope at f(x) and
+``E`` the rho(x)-enlargement of the strict sublevel polytope.  It is
+assembled exactly from the active facet normals of ``sub`` and the
+enlargement ray ``x - P_strict(x)``, i.e. as ``N_sub(x) + N_E(x)``.
+
+The inclusion ``N_sub(x) + N_E(x) ⊆ N_{sub ∩ E}(x)`` always holds: each
+generator is an outward normal at x of a set containing ``sub ∩ E``.
+Equality is the sum rule, which holds when ``sub`` meets the interior of
+``E`` (Rockafellar, *Convex Analysis*, Thm 23.8, with ``sub``
+polyhedral).  The anchor ``P_strict(x)`` lies in ``int E`` because
+rho(x) > 0, so ``sub.contains(P_strict(x))`` certifies the sum rule; on
+nested families the strict sublevel set lies inside ``sub`` and the
+certificate always holds.  Non-nested diagnostic families (corrupted
+instances) can fail it, and there the assembled cone may be smaller than
+the true normal cone.
 
 A local chart anchors a section hyperplane that cuts every normal cone
 on its ball into a compact base inside the dual unit ball.  An atlas is
@@ -43,7 +53,6 @@ from .quasiconvex import ArgminError, DomainError, StepLevelFunction
 __all__ = [
     "ChartError",
     "CoverageError",
-    "ConeVerificationError",
     "BaseInvariantError",
     "LocalChart",
     "Atlas",
@@ -64,19 +73,12 @@ __all__ = [
     "stable_probe_points",
 ]
 
-_VERIFY_SEED = 20240601
-
-
 class ChartError(GeometryError):
     """No valid chart exists at the requested center."""
 
 
 class CoverageError(GeometryError):
     """The atlas (or its construction) leaves part of the region uncovered."""
-
-
-class ConeVerificationError(GeometryError):
-    """Assembled generators failed verification and so did the fallback."""
 
 
 class BaseInvariantError(GeometryError):
@@ -111,29 +113,17 @@ def strict_normal_cone(f: StepLevelFunction, x):
     return GeneratedCone.from_rays(rays, dim=f.dim, tolerances=f.tolerances)
 
 
-def _sample_adjusted_polyhedral(f, x, sublevel_poly, strict_poly, radius, rng, count):
-    """Points of ``sublevel ∩ B(strict, radius)`` for generator verification."""
-    cand = np.vstack([
-        sublevel_poly.sample(rng, 3 * count),
-        sublevel_poly.vertices(),
-        x[None, :],
-    ])
-    blends = np.vstack([x + t * (cand - x) for t in (1.0, 0.6, 0.3)])
-    _, dist = strict_poly.project_many(blends)
-    keep = blends[dist <= radius + f.tolerances.feas]
-    if len(keep) > count:
-        keep = keep[rng.choice(len(keep), size=count, replace=False)]
-    return keep
-
-
-def adjusted_normal_cone(f: StepLevelFunction, x, verify_samples=1000):
+def adjusted_normal_cone(f: StepLevelFunction, x):
     """Normal cone of the adjusted sublevel set at x.
 
     Argmin points return the normal cone of the bottom polytope (zero
     cone in its interior).  Elsewhere the generators are the active facet
-    normals of the sublevel polytope plus the enlargement ray, verified
-    by sampling; a direct polar of sampled adjusted-set points is the
-    fallback when the generator sum rule fails.
+    normals of the sublevel polytope ``sub`` plus the enlargement ray
+    ``x - P_strict(x)``.  Every one of them is an outward normal at x of
+    a set containing ``sub ∩ E``, so the assembled cone always lies in
+    the true normal cone; it equals it when the anchor ``P_strict(x)``,
+    an interior point of the enlargement ``E``, lies in ``sub`` (the sum
+    rule, Rockafellar Thm 23.8), which nesting guarantees.
     """
     x = np.asarray(x, dtype=float).ravel()
     value = f.evaluate(x)
@@ -150,32 +140,13 @@ def adjusted_normal_cone(f: StepLevelFunction, x, verify_samples=1000):
     ray = (x - anchor) / radius
     facets = normal_cone_at(sub, x, tolerances=f.tolerances)
     gens = np.vstack([facets.generators, ray[None, :]])
-    cone = GeneratedCone.from_rays(gens, dim=f.dim, tolerances=f.tolerances)
-
-    rng = np.random.default_rng(_VERIFY_SEED)
-    points = _sample_adjusted_polyhedral(f, x, sub, strict, radius, rng,
-                                         verify_samples)
-    if len(points):
-        slackmax = ((points - x) @ cone.generators.T).max()
-        if slackmax > f.tolerances.cone:
-            # Sum rule failed; fall back to the polar of the sampled set.
-            cone = polar_of_samples(points, x, dim=f.dim,
-                                    tolerances=f.tolerances)
-            if not cone.is_zero:
-                slackmax = ((points - x) @ cone.generators.T).max()
-                if slackmax > 10 * f.tolerances.cone:
-                    raise ConeVerificationError(
-                        f"fallback polar still violates the definition "
-                        f"(slack {slackmax:.2e})")
-    return cone.minimal()
+    return GeneratedCone.from_rays(gens, dim=f.dim,
+                                   tolerances=f.tolerances).minimal()
 
 
 def polar_of_samples(points, x, dim, tolerances=None):
-    """Polar cone of a sampled set anchored at x, as a generated cone.
-
-    The direct-computation fallback behind the generator sum rule: rays
-    making nonpositive products with every sampled offset.
-    """
+    """Polar cone of a sampled set anchored at x, as a generated cone:
+    rays making nonpositive products with every sampled offset."""
     tol = tolerances or DEFAULT_TOLERANCES
     directions = np.atleast_2d(np.asarray(points, dtype=float)) - x
     mask = np.linalg.norm(directions, axis=1) > 1e-12
@@ -186,9 +157,9 @@ def polar_of_samples(points, x, dim, tolerances=None):
     return GeneratedCone.from_rays(rays, dim=dim, tolerances=tol)
 
 
-def normalized_base(f, x, verify_samples=1000):
+def normalized_base(f, x):
     """Hull of the unit-normalized generators: a compact base in R^n."""
-    cone = adjusted_normal_cone(f, x, verify_samples=verify_samples)
+    cone = adjusted_normal_cone(f, x)
     if cone.is_zero:
         raise GeometryError("the zero cone has no base")
     norms = np.linalg.norm(cone.generators, axis=1)
@@ -248,7 +219,7 @@ def build_chart(f: StepLevelFunction, z, radius_cap=None) -> LocalChart:
     return LocalChart(center=z, level=level, anchor=anchor, radius=radius)
 
 
-def chart_base(chart: LocalChart, f: StepLevelFunction, x, verify_samples=1000):
+def chart_base(chart: LocalChart, f: StepLevelFunction, x):
     """Section of the adjusted normal cone by the chart hyperplane.
 
     The chart estimate guarantees the section lies in the dual unit
@@ -257,7 +228,7 @@ def chart_base(chart: LocalChart, f: StepLevelFunction, x, verify_samples=1000):
     x = np.asarray(x, dtype=float).ravel()
     if np.linalg.norm(x - chart.center) > chart.radius + f.tolerances.feas:
         raise ValueError("point outside the chart ball")
-    cone = adjusted_normal_cone(f, x, verify_samples=verify_samples)
+    cone = adjusted_normal_cone(f, x)
     base = cone.section(chart.normal, chart.radius)
     norms = np.linalg.norm(base.vertices(), axis=1)
     if norms.max() > 1.0 + f.tolerances.feas:
@@ -392,8 +363,8 @@ class BaseResult:
         }
 
 
-def global_base(atlas: Atlas, f: StepLevelFunction, x, *, verify=True,
-                verify_samples=400) -> BaseResult:
+def global_base(atlas: Atlas, f: StepLevelFunction, x, *,
+                verify=True) -> BaseResult:
     """Partition-of-unity combination of the active chart bases.
 
     Post-verifies the base invariants: contained in the dual unit ball,
@@ -402,7 +373,7 @@ def global_base(atlas: Atlas, f: StepLevelFunction, x, *, verify=True,
     """
     x = np.asarray(x, dtype=float).ravel()
     active, weights = atlas.weights(x)
-    cone = adjusted_normal_cone(f, x, verify_samples=verify_samples)
+    cone = adjusted_normal_cone(f, x)
     if cone.is_zero:
         raise GeometryError("zero cone admits no base; is x near the argmin?")
     sections = [cone.section(atlas.charts[i].normal, atlas.charts[i].radius)
@@ -529,7 +500,7 @@ def usc_probe(map_fn, x, radii=(1e-1, 1e-2, 1e-3, 1e-4),
 
 def closedness_probe(f: StepLevelFunction, x, approach_sequences=100,
                      scales=(1e-1, 1e-2, 1e-3, 1e-4), cluster_tol=1e-3,
-                     seed=0, verify_samples=200) -> ProbeVerdict:
+                     seed=0) -> ProbeVerdict:
     """Graph-closedness test for the adjusted normal cone at x.
 
     Walks sequences ``x_k -> x`` along random directions, normalizes the
@@ -542,7 +513,7 @@ def closedness_probe(f: StepLevelFunction, x, approach_sequences=100,
     """
     x = np.asarray(x, dtype=float).ravel()
     value = _require_regular_point(f, x)
-    cone_x = adjusted_normal_cone(f, x, verify_samples=verify_samples)
+    cone_x = adjusted_normal_cone(f, x)
     rng = np.random.default_rng(seed)
     scales = sorted(scales, reverse=True)
     violations = []
@@ -555,7 +526,7 @@ def closedness_probe(f: StepLevelFunction, x, approach_sequences=100,
             point = x + t * direction
             if math.isinf(f.evaluate(point)) or f.in_argmin(point):
                 continue
-            cone_k = adjusted_normal_cone(f, point, verify_samples=verify_samples)
+            cone_k = adjusted_normal_cone(f, point)
             if not cone_k.is_zero:
                 tail.append((t, cone_k.generators))
         if len(tail) < 2:
@@ -597,7 +568,7 @@ def _regular_point_pool(f: StepLevelFunction, rng, target):
 
 
 def quasimonotonicity_probe(f: StepLevelFunction, pair_samples=1000, seed=0,
-                            verify_samples=200, pool_size=160) -> ProbeVerdict:
+                            pool_size=160) -> ProbeVerdict:
     """Quasimonotonicity of the adjusted normal cone operator.
 
     For sampled ordered pairs (x, y): if some generator at x makes
@@ -613,7 +584,7 @@ def quasimonotonicity_probe(f: StepLevelFunction, pair_samples=1000, seed=0,
     cones = []
     for p in points:
         try:
-            cone = adjusted_normal_cone(f, p, verify_samples=verify_samples)
+            cone = adjusted_normal_cone(f, p)
         except (GeometryError, DomainError, ArgminError):
             cone = None
         cones.append(cone)

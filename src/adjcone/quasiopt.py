@@ -56,22 +56,20 @@ class TFromNormal:
     coverage error wherever the atlas has a hole.
     """
 
-    def __init__(self, f: StepLevelFunction, atlas: Atlas, verify_samples=200):
+    def __init__(self, f: StepLevelFunction, atlas: Atlas):
         self.f = f
         self.atlas = atlas
         self.dim = f.dim
-        self.verify_samples = verify_samples
         self._dual_box = Polytope.from_box(-np.ones(f.dim), np.ones(f.dim))
 
     def value(self, x) -> Polytope:
         if self.f.in_argmin(x):
             return self._dual_box
-        return global_base(self.atlas, self.f, x,
-                           verify_samples=self.verify_samples).base
+        return global_base(self.atlas, self.f, x).base
 
 
-def build_T(f: StepLevelFunction, atlas: Atlas, verify_samples=200) -> TFromNormal:
-    return TFromNormal(f, atlas, verify_samples=verify_samples)
+def build_T(f: StepLevelFunction, atlas: Atlas) -> TFromNormal:
+    return TFromNormal(f, atlas)
 
 
 @dataclass

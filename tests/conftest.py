@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,28 @@ def corrupted1d():
          Polytope.from_box([1.0], [1.4]),
          Polytope.from_box([1.5], [3.0])],
         validate=False)
+
+
+@pytest.fixture(scope="session")
+def pentagons2d():
+    """Nested non-box family: rotated regular pentagons of growing radius."""
+    def pentagon(radius, turn):
+        angles = turn + 2 * np.pi * np.arange(5) / 5
+        return Polytope.from_vertices(
+            radius * np.column_stack([np.cos(angles), np.sin(angles)]))
+
+    return StepLevelFunction(
+        [0.0, 1.0, 2.0],
+        [pentagon(0.5, 0.0), pentagon(1.2, 0.3), pentagon(2.0, 0.1)])
+
+
+@pytest.fixture(scope="session")
+def rotated():
+    """Two nested squares turned by pi/7: levels {0,1}, half-widths 0.8, 2."""
+    theta = math.pi / 7
+    rot = np.array([[math.cos(theta), -math.sin(theta)],
+                    [math.sin(theta), math.cos(theta)]])
+    rows = np.vstack([rot @ v for v in np.vstack([np.eye(2), -np.eye(2)])])
+    inner = Polytope(rows, np.ones(4) * 0.8)
+    outer = Polytope(rows, np.ones(4) * 2.0)
+    return StepLevelFunction([0.0, 1.0], [inner, outer])

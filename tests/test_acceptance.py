@@ -292,16 +292,15 @@ def test_criterion_07_closedness_and_quasimonotonicity(step1d, sq2d, nested3d,
         sequences = 0
         for x in centers:
             verdict = closedness_probe(f, x, approach_sequences=200,
-                                       seed=107, verify_samples=100)
+                                       seed=107)
             assert verdict.passed, (name, x, verdict.violations[:2])
             sequences += 200
         assert sequences >= 1000
-        pairs = quasimonotonicity_probe(f, pair_samples=1000, seed=107,
-                                        verify_samples=100)
+        pairs = quasimonotonicity_probe(f, pair_samples=1000, seed=107)
         assert pairs.passed, (name, pairs.violations[:2])
         assert pairs.checked >= 900
     corrupted = quasimonotonicity_probe(corrupted1d, pair_samples=1500,
-                                        seed=107, verify_samples=100)
+                                        seed=107)
     assert not corrupted.passed and len(corrupted.violations) >= 1
     _passline(7, "closedness and quasimonotonicity clean; corrupted instance "
                  f"yields {len(corrupted.violations)} violations")

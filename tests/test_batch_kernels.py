@@ -15,27 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adjcone.geometry import Polytope
-from adjcone.quasiconvex import ArgminError, DomainError, StepLevelFunction
+from adjcone.quasiconvex import ArgminError, DomainError
 
 FAMILIES = ["step1d", "sq2d", "nested3d", "corrupted1d", "pentagons2d"]
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
-@pytest.fixture(scope="module")
-def pentagons2d():
-    """Nested non-box family: rotated regular pentagons of growing radius."""
-    def pentagon(radius, turn):
-        angles = turn + 2 * np.pi * np.arange(5) / 5
-        return Polytope.from_vertices(
-            radius * np.column_stack([np.cos(angles), np.sin(angles)]))
-
-    return StepLevelFunction(
-        [0.0, 1.0, 2.0],
-        [pentagon(0.5, 0.0), pentagon(1.2, 0.3), pentagon(2.0, 0.1)])
 
 
 def reference_contains(f, x, y, tol=None):

@@ -452,3 +452,68 @@ def test_non_finite_instance_names_the_field(name, path, value, command,
     field = path[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
                               for k in path[1:])
     assert f"adjcone: {field} must be a finite number" in capsys.readouterr().err
+
+
+# Non-box nested step families: one polytope (rounded unit normals of a
+# rotated simplex plus uniform directions) at scales 1, 2, 3.
+def _scaled_family(a, b):
+    return {"schema_version": 1, "type": "step", "levels": [0.0, 1.0, 2.0],
+            "polytopes": [{"A": a, "b": [s * v for v in b]}
+                          for s in (1.0, 2.0, 3.0)]}
+
+
+STEP_3D = _scaled_family(
+    [[-0.83, -0.04, -0.557], [-0.553, -0.364, 0.75], [-0.694, 0.312, -0.649],
+     [0.342, 0.859, 0.381], [-0.589, -0.456, -0.667], [-0.511, 0.853, 0.108],
+     [0.693, -0.619, -0.369], [0.791, 0.132, -0.597]],
+    [1.114, 1.448, 1.436, 1.009, 1.354, 1.001, 1.252, 1.218])
+STEP_4D = _scaled_family(
+    [[0.912, 0.298, 0.232, 0.157], [-0.211, -0.918, 0.16, -0.295],
+     [-0.045, 0.181, -0.981, 0.046], [0.495, 0.689, -0.01, 0.53],
+     [-0.722, -0.651, 0.065, 0.224], [0.448, 0.012, 0.217, 0.867],
+     [-0.631, -0.683, 0.14, -0.34], [0.624, 0.445, 0.219, -0.603],
+     [-0.751, 0.563, 0.336, 0.076]],
+    [1.156, 1.441, 1.033, 1.433, 1.414, 1.447, 1.03, 1.119, 1.388])
+NON_BOX_STEP = {"step3d": STEP_3D, "step4d": STEP_4D}
+
+# sha256 of report.json, recorded from the adjusted normal cone with the
+# sampled generator check.  Of the two normal-cone points per family, the
+# first lies on a facet of the middle level, the second inside the top
+# level band.
+NORMAL_CONE_DIGESTS = {
+    ("normal-cone", "step3d",
+     "-1.563297783202433,-0.5910371217147096,-1.6280455207780833"):
+        "1fc39da2205a7d06119bc520f3da37443a98cff0dea8c3f7d1145e68fe721fe1",
+    ("normal-cone", "step3d",
+     "-2.176945166118501,0.3610854896423776,-1.782008854052674"):
+        "1c9ef81d9599b30d2b48a926aa598208282354f02dd0da3a3ea76b0a7bdccd3a",
+    ("normal-cone", "step4d", "0.9959725377701943,0.13993143829508597,"
+                              "-2.073283599058607,1.1217383302555264"):
+        "ef71df5d8e3d5a2dd624da2075b397f35d1195078e9e7475c17bb1e67c58cf59",
+    ("normal-cone", "step4d", "1.99388421814698,-0.4688285617082443,"
+                              "-0.030155873755510095,-2.9329172374608787"):
+        "fabd5a630e2facb756cff13893d55e69045aa5e873054ca571cc67cd25c4f69d",
+    ("closedness-probe", "step1d", "0.5"):
+        "adec53e9a2c1498844f74182fc7e57af805cb94e606722f8ba8411434c3f19fc",
+    ("quasimono-probe", "sq2d", None):
+        "219619cd502f9ffc288069cb89906a910cb2fdda240cbd8bc4220bd4c325a905",
+}
+
+
+@pytest.mark.parametrize(
+    "command, name, at", NORMAL_CONE_DIGESTS,
+    ids=["step3d-facet", "step3d-interior", "step4d-facet", "step4d-interior",
+         "closedness-step1d", "quasimono-sq2d"])
+def test_normal_cone_outputs_pinned(command, name, at, tmp_path):
+    if name in NON_BOX_STEP:
+        instance = tmp_path / f"{name}.json"
+        dump_json(NON_BOX_STEP[name], instance)
+    else:
+        instance = os.path.join(SHIPPED, f"{name}.json")
+    out = tmp_path / "o"
+    extra = [f"--at={at}"] if at is not None else []
+    code = run([command, "--instance", str(instance), *extra,
+                "--out", str(out)])
+    assert code == 0
+    assert (sha256_of(out / "report.json")
+            == NORMAL_CONE_DIGESTS[command, name, at])

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
 from adjcone.geometry import (
@@ -22,14 +25,14 @@ INTERVAL = Polytope.from_box([-1.0], [0.0])
 UNIT_SQUARE = Polytope.from_box([-1, -1], [1, 1])
 
 
-def random_polytope_3d(seed, facets=10):
+def random_polytope(seed, facets=10, dim=3):
     """Tangent planes to the unit sphere at random directions."""
     rng = np.random.default_rng(seed)
-    normals = rng.normal(size=(facets, 3))
+    normals = rng.normal(size=(facets, dim))
     normals /= np.linalg.norm(normals, axis=1)[:, None]
     # Ensure boundedness by adding a box.
-    a = np.vstack([normals, np.eye(3), -np.eye(3)])
-    b = np.concatenate([np.ones(facets), 2 * np.ones(6)])
+    a = np.vstack([normals, np.eye(dim), -np.eye(dim)])
+    b = np.concatenate([np.ones(facets), 2 * np.ones(2 * dim)])
     return Polytope(a, b)
 
 
@@ -41,6 +44,18 @@ class TestConstruction:
     def test_unbounded_rejected(self):
         with pytest.raises(UnboundedPolytopeError):
             Polytope([[1.0, 0.0]], [1.0])
+
+    @pytest.mark.parametrize("a, b, field", [
+        ([[np.nan]], [1.0], "a"),
+        ([[1.0], [-1.0]], [np.inf, 1.0], "b"),
+        ([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, np.nan, 1.0], "b"),
+    ], ids=["nan-row", "inf-offset", "nan-offset-non-box"])
+    def test_non_finite_data_rejected(self, a, b, field):
+        # Unchecked, the NaN row was dropped as a zero row, the infinite
+        # offset reached the box detection and the NaN offset the LP.
+        with pytest.raises(ValueError,
+                           match=f"Polytope: {field} has a non-finite entry"):
+            Polytope(a, b)
 
     def test_bad_cached_vertex_rejected(self):
         with pytest.raises(ValueError):
@@ -73,7 +88,7 @@ class TestProject:
         assert d == pytest.approx(math.sqrt(2.0))
 
     def test_random_3d_against_grid_oracle(self):
-        poly = random_polytope_3d(3)
+        poly = random_polytope(3)
         x = np.array([2.5, 1.8, -2.2])
         _, d = poly.project(x)
         axes = [np.linspace(-2.2, 2.2, 90)] * 3
@@ -92,7 +107,7 @@ class TestProject:
 
     def test_projection_optimality_and_characterization(self):
         rng = np.random.default_rng(11)
-        poly = random_polytope_3d(5)
+        poly = random_polytope(5)
         for x in rng.normal(scale=2.5, size=(20, 3)):
             p, d = poly.project(x)
             samples = poly.sample(rng, 60)
@@ -100,6 +115,37 @@ class TestProject:
             assert d <= dists.min() + 1e-9
             inner = (samples - p) @ (x - p)
             assert inner.max() <= 1e-9
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4),
+           facets=st.integers(1, 12), scale=st.floats(0.1, 5.0))
+    def test_kkt_on_random_polytopes(self, seed, dim, facets, scale):
+        poly = random_polytope(seed, facets, dim)
+        x = scale * np.random.default_rng(seed).normal(size=dim)
+        p, d = poly.project(x)
+        a, b = poly.halfspaces
+        assert np.all(a @ p <= b + 1e-9)  # primal feasibility
+        assert d == np.linalg.norm(x - p)
+        active = a @ p >= b - 1e-9
+        if poly.contains(x):
+            assert d == 0.0
+            return
+        # x - p = A_active^T lam with lam >= 0; inactive rows carry none
+        _, residual = nnls(a[active].T, x - p)
+        assert residual <= 1e-9 * max(1.0, d)
+
+    def test_dykstra_matches_active_set(self):
+        # the fallback never runs on well-posed input, so call it directly
+        rng = np.random.default_rng(17)
+        for seed, dim in [(1, 2), (2, 3), (3, 3), (4, 4)]:
+            poly = random_polytope(seed, 8, dim)
+            for x in rng.normal(scale=3.0, size=(5, dim)):
+                if poly.contains(x):
+                    continue
+                expected = poly._project_active_set(x)
+                assert expected is not None
+                np.testing.assert_allclose(poly._project_dykstra(x), expected,
+                                           rtol=0, atol=1e-9)
 
     def test_enlarged_contains(self):
         assert INTERVAL.enlarged_contains(0.5, [0.5])
@@ -143,7 +189,7 @@ class TestVertices:
             box5.vertices()
 
     def test_hrep_vrep_duality(self):
-        poly = random_polytope_3d(9)
+        poly = random_polytope(9)
         verts = poly.vertices()
         hull = ConvexHull(verts)
         rng = np.random.default_rng(1)

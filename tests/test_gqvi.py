@@ -278,3 +278,18 @@ def test_minimax_value_runs_one_lp(pinched_strip, monkeypatch):
     with pytest.raises(EmptyPolytopeError):
         minimax_value(operator, pinched_strip, [-0.5, 0.0])
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field, data", [
+    ("a", {"a": [[np.nan], [-1.0]]}),
+    ("b", {"b": [np.inf, 1.0]}),
+    ("d", {"d": [[np.nan], [-0.5]]}),
+], ids=["a-nan", "b-inf", "d-nan"])
+def test_moving_polytope_rejects_non_finite_data(field, data):
+    # Unchecked, solve() caught the error per branch: a NaN in d returned
+    # status "infeasible" after 0 iterations.
+    kwargs = {"a": [[1.0], [-1.0]], "b": [1.0, 1.0], "d": [[0.5], [-0.5]],
+              **data}
+    with pytest.raises(ValueError, match=f"MovingPolytope: {field} has a "
+                                         "non-finite entry"):
+        MovingPolytope(box=Polytope.from_box([-2.0], [2.0]), **kwargs)

@@ -16,22 +16,14 @@ from adjcone.normal_op import (
 )
 from adjcone.quasiconvex import (
     SamplingPlan,
-    StepLevelFunction,
     adjusted_convexity_check,
     quasiconvexity_check,
 )
 
+# the rotation of the ``rotated`` fixture (conftest.py)
 THETA = math.pi / 7
 ROT = np.array([[math.cos(THETA), -math.sin(THETA)],
                 [math.sin(THETA), math.cos(THETA)]])
-
-
-@pytest.fixture(scope="module")
-def rotated():
-    rows = np.vstack([ROT @ v for v in np.vstack([np.eye(2), -np.eye(2)])])
-    inner = Polytope(rows, np.ones(4) * 0.8)
-    outer = Polytope(rows, np.ones(4) * 2.0)
-    return StepLevelFunction([0.0, 1.0], [inner, outer])
 
 
 def test_checks_pass(rotated):
@@ -43,7 +35,7 @@ def test_checks_pass(rotated):
 def test_rho_and_cone_at_face_point(rotated):
     x = ROT @ np.array([1.6, 0.0])
     assert rotated.rho(x) == pytest.approx(0.8)
-    cone = adjusted_normal_cone(rotated, x, verify_samples=200)
+    cone = adjusted_normal_cone(rotated, x)
     np.testing.assert_allclose(cone.generators,
                                (ROT @ np.array([1.0, 0.0]))[None, :],
                                atol=1e-9)
@@ -59,7 +51,7 @@ def test_atlas_and_global_base(rotated):
     atlas = build_atlas(rotated, region, 0.15, argmin_margin=0.15)
     grid = atlas.verification_grid()
     assert all(atlas.bump_values(p).sum() > 0 for p in grid)
-    result = global_base(atlas, rotated, center, verify_samples=200)
+    result = global_base(atlas, rotated, center)
     verts = result.base.vertices()
     assert np.linalg.norm(verts, axis=1).max() <= 1 + 1e-9
     assert result.base.project(np.zeros(2))[1] >= 1e-3
@@ -67,5 +59,5 @@ def test_atlas_and_global_base(rotated):
 
 def test_quasimonotone(rotated):
     verdict = quasimonotonicity_probe(rotated, pair_samples=300, seed=5,
-                                      verify_samples=80, pool_size=50)
+                                      pool_size=50)
     assert verdict.passed
