@@ -175,16 +175,11 @@ def _resolve_atlas(payload, f, args, at=None, radii=(1e-1,)):
     return build_atlas(f, region, cover, radius_cap=0.75 * cover)
 
 
-def _function_of(payload):
-    f = payload["function"]
-    return f
-
-
 # -- command implementations -------------------------------------------------
 
 
 def _cmd_check_quasiconvex(kind, payload, args, out_dir):
-    f = _function_of(payload)
+    f = payload["function"]
     plan = SamplingPlan(points=1000, pairs=100, seed=args.seed)
     verdict_qc = quasiconvexity_check(f, plan)
     verdict_adj = adjusted_convexity_check(f, plan)
@@ -198,7 +193,7 @@ def _cmd_check_quasiconvex(kind, payload, args, out_dir):
 
 
 def _cmd_adjusted_set(kind, payload, args, out_dir):
-    f = _function_of(payload)
+    f = payload["function"]
     if not isinstance(f, StepLevelFunction):
         raise SchemaError("adjusted-set needs a step function instance")
     at = _parse_point(args.at, f.dim)
@@ -247,7 +242,7 @@ def _cmd_adjusted_set(kind, payload, args, out_dir):
 
 
 def _cmd_normal_cone(kind, payload, args, out_dir):
-    f = _function_of(payload)
+    f = payload["function"]
     if not isinstance(f, StepLevelFunction):
         raise SchemaError("normal-cone needs a step function instance")
     at = _parse_point(args.at, f.dim)
@@ -264,7 +259,7 @@ def _cmd_normal_cone(kind, payload, args, out_dir):
 
 
 def _cmd_build_atlas(kind, payload, args, out_dir):
-    f = _function_of(payload)
+    f = payload["function"]
     atlas = _resolve_atlas(payload, f, args,
                            at=_parse_point(args.at, f.dim) if args.at else None)
     grid = atlas.verification_grid()
@@ -285,7 +280,7 @@ def _cmd_build_atlas(kind, payload, args, out_dir):
 
 
 def _cmd_base_map(kind, payload, args, out_dir):
-    f = _function_of(payload)
+    f = payload["function"]
     at = _parse_point(args.at, f.dim)
     atlas = _resolve_atlas(payload, f, args, at=at)
     result = global_base(atlas, f, at)
@@ -295,7 +290,7 @@ def _cmd_base_map(kind, payload, args, out_dir):
 
 
 def _cmd_usc_probe(kind, payload, args, out_dir):
-    f = _function_of(payload)
+    f = payload["function"]
     at = _parse_point(args.at, f.dim)
     radii = _parse_radii(args.radii)
     atlas = _resolve_atlas(payload, f, args, at=at, radii=radii)
@@ -308,14 +303,14 @@ def _cmd_usc_probe(kind, payload, args, out_dir):
 
 
 def _cmd_closedness_probe(kind, payload, args, out_dir):
-    f = _function_of(payload)
+    f = payload["function"]
     at = _parse_point(args.at, f.dim)
     verdict = closedness_probe(f, at, seed=args.seed)
     return (0 if verdict.passed else 2), verdict.to_dict(), {}
 
 
 def _cmd_quasimono_probe(kind, payload, args, out_dir):
-    f = _function_of(payload)
+    f = payload["function"]
     verdict = quasimonotonicity_probe(f, pair_samples=1000, seed=args.seed)
     return (0 if verdict.passed else 2), verdict.to_dict(), {}
 
@@ -372,7 +367,7 @@ def _cmd_verify(kind, payload, args, out_dir):
             report["atlas_note"] = str(exc)
             report["all_passed"] = False
         return (0 if report["all_passed"] else 2), _sanitize(report), {}
-    f = _function_of(payload)
+    f = payload["function"]
     info = {"kind": type(f).__name__, "dim": f.dim}
     if isinstance(f, StepLevelFunction):
         info["levels"] = list(f.levels)

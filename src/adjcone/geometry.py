@@ -10,8 +10,19 @@ concurrent reads are safe.
 Projections are solved as convex QPs by a primal active-set iteration
 with a Dykstra fallback; linear subproblems go through the dense simplex
 kernel in :mod:`adjcone.lp`.  Hull construction for point sets uses
-scipy's convex hull after an affine-hull rank reduction, which keeps
-lower-dimensional polytopes (segments, facets of cones) first class.
+scipy's convex hull (imported on first use) after an affine-hull rank
+reduction, which keeps lower-dimensional polytopes (segments, facets of
+cones) first class.
+
+Vertex enumeration (:meth:`Polytope.vertices`) and polar extreme rays
+(:func:`polar_extreme_rays`) share one blocked kernel: lexicographic row
+subsets come in blocks of ``_ENUM_BLOCK``, and each block runs one
+stacked LAPACK call (``det`` and ``solve``, or ``svd``) plus one batched
+feasibility product with a slack far above rounding.  A stacked call
+returns the same bits as one call per matrix, and the prefilter only
+drops candidates the exact test rejects, so the survivors go, in subset
+order, through the same scalar acceptance test and merge as a
+one-subset-at-a-time loop, and the output is bit for bit the same.
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .lp import solve_lp
 
@@ -46,6 +56,10 @@ __all__ = [
 _ENUM_DIM_LIMIT = 4
 _MINKOWSKI_LIMIT = 100_000
 _MERGE_RADIUS = 1e-9
+# Row subsets per stacked LAPACK call: bounds the temporaries of one block.
+_ENUM_BLOCK = 2048
+# Prefilter slack per unit of product magnitude; rounding is ~1e-16.
+_PREFILTER_SLACK = 1e-7
 
 
 class GeometryError(RuntimeError):
@@ -110,6 +124,32 @@ def _dedupe_points(points, radius=_MERGE_RADIUS):
         if all(np.linalg.norm(p - q) > radius for q in kept):
             kept.append(p)
     return np.array(kept) if kept else np.zeros((0, points.shape[1]))
+
+
+def _subset_blocks(m, k):
+    """The ``k``-subsets of ``range(m)`` in lexicographic order, as index
+    arrays of at most ``_ENUM_BLOCK`` rows."""
+    combos = itertools.combinations(range(m), k)
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(combos, _ENUM_BLOCK)), dtype=np.intp)
+        if flat.size == 0:
+            return
+        yield flat.reshape(-1, k)
+
+
+def _may_satisfy(points, rows, bound, tol):
+    """Rows of ``points`` that can pass ``np.all(rows @ p <= bound + tol)``.
+
+    The batched product rounds differently from the per-point one, so
+    each test gets a slack of ``_PREFILTER_SLACK`` times a bound on the
+    magnitude of the products involved; only candidates the exact test
+    rejects are dropped.
+    """
+    scale = (1.0 + np.abs(bound).max()
+             + np.abs(rows).max() * np.abs(points).sum(axis=1))
+    return np.all(points @ rows.T
+                  <= bound + tol + _PREFILTER_SLACK * scale[:, None], axis=1)
 
 
 @dataclass(frozen=True)
@@ -228,6 +268,7 @@ class Polytope:
                                  center + coords.max() * basis[0]])
         elif rank >= 2:
             local = spread @ basis.T
+            from scipy.spatial import ConvexHull, QhullError
             try:
                 hull = ConvexHull(local)
             except QhullError as exc:  # pragma: no cover - rank guard should prevent
@@ -453,7 +494,14 @@ class Polytope:
     # -- enumeration -----------------------------------------------------------
 
     def vertices(self):
-        """Irredundant vertex list via combinatorial basis enumeration."""
+        """Irredundant vertex list via combinatorial basis enumeration.
+
+        Every ``dim``-row subset with ``|det| >= 1e-10`` gives a candidate
+        ``solve(rows, offsets)``, kept if it satisfies all halfspaces
+        within ``feas``; near-duplicates merge in subset order.  Subsets
+        are solved a block at a time (see the module docstring), and the
+        result is bit for bit that of the one-subset-at-a-time loop.
+        """
         if self._vertices is not None:
             return self._vertices
         if self.dim > _ENUM_DIM_LIMIT:
@@ -468,13 +516,13 @@ class Polytope:
             m = self.num_halfspaces
             tol = self.tolerances.feas
             found = []
-            for idx in itertools.combinations(range(m), self.dim):
-                sub = a[list(idx)]
-                if abs(np.linalg.det(sub)) < 1e-10:
-                    continue
-                v = np.linalg.solve(sub, b[list(idx)])
-                if np.all(a @ v <= b + tol):
-                    found.append(v)
+            for idx in _subset_blocks(m, self.dim):
+                sub = a[idx]
+                basis = ~(np.abs(np.linalg.det(sub)) < 1e-10)
+                cand = np.linalg.solve(sub[basis], b[idx[basis]][..., None])[..., 0]
+                for v in cand[_may_satisfy(cand, a, b, tol)]:
+                    if np.all(a @ v <= b + tol):
+                        found.append(v)
             if not found:
                 raise GeometryError("vertex enumeration found nothing")
             verts = _dedupe_points(np.array(found))
@@ -774,9 +822,13 @@ def polar_extreme_rays(directions, dim=None, tol=1e-9):
 
     ``directions`` are the rows ``d_k``.  Extreme rays of a pointed
     polyhedral cone lie on ``dim - 1`` independent active constraints, so
-    they are enumerated from the null spaces of row subsets.  Raises when
-    the rows do not span (the cone then contains a line and has no ray
-    description).
+    they are enumerated from the null spaces of row subsets: for each
+    subset, in lexicographic order, ``+d`` then ``-d`` is kept if it meets
+    every row within ``tol`` and is not within the merge radius of a
+    kept ray.  Subsets run a block at a time through a stacked SVD (see
+    the module docstring), and the result is bit for bit that of the
+    one-subset-at-a-time loop.  Raises when the rows do not span (the
+    cone then contains a line and has no ray description).
     """
     m_rows = np.atleast_2d(np.asarray(directions, dtype=float))
     n = dim if dim is not None else m_rows.shape[1]
@@ -800,14 +852,18 @@ def polar_extreme_rays(directions, dim=None, tol=1e-9):
         consider(np.array([1.0]))
         consider(np.array([-1.0]))
     else:
-        for idx in itertools.combinations(range(m_rows.shape[0]), n - 1):
-            sub = m_rows[list(idx)]
-            _, sv, vt = np.linalg.svd(sub)
-            if np.sum(sv > max(sv[0] * 1e-10, 1e-12)) != n - 1:
-                continue
-            d = vt[-1]
-            consider(d)
-            consider(-d)
+        for idx in _subset_blocks(m_rows.shape[0], n - 1):
+            _, sv, vt = np.linalg.svd(m_rows[idx])
+            cutoff = np.maximum(sv[:, 0] * 1e-10, 1e-12)
+            nulls = vt[np.sum(sv > cutoff[:, None], axis=1) == n - 1, -1]
+            units = nulls / np.linalg.norm(nulls, axis=1, keepdims=True)
+            plus = _may_satisfy(units, m_rows, 0.0, tol)
+            minus = _may_satisfy(-units, m_rows, 0.0, tol)
+            for d, keep_plus, keep_minus in zip(nulls, plus, minus):
+                if keep_plus:
+                    consider(d)
+                if keep_minus:
+                    consider(-d)
     return np.array(rays) if rays else np.zeros((0, n))
 
 

@@ -120,6 +120,7 @@ def atlas_to_dict(atlas: Atlas) -> dict:
 
 
 def atlas_from_dict(data, where="atlas") -> Atlas:
+    _reject_non_finite(data, where)
     charts = []
     for i, entry in enumerate(_need(data, "charts", where)):
         charts.append(LocalChart(
@@ -157,6 +158,7 @@ def operator_to_dict(op) -> dict:
 
 
 def operator_from_dict(data, where="T"):
+    _reject_non_finite(data, where)
     kind = _need(data, "kind", where)
     if kind == "constant":
         return ConstantOperator(
@@ -176,6 +178,7 @@ def operator_from_dict(data, where="T"):
 def solver_config_from_dict(data, where="solver") -> SolverConfig:
     if data is None:
         return SolverConfig()
+    _reject_non_finite(data, where)
     known = {"starts", "gamma", "max_iters", "mesh_divisions", "seed", "tol_solve"}
     unknown = set(data) - known
     if unknown:
@@ -211,14 +214,17 @@ def gqvi_instance_from_dict(data) -> GqviInstance:
 
 def _reject_non_finite(value, where):
     """Python's json reads NaN, Infinity and overflowing literals as
-    non-finite floats; name the first one by its path in the file."""
+    non-finite floats; name the first one by its path in the file (or,
+    for a direct call of a parser, in the data it was given)."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise SchemaError(f"{where} must be a finite number, got {value!r}")
     elif isinstance(value, dict):
         for key, item in value.items():
             _reject_non_finite(item, f"{where}.{key}" if where else key)
-    elif isinstance(value, list):
+    elif isinstance(value, np.ndarray):
+        _reject_non_finite(value.tolist(), where)
+    elif isinstance(value, (list, tuple)):
         for i, item in enumerate(value):
             _reject_non_finite(item, f"{where}[{i}]")
 

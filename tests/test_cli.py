@@ -1,10 +1,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import adjcone
 from adjcone.cli import run
 from adjcone.geometry import Polytope
 from adjcone.gqvi import ConstantOperator, GqviInstance, MovingPolytope
@@ -517,3 +520,15 @@ def test_normal_cone_outputs_pinned(command, name, at, tmp_path):
     assert code == 0
     assert (sha256_of(out / "report.json")
             == NORMAL_CONE_DIGESTS[command, name, at])
+
+
+def test_cli_import_leaves_qhull_unloaded():
+    # Only Polytope.from_vertices needs scipy.spatial; commands that never
+    # build a hull must not pay for importing it.
+    src = os.path.dirname(os.path.dirname(adjcone.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, adjcone.cli; "
+             "print('scipy.spatial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

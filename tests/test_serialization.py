@@ -16,8 +16,10 @@ from adjcone.serialization import (
     gqvi_instance_from_dict,
     gqvi_instance_to_dict,
     load_instance,
+    operator_from_dict,
     polytope_from_dict,
     polytope_to_dict,
+    solver_config_from_dict,
 )
 
 
@@ -138,3 +140,36 @@ def test_load_instance_names_non_finite_field(text, field, tmp_path):
     path.write_text(text)
     with pytest.raises(SchemaError, match=rf"^{re.escape(field)} must be a finite"):
         load_instance(path)
+
+
+_REGION = {"A": [[1.0], [-1.0]], "b": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("parse, data, field", [
+    (atlas_from_dict,
+     {"charts": [{"z": [float("nan")], "lambda": 0.5, "z0": [0.0], "eps": 0.2}],
+      "region": _REGION, "cover_step": 0.2},
+     "atlas.charts[0].z[0]"),
+    (atlas_from_dict,
+     {"charts": [{"z": [0.5], "lambda": 0.5, "z0": [0.0], "eps": float("inf")}],
+      "region": _REGION, "cover_step": 0.2},
+     "atlas.charts[0].eps"),
+    (atlas_from_dict,
+     {"charts": [], "region": _REGION, "cover_step": float("nan")},
+     "atlas.cover_step"),
+    (solver_config_from_dict, {"tol_solve": float("nan")}, "solver.tol_solve"),
+    (operator_from_dict,
+     {"kind": "tabulated", "axis": 0, "breakpoints": [float("nan")],
+      "polytopes": [_REGION, _REGION]},
+     "T.breakpoints[0]"),
+    (operator_from_dict,
+     {"kind": "constant", "polytope": {"A": np.array([[1.0], [-np.inf]]),
+                                       "b": [1.0, 1.0]}},
+     "T.polytope.A[1][0]"),
+], ids=["atlas-z", "atlas-eps", "atlas-cover-step", "solver-tol-solve",
+        "operator-breakpoints", "operator-polytope-array"])
+def test_parsers_name_non_finite_field(parse, data, field):
+    # Called directly, the parsers see no file-level check; each must
+    # still refuse NaN and infinities and name the field.
+    with pytest.raises(SchemaError, match=rf"^{re.escape(field)} must be a finite"):
+        parse(data)
