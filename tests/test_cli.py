@@ -532,3 +532,41 @@ def test_cli_import_leaves_qhull_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# sha256 of report.json for the atlas commands on the shipped step
+# instances and for verify on the shipped GQVI and quasiopt instances,
+# recorded before the grid helpers and section checks were merged.
+ATLAS_VERIFY_DIGESTS = {
+    ("build-atlas", "step1d", "0.5"):
+        "c0462ac7b5b771760d7e7bd4b856dbb16835f3c872c0fb614e3deeab60947084",
+    ("build-atlas", "sq2d", "1.5,0.5"):
+        "2ccf980df07fc6406a5a70cdfccf27e1c5de0cbef9ce31ce7e6f71c065a9301b",
+    ("base-map", "step1d", "0.5"):
+        "3a59a930042b4537527b1d0193bb766edec72a680ab273b117ac87f860ac3628",
+    ("base-map", "sq2d", "1.5,0.5"):
+        "cae23d6d14740724cfc0c23ccb35d962244a271627f46e6db213c7d810cb6871",
+    ("usc-probe", "step1d", "0.5"):
+        "31f9f9d67385d077761cf6c157b633f203f2badd6d922c13c87643acd3d0a250",
+    ("usc-probe", "sq2d", "1.5,0.5"):
+        "5c106f68a9af8f2b2d8bff0334388ff7fef6ed79f754e0c12dbc7225ca96a8cc",
+    ("verify", "moving_interval", None):
+        "fe802fa091bbff0eb77e589fe6f32d6af1a945c53e1c5f22a95fae68688839d3",
+    ("verify", "quasiopt_window1d", None):
+        "57877471b19703bca5029536b985dc98bae3fa80a0de5f355b526e290bd8c945",
+}
+
+
+@pytest.mark.parametrize(
+    "command, name, at", ATLAS_VERIFY_DIGESTS,
+    ids=["build-atlas-step1d", "build-atlas-sq2d", "base-map-step1d",
+         "base-map-sq2d", "usc-probe-step1d", "usc-probe-sq2d",
+         "verify-moving_interval", "verify-window1d"])
+def test_atlas_and_verify_outputs_pinned(command, name, at, tmp_path):
+    out = tmp_path / "o"
+    extra = [f"--at={at}"] if at is not None else []
+    code = run([command, "--instance", os.path.join(SHIPPED, f"{name}.json"),
+                *extra, "--out", str(out)])
+    assert code == 0
+    assert (sha256_of(out / "report.json")
+            == ATLAS_VERIFY_DIGESTS[command, name, at])
