@@ -18,7 +18,6 @@ from .geometry import (  # noqa: F401
     GeneratedCone,
     Polytope,
     ToleranceConfig,
-    in_class_D,
     weighted_minkowski,
 )
 from .quasiconvex import (  # noqa: F401
@@ -59,6 +58,5 @@ from .quasiopt import (  # noqa: F401
     QuasioptInstance,
     TFromNormal,
     brute_force_quasiopt,
-    build_T,
     solve_quasiopt,
 )

@@ -23,7 +23,12 @@ import numpy as np
 
 from . import __version__
 from .geometry import GeometryError, Polytope
-from .gqvi import hypothesis_report, solve as gqvi_solve
+from .gqvi import (
+    ConstantOperator,
+    GqviInstance,
+    hypothesis_report,
+    solve as gqvi_solve,
+)
 from .normal_op import (
     adjusted_normal_cone,
     build_atlas,
@@ -47,6 +52,7 @@ from .serialization import (
     SchemaError,
     atlas_to_dict,
     load_instance,
+    polytope_from_dict,
 )
 
 _COMMANDS = (
@@ -152,7 +158,6 @@ def _resolve_atlas(payload, f, args, at=None, radii=(1e-1,)):
         raise SchemaError("atlas-based commands need a step function instance")
     if "atlas_build" in payload:
         spec = payload["atlas_build"]
-        from .serialization import polytope_from_dict
         region = polytope_from_dict(spec["region"], "atlas_build.region")
         return build_atlas(f, region, float(spec["cover_step"]),
                            argmin_margin=spec.get("argmin_margin"),
@@ -352,12 +357,10 @@ def _cmd_verify(kind, payload, args, out_dir):
         report = hypothesis_report(payload["instance"], seed=args.seed)
         return (0 if report["all_passed"] else 2), _sanitize(report), {}
     if kind == "quasiopt":
-        from .gqvi import GqviInstance, ConstantOperator
-        from .geometry import Polytope as _P
         f = payload["function"]
         cm = payload["K"]
         probe_op = ConstantOperator(
-            _P.from_box(-np.ones(cm.dim), np.ones(cm.dim)))
+            Polytope.from_box(-np.ones(cm.dim), np.ones(cm.dim)))
         report = hypothesis_report(GqviInstance(cm, probe_op), seed=args.seed)
         try:
             atlas = _resolve_atlas(payload, f, args)

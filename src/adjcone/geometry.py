@@ -28,6 +28,7 @@ one-subset-at-a-time loop, and the output is bit for bit the same.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ __all__ = [
     "Polytope",
     "GeneratedCone",
     "weighted_minkowski",
-    "in_class_D",
+    "grid_points",
     "polar_extreme_rays",
     "normal_cone_at",
     "polytope_distance",
@@ -394,7 +395,17 @@ class Polytope:
     # -- projection ------------------------------------------------------------
 
     def project(self, x):
-        """Euclidean projection; returns ``(point, distance)``."""
+        """Euclidean projection; returns ``(point, distance)``.
+
+        Boxes clip and inner points return themselves; otherwise the
+        active-set iteration runs.  When it ends without an accepted KKT
+        point, Dykstra's alternating projections take over.  Seeded
+        searches over random polytopes in 1-4 D reached that fallback only
+        from points about 100 away, on flat polytopes (an explicit
+        equality pair ``a``, ``-a`` with offset 0, or the hull of a
+        lower-dimensional point set) and on some 3-D and 4-D point hulls;
+        there Dykstra either converges or raises ProjectionError.
+        """
         x = _as_point(x, self.dim)
         if self._box_bounds is not None:
             lo, hi = self._box_bounds
@@ -421,12 +432,6 @@ class Polytope:
 
     def distance(self, x):
         return self.project(x)[1]
-
-    def enlarged_contains(self, radius, x):
-        """Membership in the ``radius``-neighbourhood of the polytope."""
-        if radius < 0:
-            raise ValueError("enlargement radius must be nonnegative")
-        return self.distance(x) <= radius + self.tolerances.feas
 
     def _project_active_set(self, x, max_pivots=None):
         a, b = self._a, self._b
@@ -631,27 +636,6 @@ class Polytope:
         faces.sort(key=lambda f: (-len(f.vertex_ids), f.vertex_ids))
         return faces
 
-    def is_inside_point(self, x):
-        """Membership in the relative interior (no proper face contains x)."""
-        x = _as_point(x, self.dim)
-        tol = self.tolerances.feas
-        if not self.contains(x, tol):
-            return False
-        facet_idx, equality_idx = self.reduced()
-        a, b = self._a, self._b
-        for i in equality_idx:
-            if abs(a[i] @ x - b[i]) > tol:
-                return False
-        for i in facet_idx:
-            if a[i] @ x > b[i] - tol:
-                return False
-        return True
-
-    def same_set(self, other, tol=1e-7):
-        """Set equality via mutual vertex membership."""
-        return (bool(other.contains_many(self.vertices(), tol).all())
-                and bool(self.contains_many(other.vertices(), tol).all()))
-
     def __repr__(self):
         return f"Polytope(dim={self.dim}, halfspaces={self.num_halfspaces})"
 
@@ -809,12 +793,16 @@ def weighted_minkowski(terms, tolerances=None):
     return Polytope.from_vertices(sums, tolerances=tolerances)
 
 
-def in_class_D(polytope):
-    """Whether the set belongs to the convexity class used by the existence
-    theory.  Polytopes are closed and convex, hence always members; the
-    operation exists so instance validation can record the hypothesis
-    explicitly."""
-    return isinstance(polytope, Polytope)
+def grid_points(polytope, mesh):
+    """Points of a bounding-box lattice with spacing at most ``mesh`` that
+    lie in the polytope; each axis keeps both box ends."""
+    lo, hi = polytope.bounding_box()
+    axes = []
+    for k in range(polytope.dim):
+        count = max(2, int(math.floor((hi[k] - lo[k]) / mesh + 1e-9)) + 1)
+        axes.append(np.linspace(lo[k], hi[k], count))
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, polytope.dim)
+    return pts[polytope.contains_many(pts)]
 
 
 def polar_extreme_rays(directions, dim=None, tol=1e-9):

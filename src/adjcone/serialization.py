@@ -86,6 +86,7 @@ def function_to_dict(f) -> dict:
 
 
 def function_from_dict(data, where="function"):
+    _reject_non_finite(data, where)
     kind = _need(data, "type", where)
     if kind == "step":
         levels = _need(data, "levels", where)

@@ -14,12 +14,13 @@ from adjcone.geometry import (
     Polytope,
     ScaleBoundError,
     UnboundedPolytopeError,
-    in_class_D,
+    grid_points,
     normal_cone_at,
     polar_extreme_rays,
     polytope_distance,
     weighted_minkowski,
 )
+from helpers import is_inside_point, same_set
 
 INTERVAL = Polytope.from_box([-1.0], [0.0])
 UNIT_SQUARE = Polytope.from_box([-1, -1], [1, 1])
@@ -135,7 +136,7 @@ class TestProject:
         assert residual <= 1e-9 * max(1.0, d)
 
     def test_dykstra_matches_active_set(self):
-        # the fallback never runs on well-posed input, so call it directly
+        # these polytopes never reach the fallback, so call it directly
         rng = np.random.default_rng(17)
         for seed, dim in [(1, 2), (2, 3), (3, 3), (4, 4)]:
             poly = random_polytope(seed, 8, dim)
@@ -147,14 +148,34 @@ class TestProject:
                 np.testing.assert_allclose(poly._project_dykstra(x), expected,
                                            rtol=0, atol=1e-9)
 
-    def test_enlarged_contains(self):
-        assert INTERVAL.enlarged_contains(0.5, [0.5])
-        assert not INTERVAL.enlarged_contains(0.5, [0.75])
-        assert UNIT_SQUARE.enlarged_contains(1.0, [2.0, 0.0])
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            INTERVAL.enlarged_contains(-0.1, [0.0])
+    @pytest.mark.parametrize("poly, x", [
+        # An explicit equality pair (rows a, -a, offset 0): a flat polytope.
+        (Polytope(np.vstack([[[0.7458, 0.6486, -0.1519],
+                              [-0.7458, -0.6486, 0.1519],
+                              [0.9606, -0.278, 0.0063],
+                              [0.7977, -0.1494, -0.5842]],
+                             np.eye(3), -np.eye(3)]),
+                  np.concatenate([[0.0, 0.0, 0.357, 0.293], np.ones(6)])),
+         [-24.2, 96.5, -9.8]),
+        # The hull of five points: full-dimensional, six facets.
+        (Polytope.from_vertices([[0.852, 0.374, -0.734], [-1.226, -0.773, 1.599],
+                                 [0.249, -0.937, -0.945], [-1.255, -0.536, 1.153],
+                                 [0.175, 0.186, 0.326]]),
+         [83.5, 2.9, -55.0]),
+    ], ids=["flat-equality-pair", "full-dimensional-hull"])
+    def test_far_point_falls_back_to_dykstra(self, poly, x):
+        # From a point ~100 away the active-set iteration ends without a
+        # KKT point, and project falls back to Dykstra.
+        x = np.asarray(x)
+        assert poly._project_active_set(x) is None
+        p, d = poly.project(x)
+        a, b = poly.halfspaces
+        assert np.all(a @ p <= b + 1e-9)  # primal feasibility
+        assert d == np.linalg.norm(x - p)
+        active = a @ p >= b - 1e-9
+        # x - p = A_active^T lam with lam >= 0; inactive rows carry none
+        _, residual = nnls(a[active].T, x - p)
+        assert residual <= 1e-9 * max(1.0, d)
 
 
 class TestVertices:
@@ -222,14 +243,14 @@ class TestFaces:
 
 class TestInsidePoint:
     def test_square(self):
-        assert UNIT_SQUARE.is_inside_point([0.0, 0.0])
-        assert not UNIT_SQUARE.is_inside_point([1.0, 0.0])
+        assert is_inside_point(UNIT_SQUARE, [0.0, 0.0])
+        assert not is_inside_point(UNIT_SQUARE, [1.0, 0.0])
 
     def test_segment_relative_interior(self):
         seg = Polytope.from_vertices([[0.0, 0.0], [1.0, 0.0]])
-        assert seg.is_inside_point([0.5, 0.0])
-        assert not seg.is_inside_point([0.0, 0.0])
-        assert not seg.is_inside_point([0.5, 0.2])
+        assert is_inside_point(seg, [0.5, 0.0])
+        assert not is_inside_point(seg, [0.0, 0.0])
+        assert not is_inside_point(seg, [0.5, 0.2])
 
     def test_definitional_cross_check(self):
         # inside <=> in the polytope and on no proper face
@@ -247,20 +268,26 @@ class TestInsidePoint:
                     on_face = True
                     break
             expected = poly.contains(x, 1e-9) and not on_face
-            assert poly.is_inside_point(x) == expected
+            assert is_inside_point(poly, x) == expected
 
 
-class TestClassD:
-    def test_always_true_for_polytopes(self):
-        assert in_class_D(UNIT_SQUARE)
-        assert in_class_D(INTERVAL)
-        assert in_class_D(Polytope.from_vertices([[0.3, 0.7]]))
+class TestGridPoints:
+    def test_lattice_keeps_box_ends_and_members_only(self):
+        pts = grid_points(Polytope.from_box([0.0, -1.0], [1.0, 1.0]), 0.5)
+        assert sorted(set(pts[:, 0])) == [0.0, 0.5, 1.0]
+        assert sorted(set(pts[:, 1])) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert len(pts) == 15
+        tri = Polytope([[0, -1], [1, 1], [-1, 1]], [0, 1, 1])
+        axes = [np.linspace(-1.0, 1.0, 21), np.linspace(0.0, 1.0, 11)]
+        lattice = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 2)
+        np.testing.assert_array_equal(grid_points(tri, 0.1),
+                                      lattice[tri.contains_many(lattice)])
 
 
 class TestMinkowski:
     def test_identity(self):
         out = weighted_minkowski([(1.0, UNIT_SQUARE)])
-        assert out.same_set(UNIT_SQUARE)
+        assert same_set(out, UNIT_SQUARE)
 
     def test_singletons(self):
         s1 = Polytope.from_vertices([[0.25]])
@@ -408,7 +435,7 @@ def test_minkowski_split_weights_idempotent():
     # 0.5 P + 0.5 P = P for convex P
     tri = Polytope([[0, -1], [1, 1], [-1, 1]], [0, 1, 1])
     out = weighted_minkowski([(0.5, tri), (0.5, tri)])
-    assert out.same_set(tri)
+    assert same_set(out, tri)
 
 
 def test_cone_section_round_trip():

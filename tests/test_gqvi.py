@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjcone import geometry, gqvi
 from adjcone.geometry import EmptyPolytopeError, Polytope
@@ -131,6 +133,25 @@ class TestSion:
         for x in moving_box_2d.box.sample(rng, 40):
             res = sion_check(seg, moving_box_2d, x)
             assert res.gap <= 1e-8
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+           rows=st.integers(1, 6), points=st.integers(1, 5))
+    def test_full_gap_vanishes_on_random_polytope_data(self, seed, dim, rows,
+                                                       points):
+        # Minimax theorem on polytope data: maxmin_full equals minmax up to
+        # rounding.  b >= 0.4 and |D x| <= 0.3 keep the origin inside K(x).
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(rows, dim))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        cm = MovingPolytope(a=a, b=rng.uniform(0.4, 1.5, size=rows),
+                            d=rng.uniform(-0.05, 0.05, size=(rows, dim)),
+                            box=Polytope.from_box([-2.0] * dim, [2.0] * dim))
+        op = ConstantOperator(Polytope.from_vertices(
+            rng.uniform(-2.0, 2.0, size=(points, dim))))
+        x = rng.uniform(-2.0, 2.0, size=dim)
+        res = sion_check(op, cm, x)
+        assert res.gap_full <= 1e-9 * (1.0 + abs(res.minmax))
 
 
 class TestSolve:

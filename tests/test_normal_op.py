@@ -19,6 +19,7 @@ from adjcone.normal_op import (
     usc_probe,
 )
 from adjcone.quasiconvex import ArgminError, StepLevelFunction
+from helpers import same_set
 
 
 def polar_oracle(f, x, cone, rng, trials=300):
@@ -243,7 +244,7 @@ class TestGlobalBase:
         (i, w), = result.active_charts
         assert w == pytest.approx(1.0)
         expected = chart_base(atlas1d_stable.charts[i], step1d, p)
-        assert result.base.same_set(expected)
+        assert same_set(result.base, expected)
 
     def test_weighted_singleton_combination(self, step1d):
         # two 1D charts with bases {0.25} and {0.3} at weights 0.6/0.4

@@ -11,7 +11,6 @@ from adjcone.quasiconvex import (
     StepLevelFunction,
     adjusted_convexity_check,
     analytic_from_name,
-    approximate_rho,
     quasiconvexity_check,
 )
 
@@ -27,6 +26,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="increasing"):
             StepLevelFunction(
                 [1.0, 1.0],
+                [Polytope.from_box([0.0], [1.0]), Polytope.from_box([0.0], [2.0])])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_level(self, bad):
+        # NaN passes the increasing test (b <= a is false for NaN) and an
+        # infinite top level passes it outright.
+        with pytest.raises(ValueError, match=r"^levels\[1\] must be a finite"):
+            StepLevelFunction(
+                [0.0, bad],
                 [Polytope.from_box([0.0], [1.0]), Polytope.from_box([0.0], [2.0])])
 
     def test_full_dimensional_flag(self, step1d):
@@ -227,21 +235,6 @@ class TestChecks:
         a = quasiconvexity_check(step1d, plan)
         b = quasiconvexity_check(step1d, plan)
         assert a.passed == b.passed and a.checked == b.checked
-
-
-class TestApproximateRho:
-    def test_ladder_converges_for_two_wells(self):
-        f = analytic_from_name("two_wells", Polytope.from_box([-2.0], [2.0]))
-        # f(1.5) = 1.25; strict sublevel reaches to about sqrt(2.25 - d)
-        est, spread = approximate_rho(f, [1.5])
-        exact = 1.5 - math.sqrt(1.25 + 1.0)  # dist to S_{1.25}
-        assert est == pytest.approx(exact, abs=2e-2)
-        assert spread < 5e-2
-
-    def test_reports_argmin(self):
-        f = analytic_from_name("norm", Polytope.from_box([-1.0], [1.0]))
-        with pytest.raises(ArgminError):
-            approximate_rho(f, [0.0])
 
 
 class TestSingleLevel:

@@ -6,10 +6,11 @@ from adjcone.gqvi import MovingPolytope, SolverConfig
 from adjcone.normal_op import adjusted_normal_cone, build_atlas
 from adjcone.quasiopt import (
     QuasioptInstance,
+    TFromNormal,
     brute_force_quasiopt,
-    build_T,
     solve_quasiopt,
 )
+from helpers import same_set
 
 
 @pytest.fixture(scope="module")
@@ -38,25 +39,25 @@ def atlas2d(sq2d):
 
 class TestOperator:
     def test_plateau_value_from_base_map(self, step1d, atlas1d):
-        op = build_T(step1d, atlas1d)
+        op = TFromNormal(step1d, atlas1d)
         verts = op.value([0.5]).vertices()
         assert verts.shape == (1, 1)
         assert verts[0][0] > 0
 
     def test_argmin_branch_dual_box(self, step1d, atlas1d):
-        op = build_T(step1d, atlas1d)
+        op = TFromNormal(step1d, atlas1d)
         lo, hi = op.value([-0.5]).bounding_box()
         assert lo == pytest.approx([-1.0]) and hi == pytest.approx([1.0])
 
     def test_single_chart_zone(self, step1d, atlas1d):
-        op = build_T(step1d, atlas1d)
+        op = TFromNormal(step1d, atlas1d)
         # 0.5 sits on the chart grid; only its own chart is active there
         from adjcone.normal_op import chart_base, global_base
         result = global_base(atlas1d, step1d, [0.5])
         (i, w), = result.active_charts
         assert w == pytest.approx(1.0)
-        assert op.value([0.5]).same_set(
-            chart_base(atlas1d.charts[i], step1d, [0.5]))
+        assert same_set(op.value([0.5]),
+                        chart_base(atlas1d.charts[i], step1d, [0.5]))
 
 
 class TestSolve:
