@@ -570,3 +570,28 @@ def test_atlas_and_verify_outputs_pinned(command, name, at, tmp_path):
     assert code == 0
     assert (sha256_of(out / "report.json")
             == ATLAS_VERIFY_DIGESTS[command, name, at])
+
+
+# sha256 of report.json for the atlas commands on the non-box 3-D family,
+# at its interior normal-cone point, recorded from the per-chart bump
+# loops.  The mesh gives 243 charts and a 17^3 verification grid.
+ATLAS_3D_AT = "-2.176945166118501,0.3610854896423776,-1.782008854052674"
+ATLAS_3D_DIGESTS = {
+    "build-atlas":
+        "aa0c15a9ec5117614aa97f97542030b7dafb8cde019d434e98a2b1e9366f3772",
+    "base-map":
+        "87ea68b01520ef99460164cd9d804d98add39f0af2de1df4ce3c1a71cdc1b042",
+    "usc-probe":
+        "b9d32a6f3a45cb32e65e0540da7a0ca2ad1507a8feeea3a44eaeb657ce4c887b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ATLAS_3D_DIGESTS))
+def test_atlas_outputs_pinned_non_box_3d(command, tmp_path):
+    instance = tmp_path / "step3d.json"
+    dump_json(STEP_3D, instance)
+    out = tmp_path / "o"
+    code = run([command, "--instance", str(instance), f"--at={ATLAS_3D_AT}",
+                "--mesh=0.14", "--out", str(out)])
+    assert code == 0
+    assert sha256_of(out / "report.json") == ATLAS_3D_DIGESTS[command]
