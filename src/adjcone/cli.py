@@ -121,10 +121,33 @@ def _instance_hash(path):
         return hashlib.sha256(handle.read()).hexdigest()
 
 
+def _floats(flag, text):
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise SchemaError(f"{flag} takes comma-separated numbers, "
+                          f"got {text!r}") from None
+
+
+def _check_flags(args):
+    """Every --at coordinate is finite; --tol, --mesh and every --radii
+    entry are finite and positive."""
+    positive = [("--tol", args.tol), ("--mesh", args.mesh)]
+    if args.radii is not None:
+        positive += [("--radii", r) for r in _floats("--radii", args.radii)]
+    for flag, value in positive:
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise SchemaError(f"{flag} must be a finite number > 0, got {value!r}")
+    if args.at is not None:
+        for value in _floats("--at", args.at):
+            if not math.isfinite(value):
+                raise SchemaError(f"--at must be finite, got {value!r}")
+
+
 def _parse_point(text, dim=None):
     if text is None:
         raise SchemaError("this command requires --at <coords>")
-    point = np.array([float(tok) for tok in text.split(",")], dtype=float)
+    point = np.array(_floats("--at", text), dtype=float)
     if dim is not None and point.size != dim:
         raise SchemaError(f"--at has {point.size} coordinates, expected {dim}")
     return point
@@ -133,7 +156,7 @@ def _parse_point(text, dim=None):
 def _parse_radii(text):
     if text is None:
         return (1e-1, 1e-2, 1e-3, 1e-4)
-    return tuple(float(tok) for tok in text.split(","))
+    return _floats("--radii", text)
 
 
 def _sanitize(value):
@@ -267,15 +290,10 @@ def _cmd_build_atlas(kind, payload, args, out_dir):
     f = payload["function"]
     atlas = _resolve_atlas(payload, f, args,
                            at=_parse_point(args.at, f.dim) if args.at else None)
-    grid = atlas.verification_grid()
-    worst = 0.0
-    for p in grid:
-        _, w = atlas.weights(p)
-        worst = max(worst, abs(float(w.sum()) - 1.0))
     report = {
         "charts": len(atlas.charts),
-        "grid_points": len(grid),
-        "partition_defect": worst,
+        "grid_points": len(atlas.verification_grid()),
+        "partition_defect": atlas.partition_defect(),
         "atlas": atlas_to_dict(atlas),
     }
     _write_json(os.path.join(out_dir, "atlas.json"),
@@ -429,6 +447,7 @@ def run(argv) -> int:
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()
     try:
+        _check_flags(args)
         kind, payload = load_instance(args.instance)
         code, report, series = _DISPATCH[args.command](kind, payload, args, out_dir)
     except (SchemaError, FileNotFoundError, ValueError, GeometryError,

@@ -61,6 +61,10 @@ _MERGE_RADIUS = 1e-9
 _ENUM_BLOCK = 2048
 # Prefilter slack per unit of product magnitude; rounding is ~1e-16.
 _PREFILTER_SLACK = 1e-7
+# Dykstra sweeps before a projection gives up.
+_DYKSTRA_SWEEPS = 5000
+# Alternating-projection rounds of ``polytope_distance``.
+_DISTANCE_ROUNDS = 2000
 
 
 class GeometryError(RuntimeError):
@@ -433,14 +437,13 @@ class Polytope:
     def distance(self, x):
         return self.project(x)[1]
 
-    def _project_active_set(self, x, max_pivots=None):
+    def _project_active_set(self, x):
         a, b = self._a, self._b
         m = self.num_halfspaces
-        cap = max_pivots or max(10 * m, 50)
         y, _ = self.chebyshev_center()
         working: list[int] = []
         lam = np.zeros(0)
-        for _ in range(cap):
+        for _ in range(max(10 * m, 50)):
             if working:
                 aw = a[working]
                 gram = aw @ aw.T
@@ -476,12 +479,12 @@ class Polytope:
                 working.append(hit)
         return None
 
-    def _project_dykstra(self, x, max_sweeps=5000):
+    def _project_dykstra(self, x):
         a, b = self._a, self._b
         m = self.num_halfspaces
         y = x.copy()
         corr = np.zeros((m, self.dim))
-        for _ in range(max_sweeps):
+        for _ in range(_DYKSTRA_SWEEPS):
             shift = 0.0
             for i in range(m):
                 z = y + corr[i]
@@ -877,11 +880,11 @@ def normal_cone_at(polytope, x, tolerances=None):
                                    dim=polytope.dim, tolerances=tol)
 
 
-def polytope_distance(first, second, max_rounds=2000):
+def polytope_distance(first, second):
     """Distance between two polytopes by alternating projections."""
     x = first.chebyshev_center()[0]
     prev = np.inf
-    for _ in range(max_rounds):
+    for _ in range(_DISTANCE_ROUNDS):
         y, _ = second.project(x)
         x_new, _ = first.project(y)
         gap = float(np.linalg.norm(x_new - y))

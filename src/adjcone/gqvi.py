@@ -280,8 +280,8 @@ class SolveReport:
     starts_tried: int = 0
     trace: list | None = None
 
-    def to_dict(self, include_timing=False):
-        out = {
+    def to_dict(self):
+        return {
             "status": self.status,
             "x": None if self.x is None else np.asarray(self.x).tolist(),
             "residual": self.residual,
@@ -289,9 +289,6 @@ class SolveReport:
             "iterations": self.iterations,
             "starts_tried": self.starts_tried,
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def _candidate_key(x, residual):

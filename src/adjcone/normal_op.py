@@ -25,6 +25,17 @@ a finite covering by such charts together with piecewise-linear hat
 bumps; normalizing the bumps yields a partition of unity and the global
 base map is the weighted Minkowski combination of the per-chart bases.
 
+Every atlas query (bumps, weights, covering, the partition defect and
+the stable probe points) runs through one kernel, ``Atlas._gap_blocks``:
+the chart centers and radii are held as arrays, and the gaps
+``radius - |x - center|`` come out in row blocks of bounded size, so no
+reduction holds the whole points x charts matrix.  Each distance is the
+stacked product ``sqrt(d[..., None, :] @ d[..., :, None])``, which calls
+the same BLAS ``ddot`` as ``np.linalg.norm`` on one vector; every kernel
+bump therefore has the bits of the scalar ``LocalChart.bump``, and
+points on a chart rim fall on the same side in both.  A bulk
+``norm(axis=-1)`` sums the squares in another order and does not.
+
 The probes at the bottom of the module turn the continuity statements
 into numbers: upper-Hausdorff deviation curves for upper semicontinuity,
 accumulation-direction checks for closedness, and sign tests for
@@ -73,6 +84,12 @@ __all__ = [
     "quasimonotonicity_probe",
     "stable_probe_points",
 ]
+
+# Point-chart pairs per block of the atlas kernel (``Atlas._gap_blocks``).
+_PAIR_BLOCK = 1 << 14
+# Densification rounds of ``build_atlas`` before it gives up.
+_DENSIFY_ROUNDS = 8
+
 
 class ChartError(GeometryError):
     """No valid chart exists at the requested center."""
@@ -194,7 +211,8 @@ class LocalChart:
         return self.center - self.anchor
 
     def bump(self, x) -> float:
-        """Piecewise-linear hat: positive strictly inside the ball."""
+        """Piecewise-linear hat: positive strictly inside the ball.  The
+        scalar reference of the atlas kernel (``Atlas._gap_blocks``)."""
         return max(0.0, self.radius - float(np.linalg.norm(np.asarray(x, dtype=float).ravel() - self.center)))
 
 
@@ -249,17 +267,43 @@ def _ball_section(cone, chart, tolerances):
 
 @dataclass
 class Atlas:
-    """Finite chart covering of a compact region with hat-bump weights."""
+    """Finite chart covering of a compact region with hat-bump weights;
+    ``centers`` (k x n) and ``radii`` (k) hold the charts as arrays."""
 
     charts: tuple
     region: Polytope
     cover_step: float
     tolerances: object = field(default_factory=lambda: DEFAULT_TOLERANCES)
     _grid: np.ndarray | None = field(default=None, repr=False)
+    centers: np.ndarray = field(init=False, repr=False)
+    radii: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.centers = np.array([c.center for c in self.charts], dtype=float
+                                ).reshape(len(self.charts), self.region.dim)
+        self.radii = np.array([c.radius for c in self.charts], dtype=float)
+
+    def _gap_blocks(self, points):
+        """Yield ``(block, gaps)`` over row blocks of ``points``, with
+        ``gaps[i, j] = radius_j - |block[i] - center_j|`` bit for bit as in
+        ``LocalChart.bump``.  A block holds at most ``_PAIR_BLOCK`` point-chart
+        pairs.  No points still yield one empty block, so the callers that
+        concatenate per-block results always get an array."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.shape[1] != self.region.dim:
+            raise ValueError(f"points have {pts.shape[1]} coordinates, "
+                             f"the atlas {self.region.dim}")
+        step = max(1, _PAIR_BLOCK // max(1, len(self.charts)))
+        for start in range(0, max(len(pts), 1), step):
+            block = pts[start:start + step]
+            d = block[:, None, :] - self.centers
+            dist = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
+            yield block, self.radii - dist
 
     def bump_values(self, x):
         x = np.asarray(x, dtype=float).ravel()
-        return np.array([c.bump(x) for c in self.charts])
+        _, gaps = next(self._gap_blocks(x[None, :]))
+        return np.maximum(gaps[0], 0.0)
 
     def weights(self, x):
         """Active chart indices and their partition-of-unity weights."""
@@ -270,29 +314,30 @@ class Atlas:
         active = np.nonzero(bumps > 0)[0]
         return active, bumps[active] / total
 
-    def covers(self, x):
-        return bool(self.bump_values(x).sum() > 0)
-
     def covers_many(self, points):
-        """``covers`` on every row of ``points``: some chart holds the row
-        strictly inside its ball.
+        """Whether some chart holds each row of ``points`` strictly inside
+        its ball."""
+        return np.concatenate([(gaps > 0).any(axis=1)
+                               for _, gaps in self._gap_blocks(points)])
 
-        Grid points often lie exactly on a chart boundary, where a norm
-        computed in bulk can differ from the per-chart ``bump`` in the
-        last bit; rows that no chart covers by a clear margin but that
-        touch a boundary within it are decided by ``covers``.
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        covered = np.zeros(pts.shape[0], dtype=bool)
-        border = np.zeros(pts.shape[0], dtype=bool)
-        for chart in self.charts:
-            gap = chart.radius - np.linalg.norm(pts - chart.center, axis=1)
-            margin = 1e-12 * chart.radius
-            covered |= gap > margin
-            border |= np.abs(gap) <= margin
-        for k in np.flatnonzero(border & ~covered):
-            covered[k] = self.covers(pts[k])
-        return covered
+    def partition_defect(self):
+        """Largest ``|sum of weights - 1|`` over the verification grid, with
+        the bits of ``weights``: rows are grouped by their number of active
+        charts, so each group sums its active weights as one array."""
+        worst = 0.0
+        for block, gaps in self._gap_blocks(self.verification_grid()):
+            bumps = np.maximum(gaps, 0.0)
+            totals = bumps.sum(axis=1)
+            if (totals <= 0).any():
+                x = block[np.argmax(totals <= 0)]
+                raise CoverageError(f"no chart covers {x.tolist()}")
+            active = bumps > 0
+            counts = active.sum(axis=1)
+            for m in np.unique(counts):
+                rows = counts == m
+                w = bumps[rows][active[rows]].reshape(-1, m) / totals[rows, None]
+                worst = max(worst, float(np.abs(w.sum(axis=1) - 1.0).max()))
+        return worst
 
     def verification_grid(self):
         """Deterministic grid of mesh cover_step/4 inside the region."""
@@ -302,7 +347,7 @@ class Atlas:
 
 
 def build_atlas(f: StepLevelFunction, region: Polytope, cover_step,
-                argmin_margin=None, radius_cap=None, max_rounds=8) -> Atlas:
+                argmin_margin=None, radius_cap=None) -> Atlas:
     """Charts on a grid over the region, densified until the hat bumps
     cover a verification grid of mesh ``cover_step / 4``.
 
@@ -332,7 +377,7 @@ def build_atlas(f: StepLevelFunction, region: Polytope, cover_step,
 
     atlas = Atlas(tuple(charts), region, float(cover_step), f.tolerances)
     grid = atlas.verification_grid()
-    for _ in range(max_rounds):
+    for _ in range(_DENSIFY_ROUNDS):
         holes = grid[~atlas.covers_many(grid)]
         if len(holes) == 0:
             return atlas
@@ -615,18 +660,11 @@ def quasimonotonicity_probe(f: StepLevelFunction, pair_samples=1000, seed=0,
 def stable_probe_points(atlas: Atlas, margin=1e-3, limit=None, mesh=None):
     """Grid points covered by exactly one chart with every chart boundary
     at least ``margin`` away; the base map is locally a single chart
-    section there, the regime the deviation probe needs."""
-    out = []
+    section there, the regime the deviation probe needs.  ``limit`` keeps
+    the first points in grid order."""
     grid = grid_points(atlas.region, mesh if mesh else atlas.cover_step / 8.0)
-    for p in grid:
-        dists = np.array([np.linalg.norm(p - c.center) for c in atlas.charts])
-        radii = np.array([c.radius for c in atlas.charts])
-        inside = dists < radii
-        if inside.sum() != 1:
-            continue
-        boundary_gap = np.abs(radii - dists).min()
-        if boundary_gap >= margin:
-            out.append(p)
-            if limit and len(out) >= limit:
-                break
-    return np.array(out) if out else np.zeros((0, atlas.region.dim))
+    keep = np.concatenate([
+        ((gaps > 0).sum(axis=1) == 1)
+        & (np.abs(gaps).min(axis=1, initial=np.inf) >= margin)
+        for _, gaps in atlas._gap_blocks(grid)])
+    return grid[keep][:limit] if limit else grid[keep]

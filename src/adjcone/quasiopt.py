@@ -100,7 +100,7 @@ class QuasioptReport:
     in_argmin: bool
     message: str = ""
 
-    def to_dict(self, include_timing=False):
+    def to_dict(self):
         return {
             "x": None if self.x is None else np.asarray(self.x).tolist(),
             "f_value": self.f_value,
@@ -108,7 +108,7 @@ class QuasioptReport:
             "grid_min": self.grid_min,
             "in_argmin": self.in_argmin,
             "message": self.message,
-            "gqvi": self.gqvi.to_dict(include_timing=include_timing),
+            "gqvi": self.gqvi.to_dict(),
         }
 
 

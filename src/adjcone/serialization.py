@@ -122,16 +122,39 @@ def atlas_to_dict(atlas: Atlas) -> dict:
 
 def atlas_from_dict(data, where="atlas") -> Atlas:
     _reject_non_finite(data, where)
+    region = polytope_from_dict(_need(data, "region", where), f"{where}.region")
     charts = []
     for i, entry in enumerate(_need(data, "charts", where)):
+        at = f"{where}.charts[{i}]"
         charts.append(LocalChart(
-            center=np.asarray(_need(entry, "z", f"{where}.charts[{i}]"), dtype=float),
-            level=float(_need(entry, "lambda", f"{where}.charts[{i}]")),
-            anchor=np.asarray(_need(entry, "z0", f"{where}.charts[{i}]"), dtype=float),
-            radius=float(_need(entry, "eps", f"{where}.charts[{i}]")),
+            center=_point(entry, "z", at, region.dim),
+            level=float(_need(entry, "lambda", at)),
+            anchor=_point(entry, "z0", at, region.dim),
+            radius=_positive(entry, "eps", at),
         ))
-    region = polytope_from_dict(_need(data, "region", where), f"{where}.region")
-    return Atlas(tuple(charts), region, float(_need(data, "cover_step", where)))
+    return Atlas(tuple(charts), region, _positive(data, "cover_step", where))
+
+
+def _point(mapping, field, where, dim):
+    """A flat list of ``dim`` numbers."""
+    value = _need(mapping, field, where)
+    try:
+        point = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}.{field} must be a list of numbers: {exc}") from exc
+    if point.ndim != 1:
+        raise SchemaError(f"{where}.{field} must be a flat list of numbers")
+    if point.size != dim:
+        raise SchemaError(f"{where}.{field} has {point.size} coordinates, "
+                          f"expected {dim}")
+    return point
+
+
+def _positive(mapping, field, where):
+    value = float(_need(mapping, field, where))
+    if value <= 0:
+        raise SchemaError(f"{where}.{field} must be positive, got {value!r}")
+    return value
 
 
 def moving_polytope_to_dict(cm: MovingPolytope) -> dict:

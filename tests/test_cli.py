@@ -339,6 +339,28 @@ def test_check_quasiconvex_verdicts_pinned(name, corrupted1d, tmp_path):
     assert report_of(out)["report"] == CHECK_QUASICONVEX_VERDICTS[name]
 
 
+@pytest.mark.parametrize("name, flags, flag", [
+    ("sq2d", ["adjusted-set", "--at=1.5,0.5", "--mesh=-0.1"], "--mesh"),
+    ("sq2d", ["adjusted-set", "--at=1.5,0.5", "--mesh=nan"], "--mesh"),
+    ("step1d", ["usc-probe", "--at=0.5", "--radii=-0.1"], "--radii"),
+    ("step1d", ["usc-probe", "--at=0.5", "--radii=0.1,nan"], "--radii"),
+    ("step1d", ["usc-probe", "--at=0.5", "--tol=nan"], "--tol"),
+    ("step1d", ["usc-probe", "--at=0.5", "--tol=0"], "--tol"),
+    ("sq2d", ["normal-cone", "--at=inf,0.5"], "--at"),
+], ids=["mesh-negative", "mesh-nan", "radii-negative", "radii-nan", "tol-nan",
+        "tol-zero", "at-inf"])
+def test_bad_numeric_flag_exits_1(name, flags, flag, files, tmp_path, capsys):
+    # Unchecked, a negative mesh or radius exited 0 with an empty or
+    # vacuous report, a NaN tolerance failed a passing probe, and a NaN
+    # mesh or radius surfaced as a bare numpy or Polytope error.
+    out = tmp_path / "o"
+    code = run([flags[0], "--instance", str(files[name]), *flags[1:],
+                "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"adjcone: {flag} must be")
+    assert not (out / "report.json").exists()
+
+
 def test_negative_point_as_separate_argument(files, tmp_path):
     reports = []
     for form in (["--at", "-1.5,0.5", "--radii", "0.1,0.01"],

@@ -1,11 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from adjcone import normal_op
 from adjcone.geometry import GeneratedCone, Polytope
 from adjcone.normal_op import (
+    Atlas,
     CoverageError,
+    LocalChart,
     adjusted_normal_cone,
     build_atlas,
     build_chart,
@@ -199,6 +203,43 @@ def atlas2d(sq2d):
                        radius_cap=0.15)
 
 
+def random_atlas(dim, seed, cover_step, count=24):
+    """Charts at seeded full-precision centers and radii over the box
+    [-1, 1]^dim: the kernel's norms then run on arbitrary bits, not on
+    lattice offsets."""
+    rng = np.random.default_rng(seed)
+    charts = tuple(LocalChart(center=rng.uniform(-1.0, 1.0, dim), level=0.5,
+                              anchor=np.zeros(dim),
+                              radius=float(rng.uniform(0.2, 0.6)))
+                   for _ in range(count))
+    return Atlas(charts, Polytope.from_box(-np.ones(dim), np.ones(dim)),
+                 cover_step)
+
+
+@pytest.fixture(scope="module")
+def atlas3d_random():
+    return random_atlas(3, 3, 1.0)
+
+
+@pytest.fixture(scope="module")
+def atlas4d_random():
+    return random_atlas(4, 4, 1.5)
+
+
+def kernel_probe_rows(atlas):
+    """Verification grid, the grid shifted off the lattice, and chart rims
+    along the axes and along seeded directions."""
+    grid = atlas.verification_grid()
+    dim = grid.shape[1]
+    axis_rims = [c.center + sign * c.radius * axis for c in atlas.charts
+                 for sign in (-1.0, 1.0) for axis in np.eye(dim)]
+    directions = np.random.default_rng(11).normal(size=(len(atlas.charts), dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    random_rims = atlas.centers + atlas.radii[:, None] * directions
+    return np.vstack([grid, grid + 0.3 * atlas.cover_step, axis_rims,
+                      random_rims])
+
+
 class TestAtlas:
     def test_covering_and_partition(self, atlas1d):
         for p in atlas1d.verification_grid():
@@ -212,17 +253,40 @@ class TestAtlas:
                     assert bumps[i] == 0.0
                     assert np.linalg.norm(p - c.center) >= c.radius
 
-    def test_covers_many_matches_covers(self, atlas1d, atlas2d):
+    @pytest.mark.parametrize("block", [None, 5])
+    @pytest.mark.parametrize("name", ["atlas1d", "atlas2d", "atlas3d_random",
+                                      "atlas4d_random"])
+    def test_kernel_bumps_are_chart_bumps(self, name, block, request,
+                                          monkeypatch):
+        # The stacked matmul norm must give every bump the bits of the
+        # scalar LocalChart.bump (a BLAS whose ddot differs fails here),
+        # in the default blocks and in blocks of a single row.
+        if block is not None:
+            monkeypatch.setattr(normal_op, "_PAIR_BLOCK", block)
+        atlas = request.getfixturevalue(name)
+        probe = kernel_probe_rows(atlas)
+        expected = np.array([[c.bump(p) for c in atlas.charts] for p in probe])
+        kernel = np.vstack([np.maximum(gaps, 0.0)
+                            for _, gaps in atlas._gap_blocks(probe)])
+        assert kernel.tobytes() == expected.tobytes()
+        for p, row in zip(probe[::17], expected[::17]):
+            assert atlas.bump_values(p).tobytes() == row.tobytes()
+        covered = atlas.covers_many(probe)
+        assert covered.tolist() == (expected > 0).any(axis=1).tolist()
+        assert covered.any() and not covered.all()
+
+    def test_partition_defect_matches_weights(self, atlas1d, atlas2d,
+                                              atlas3d_random):
         for atlas in (atlas1d, atlas2d):
-            grid = atlas.verification_grid()
-            # chart boundary points, where a bulk norm can round either way
-            rims = [c.center + sign * c.radius * axis
-                    for c in atlas.charts for sign in (-1.0, 1.0)
-                    for axis in np.eye(len(c.center))]
-            probe = np.vstack([grid, grid + 0.3 * atlas.cover_step, rims])
-            expected = [atlas.covers(p) for p in probe]
-            assert not all(expected)
-            assert atlas.covers_many(probe).tolist() == expected
+            expected = max(abs(float(atlas.weights(p)[1].sum()) - 1.0)
+                           for p in atlas.verification_grid())
+            assert atlas.partition_defect() == expected
+        with pytest.raises(CoverageError, match="no chart covers"):
+            atlas3d_random.partition_defect()
+
+    def test_kernel_rejects_wrong_dimension(self, atlas2d):
+        with pytest.raises(ValueError, match="1 coordinates, the atlas 2"):
+            atlas2d.covers_many([[1.5]])
 
     def test_region_touching_argmin_rejected(self, step1d):
         with pytest.raises(CoverageError):
@@ -234,6 +298,30 @@ class TestAtlas:
         for p in points[:5]:
             idx, w = atlas1d_stable.weights(p)
             assert len(idx) == 1 and w[0] == pytest.approx(1.0)
+
+
+
+# sha256 of stable_probe_points output (float64 rows, C order), recorded
+# from the per-point loops: (atlas, margin, limit, mesh) -> (rows, digest).
+STABLE_POINT_DIGESTS = {
+    ("atlas1d_stable", 1e-3, None, None):
+        (22, "9e5057beac13a0be883816940177e6978c4f8a84116a524a3c093d2fcbd8a50d"),
+    ("atlas2d", 1e-3, 7, None):
+        (7, "159a729358f575814ede546da548b2ec7af5ce7b678a008146309534e93e31d8"),
+    ("atlas3d_random", 1e-3, None, 0.2):
+        (373, "68d81e8087ad632a6289046d6e61056574dfeed16a2298fb31dd30385d6f1888"),
+    ("atlas4d_random", 2e-3, 24, None):
+        (24, "18b18ba4038ac1deaa04834abcae4d0aea6ad4c076f96622bc9eb2dac6f7d078"),
+}
+
+
+@pytest.mark.parametrize("name, margin, limit, mesh", STABLE_POINT_DIGESTS)
+def test_stable_probe_points_pinned(name, margin, limit, mesh, request):
+    atlas = request.getfixturevalue(name)
+    points = stable_probe_points(atlas, margin=margin, limit=limit, mesh=mesh)
+    rows, digest = STABLE_POINT_DIGESTS[name, margin, limit, mesh]
+    assert points.shape == (rows, atlas.region.dim)
+    assert hashlib.sha256(points.tobytes()).hexdigest() == digest
 
 
 class TestGlobalBase:

@@ -178,3 +178,37 @@ def test_parsers_name_non_finite_field(parse, data, field):
     # still refuse NaN and infinities and name the field.
     with pytest.raises(SchemaError, match=rf"^{re.escape(field)} must be a finite"):
         parse(data)
+
+
+_SQUARE = {"A": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+           "b": [1.0, 1.0, 1.0, 1.0]}
+
+
+def _chart(**fields):
+    return {"z": [0.5, 0.2], "lambda": 0.5, "z0": [0.0, 0.0], "eps": 0.3,
+            **fields}
+
+
+@pytest.mark.parametrize("chart, cover_step, message", [
+    (_chart(z=[0.5]), 0.2,
+     "atlas.charts[0].z has 1 coordinates, expected 2"),
+    (_chart(z=[[0.5, 0.2]]), 0.2,
+     "atlas.charts[0].z must be a flat list of numbers"),
+    (_chart(z0=[0.0, 0.0, 0.0]), 0.2,
+     "atlas.charts[0].z0 has 3 coordinates, expected 2"),
+    (_chart(z=["a", 0.2]), 0.2,
+     "atlas.charts[0].z must be a list of numbers"),
+    (_chart(eps=-0.3), 0.2, "atlas.charts[0].eps must be positive, got -0.3"),
+    (_chart(eps=0.0), 0.2, "atlas.charts[0].eps must be positive, got 0.0"),
+    (_chart(), 0.0, "atlas.cover_step must be positive, got 0.0"),
+], ids=["z-short", "z-nested", "z0-long", "z-text", "eps-negative",
+        "eps-zero", "cover-step-zero"])
+def test_atlas_parser_names_malformed_chart(chart, cover_step, message):
+    # Unchecked, a short z broadcast against every point (no chart ever
+    # covered), a nested z loaded as a 1x2 center, and a negative eps
+    # loaded as a chart that covers nothing.
+    data = {"charts": [chart], "region": _SQUARE, "cover_step": cover_step}
+    with pytest.raises(SchemaError, match=rf"^{re.escape(message)}"):
+        atlas_from_dict(data)
+    assert len(atlas_from_dict({**data, "charts": [_chart()],
+                                "cover_step": 0.2}).charts) == 1
