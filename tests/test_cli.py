@@ -617,3 +617,40 @@ def test_atlas_outputs_pinned_non_box_3d(command, tmp_path):
                 "--mesh=0.14", "--out", str(out)])
     assert code == 0
     assert sha256_of(out / "report.json") == ATLAS_3D_DIGESTS[command]
+
+
+# sha256 of report.json for check-quasiconvex (seed 42) on the non-box
+# families, recorded while every sublevel row was projected onto every
+# strict level.
+CHECK_QUASICONVEX_NON_BOX_DIGESTS = {
+    "step3d":
+        "ae2f375173adc5ac9389fa6a3f5fb20e8714bd81e4f3b6d6039646808c4fd86a",
+    "step4d":
+        "7e0f1eee72d2936dd7106811ea6dfb20808b74948f3767320a774b8c92ac68aa",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_QUASICONVEX_NON_BOX_DIGESTS))
+def test_check_quasiconvex_pinned_non_box(name, tmp_path):
+    instance = tmp_path / f"{name}.json"
+    dump_json(NON_BOX_STEP[name], instance)
+    out = tmp_path / "o"
+    code = run(["check-quasiconvex", "--instance", str(instance),
+                "--out", str(out)])
+    assert code == 0
+    assert (sha256_of(out / "report.json")
+            == CHECK_QUASICONVEX_NON_BOX_DIGESTS[name])
+
+
+def test_adjusted_set_pinned_non_box_3d(tmp_path):
+    # Recorded like the digests above.  The mesh has 136,416 rows, 17,794
+    # of them in the sublevel set.
+    instance = tmp_path / "step3d.json"
+    dump_json(STEP_3D, instance)
+    out = tmp_path / "o"
+    code = run(["adjusted-set", "--instance", str(instance),
+                f"--at={ATLAS_3D_AT}", "--mesh=0.3", "--out", str(out)])
+    assert code == 0
+    assert (sha256_of(out / "report.json"), sha256_of(out / "boundary.csv")) == (
+        "e3bcb1b7fb16da1fe6850b798843c310f4f7904aa8865d58c06090e7bc5fd5f7",
+        "088bce1f2fdc175d05a19371a0f5e664a776bed8db466580640268b986d2770b")
