@@ -131,7 +131,9 @@ def _floats(flag, text):
 
 def _check_flags(args):
     """Every --at coordinate is finite; --tol, --mesh and every --radii
-    entry are finite and positive."""
+    entry are finite and positive; --seed is non-negative."""
+    if args.seed < 0:
+        raise SchemaError(f"--seed must be an integer >= 0, got {args.seed}")
     positive = [("--tol", args.tol), ("--mesh", args.mesh)]
     if args.radii is not None:
         positive += [("--radii", r) for r in _floats("--radii", args.radii)]

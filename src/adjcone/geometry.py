@@ -9,10 +9,13 @@ concurrent reads are safe.
 
 Projections are solved as convex QPs by a primal active-set iteration
 with a Dykstra fallback; linear subproblems go through the dense simplex
-kernel in :mod:`adjcone.lp`.  Hull construction for point sets uses
-scipy's convex hull (imported on first use) after an affine-hull rank
-reduction, which keeps lower-dimensional polytopes (segments, facets of
-cones) first class.
+kernel in :mod:`adjcone.lp`.  A caller that only compares distances with
+a radius uses :meth:`Polytope.within_distance`, which brackets every
+distance between two vectorized bounds and projects only the rows whose
+bracket meets a band around the radius.  Hull construction for point
+sets uses scipy's convex hull (imported on first use) after an
+affine-hull rank reduction, which keeps lower-dimensional polytopes
+(segments, facets of cones) first class.
 
 Vertex enumeration (:meth:`Polytope.vertices`) and polar extreme rays
 (:func:`polar_extreme_rays`) share one blocked kernel: lexicographic row
@@ -65,6 +68,10 @@ _PREFILTER_SLACK = 1e-7
 _DYKSTRA_SWEEPS = 5000
 # Alternating-projection rounds of ``polytope_distance``.
 _DISTANCE_ROUNDS = 2000
+# Half-width of the band around the radius in which ``within_distance``
+# projects instead of trusting its bounds, per unit of ``feas`` and of
+# magnitude; the method docstring argues the value.
+_DISTANCE_BAND = 1000.0
 
 
 class GeometryError(RuntimeError):
@@ -433,6 +440,53 @@ class Polytope:
         for i, x in enumerate(pts):
             proj[i], dist[i] = self.project(x)
         return proj, dist
+
+    def within_distance(self, points, radius):
+        """``project_many(points)[1] <= radius``, bit for bit, projecting
+        only the rows whose distance lies near ``radius``.
+
+        Boxes return the clip result.  Otherwise two exact bounds bracket
+        ``d(y, P)``.  The rows are unit normals, so
+        ``lower = max_i(a_i . y - b_i) <= d(y, P)``.  The segment from the
+        Chebyshev center ``c`` to ``y`` leaves P at ``z = c + t (y - c)``,
+        with ``t`` from the ratio test, so ``d(y, P) <= |y - z| = upper``.
+        A row is decided outside the band ``radius +/- band``, with
+        ``band = _DISTANCE_BAND * feas * (1 + max|y_k| + |radius|)``; only
+        the rows in the band go through :meth:`project`.
+
+        The band holds the error of the scalar path.  Its point ``p``
+        passes ``contains(p, 10 * feas)``, so for the most violated row
+        ``|y - p| >= a_i . (y - p) >= lower - 10 * feas``: a row with
+        ``lower > radius + band`` projects farther than ``radius``.  A row
+        within ``feas`` of P projects to 0, and an accepted active-set
+        point with multipliers ``>= -1e-10`` is the projection onto the
+        working halfspaces, which contain P, so the scalar distance
+        exceeds ``d(y, P)`` by rounding only (Dykstra's fallback point
+        converges to the projection itself): a row with
+        ``upper < radius - band`` projects within ``radius``.  With the
+        default ``feas = 1e-9`` the band is ``1e-6`` times the magnitude,
+        a hundred times ``10 * feas`` and far above the rounding of the
+        bounds (about ``1e-16`` times the magnitude).  A wider band only
+        sends more rows to ``project``.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if self._box_bounds is not None:
+            return self.project_many(pts)[1] <= radius
+        a, b = self._a, self._b
+        center, _ = self.chebyshev_center()
+        lower = (pts @ a.T - b).max(axis=1)
+        step = pts - center
+        rise = step @ a.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exit_at = np.where(rise > 0, (b - a @ center) / rise, np.inf)
+        t = np.clip(exit_at.min(axis=1), 0.0, 1.0)
+        upper = (1.0 - t) * np.linalg.norm(step, axis=1)
+        band = (_DISTANCE_BAND * self.tolerances.feas
+                * (1.0 + np.abs(pts).max(axis=1) + abs(radius)))
+        within = upper < radius - band
+        for i in np.flatnonzero(~within & (lower <= radius + band)):
+            within[i] = self.project(pts[i])[1] <= radius
+        return within
 
     def distance(self, x):
         return self.project(x)[1]

@@ -14,11 +14,19 @@ with the single-polytope realizations returned by ``sublevel`` and
 union semantics is what lets the diagnostic checks detect the damage.
 
 The batch kernels ``evaluate_many`` and ``adjusted_contains_many`` answer
-an array of points with one ``contains_many``/``project_many`` call per
-level.  ``adjusted_contains_many`` is the one home of the adjusted
+an array of points with one ``contains_many``/``within_distance`` call
+per level.  ``adjusted_contains_many`` is the one home of the adjusted
 membership rule (``adjusted_contains`` is its one-row case), and the
 ``adjusted-set`` mesh, ``adjusted_sample``, the sampled checks and the
 quasiopt grid oracles all go through these kernels.
+
+Membership only compares a distance with ``rho(x) + tol``, so
+``Polytope.within_distance`` decides most rows from two exact bounds on
+the distance and projects only the rows whose bounds straddle a band
+around the radius; the band holds the error of the scalar projection, so
+the booleans are those of projecting every row.  Projections whose
+values reach a report (``rho``, the anchor of the adjusted normal cone,
+the probe deviations) stay scalar.
 """
 
 from __future__ import annotations
@@ -210,8 +218,15 @@ class StepLevelFunction:
 
         A point belongs when it lies in the sublevel set of f(x) and, off
         the argmin set, within ``rho(x) + tol`` of the strict sublevel
-        set.  f(x), the argmin test and rho(x) are computed once; only
-        rows already in the sublevel set are projected.
+        set.  f(x), the argmin test and rho(x) are computed once.  Rows
+        in the sublevel set are tested against the strict levels,
+        outermost first, by ``Polytope.within_distance``: distance
+        bounds first, a projection only for rows in its band.  A row
+        found near one level skips the inner ones.  The booleans are
+        ``min(dist) <= rho(x) + tol`` over the projected distances: the
+        minimum is one of its operands, so it is within the radius
+        exactly when some level's distance is, and ``within_distance``
+        is that comparison bit for bit.
         """
         slack = tol if tol is not None else self.tolerances.feas
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
@@ -227,13 +242,14 @@ class StepLevelFunction:
                 member |= poly.contains_many(ys)
         if not member.any() or self.in_argmin(x):
             return member
-        radius = self.rho(x)
+        radius = self.rho(x) + slack
         inside = ys[member]
-        dist = np.full(inside.shape[0], math.inf)
-        for lam, poly in zip(self.levels, self.polytopes):
-            if lam < value - 1e-12:
-                dist = np.minimum(dist, poly.project_many(inside)[1])
-        member[member] = dist <= radius + slack
+        near = np.zeros(inside.shape[0], dtype=bool)
+        for lam, poly in zip(reversed(self.levels), reversed(self.polytopes)):
+            if lam < value - 1e-12 and not near.all():
+                far = ~near
+                near[far] = poly.within_distance(inside[far], radius)
+        member[member] = near
         return member
 
     def adjusted_sample(self, x, rng, count):

@@ -24,3 +24,33 @@ def is_inside_point(polytope, x):
         if a[i] @ x > b[i] - tol:
             return False
     return True
+
+
+def band_edge_points(polytope, radius, rng):
+    """Points at distance ``radius * (1 -/+ 1e-12)`` from the polytope.
+
+    Each point is a boundary point ``p`` plus a unit vector ``n`` of the
+    normal cone at ``p``, so its projection is ``p``: facet centroids
+    pushed along their facet normal, vertices pushed along random unit
+    combinations of their active normals (there the segment from the
+    Chebyshev center leaves the polytope far from ``p``, so the exit-point
+    bound is loose), and, for flat polytopes, the vertex centroid pushed
+    along each implicit equality normal.
+    """
+    a, b = polytope.halfspaces
+    verts = polytope.vertices()
+    active = a @ verts.T >= b[:, None] - 1e-9
+    facet_idx, equality_idx = polytope.reduced()
+    feet = [verts[active[i]].mean(axis=0) for i in facet_idx]
+    normals = [a[i] for i in facet_idx]
+    for j, v in enumerate(verts):
+        n = rng.uniform(0.1, 1.0, size=active[:, j].sum()) @ a[active[:, j]]
+        if np.linalg.norm(n) > 1e-6:
+            feet.append(v)
+            normals.append(n / np.linalg.norm(n))
+    for i in equality_idx:
+        feet.append(verts.mean(axis=0))
+        normals.append(a[i])
+    feet, normals = np.array(feet), np.array(normals)
+    return np.vstack([feet + radius * (1.0 + s) * normals
+                      for s in (-1e-12, 1e-12)])

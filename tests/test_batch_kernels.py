@@ -15,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adjcone.quasiconvex import ArgminError, DomainError
+from adjcone.geometry import Polytope
+from adjcone.quasiconvex import ArgminError, DomainError, StepLevelFunction
+from helpers import band_edge_points
 
 FAMILIES = ["step1d", "sq2d", "nested3d", "corrupted1d", "pentagons2d"]
 
@@ -111,3 +113,35 @@ def test_tol_widens_the_enlargement(step1d, tol, expected):
     ys = [[0.5 + 5e-8], [0.5 + 5e-10], [0.5 + 2e-7]]
     assert step1d.adjusted_contains_many([0.5], ys, tol=tol).tolist() == expected
     assert [reference_contains(step1d, [0.5], y, tol) for y in ys] == expected
+
+
+@pytest.fixture(scope="module")
+def octahedra3d():
+    """Nested non-box family: a turned regular octahedron at scales 1, 2, 3."""
+    rows = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    turn, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    return StepLevelFunction([0.0, 1.0, 2.0],
+                             [Polytope(rows @ turn, s * np.ones(8))
+                              for s in (1.0, 2.0, 3.0)])
+
+
+@pytest.mark.parametrize("tol", [None, 1e-7])
+@pytest.mark.parametrize("name", ["pentagons2d", "rotated", "octahedra3d"])
+def test_band_edge_rows_match_reference(name, tol, request):
+    # Rows at (rho(x) + tol) * (1 -/+ 1e-12) from the strict sublevel set,
+    # for anchors near every vertex of each non-argmin level: exactly the
+    # rows that the distance bounds cannot decide.
+    f = request.getfixturevalue(name)
+    slack = tol if tol is not None else f.tolerances.feas
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for j in range(1, len(f.levels)):
+        center, _ = f.polytopes[j].chebyshev_center()
+        for x in 0.9 * f.polytopes[j].vertices() + 0.1 * center:
+            assert f.evaluate(x) == f.levels[j]
+            ys = band_edge_points(f.polytopes[j - 1], f.rho(x) + slack, rng)
+            expected = [reference_contains(f, x, y, tol) for y in ys]
+            got = f.adjusted_contains_many(x, ys, tol=tol)
+            assert got.dtype == bool and got.tolist() == expected
+            outcomes.update(expected)
+    assert outcomes == {False, True}

@@ -347,12 +347,15 @@ def test_check_quasiconvex_verdicts_pinned(name, corrupted1d, tmp_path):
     ("step1d", ["usc-probe", "--at=0.5", "--tol=nan"], "--tol"),
     ("step1d", ["usc-probe", "--at=0.5", "--tol=0"], "--tol"),
     ("sq2d", ["normal-cone", "--at=inf,0.5"], "--at"),
+    ("sq2d", ["check-quasiconvex", "--seed=-1"], "--seed"),
+    ("gqvi", ["verify", "--seed=-3"], "--seed"),
 ], ids=["mesh-negative", "mesh-nan", "radii-negative", "radii-nan", "tol-nan",
-        "tol-zero", "at-inf"])
+        "tol-zero", "at-inf", "seed-negative", "seed-negative-verify"])
 def test_bad_numeric_flag_exits_1(name, flags, flag, files, tmp_path, capsys):
     # Unchecked, a negative mesh or radius exited 0 with an empty or
-    # vacuous report, a NaN tolerance failed a passing probe, and a NaN
-    # mesh or radius surfaced as a bare numpy or Polytope error.
+    # vacuous report, a NaN tolerance failed a passing probe, a NaN mesh
+    # or radius surfaced as a bare numpy or Polytope error, and a negative
+    # seed as numpy's "expected non-negative integer".
     out = tmp_path / "o"
     code = run([flags[0], "--instance", str(files[name]), *flags[1:],
                 "--out", str(out)])
@@ -640,6 +643,21 @@ def test_check_quasiconvex_pinned_non_box(name, tmp_path):
     assert code == 0
     assert (sha256_of(out / "report.json")
             == CHECK_QUASICONVEX_NON_BOX_DIGESTS[name])
+
+
+def test_check_quasiconvex_projects_few_rows(tmp_path, monkeypatch):
+    # Membership tests decide most rows by distance bounds and project
+    # only those near rho(x) + tol.  Projecting every sublevel row onto
+    # every strict level called Polytope.project 3,346 times here.
+    calls = []
+    project = Polytope.project
+    monkeypatch.setattr(Polytope, "project",
+                        lambda self, x: calls.append(1) or project(self, x))
+    instance = tmp_path / "step4d.json"
+    dump_json(STEP_4D, instance)
+    assert run(["check-quasiconvex", "--instance", str(instance),
+                "--out", str(tmp_path / "o")]) == 0
+    assert 0 < len(calls) <= 3346 // 5
 
 
 def test_adjusted_set_pinned_non_box_3d(tmp_path):

@@ -20,7 +20,7 @@ from adjcone.geometry import (
     polytope_distance,
     weighted_minkowski,
 )
-from helpers import is_inside_point, same_set
+from helpers import band_edge_points, is_inside_point, same_set
 
 INTERVAL = Polytope.from_box([-1.0], [0.0])
 UNIT_SQUARE = Polytope.from_box([-1, -1], [1, 1])
@@ -176,6 +176,60 @@ class TestProject:
         # x - p = A_active^T lam with lam >= 0; inactive rows carry none
         _, residual = nnls(a[active].T, x - p)
         assert residual <= 1e-9 * max(1.0, d)
+
+
+def flat_polytope(seed, dim):
+    """``random_polytope`` cut by an explicit equality pair ``a``, ``-a``
+    with offset 0, a hyperplane through the origin inside it: a flat
+    polytope."""
+    normal = np.random.default_rng(seed).normal(size=dim)
+    normal /= np.linalg.norm(normal)
+    a, b = random_polytope(seed, 6, dim).halfspaces
+    return Polytope(np.vstack([normal, -normal, a]),
+                    np.concatenate([[0.0, 0.0], b]))
+
+
+def hull_polytope(seed, dim, rank):
+    """``from_vertices`` hull of random points spanning ``rank`` dimensions."""
+    rng = np.random.default_rng(seed)
+    spread = rng.normal(size=(dim + 4, rank)) @ rng.normal(size=(rank, dim))
+    return Polytope.from_vertices(spread + rng.normal(size=dim))
+
+
+WITHIN_KINDS = {
+    "random": lambda seed, dim: random_polytope(seed, 10, dim),
+    "flat": flat_polytope,
+    "hull": lambda seed, dim: hull_polytope(seed, dim, dim),
+    "flat-hull": lambda seed, dim: hull_polytope(seed, dim, dim - 1),
+}
+
+
+class TestWithinDistance:
+    """``within_distance`` is ``project_many(...)[1] <= radius`` bit for
+    bit; the rows sit where the bounds are tight or loose, and radii below
+    ``feas`` put rows that the scalar path calls distance 0 beyond them."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(sorted(WITHIN_KINDS)),
+           seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4),
+           radius=st.sampled_from([3e-10, 2e-9, 1e-6, 0.05, 0.7, 2.5]))
+    def test_matches_projection(self, kind, seed, dim, radius):
+        poly = WITHIN_KINDS[kind](seed, dim)
+        rng = np.random.default_rng(seed)
+        pts = np.vstack([band_edge_points(poly, radius, rng),
+                         rng.normal(scale=2.0, size=(20, dim))])
+        got = poly.within_distance(pts, radius)
+        assert got.dtype == bool
+        assert np.array_equal(got, poly.project_many(pts)[1] <= radius)
+
+    def test_rows_within_feas_count_as_distance_zero(self):
+        # The scalar path projects a row within feas of P to itself, so
+        # at a radius below feas these rows are within it although their
+        # true distance exceeds it.
+        poly = random_polytope(3)
+        pts = band_edge_points(poly, 5e-10, np.random.default_rng(0))
+        assert (poly.project_many(pts)[1] == 0.0).all()
+        assert poly.within_distance(pts, 5e-10).all()
 
 
 class TestVertices:
