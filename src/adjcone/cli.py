@@ -52,7 +52,6 @@ from .serialization import (
     SchemaError,
     atlas_to_dict,
     load_instance,
-    polytope_from_dict,
 )
 
 _COMMANDS = (
@@ -182,11 +181,7 @@ def _resolve_atlas(payload, f, args, at=None, radii=(1e-1,)):
     if not isinstance(f, StepLevelFunction):
         raise SchemaError("atlas-based commands need a step function instance")
     if "atlas_build" in payload:
-        spec = payload["atlas_build"]
-        region = polytope_from_dict(spec["region"], "atlas_build.region")
-        return build_atlas(f, region, float(spec["cover_step"]),
-                           argmin_margin=spec.get("argmin_margin"),
-                           radius_cap=spec.get("radius_cap"))
+        return build_atlas(f, **payload["atlas_build"])
     if at is None:
         raise SchemaError("no atlas in the instance and no --at point to "
                           "build a local one around")

@@ -26,6 +26,12 @@ returns the same bits as one call per matrix, and the prefilter only
 drops candidates the exact test rejects, so the survivors go, in subset
 order, through the same scalar acceptance test and merge as a
 one-subset-at-a-time loop, and the output is bit for bit the same.
+
+The vertices are also the one source of face structure: their incidence
+with the rows gives the implicit equalities, the irredundant facets
+(:meth:`Polytope.reduced`) and every proper face with its active rows
+(Ziegler, *Lectures on Polytopes*, ch. 2) without an LP, so
+:func:`normal_cone_at` shares the enumeration bound dim <= 4.
 """
 
 from __future__ import annotations
@@ -136,6 +142,13 @@ def _dedupe_points(points, radius=_MERGE_RADIUS):
         if all(np.linalg.norm(p - q) > radius for q in kept):
             kept.append(p)
     return np.array(kept) if kept else np.zeros((0, points.shape[1]))
+
+
+def _affine_dim(points):
+    """Affine dimension of a nonempty point set (rank tolerance 1e-9)."""
+    if len(points) < 2:
+        return 0
+    return int(np.linalg.matrix_rank(points - points[0], tol=1e-9))
 
 
 def _subset_blocks(m, k):
@@ -296,15 +309,6 @@ class Polytope:
         return cls(np.array(rows), np.array(offsets), vertices=hull_pts,
                    tolerances=tol, check_feasible=False, check_bounded=False)
 
-    @classmethod
-    def intersection(cls, first, second, *, tolerances=None, check_feasible=True):
-        if first.dim != second.dim:
-            raise ValueError("dimension mismatch in intersection")
-        return cls(np.vstack([first._a, second._a]),
-                   np.concatenate([first._b, second._b]),
-                   tolerances=tolerances or first.tolerances,
-                   check_feasible=check_feasible, check_bounded=False)
-
     def _detect_box(self):
         """Recognize pure axis-box systems; enables closed-form fast paths."""
         lo = np.full(self.dim, -np.inf)
@@ -390,18 +394,6 @@ class Polytope:
             self._cheb = (sol.x[:-1], float(sol.x[-1]))
         center, radius = self._cheb
         return center.copy(), radius
-
-    def support(self, direction):
-        """Max of ``direction . x`` over the polytope, with a maximizer."""
-        d = _as_point(direction, self.dim)
-        if self._box_bounds is not None:
-            lo, hi = self._box_bounds
-            point = np.where(d >= 0, hi, lo)
-            return float(d @ point), point
-        sol = solve_lp(-d, a_ub=self._a, b_ub=self._b)
-        if not sol.optimal:
-            raise GeometryError("support LP failed")
-        return float(-sol.value), sol.x
 
     # -- projection ------------------------------------------------------------
 
@@ -598,53 +590,42 @@ class Polytope:
         weights = rng.dirichlet(np.ones(len(verts)), size=count)
         return weights @ verts
 
+    def _incidence(self):
+        """``on[i, k]``: vertex ``k`` lies on row ``i`` within
+        ``max(feas, 1e-9)``.  The one source of face structure."""
+        return (self._a @ self.vertices().T
+                >= self._b[:, None] - max(self.tolerances.feas, 1e-9))
+
     def reduced(self):
         """Irredundant facet rows plus implicit equality rows.
 
         Returns ``(facet_idx, equality_idx)`` as indices into the stored
-        (normalized) halfspace rows.  Duplicated parallel rows keep only
-        the tightest copy; a row that is active on the whole polytope is
-        classified as an implicit equality (affine-hull pre-step for
-        degenerate polytopes).
+        (normalized) halfspace rows, read off the vertex incidence.  Of
+        parallel rows (normals within 1e-9) only the tightest stays, ties
+        within 1e-12 going to the smaller index.  A remaining row active
+        on every vertex is an implicit equality; one whose active vertices
+        span affine dimension ``dim(P) - 1`` is a facet, and of several
+        rows cutting one facet the last is kept.
         """
         if self._reduced is not None:
             return self._reduced
         a, b = self._a, self._b
-        m = self.num_halfspaces
-        tol = self.tolerances.feas
-
-        # Parallel duplicates: keep the smallest offset per direction.
-        alive = []
-        for i in range(m):
-            dominated = False
-            for j in range(m):
-                if i == j:
-                    continue
-                if np.linalg.norm(a[i] - a[j]) <= 1e-9:
-                    if b[j] < b[i] - 1e-12 or (abs(b[j] - b[i]) <= 1e-12 and j < i):
-                        dominated = True
-                        break
-            if not dominated:
-                alive.append(i)
-
-        equalities = []
-        candidates = []
-        for i in alive:
-            low = solve_lp(a[i], a_ub=a, b_ub=b)
-            if low.optimal and low.value >= b[i] - max(tol, 1e-9):
-                equalities.append(i)
-            else:
-                candidates.append(i)
-
-        facets = list(candidates)
-        for i in list(candidates):
-            others = [j for j in facets if j != i] + equalities
-            relax_a = np.vstack([a[others], a[i][None, :]])
-            relax_b = np.concatenate([b[others], [b[i] + 1.0]])
-            hi = solve_lp(-a[i], a_ub=relax_a, b_ub=relax_b)
-            if hi.optimal and -hi.value <= b[i] + max(tol, 1e-9):
-                facets.remove(i)
-        self._reduced = (tuple(facets), tuple(equalities))
+        verts = self.vertices()
+        on = self._incidence()
+        diff = a[:, None, :] - a[None, :, :]
+        # The stacked product rounds like np.linalg.norm of one vector.
+        parallel = np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0] <= 1e-9
+        tighter = (b[None, :] < b[:, None] - 1e-12) | (
+            (np.abs(b[None, :] - b[:, None]) <= 1e-12)
+            & np.tri(b.size, k=-1, dtype=bool))
+        alive = ~np.any(parallel & tighter, axis=1)
+        equal = alive & on.all(axis=1)
+        last = {on[i].tobytes(): i
+                for i in np.flatnonzero(alive & ~equal & on.any(axis=1))}
+        facet_dim = _affine_dim(verts) - 1
+        facets = sorted(int(i) for i in last.values()
+                        if _affine_dim(verts[on[i]]) == facet_dim)
+        self._reduced = (tuple(facets), tuple(np.flatnonzero(equal).tolist()))
         return self._reduced
 
     def proper_faces(self):
@@ -652,44 +633,24 @@ class Polytope:
 
         Faces are generated as the closure under intersection of the
         facet vertex sets, which yields facets, ridges, down to vertices;
-        the improper face (the polytope itself) is excluded.
+        the improper face (the polytope itself) is excluded.  A face's
+        active rows are the rows whose incidence covers its vertices.
         """
-        facet_idx, equality_idx = self.reduced()
+        facet_idx, _ = self.reduced()
         verts = self.vertices()
-        a, b = self._a, self._b
-        tol = max(self.tolerances.feas, 1e-9)
-        all_ids = frozenset(range(len(verts)))
-
-        facet_sets = []
-        for i in facet_idx:
-            on = frozenset(int(k) for k in
-                           np.nonzero(a[i] @ verts.T >= b[i] - tol)[0])
-            if on and on != all_ids:
-                facet_sets.append(on)
-
-        closure = set(facet_sets)
-        frontier = set(facet_sets)
+        on = self._incidence()
+        facet_sets = {frozenset(np.flatnonzero(on[i]).tolist()) for i in facet_idx}
+        closure, frontier = set(facet_sets), set(facet_sets)
         while frontier:
-            fresh = set()
-            for face in frontier:
-                for base in facet_sets:
-                    meet = face & base
-                    if meet and meet != all_ids and meet not in closure:
-                        fresh.add(meet)
-            closure |= fresh
-            frontier = fresh
+            frontier = {f & g for f in frontier for g in facet_sets if f & g} - closure
+            closure |= frontier
 
         faces = []
         for vset in closure:
-            pts = verts[sorted(vset)]
-            active = tuple(int(i) for i in range(self.num_halfspaces)
-                           if np.all(a[i] @ pts.T >= b[i] - tol))
-            rank = 0
-            if len(pts) > 1:
-                rank = int(np.linalg.matrix_rank(pts - pts[0], tol=1e-9))
-            faces.append(FaceDescriptor(active=active,
-                                        vertex_ids=tuple(sorted(vset)),
-                                        dim=rank))
+            ids = sorted(vset)
+            faces.append(FaceDescriptor(
+                active=tuple(np.flatnonzero(on[:, ids].all(axis=1)).tolist()),
+                vertex_ids=tuple(ids), dim=_affine_dim(verts[ids])))
         faces.sort(key=lambda f: (-len(f.vertex_ids), f.vertex_ids))
         return faces
 

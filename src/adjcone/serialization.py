@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "function_from_dict",
     "atlas_to_dict",
     "atlas_from_dict",
+    "atlas_build_from_dict",
     "moving_polytope_to_dict",
     "moving_polytope_from_dict",
     "operator_to_dict",
@@ -150,11 +152,54 @@ def _point(mapping, field, where, dim):
     return point
 
 
-def _positive(mapping, field, where):
-    value = float(_need(mapping, field, where))
-    if value <= 0:
-        raise SchemaError(f"{where}.{field} must be positive, got {value!r}")
+# Scalar rules as (kind, rule, test): a value passes when it is a
+# ``kind`` other than a bool and ``test`` holds.
+_POSITIVE = (numbers.Real, "positive", lambda v: v > 0)
+_SOLVER_FIELDS = {
+    "starts": (numbers.Integral, "an integer >= 0", lambda v: v >= 0),
+    "max_iters": (numbers.Integral, "an integer >= 1", lambda v: v >= 1),
+    "mesh_divisions": (numbers.Integral, "an integer >= 1", lambda v: v >= 1),
+    "seed": (numbers.Integral, "an integer >= 0", lambda v: v >= 0),
+    "gamma": (numbers.Real, "a number in (0, 1]", lambda v: 0 < v <= 1),
+    "tol_solve": _POSITIVE,
+}
+_ATLAS_BUILD_OPTIONAL = {
+    "argmin_margin": (numbers.Real, "a number >= 0", lambda v: v >= 0),
+    "radius_cap": _POSITIVE,
+}
+
+
+def _checked(mapping, field, where, kind, rule, test):
+    value = _need(mapping, field, where)
+    if isinstance(value, bool) or not isinstance(value, kind) or not test(value):
+        raise SchemaError(f"{where}.{field} must be {rule}, got {value!r}")
     return value
+
+
+def _positive(mapping, field, where):
+    return float(_checked(mapping, field, where, *_POSITIVE))
+
+
+def _only(data, fields, where):
+    unknown = set(data) - set(fields)
+    if unknown:
+        raise SchemaError(f"unknown field {sorted(unknown)[0]!r} in {where}")
+
+
+def atlas_build_from_dict(data, where="atlas_build") -> dict:
+    """The keyword arguments of ``build_atlas`` after the function."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where} must be an object with 'region' and "
+                          "'cover_step'")
+    _reject_non_finite(data, where)
+    _only(data, {"region", "cover_step", *_ATLAS_BUILD_OPTIONAL}, where)
+    spec = {"region": polytope_from_dict(_need(data, "region", where),
+                                         f"{where}.region"),
+            "cover_step": _positive(data, "cover_step", where)}
+    for field, rule in _ATLAS_BUILD_OPTIONAL.items():
+        if field in data:
+            spec[field] = float(_checked(data, field, where, *rule))
+    return spec
 
 
 def moving_polytope_to_dict(cm: MovingPolytope) -> dict:
@@ -202,12 +247,13 @@ def operator_from_dict(data, where="T"):
 def solver_config_from_dict(data, where="solver") -> SolverConfig:
     if data is None:
         return SolverConfig()
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where} must be an object")
     _reject_non_finite(data, where)
-    known = {"starts", "gamma", "max_iters", "mesh_divisions", "seed", "tol_solve"}
-    unknown = set(data) - known
-    if unknown:
-        raise SchemaError(f"unknown field {sorted(unknown)[0]!r} in {where}")
-    return SolverConfig(**{k: data[k] for k in data})
+    _only(data, _SOLVER_FIELDS, where)
+    for field in data:
+        _checked(data, field, where, *_SOLVER_FIELDS[field])
+    return SolverConfig(**data)
 
 
 def gqvi_instance_to_dict(instance: GqviInstance) -> dict:
@@ -257,8 +303,9 @@ def load_instance(path):
     """Load and classify an instance file.
 
     Returns ``(kind, payload)`` where kind is one of ``function``,
-    ``gqvi`` or ``quasiopt``.  Quasiopt payloads keep their raw pieces
-    (function, K, atlas or atlas_build) for the caller to assemble.
+    ``gqvi`` or ``quasiopt``.  Quasiopt payloads keep their parsed pieces
+    (function, K, atlas or the ``build_atlas`` arguments of
+    atlas_build) for the caller to assemble.
     A NaN or infinite number raises SchemaError naming its field, such
     as ``K.D[0][0]``.
     """
@@ -272,26 +319,18 @@ def load_instance(path):
     _reject_non_finite(data, "")
     if "type" in data:
         return "function", {"function": function_from_dict(data), "raw": data}
-    if "function" in data and "K" in data:
-        payload = {
-            "function": function_from_dict(data["function"], "function"),
-            "K": moving_polytope_from_dict(data["K"]),
-            "raw": data,
-        }
-        if "atlas" in data:
-            payload["atlas"] = atlas_from_dict(data["atlas"])
-        if "atlas_build" in data:
-            payload["atlas_build"] = data["atlas_build"]
-        payload["solver"] = solver_config_from_dict(data.get("solver"))
-        return "quasiopt", payload
     if "function" in data:
         payload = {"function": function_from_dict(data["function"], "function"),
                    "raw": data}
         if "atlas" in data:
             payload["atlas"] = atlas_from_dict(data["atlas"])
         if "atlas_build" in data:
-            payload["atlas_build"] = data["atlas_build"]
-        return "function", payload
+            payload["atlas_build"] = atlas_build_from_dict(data["atlas_build"])
+        if "K" not in data:
+            return "function", payload
+        payload["K"] = moving_polytope_from_dict(data["K"])
+        payload["solver"] = solver_config_from_dict(data.get("solver"))
+        return "quasiopt", payload
     if "K" in data and "T" in data:
         return "gqvi", {"instance": gqvi_instance_from_dict(data), "raw": data}
     raise SchemaError("unrecognized instance layout: expected 'type', "

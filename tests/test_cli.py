@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import adjcone
+from adjcone import geometry
 from adjcone.cli import run
 from adjcone.geometry import Polytope
 from adjcone.gqvi import ConstantOperator, GqviInstance, MovingPolytope
@@ -482,6 +483,90 @@ def test_non_finite_instance_names_the_field(name, path, value, command,
     assert f"adjcone: {field} must be a finite number" in capsys.readouterr().err
 
 
+_DROP = object()
+
+
+def _edited_shipped(tmp_path, name, path, value):
+    """A copy of a shipped instance with the field at ``path`` set to
+    ``value``, or removed when ``value`` is ``_DROP``."""
+    with open(os.path.join(SHIPPED, f"{name}.json")) as handle:
+        data = json.load(handle)
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    instance = tmp_path / f"{name}.json"
+    dump_json(data, instance)
+    return instance
+
+
+def _exits_1_with(argv, message, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"adjcone: {message}"), err
+    assert "Traceback" not in err
+
+
+BAD_SOLVER_FIELDS = [
+    ("starts", 1.5, "solver.starts must be an integer >= 0, got 1.5"),
+    ("starts", "3", "solver.starts must be an integer >= 0, got '3'"),
+    ("starts", True, "solver.starts must be an integer >= 0, got True"),
+    ("starts", -1, "solver.starts must be an integer >= 0, got -1"),
+    ("max_iters", 2.5, "solver.max_iters must be an integer >= 1, got 2.5"),
+    ("max_iters", 0, "solver.max_iters must be an integer >= 1, got 0"),
+    ("mesh_divisions", 0, "solver.mesh_divisions must be an integer >= 1"),
+    ("seed", -1, "solver.seed must be an integer >= 0, got -1"),
+    ("gamma", -1.0, "solver.gamma must be a number in (0, 1], got -1.0"),
+    ("gamma", 0.0, "solver.gamma must be a number in (0, 1], got 0.0"),
+    ("gamma", 1.5, "solver.gamma must be a number in (0, 1], got 1.5"),
+    ("gamma", "0.5", "solver.gamma must be a number in (0, 1], got '0.5'"),
+    ("tol_solve", -1.0, "solver.tol_solve must be positive, got -1.0"),
+    ("tol_solve", 0.0, "solver.tol_solve must be positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", BAD_SOLVER_FIELDS,
+                         ids=[f"{f}={v!r}" for f, v, _ in BAD_SOLVER_FIELDS])
+def test_bad_solver_field_exits_1(field, value, message, tmp_path, capsys):
+    # Unchecked, a float or string count crashed solve-gqvi with a
+    # TypeError, a negative starts or seed surfaced numpy's own message,
+    # and gamma <= 0 or tol_solve <= 0 were accepted.
+    instance = _edited_shipped(tmp_path, "moving_interval",
+                               ("solver", field), value)
+    _exits_1_with(["solve-gqvi", "--instance", str(instance),
+                   "--out", str(tmp_path / "o")], message, capsys)
+
+
+@pytest.mark.parametrize("command", ["solve-quasiopt", "verify"])
+@pytest.mark.parametrize("path, value, message", [
+    (("cover_step",), _DROP, "missing field 'cover_step' in atlas_build"),
+    (("region",), _DROP, "missing field 'region' in atlas_build"),
+    ((), [0.25], "atlas_build must be an object"),
+    (("cover_step",), 0, "atlas_build.cover_step must be positive, got 0"),
+    (("cover_step",), -0.25,
+     "atlas_build.cover_step must be positive, got -0.25"),
+    (("radius_cap",), -1, "atlas_build.radius_cap must be positive, got -1"),
+    (("argmin_margin",), -0.5,
+     "atlas_build.argmin_margin must be a number >= 0, got -0.5"),
+    (("region", "b"), _DROP, "missing field 'b' in atlas_build.region"),
+], ids=["no-cover-step", "no-region", "list", "cover-step-zero",
+        "cover-step-negative", "radius-cap-negative", "margin-negative",
+        "region-without-b"])
+def test_bad_atlas_build_exits_1(command, path, value, message, tmp_path,
+                                 capsys):
+    # Unchecked, a missing key or a list ended in a KeyError or TypeError
+    # traceback, cover_step 0 in an OverflowError, a negative cover_step
+    # solved, and a negative radius_cap failed the covering without
+    # naming the field.
+    instance = _edited_shipped(tmp_path, "quasiopt_window1d",
+                               ("atlas_build", *path), value)
+    _exits_1_with([command, "--instance", str(instance),
+                   "--out", str(tmp_path / "o")], message, capsys)
+
+
 # Non-box nested step families: one polytope (rounded unit normals of a
 # rotated simplex plus uniform directions) at scales 1, 2, 3.
 def _scaled_family(a, b):
@@ -658,6 +743,21 @@ def test_check_quasiconvex_projects_few_rows(tmp_path, monkeypatch):
     assert run(["check-quasiconvex", "--instance", str(instance),
                 "--out", str(tmp_path / "o")]) == 0
     assert 0 < len(calls) <= 3346 // 5
+
+
+def test_normal_cone_reads_faces_without_lps(tmp_path, monkeypatch):
+    # Facets and implicit equalities come from the vertex incidence.  The
+    # LP face tests made 48 solve_lp calls here, 18 of them in reduced().
+    calls = []
+    solve_lp = geometry.solve_lp
+    monkeypatch.setattr(geometry, "solve_lp",
+                        lambda *a, **k: calls.append(1) or solve_lp(*a, **k))
+    instance = tmp_path / "step4d.json"
+    dump_json(STEP_4D, instance)
+    at = next(at for _, name, at in NORMAL_CONE_DIGESTS if name == "step4d")
+    assert run(["normal-cone", "--instance", str(instance), f"--at={at}",
+                "--out", str(tmp_path / "o")]) == 0
+    assert 0 < len(calls) <= 30
 
 
 def test_adjusted_set_pinned_non_box_3d(tmp_path):

@@ -20,6 +20,7 @@ from adjcone.geometry import (
     polytope_distance,
     weighted_minkowski,
 )
+from adjcone.lp import solve_lp
 from helpers import band_edge_points, is_inside_point, same_set
 
 INTERVAL = Polytope.from_box([-1.0], [0.0])
@@ -251,10 +252,12 @@ class TestVertices:
         hexagon = Polytope(a, np.ones(6))
         verts = hexagon.vertices()
         assert len(verts) == 6
-        # cross-check with the hull of a dense boundary sample (support points)
+        # cross-check with the hull of a dense boundary sample (LP support
+        # points)
         dirs = np.column_stack([np.cos(np.linspace(0, 2 * np.pi, 720)),
                                 np.sin(np.linspace(0, 2 * np.pi, 720))])
-        boundary = np.array([hexagon.support(d)[1] for d in dirs])
+        a, b = hexagon.halfspaces
+        boundary = np.array([solve_lp(-d, a_ub=a, b_ub=b).x for d in dirs])
         hull = ConvexHull(boundary)
         assert len(hull.vertices) == 6
 

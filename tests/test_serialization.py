@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from adjcone.geometry import Polytope
-from adjcone.gqvi import ConstantOperator, GqviInstance, MovingPolytope
+from adjcone.gqvi import ConstantOperator, GqviInstance, MovingPolytope, SolverConfig
 from adjcone.normal_op import build_atlas
 from adjcone.serialization import (
     SchemaError,
+    atlas_build_from_dict,
     atlas_from_dict,
     atlas_to_dict,
     dump_json,
@@ -97,6 +98,14 @@ def test_solver_unknown_field_named():
         gqvi_instance_from_dict(data)
 
 
+def test_solver_limits_are_inclusive():
+    # The smallest values each rule allows load unchanged; an int gamma
+    # counts as a number.
+    data = {"starts": 0, "max_iters": 1, "mesh_divisions": 1, "seed": 0,
+            "gamma": 1, "tol_solve": 1e-300}
+    assert solver_config_from_dict(data) == SolverConfig(**data)
+
+
 def test_load_instance_classifies(tmp_path, step1d):
     f_path = tmp_path / "f.json"
     dump_json({"schema_version": 1, **function_to_dict(step1d)}, f_path)
@@ -178,6 +187,32 @@ def test_parsers_name_non_finite_field(parse, data, field):
     # still refuse NaN and infinities and name the field.
     with pytest.raises(SchemaError, match=rf"^{re.escape(field)} must be a finite"):
         parse(data)
+
+
+def test_atlas_build_spec_is_build_atlas_arguments():
+    spec = atlas_build_from_dict({"region": _REGION, "cover_step": 1,
+                                  "argmin_margin": 0, "radius_cap": 0.5})
+    assert set(spec) == {"region", "cover_step", "argmin_margin", "radius_cap"}
+    assert (spec["cover_step"], spec["argmin_margin"], spec["radius_cap"]) == (
+        1.0, 0.0, 0.5)
+    assert same_set(spec["region"], Polytope.from_box([-1.0], [1.0]))
+    assert set(atlas_build_from_dict({"region": _REGION, "cover_step": 0.5})) == {
+        "region", "cover_step"}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"region": _REGION, "cover_step": 0.5, "radius": 1.0},
+     "unknown field 'radius' in atlas_build"),
+    ({"region": _REGION, "cover_step": float("nan")},
+     "atlas_build.cover_step must be a finite number"),
+    ({"region": _REGION, "cover_step": "0.5"},
+     "atlas_build.cover_step must be positive, got '0.5'"),
+    ({"region": _REGION, "cover_step": 0.5, "argmin_margin": None},
+     "atlas_build.argmin_margin must be a number >= 0, got None"),
+], ids=["unknown-field", "nan", "text", "null-margin"])
+def test_atlas_build_parser_names_the_field(data, message):
+    with pytest.raises(SchemaError, match=rf"^{re.escape(message)}"):
+        atlas_build_from_dict(data)
 
 
 _SQUARE = {"A": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
