@@ -187,9 +187,14 @@ def _resolve_atlas(payload, f, args, at=None, radii=(1e-1,)):
                           "build a local one around")
     cover = args.mesh if args.mesh else 0.1
     lo, hi = f.domain.bounding_box()
-    # Symmetric region centered on the probe point: the chart grid then
-    # contains the point itself, and the radius cap keeps neighbouring
-    # charts from overlapping it, so the base map is locally one section.
+    # Symmetric region centered on the probe point, its half-widths whole
+    # cover steps: the chart grid then contains the point itself.  The
+    # radius cap (0.75 of a step) keeps every grid chart a step or more
+    # away at zero on the point, so there only its own chart and charts
+    # that densification adds within 0.75 of a step are active.  It does
+    # not make the base map one section on the probe ball: neighbouring
+    # charts reach within a quarter step of the point, so probe verdicts
+    # can depend on --mesh.
     half = np.minimum(np.minimum(at - lo, hi - at),
                       max(radii) + 2 * cover)
     if np.any(half <= cover / 2):

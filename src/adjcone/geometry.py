@@ -20,12 +20,22 @@ affine-hull rank reduction, which keeps lower-dimensional polytopes
 Vertex enumeration (:meth:`Polytope.vertices`) and polar extreme rays
 (:func:`polar_extreme_rays`) share one blocked kernel: lexicographic row
 subsets come in blocks of ``_ENUM_BLOCK``, and each block runs one
-stacked LAPACK call (``det`` and ``solve``, or ``svd``) plus one batched
-feasibility product with a slack far above rounding.  A stacked call
-returns the same bits as one call per matrix, and the prefilter only
-drops candidates the exact test rejects, so the survivors go, in subset
-order, through the same scalar acceptance test and merge as a
-one-subset-at-a-time loop, and the output is bit for bit the same.
+stacked LAPACK call (``det`` and ``solve``, or ``svd``), then
+``_satisfying``, the acceptance test ``rows @ p <= bound + tol`` of
+every candidate at once.  LAPACK factors each stacked matrix on its own,
+so a stacked call returns the bits of one call per matrix.
+``_satisfying`` drops clear misses with one matrix product and a slack
+far above rounding, and decides the rest with a stacked matrix-vector
+product, each item of which is the BLAS ``gemv`` call of one point.  In
+2-D to 4-D, polar subsets first pass ``_may_hold_ray``, a closed-form
+cofactor test that keeps every subset able to give a ray (argued in
+:func:`polar_extreme_rays`), so the SVD sees a few percent of them.
+The accepted candidates, in subset order, go through
+``_dedupe_points``, the one merge kernel (also of ``from_vertices`` and
+:meth:`GeneratedCone.from_rays`), whose distances ``_row_norms`` are the
+BLAS ``ddot`` of ``np.linalg.norm`` on one vector.  So every output is
+bit for bit that of a one-subset-at-a-time loop with one norm per
+compared pair.
 
 The vertices are also the one source of face structure: their incidence
 with the rows gives the implicit equalities, the irredundant facets
@@ -66,10 +76,17 @@ __all__ = [
 _ENUM_DIM_LIMIT = 4
 _MINKOWSKI_LIMIT = 100_000
 _MERGE_RADIUS = 1e-9
+# Point pairs per distance block of ``_dedupe_points``.
+_MERGE_BLOCK = 1 << 14
 # Row subsets per stacked LAPACK call: bounds the temporaries of one block.
 _ENUM_BLOCK = 2048
 # Prefilter slack per unit of product magnitude; rounding is ~1e-16.
 _PREFILTER_SLACK = 1e-7
+# Polar-ray subsets: the cofactor prefilter trusts a subset whose
+# cofactor norm exceeds this fraction of |M|_F^(n-1), and allows this
+# slack per unit of row norm; ``polar_extreme_rays`` argues both.
+_COFACTOR_CONDITION = 1e-4
+_COFACTOR_SLACK = 1e-6
 # Dykstra sweeps before a projection gives up.
 _DYKSTRA_SWEEPS = 5000
 # Alternating-projection rounds of ``polytope_distance``.
@@ -136,12 +153,41 @@ def _as_point(x, dim):
     return x
 
 
+def _row_norms(d):
+    """Euclidean norms along the last axis of ``d``.
+
+    The stacked product calls the same BLAS ``ddot`` as
+    ``np.linalg.norm`` on one vector, so each norm has that call's bits;
+    ``norm(axis=-1)`` sums the squares in another order and does not.
+    """
+    return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
+
+
 def _dedupe_points(points, radius=_MERGE_RADIUS):
-    kept = []
-    for p in points:
-        if all(np.linalg.norm(p - q) > radius for q in kept):
-            kept.append(p)
-    return np.array(kept) if kept else np.zeros((0, points.shape[1]))
+    """Greedy merge in row order: a row is kept unless it lies within
+    ``radius`` of an earlier kept row.
+
+    This is the loop ``keep p if all(norm(p - q) > radius for q in
+    kept)``, bit for bit: every distance is ``_row_norms`` of ``p - q``,
+    a NaN distance counts as close (``not (nan > radius)``), and only
+    the rows with some earlier close row, kept or not, need the greedy
+    pass.  Rows come in blocks that pair with at most ``_MERGE_BLOCK``
+    earlier rows in all, which bounds the temporaries.
+    """
+    n = len(points)
+    if n < 2:
+        return points.copy()
+    keep = np.ones(n, dtype=bool)
+    order = np.arange(n)
+    step = max(1, _MERGE_BLOCK // n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        close = ~(_row_norms(points[start:stop, None, :] - points[:stop]) > radius)
+        close &= order[:stop] < order[start:stop, None]
+        for k in np.flatnonzero(close.any(axis=1)):
+            i = start + k
+            keep[i] = not (close[k, :i] & keep[:i]).any()
+    return points[keep]
 
 
 def _affine_dim(points):
@@ -163,18 +209,25 @@ def _subset_blocks(m, k):
         yield flat.reshape(-1, k)
 
 
-def _may_satisfy(points, rows, bound, tol):
-    """Rows of ``points`` that can pass ``np.all(rows @ p <= bound + tol)``.
+def _satisfying(points, rows, bound, tol):
+    """Mask of the rows ``p`` of ``points`` with
+    ``np.all(rows @ p <= bound + tol)``, bit for bit.
 
-    The batched product rounds differently from the per-point one, so
-    each test gets a slack of ``_PREFILTER_SLACK`` times a bound on the
-    magnitude of the products involved; only candidates the exact test
-    rejects are dropped.
+    One matrix product first drops the rows that miss by a clear margin:
+    it rounds differently from the per-point product, so each test gets
+    a slack of ``_PREFILTER_SLACK`` times a bound on the magnitude of
+    the products involved.  The rest are decided by the stacked product
+    ``rows @ p[..., None]``, whose every item is the BLAS ``gemv`` call
+    of ``rows @ p`` on one point.
     """
     scale = (1.0 + np.abs(bound).max()
              + np.abs(rows).max() * np.abs(points).sum(axis=1))
-    return np.all(points @ rows.T
+    mask = np.all(points @ rows.T
                   <= bound + tol + _PREFILTER_SLACK * scale[:, None], axis=1)
+    live = np.flatnonzero(mask)
+    mask[live] = np.all((rows @ points[live][..., None])[..., 0] <= bound + tol,
+                        axis=1)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -569,17 +622,16 @@ class Polytope:
             a, b = self._a, self._b
             m = self.num_halfspaces
             tol = self.tolerances.feas
-            found = []
+            found = [np.zeros((0, self.dim))]
             for idx in _subset_blocks(m, self.dim):
                 sub = a[idx]
                 basis = ~(np.abs(np.linalg.det(sub)) < 1e-10)
                 cand = np.linalg.solve(sub[basis], b[idx[basis]][..., None])[..., 0]
-                for v in cand[_may_satisfy(cand, a, b, tol)]:
-                    if np.all(a @ v <= b + tol):
-                        found.append(v)
-            if not found:
+                found.append(cand[_satisfying(cand, a, b, tol)])
+            found = np.concatenate(found)
+            if not len(found):
                 raise GeometryError("vertex enumeration found nothing")
-            verts = _dedupe_points(np.array(found))
+            verts = _dedupe_points(found)
         verts.setflags(write=False)
         self._vertices = verts
         return verts
@@ -613,8 +665,7 @@ class Polytope:
         verts = self.vertices()
         on = self._incidence()
         diff = a[:, None, :] - a[None, :, :]
-        # The stacked product rounds like np.linalg.norm of one vector.
-        parallel = np.sqrt(diff[..., None, :] @ diff[..., :, None])[..., 0, 0] <= 1e-9
+        parallel = _row_norms(diff) <= 1e-9
         tighter = (b[None, :] < b[:, None] - 1e-12) | (
             (np.abs(b[None, :] - b[:, None]) <= 1e-12)
             & np.tri(b.size, k=-1, dtype=bool))
@@ -684,21 +735,20 @@ class GeneratedCone:
 
     @classmethod
     def from_rays(cls, rays, dim=None, tolerances=None):
-        """Unit-normalize, drop near-zero rays, merge duplicates."""
+        """Unit-normalize, drop near-zero rays, merge duplicates.
+
+        Norms are ``_row_norms`` and the merge is ``_dedupe_points``, so
+        the generators are those of a per-ray loop with
+        ``np.linalg.norm``, bit for bit."""
         tol = tolerances or DEFAULT_TOLERANCES
         rays = np.atleast_2d(np.asarray(rays, dtype=float))
         if rays.size == 0:
             return cls(np.zeros((0, dim)), dim=dim, tolerances=tol)
-        kept = []
-        for g in rays:
-            nrm = np.linalg.norm(g)
-            if nrm < tol.gen:
-                continue
-            u = g / nrm
-            if all(np.linalg.norm(u - h) > _MERGE_RADIUS for h in kept):
-                kept.append(u)
+        norms = _row_norms(rays)
+        live = ~(norms < tol.gen)
+        kept = _dedupe_points(rays[live] / norms[live, None])
         dim = dim if dim is not None else rays.shape[1]
-        return cls(np.array(kept) if kept else np.zeros((0, dim)),
+        return cls(kept if len(kept) else np.zeros((0, dim)),
                    dim=dim, tolerances=tol)
 
     @property
@@ -823,6 +873,62 @@ def grid_points(polytope, mesh):
     return pts[polytope.contains_many(pts)]
 
 
+def _cofactors(cols, idx):
+    """Generalized cross products of row subsets, as columns.
+
+    ``cols`` holds the rows of an ``m x n`` matrix as columns, ``n`` in
+    2..4, and ``idx`` the ``n - 1`` row indices of each subset.  Column
+    ``j`` of the result is orthogonal to every row of subset ``j``, and
+    its norm is the ``(n-1)``-volume they span, zero exactly when they
+    are dependent.  The 2x2 minors of the first two rows are expanded
+    along the third in 4-D.
+    """
+    a = cols[:, idx[:, 0]]
+    if len(cols) == 2:
+        return np.stack([a[1], -a[0]])
+    b = cols[:, idx[:, 1]]
+
+    def minor(i, j):
+        return a[i] * b[j] - a[j] * b[i]
+
+    if len(cols) == 3:
+        return np.stack([minor(1, 2), -minor(0, 2), minor(0, 1)])
+    c = cols[:, idx[:, 2]]
+    p01, p02, p03 = minor(0, 1), minor(0, 2), minor(0, 3)
+    p12, p13, p23 = minor(1, 2), minor(1, 3), minor(2, 3)
+    return np.stack([c[1] * p23 - c[2] * p13 + c[3] * p12,
+                     c[2] * p03 - c[0] * p23 - c[3] * p02,
+                     c[0] * p13 - c[1] * p03 + c[3] * p01,
+                     c[1] * p02 - c[0] * p12 - c[2] * p01])
+
+
+def _may_hold_ray(rows, idx, tol):
+    """Subsets ``idx`` of ``rows`` whose null vector may give a ray.
+
+    The closed-form cofactor ``c`` of each subset is compared, both
+    signs, with every row; a subset is dropped only when it is well
+    conditioned and both ``+c`` and ``-c`` miss some row ``d_k`` by more
+    than ``tol + _COFACTOR_SLACK |d_k|``.  ``polar_extreme_rays`` gives
+    the argument.  Rows are scaled by their largest entry first, which
+    changes neither a direction nor a ratio and keeps the products
+    finite.
+    """
+    n = rows.shape[1]
+    if not 2 <= n <= 4 or idx.shape[1] != n - 1:
+        return np.ones(len(idx), dtype=bool)
+    scale = np.abs(rows).max()
+    rows = rows / scale
+    squares = (rows * rows).sum(axis=1)
+    c = _cofactors(rows.T, idx)
+    size = np.sqrt((c * c).sum(axis=0))
+    conditioned = size > (_COFACTOR_CONDITION
+                          * np.sqrt(squares[idx].sum(axis=1)) ** (n - 1))
+    slack = tol / scale + _COFACTOR_SLACK * np.sqrt(squares)
+    products = (rows / np.where(slack > 0, slack, 1.0)[:, None]) @ c
+    return (~conditioned | (products.max(axis=0) <= size)
+            | (products.min(axis=0) >= -size))
+
+
 def polar_extreme_rays(directions, dim=None, tol=1e-9):
     """Unit extreme rays of the pointed cone ``{g : d_k . g <= 0 for all k}``.
 
@@ -835,6 +941,27 @@ def polar_extreme_rays(directions, dim=None, tol=1e-9):
     the module docstring), and the result is bit for bit that of the
     one-subset-at-a-time loop.  Raises when the rows do not span (the
     cone then contains a line and has no ray description).
+
+    In 2-D to 4-D most subsets never reach the SVD: ``_may_hold_ray``
+    drops those whose closed-form cofactor ``c`` shows that neither sign
+    of the null vector can meet every row.  Why that drops no ray: let
+    ``q = |c| / |M|_F^(n-1)`` for the subset ``M`` (rows scaled by one
+    common factor).  Then ``sigma_(n-1)(M) / sigma_1(M) >= q``, since
+    ``|c|`` is the product of the ``n - 1`` singular values and
+    ``sigma_1 <= |M|_F``.  A backward-stable SVD returns the null vector
+    of some ``M + E`` with ``|E| <= p eps |M|``, ``p`` at most about 100
+    at these sizes, so its angle to the true null line is at most about
+    ``p eps / q`` (Wedin); the cofactor is a short sum of products whose
+    rounding turns it by at most about ``20 eps / q``.  Only subsets with
+    ``q > _COFACTOR_CONDITION`` (1e-4) are dropped, and there the two
+    directions agree within about ``3e-10``.  A ray the SVD path keeps
+    has ``d_k . u <= tol`` for every row, so ``+-c/|c|`` meets row ``k``
+    within ``tol + 3e-10 |d_k|`` plus rounding of order ``eps |d_k|``;
+    the prefilter allows ``tol + 1e-6 |d_k|``, over 3000 times that.
+    Survivors keep their order, and LAPACK factors each stacked matrix
+    on its own, so their SVDs have the bits of the unfiltered block.
+    Ill-conditioned and dependent subsets always go to the SVD, which
+    keeps the rank decision its own.
     """
     m_rows = np.atleast_2d(np.asarray(directions, dtype=float))
     n = dim if dim is not None else m_rows.shape[1]
@@ -843,34 +970,22 @@ def polar_extreme_rays(directions, dim=None, tol=1e-9):
     if np.linalg.matrix_rank(m_rows, tol=1e-9) < n:
         raise GeometryError(
             "directions do not span the space; the polar cone contains a line")
-    rays = []
-
-    def consider(d):
-        nrm = np.linalg.norm(d)
-        if nrm < 1e-12:
-            return
-        u = d / nrm
-        if np.all(m_rows @ u <= tol):
-            if all(np.linalg.norm(u - r) > _MERGE_RADIUS for r in rays):
-                rays.append(u)
-
     if n == 1:
-        consider(np.array([1.0]))
-        consider(np.array([-1.0]))
+        nulls = np.ones((1, 1))
     else:
+        nulls = [np.zeros((0, m_rows.shape[1]))]
         for idx in _subset_blocks(m_rows.shape[0], n - 1):
+            idx = idx[_may_hold_ray(m_rows, idx, tol)]
             _, sv, vt = np.linalg.svd(m_rows[idx])
             cutoff = np.maximum(sv[:, 0] * 1e-10, 1e-12)
-            nulls = vt[np.sum(sv > cutoff[:, None], axis=1) == n - 1, -1]
-            units = nulls / np.linalg.norm(nulls, axis=1, keepdims=True)
-            plus = _may_satisfy(units, m_rows, 0.0, tol)
-            minus = _may_satisfy(-units, m_rows, 0.0, tol)
-            for d, keep_plus, keep_minus in zip(nulls, plus, minus):
-                if keep_plus:
-                    consider(d)
-                if keep_minus:
-                    consider(-d)
-    return np.array(rays) if rays else np.zeros((0, n))
+            nulls.append(vt[np.sum(sv > cutoff[:, None], axis=1) == n - 1, -1])
+        nulls = np.concatenate(nulls)
+    signed = np.stack([nulls, -nulls], axis=1).reshape(-1, nulls.shape[1])
+    norms = _row_norms(signed)
+    live = ~(norms < 1e-12)
+    units = signed[live] / norms[live, None]
+    rays = units[_satisfying(units, m_rows, 0.0, tol)]
+    return _dedupe_points(rays) if len(rays) else np.zeros((0, n))
 
 
 def normal_cone_at(polytope, x, tolerances=None):

@@ -29,8 +29,9 @@ Every atlas query (bumps, weights, covering, the partition defect and
 the stable probe points) runs through one kernel, ``Atlas._gap_blocks``:
 the chart centers and radii are held as arrays, and the gaps
 ``radius - |x - center|`` come out in row blocks of bounded size, so no
-reduction holds the whole points x charts matrix.  Each distance is the
-stacked product ``sqrt(d[..., None, :] @ d[..., :, None])``, which calls
+reduction holds the whole points x charts matrix.  Each distance is
+``geometry._row_norms``, the stacked product
+``sqrt(d[..., None, :] @ d[..., :, None])``, which calls
 the same BLAS ``ddot`` as ``np.linalg.norm`` on one vector; every kernel
 bump therefore has the bits of the scalar ``LocalChart.bump``, and
 points on a chart rim fall on the same side in both.  A bulk
@@ -54,6 +55,7 @@ from .geometry import (
     GeneratedCone,
     GeometryError,
     Polytope,
+    _row_norms,
     grid_points,
     normal_cone_at,
     polar_extreme_rays,
@@ -296,9 +298,7 @@ class Atlas:
         step = max(1, _PAIR_BLOCK // max(1, len(self.charts)))
         for start in range(0, max(len(pts), 1), step):
             block = pts[start:start + step]
-            d = block[:, None, :] - self.centers
-            dist = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
-            yield block, self.radii - dist
+            yield block, self.radii - _row_norms(block[:, None, :] - self.centers)
 
     def bump_values(self, x):
         x = np.asarray(x, dtype=float).ravel()

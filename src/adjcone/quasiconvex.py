@@ -27,6 +27,13 @@ around the radius; the band holds the error of the scalar projection, so
 the booleans are those of projecting every row.  Projections whose
 values reach a report (``rho``, the anchor of the adjusted normal cone,
 the probe deviations) stay scalar.
+
+Both sampled checks draw their segments (two pool indices and a weight
+per draw) through ``_draw_segments``.  On numpy's default PCG64
+generator it replays, from one block of raw words, exactly the stream
+of ``rng.integers(0, size, size=2)`` and ``rng.uniform()`` per draw,
+and leaves the generator in the loop's state; elsewhere it runs that
+loop.  Its docstring gives the argument.
 """
 
 from __future__ import annotations
@@ -356,9 +363,53 @@ def _domain_pool(f, rng, count):
     return np.vstack([f.domain.sample(rng, count), f.domain.vertices()])
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
 def _draw_segments(rng, size, count):
     """``count`` draws of an index pair and a weight, in the order the
-    sampled checks consume them: two indices, then one uniform."""
+    sampled checks consume them: two indices, then one uniform.
+
+    The result, and the generator state left behind, are those of the
+    loop ``rng.integers(0, size, size=2); rng.uniform()`` per draw.  On
+    a PCG64 generator the loop's stream is replayed from one
+    ``random_raw`` call.  numpy draws each index by Lemire's method from
+    a 32-bit value, ``(u * size) >> 32``, and PCG64 serves 32-bit values
+    as the low, then the high half of a 64-bit word, holding the high
+    half in its ``has_uint32``/``uinteger`` buffer.  The uniform is
+    ``(w >> 11) * 2**-53`` of a whole word and leaves the buffer alone.
+    So each draw takes two words: the even one feeds two index values,
+    the odd one the uniform, and a half buffered on entry is the first
+    index value, shifting the halves by one.  Either way the buffer flag
+    ends as it started, and its value is the high half of the last even
+    word.  ``size == 1`` reads no index values.  If a value falls below
+    Lemire's rejection threshold ``(2**32 - size) % size``, numpy would
+    have drawn again; then, and for other bit generators or sizes
+    outside ``[1, 2**32)``, the state is restored and the loop runs.
+    These are numpy internals (as of numpy 2.4); digests of the stream
+    pinned in the tests fail if a release changes them.
+    """
+    bits = rng.bit_generator
+    if type(bits) is np.random.PCG64 and 1 <= size < 1 << 32:
+        if size == 1:
+            ts = (bits.random_raw(count) >> np.uint64(11)) * 2.0 ** -53
+            return np.zeros(count, int), np.zeros(count, int), ts
+        state = bits.state
+        words = bits.random_raw(2 * count)
+        halves = np.stack([words[0::2] & _LOW32, words[0::2] >> np.uint64(32)],
+                          axis=1).ravel()
+        if state["has_uint32"]:
+            halves = np.concatenate([[np.uint64(state["uinteger"])], halves])
+        scaled = halves[:2 * count] * np.uint64(size)
+        if not ((scaled & _LOW32) < (2 ** 32 - size) % size).any():
+            if count:
+                after = bits.state
+                after["uinteger"] = int(halves[-1])
+                bits.state = after
+            index = (scaled >> np.uint64(32)).astype(int)
+            return (index[0::2], index[1::2],
+                    (words[1::2] >> np.uint64(11)) * 2.0 ** -53)
+        bits.state = state
     ii, jj, ts = np.empty(count, int), np.empty(count, int), np.empty(count)
     for k in range(count):
         ii[k], jj[k] = rng.integers(0, size, size=2)
@@ -373,9 +424,11 @@ def _blend(ts, first, second):
 def quasiconvexity_check(f, plan=None):
     """Segment test: f(t x + (1-t) y) <= max(f(x), f(y)) on sampled triples.
 
-    Step functions are evaluated in two batches (the pool, then every
-    midpoint); analytic functions point by point, stopping at the first
-    failure.  Both report the first failing triple in draw order.
+    Both kinds take their draws from ``_draw_segments``.  Step functions
+    are evaluated in two batches (the pool, then every midpoint);
+    analytic functions point by point, stopping at the first failure, so
+    the draws after it go unused.  Both report the first failing triple
+    in draw order.
     """
     plan = plan or SamplingPlan()
     rng = np.random.default_rng(plan.seed)
@@ -388,8 +441,8 @@ def quasiconvexity_check(f, plan=None):
             "f_x": float(fx), "f_y": float(fy), "f_mid": float(fmid),
         }, checked, kind="quasiconvexity")
 
+    ii, jj, ts = _draw_segments(rng, len(pool), plan.points)
     if isinstance(f, StepLevelFunction):
-        ii, jj, ts = _draw_segments(rng, len(pool), plan.points)
         values = f.evaluate_many(pool)
         keep = np.flatnonzero(np.isfinite(values[ii]) & np.isfinite(values[jj]))
         ii, jj, ts = ii[keep], jj[keep], ts[keep]
@@ -403,9 +456,7 @@ def quasiconvexity_check(f, plan=None):
         return CheckVerdict(True, None, len(keep), kind="quasiconvexity")
 
     checked = 0
-    for _ in range(plan.points):
-        i, j = rng.integers(0, len(pool), size=2)
-        t = float(rng.uniform())
+    for i, j, t in zip(ii, jj, ts.tolist()):
         x, y = pool[i], pool[j]
         fx, fy = f.evaluate(x), f.evaluate(y)
         if math.isinf(fx) or math.isinf(fy):

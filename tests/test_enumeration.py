@@ -1,18 +1,25 @@
 """Vertex and polar-ray enumeration against the per-subset loops they
-replaced, and vertex sets against Qhull.
+replaced, the merge kernel against the per-pair loops it replaced, and
+vertex sets against Qhull.
 
 ``reference_vertices`` and ``reference_polar_extreme_rays`` are the
 earlier implementations: one Python iteration and one LAPACK call per
-row subset.  The blocked kernel in ``adjcone.geometry`` must return an
-array of the same shape, order and bytes, on generic input and on input
-built to stress it: exact ties and duplicate rows, a row whose product
-lands on the acceptance threshold or just past it, directions so short
-that both signs of a null vector pass, and inputs that span several
-blocks.  Qhull's halfspace intersection is an independent oracle for
-the vertex sets.
+row subset, one ``np.linalg.norm`` per compared pair.  The blocked
+kernel in ``adjcone.geometry`` must return an array of the same shape,
+order and bytes, on generic input and on input built to stress it:
+exact ties and duplicate rows, a row whose product lands on the
+acceptance threshold or just past it, directions so short that both
+signs of a null vector pass, near-parallel, dependent and rescaled rows
+around the cofactor prefilter's conditioning threshold, and inputs that
+span several blocks.  ``reference_dedupe_points`` and
+``reference_from_rays`` hold the merge loops; points at the merge radius
+times ``1 -/+ 1e-12`` and NaN rows must merge the same way.  Qhull's
+halfspace intersection is an independent oracle for the vertex sets.
 """
 
+import importlib.util
 import itertools
+import os
 from contextlib import contextmanager
 
 import numpy as np
@@ -21,8 +28,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import HalfspaceIntersection
 
-from adjcone import geometry
+from adjcone import cli, geometry
 from adjcone.geometry import (
+    GeneratedCone,
     GeometryError,
     Polytope,
     _dedupe_points,
@@ -34,11 +42,38 @@ PROPERTY = settings(max_examples=120, deadline=None, derandomize=True,
                     database=None)
 
 
+def reference_dedupe_points(points, radius=geometry._MERGE_RADIUS):
+    """The per-pair merge loop the merge kernel replaced."""
+    kept = []
+    for p in points:
+        if all(np.linalg.norm(p - q) > radius for q in kept):
+            kept.append(p)
+    return np.array(kept) if kept else np.zeros((0, points.shape[1]))
+
+
+def reference_from_rays(rays, dim=None):
+    """The generators of the ``GeneratedCone.from_rays`` loop the merge
+    kernel replaced (default tolerances)."""
+    rays = np.atleast_2d(np.asarray(rays, dtype=float))
+    kept = []
+    for g in rays:
+        nrm = np.linalg.norm(g)
+        if nrm < geometry.DEFAULT_TOLERANCES.gen:
+            continue
+        u = g / nrm
+        if all(np.linalg.norm(u - h) > geometry._MERGE_RADIUS for h in kept):
+            kept.append(u)
+    dim = dim if dim is not None else rays.shape[1]
+    return GeneratedCone(np.array(kept) if kept else np.zeros((0, dim)),
+                         dim=dim).generators
+
+
 def reference_vertices(polytope):
     """The per-subset vertex loop the blocked kernel replaced."""
     if polytope._box_bounds is not None:
         lo, hi = polytope._box_bounds
-        return _dedupe_points(np.array(list(itertools.product(*zip(lo, hi)))))
+        return reference_dedupe_points(
+            np.array(list(itertools.product(*zip(lo, hi)))))
     a, b = polytope.halfspaces
     m = polytope.num_halfspaces
     tol = polytope.tolerances.feas
@@ -52,7 +87,7 @@ def reference_vertices(polytope):
             found.append(v)
     if not found:
         raise GeometryError("vertex enumeration found nothing")
-    return _dedupe_points(np.array(found))
+    return reference_dedupe_points(np.array(found))
 
 
 def reference_polar_extreme_rays(directions, dim=None, tol=1e-9):
@@ -109,13 +144,13 @@ def assert_same(got, want):
 
 
 @contextmanager
-def block_size(rows):
-    saved = geometry._ENUM_BLOCK
-    geometry._ENUM_BLOCK = rows
+def block_size(rows, name="_ENUM_BLOCK"):
+    saved = getattr(geometry, name)
+    setattr(geometry, name, rows)
     try:
         yield
     finally:
-        geometry._ENUM_BLOCK = saved
+        setattr(geometry, name, saved)
 
 
 # -- input families -----------------------------------------------------------
@@ -248,6 +283,100 @@ def polar_inputs(draw):
     return directions
 
 
+@st.composite
+def degenerate_polar_inputs(draw):
+    """Translated vertex lists with rows added or rescaled to make row
+    subsets degenerate: repeated rows, rows turned by 1e-13 to 1e-3 rad
+    (subsets on both sides of the prefilter's conditioning threshold),
+    rows shrunk to 1e-12..1e-6 of their length, dependent rows (convex
+    combinations of two others), and rows rescaled over eight orders of
+    magnitude."""
+    directions = draw(polar_inputs())
+    kind = draw(st.sampled_from(["repeat", "near_parallel", "tiny", "dependent",
+                                 "rescaled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n = directions.shape
+    if kind == "rescaled":
+        return directions * 10.0 ** rng.uniform(-4.0, 4.0, size=(m, 1))
+    base = directions[rng.integers(0, m, size=3)]
+    if kind == "repeat":
+        extra = base
+    elif kind == "near_parallel":
+        w = rng.normal(size=base.shape)
+        w *= (np.linalg.norm(base, axis=1) / np.linalg.norm(w, axis=1)
+              * 10.0 ** rng.uniform(-13.0, -3.0, size=3))[:, None]
+        extra = base + w
+    elif kind == "tiny":
+        extra = base * 10.0 ** rng.uniform(-12.0, -6.0, size=(3, 1))
+    else:
+        t = rng.uniform(0.2, 0.8, size=(3, 1))
+        extra = t * base + (1.0 - t) * directions[rng.integers(0, m, size=3)]
+    rows = np.vstack([directions, extra])
+    return rows[rng.permutation(len(rows))]
+
+
+@st.composite
+def merge_inputs(draw):
+    """Point lists for the merge kernel: fresh points, exact copies, and
+    points at distance ``r * (1 - 1e-12)``, ``r``, ``r * (1 + 1e-12)``
+    and chains of ``0.6 r`` steps from earlier ones (``r`` the merge
+    radius), near the origin where those distances are resolved, plus
+    NaN and infinite rows anywhere, the first row included."""
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = geometry._MERGE_RADIUS
+    scale = 10.0 ** rng.choice([-9.0, -6.0, 0.0])
+    points = [scale * rng.normal(size=dim)]
+    for _ in range(int(rng.integers(0, 40))):
+        base = points[rng.integers(len(points))]
+        kind = rng.integers(4)
+        if kind == 0:
+            points.append(scale * rng.normal(size=dim))
+        elif kind == 1:
+            points.append(base.copy())
+        else:
+            u = rng.normal(size=dim)
+            u /= np.linalg.norm(u)
+            step = rng.choice([1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.6, 1.2])
+            points.append(base + r * step * u)
+    for bad in (np.nan, np.inf):
+        if rng.random() < 0.3:
+            row = scale * rng.normal(size=dim)
+            row[rng.integers(dim)] = bad
+            points.insert(int(rng.integers(len(points) + 1)), row)
+    return np.array(points)
+
+
+@st.composite
+def ray_inputs(draw):
+    """Rays for ``from_rays``: merge-radius neighbours of a few unit
+    directions at lengths from 1e-3 to 1e3, rays of length
+    ``1e-9 * (1 -/+ 1e-12)`` around the minimum generator norm, shorter
+    ones, zero and NaN rows."""
+    dim = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    units = rng.normal(size=(int(rng.integers(1, 5)), dim))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    rays = []
+    for _ in range(int(rng.integers(1, 30))):
+        u = units[rng.integers(len(units))]
+        kind = rng.integers(5)
+        if kind == 0:
+            w = rng.normal(size=dim)
+            w *= geometry._MERGE_RADIUS / np.linalg.norm(w)
+            rays.append((u + rng.choice([1.0 - 1e-12, 1.0, 1.0 + 1e-12]) * w)
+                        * 10.0 ** rng.uniform(-3.0, 3.0))
+        elif kind == 1:
+            rays.append(u * geometry.DEFAULT_TOLERANCES.gen
+                        * rng.choice([1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.1]))
+        elif kind == 2:
+            rays.append(np.zeros(dim) if rng.random() < 0.5
+                        else np.full(dim, np.nan))
+        else:
+            rays.append(u * 10.0 ** rng.uniform(-3.0, 3.0))
+    return np.array(rays)
+
+
 # -- properties ---------------------------------------------------------------
 
 
@@ -309,3 +438,111 @@ def test_both_signs_pass_on_short_directions():
     want = reference_polar_extreme_rays(directions)
     assert len(want) == 2 and np.array_equal(want[0], -want[1])
     assert_same(polar_extreme_rays(directions), want)
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(directions=degenerate_polar_inputs())
+def test_degenerate_polar_rays_match_reference(directions, rows):
+    want = outcome(reference_polar_extreme_rays, directions)
+    with block_size(rows or geometry._ENUM_BLOCK):
+        got = outcome(polar_extreme_rays, directions)
+    assert_same(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(directions=st.one_of(polar_inputs(), degenerate_polar_inputs()))
+def test_prefilter_drops_no_ray(directions):
+    # Stronger than equal output: no dropped subset has a null vector
+    # that the per-subset loop would accept, duplicate or not.
+    n = directions.shape[1]
+    for idx in geometry._subset_blocks(len(directions), n - 1):
+        for subset in idx[~geometry._may_hold_ray(directions, idx, TOL)]:
+            _, sv, vt = np.linalg.svd(directions[subset])
+            if np.sum(sv > max(sv[0] * 1e-10, 1e-12)) != n - 1:
+                continue
+            d = vt[-1] / np.linalg.norm(vt[-1])
+            assert not np.all(directions @ d <= TOL)
+            assert not np.all(directions @ -d <= TOL)
+
+
+@pytest.mark.parametrize("pairs", [None, 1, 64])
+@PROPERTY
+@given(points=merge_inputs())
+def test_merge_matches_reference(points, pairs):
+    with np.errstate(invalid="ignore"):
+        want = reference_dedupe_points(points)
+        with block_size(pairs or geometry._MERGE_BLOCK, "_MERGE_BLOCK"):
+            got = _dedupe_points(points)
+    assert_same(got, want)
+
+
+@PROPERTY
+@given(rays=ray_inputs())
+def test_from_rays_matches_reference(rays):
+    assert_same(outcome(lambda: GeneratedCone.from_rays(rays).generators),
+                outcome(reference_from_rays, rays))
+
+
+def test_merge_edge_cases():
+    r = geometry._MERGE_RADIUS
+    # A chain: the second row merges into the first, the third is within
+    # r of the dropped second only, so it stays.
+    chain = np.array([[0.0, 0.0], [0.6 * r, 0.0], [1.2 * r, 0.0]])
+    assert_same(_dedupe_points(chain), chain[[0, 2]])
+    # A NaN first row is kept and then counts as close to every row.
+    nan_first = np.array([[np.nan, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    assert_same(_dedupe_points(nan_first), nan_first[:1])
+    assert_same(_dedupe_points(np.zeros((0, 3))), np.zeros((0, 3)))
+    for points in (chain, nan_first):
+        assert_same(_dedupe_points(points), reference_dedupe_points(points))
+
+
+def _bench_gen():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "gen.py")
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_prefilter_cuts_svd_subsets(tmp_path, monkeypatch):
+    # The 4-D family of pass 0 of the benchmark's polytope-nd workload at
+    # seed 3.  Before the cofactor prefilter each of its two normal-cone
+    # commands sent all C(35, 3) = 6,545 vertex subsets of the strict
+    # sublevel polytope through the stacked SVD.
+    gen = _bench_gen()
+    rng = np.random.default_rng([3, 0])
+    for dim, facets in ((3, 10), (3, 10), (4, 12)):
+        instance, facet_point, interior_point = gen.step_family(rng, dim, facets)
+    path = str(tmp_path / "family4d.json")
+    gen.write_json(path, instance)
+    svd = np.linalg.svd
+    stacked = []
+
+    def counting_svd(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacked.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for point in (facet_point, interior_point):
+        stacked.clear()
+        argv = ["normal-cone", "--instance", path, "--at=" + gen.coords(point),
+                "--out", str(tmp_path / "out")]
+        assert cli.run(argv) == 0
+        assert 0 < sum(stacked) <= 6545 // 10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(directions=degenerate_polar_inputs())
+def test_prefilter_keeps_ill_conditioned_subsets(directions):
+    # The slack argument of ``polar_extreme_rays`` trusts the cofactor
+    # direction only at a conditioning ratio of 1e-4 or more, and
+    # sigma_min / sigma_max bounds that ratio from above: a subset below
+    # it goes to the SVD whatever its rows say.
+    n = directions.shape[1]
+    for idx in geometry._subset_blocks(len(directions), n - 1):
+        sv = np.linalg.svd(directions[idx], compute_uv=False)
+        ill = ~(sv[:, -1] >= 1e-4 * sv[:, 0])
+        assert geometry._may_hold_ray(directions, idx, TOL)[ill].all()
