@@ -8,14 +8,14 @@ construction and every operation is a pure function of its inputs, so
 concurrent reads are safe.
 
 Projections are solved as convex QPs by a primal active-set iteration
-with a Dykstra fallback; linear subproblems go through the dense simplex
-kernel in :mod:`adjcone.lp`.  A caller that only compares distances with
-a radius uses :meth:`Polytope.within_distance`, which brackets every
-distance between two vectorized bounds and projects only the rows whose
-bracket meets a band around the radius.  Hull construction for point
-sets uses scipy's convex hull (imported on first use) after an
-affine-hull rank reduction, which keeps lower-dimensional polytopes
-(segments, facets of cones) first class.
+with a min-norm-point fallback; linear subproblems go through the dense
+simplex kernel in :mod:`adjcone.lp`.  A caller that only compares
+distances with a radius uses :meth:`Polytope.within_distance`, which
+brackets every distance between two vectorized bounds and projects only
+the rows whose bracket meets a band around the radius.  Hull
+construction for point sets uses scipy's convex hull (imported on first
+use) after an affine-hull rank reduction, which keeps lower-dimensional
+polytopes (segments, facets of cones) first class.
 
 Vertex enumeration (:meth:`Polytope.vertices`) and polar extreme rays
 (:func:`polar_extreme_rays`) share one blocked kernel: lexicographic row
@@ -61,7 +61,6 @@ __all__ = [
     "EmptyPolytopeError",
     "UnboundedPolytopeError",
     "ScaleBoundError",
-    "ProjectionError",
     "ConeSectionError",
     "FaceDescriptor",
     "Polytope",
@@ -87,10 +86,6 @@ _PREFILTER_SLACK = 1e-7
 # slack per unit of row norm; ``polar_extreme_rays`` argues both.
 _COFACTOR_CONDITION = 1e-4
 _COFACTOR_SLACK = 1e-6
-# Dykstra sweeps before a projection gives up.
-_DYKSTRA_SWEEPS = 5000
-# Alternating-projection rounds of ``polytope_distance``.
-_DISTANCE_ROUNDS = 2000
 # Half-width of the band around the radius in which ``within_distance``
 # projects instead of trusting its bounds, per unit of ``feas`` and of
 # magnitude; the method docstring argues the value.
@@ -111,10 +106,6 @@ class UnboundedPolytopeError(GeometryError):
 
 class ScaleBoundError(GeometryError):
     """Operation exceeds the declared desk-scale enumeration bounds."""
-
-
-class ProjectionError(GeometryError):
-    """Projection iteration failed to converge."""
 
 
 class ConeSectionError(GeometryError):
@@ -230,6 +221,40 @@ def _satisfying(points, rows, bound, tol):
     return mask
 
 
+def _min_norm_point(points):
+    """The point of ``conv(points)`` nearest the origin (Wolfe, *Math.
+    Programming* 11, 1976).  Major cycles add the point of least ``x . p``
+    to a corral of affinely independent points until none has ``x . p <
+    x . x - tol |x|``, ``tol = 1e-12 max|p|``, so ``|x| <= d(0, conv) +
+    tol``; minor cycles move the weights toward the corral's affine
+    minimizer, dropping points whose weight reaches zero.  Each major cycle
+    lowers ``|x|``, so no corral recurs; one that does not ends the search.
+    """
+    tol = 1e-12 * _row_norms(points).max()
+    s, lam, x = [0], np.ones(1), points[0]
+    while True:
+        dots = points @ x
+        j = int(np.argmin(dots))
+        if x @ x - dots[j] <= tol * math.sqrt(x @ x) or j in s:
+            return x
+        s, lam = s + [j], np.append(lam, 0.0)
+        while True:
+            q = points[s]
+            beta = np.linalg.lstsq((q[1:] - q[0]).T, -q[0], rcond=None)[0]
+            alpha = np.concatenate([[1.0 - beta.sum()], beta])
+            if np.all(alpha >= 0):
+                break
+            out = np.flatnonzero(alpha < 0)
+            ratio = lam[out] / (lam[out] - alpha[out])
+            lam = lam + ratio.min() * (alpha - lam)
+            lam[out[np.argmin(ratio)]] = 0.0
+            s, lam = [i for i, w in zip(s, lam) if w > 0], lam[lam > 0]
+        y = alpha @ q
+        if y @ y >= x @ x:
+            return x
+        x, lam = y, alpha
+
+
 @dataclass(frozen=True)
 class FaceDescriptor:
     """A proper closed face, identified by its active halfspace indices."""
@@ -328,7 +353,7 @@ class Polytope:
             basis = np.zeros((0, n))
             complement = np.eye(n)
         else:
-            _, sv, vt = np.linalg.svd(spread, full_matrices=True)
+            _, sv, vt = np.linalg.svd(spread, full_matrices=pts.shape[0] < n)
             cutoff = max(sv[0] * 1e-10, 1e-12) if sv.size else 1e-12
             rank = int(np.sum(sv > cutoff))
             basis = vt[:rank]
@@ -454,13 +479,12 @@ class Polytope:
         """Euclidean projection; returns ``(point, distance)``.
 
         Boxes clip and inner points return themselves; otherwise the
-        active-set iteration runs.  When it ends without an accepted KKT
-        point, Dykstra's alternating projections take over.  Seeded
-        searches over random polytopes in 1-4 D reached that fallback only
-        from points about 100 away, on flat polytopes (an explicit
-        equality pair ``a``, ``-a`` with offset 0, or the hull of a
-        lower-dimensional point set) and on some 3-D and 4-D point hulls;
-        there Dykstra either converges or raises ProjectionError.
+        active-set iteration runs.  Where it gives up (seen on flat
+        polytopes and point hulls, mostly from 10 to 100 away), the point
+        is ``x + _min_norm_point(V - x)`` over the vertices ``V``; it must
+        pass ``contains(p, 10 * feas)``, its distance exceeds ``d(x, P)``
+        by at most ``1e-12 (d(x, P) + diam P)``, and above dim 4 it
+        raises the ``ScaleBoundError`` of :meth:`vertices`.
         """
         x = _as_point(x, self.dim)
         if self._box_bounds is not None:
@@ -471,7 +495,9 @@ class Polytope:
             return x.copy(), 0.0
         p = self._project_active_set(x)
         if p is None:
-            p = self._project_dykstra(x)
+            p = x + _min_norm_point(self._vertex_list() - x)
+            if not self.contains(p, 10 * self.tolerances.feas):
+                raise GeometryError("min-norm point left the polytope")
         return p, float(np.linalg.norm(x - p))
 
     def project_many(self, points):
@@ -503,16 +529,16 @@ class Polytope:
         passes ``contains(p, 10 * feas)``, so for the most violated row
         ``|y - p| >= a_i . (y - p) >= lower - 10 * feas``: a row with
         ``lower > radius + band`` projects farther than ``radius``.  A row
-        within ``feas`` of P projects to 0, and an accepted active-set
-        point with multipliers ``>= -1e-10`` is the projection onto the
-        working halfspaces, which contain P, so the scalar distance
-        exceeds ``d(y, P)`` by rounding only (Dykstra's fallback point
-        converges to the projection itself): a row with
-        ``upper < radius - band`` projects within ``radius``.  With the
-        default ``feas = 1e-9`` the band is ``1e-6`` times the magnitude,
-        a hundred times ``10 * feas`` and far above the rounding of the
-        bounds (about ``1e-16`` times the magnitude).  A wider band only
-        sends more rows to ``project``.
+        within ``feas`` of P projects to 0.  An accepted active-set point
+        (multipliers ``>= -1e-10``) is the projection onto working
+        halfspaces that contain P, and the min-norm fallback is at most
+        ``1e-12 (d(y, P) + diam P)`` farther: at desk scale both exceed
+        ``d(y, P)`` by far less than the band, so a row with ``upper <
+        radius - band`` projects within ``radius``.  With the default
+        ``feas = 1e-9`` the band is ``1e-6`` times the magnitude, a hundred
+        times ``10 * feas`` and far above the rounding of the bounds (about
+        ``1e-16`` times the magnitude).  A wider band only sends more rows
+        to ``project``.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self._box_bounds is not None:
@@ -533,15 +559,11 @@ class Polytope:
             within[i] = self.project(pts[i])[1] <= radius
         return within
 
-    def distance(self, x):
-        return self.project(x)[1]
-
     def _project_active_set(self, x):
         a, b = self._a, self._b
         m = self.num_halfspaces
         y, _ = self.chebyshev_center()
         working: list[int] = []
-        lam = np.zeros(0)
         for _ in range(max(10 * m, 50)):
             if working:
                 aw = a[working]
@@ -578,26 +600,6 @@ class Polytope:
                 working.append(hit)
         return None
 
-    def _project_dykstra(self, x):
-        a, b = self._a, self._b
-        m = self.num_halfspaces
-        y = x.copy()
-        corr = np.zeros((m, self.dim))
-        for _ in range(_DYKSTRA_SWEEPS):
-            shift = 0.0
-            for i in range(m):
-                z = y + corr[i]
-                viol = a[i] @ z - b[i]
-                y_new = z - max(viol, 0.0) * a[i]
-                corr[i] = z - y_new
-                shift = max(shift, float(np.linalg.norm(y_new - y)))
-                y = y_new
-            if shift <= 1e-13 and self.contains(y, self.tolerances.feas):
-                return y
-        if self.contains(y, 10 * self.tolerances.feas):
-            return y
-        raise ProjectionError("projection did not converge (ill-conditioned input)")
-
     # -- enumeration -----------------------------------------------------------
 
     def vertices(self):
@@ -609,6 +611,11 @@ class Polytope:
         are solved a block at a time (see the module docstring), and the
         result is bit for bit that of the one-subset-at-a-time loop.
         """
+        self._vertices = self._vertex_list()
+        return self._vertices
+
+    def _vertex_list(self):
+        """:meth:`vertices` without filling the cache (serialized as "V")."""
         if self._vertices is not None:
             return self._vertices
         if self.dim > _ENUM_DIM_LIMIT:
@@ -633,7 +640,6 @@ class Polytope:
                 raise GeometryError("vertex enumeration found nothing")
             verts = _dedupe_points(found)
         verts.setflags(write=False)
-        self._vertices = verts
         return verts
 
     def sample(self, rng, count):
@@ -1011,15 +1017,9 @@ def normal_cone_at(polytope, x, tolerances=None):
 
 
 def polytope_distance(first, second):
-    """Distance between two polytopes by alternating projections."""
-    x = first.chebyshev_center()[0]
-    prev = np.inf
-    for _ in range(_DISTANCE_ROUNDS):
-        y, _ = second.project(x)
-        x_new, _ = first.project(y)
-        gap = float(np.linalg.norm(x_new - y))
-        if abs(prev - gap) <= 1e-12:
-            return gap
-        prev = gap
-        x = x_new
-    return prev
+    """``|_min_norm_point|`` over the vertex differences, since ``P - Q =
+    conv(V_P - V_Q)`` (Gilbert, Johnson & Keerthi, *IEEE J. Robotics
+    Autom.* 4(2), 1988); it errs by at most ``1e-12`` of the largest
+    difference.  Dim <= 4 (else ``ScaleBoundError``); caches untouched."""
+    diff = first._vertex_list()[:, None] - second._vertex_list()[None]
+    return float(np.linalg.norm(_min_norm_point(diff.reshape(-1, first.dim))))

@@ -233,7 +233,7 @@ def build_chart(f: StepLevelFunction, z, radius_cap=None) -> LocalChart:
     if cheb_radius <= f.tolerances.feas:
         raise ChartError("strict sublevel set has empty interior at this level")
     sub_at_level = f.sublevel(level).polytope
-    dist = sub_at_level.distance(z)
+    dist = sub_at_level.project(z)[1]
     if dist <= f.tolerances.feas:
         raise ChartError("chart center touches the sublevel set")
     radius = min(0.9 * dist, 0.5 * cheb_radius)

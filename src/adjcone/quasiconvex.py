@@ -196,7 +196,7 @@ class StepLevelFunction:
         best = math.inf
         for lam, poly in zip(self.levels, self.polytopes):
             if lam < level - 1e-12:
-                best = min(best, poly.distance(y))
+                best = min(best, poly.project(y)[1])
         return best
 
     def rho(self, x):

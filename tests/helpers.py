@@ -1,12 +1,25 @@
 """Polytope oracles shared by the tests."""
 
 import numpy as np
+from scipy.optimize import nnls
 
 
 def same_set(first, second, tol=1e-7):
     """Set equality of two polytopes via mutual vertex membership."""
     return (bool(second.contains_many(first.vertices(), tol).all())
             and bool(first.contains_many(second.vertices(), tol).all()))
+
+
+def assert_projection_kkt(polytope, x, p, d):
+    """``(p, d)`` is the projection of ``x``: ``p`` is feasible, ``d`` is
+    ``|x - p|``, and ``x - p`` is a nonnegative combination of the rows
+    active at ``p`` (inactive rows carry no multiplier)."""
+    a, b = polytope.halfspaces
+    assert np.all(a @ p <= b + 1e-9)
+    assert d == np.linalg.norm(x - p)
+    active = a @ p >= b - 1e-9
+    _, residual = nnls(a[active].T, x - p)
+    assert residual <= 1e-9 * max(1.0, d)
 
 
 def is_inside_point(polytope, x):

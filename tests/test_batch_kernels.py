@@ -36,7 +36,7 @@ def reference_contains(f, x, y, tol=None):
         return False
     if f.in_argmin(x):
         return True
-    dist = min((poly.distance(y) for lam, poly in zip(f.levels, f.polytopes)
+    dist = min((poly.project(y)[1] for lam, poly in zip(f.levels, f.polytopes)
                 if lam < value - 1e-12), default=math.inf)
     return dist <= f.rho(x) + slack
 

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import nnls
+from scipy.optimize import minimize
 from scipy.spatial import ConvexHull
 
 from adjcone.geometry import (
@@ -14,6 +15,7 @@ from adjcone.geometry import (
     Polytope,
     ScaleBoundError,
     UnboundedPolytopeError,
+    _min_norm_point,
     grid_points,
     normal_cone_at,
     polar_extreme_rays,
@@ -21,7 +23,13 @@ from adjcone.geometry import (
     weighted_minkowski,
 )
 from adjcone.lp import solve_lp
-from helpers import band_edge_points, is_inside_point, same_set
+from adjcone.serialization import polytope_to_dict
+from helpers import (
+    assert_projection_kkt,
+    band_edge_points,
+    is_inside_point,
+    same_set,
+)
 
 INTERVAL = Polytope.from_box([-1.0], [0.0])
 UNIT_SQUARE = Polytope.from_box([-1, -1], [1, 1])
@@ -58,6 +66,19 @@ class TestConstruction:
         with pytest.raises(ValueError,
                            match=f"Polytope: {field} has a non-finite entry"):
             Polytope(a, b)
+
+    def test_from_vertices_memory_is_linear_in_points(self):
+        # A full SVD of the centred points allocated the unused N x N
+        # factor U: a 72 MB peak for these 3,000 points.
+        pts = np.random.default_rng(0).normal(size=(3000, 2))
+        Polytope.from_vertices(pts[:10])  # import scipy.spatial first
+        tracemalloc.start()
+        try:
+            Polytope.from_vertices(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_bad_cached_vertex_rejected(self):
         with pytest.raises(ValueError):
@@ -125,18 +146,12 @@ class TestProject:
         poly = random_polytope(seed, facets, dim)
         x = scale * np.random.default_rng(seed).normal(size=dim)
         p, d = poly.project(x)
-        a, b = poly.halfspaces
-        assert np.all(a @ p <= b + 1e-9)  # primal feasibility
-        assert d == np.linalg.norm(x - p)
-        active = a @ p >= b - 1e-9
         if poly.contains(x):
-            assert d == 0.0
+            assert d == 0.0 and np.array_equal(p, x)
             return
-        # x - p = A_active^T lam with lam >= 0; inactive rows carry none
-        _, residual = nnls(a[active].T, x - p)
-        assert residual <= 1e-9 * max(1.0, d)
+        assert_projection_kkt(poly, x, p, d)
 
-    def test_dykstra_matches_active_set(self):
+    def test_min_norm_point_matches_active_set(self):
         # these polytopes never reach the fallback, so call it directly
         rng = np.random.default_rng(17)
         for seed, dim in [(1, 2), (2, 3), (3, 3), (4, 4)]:
@@ -146,8 +161,8 @@ class TestProject:
                     continue
                 expected = poly._project_active_set(x)
                 assert expected is not None
-                np.testing.assert_allclose(poly._project_dykstra(x), expected,
-                                           rtol=0, atol=1e-9)
+                got = x + _min_norm_point(poly.vertices() - x)
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("poly, x", [
         # An explicit equality pair (rows a, -a, offset 0): a flat polytope.
@@ -163,20 +178,22 @@ class TestProject:
                                  [0.249, -0.937, -0.945], [-1.255, -0.536, 1.153],
                                  [0.175, 0.186, 0.326]]),
          [83.5, 2.9, -55.0]),
-    ], ids=["flat-equality-pair", "full-dimensional-hull"])
-    def test_far_point_falls_back_to_dykstra(self, poly, x):
+        # A 4-D hull of six points, about 99.5 away.
+        (Polytope.from_vertices([[0.15, -0.687, -0.171, -0.284],
+                                 [-0.27, 0.616, -0.446, -0.116],
+                                 [-0.862, 1.234, 1.753, 1.987],
+                                 [0.847, -0.003, -0.897, -1.019],
+                                 [-0.043, -1.206, 0.797, 0.287],
+                                 [-1.306, -0.18, 0.887, 1.194]]),
+         [28.441, 74.75, 40.709, -44.117]),
+    ], ids=["flat-equality-pair", "full-dimensional-hull", "full-dimensional-4d-hull"])
+    def test_far_point_falls_back_to_min_norm_point(self, poly, x):
         # From a point ~100 away the active-set iteration ends without a
-        # KKT point, and project falls back to Dykstra.
+        # KKT point, and project falls back to the min-norm-point kernel.
         x = np.asarray(x)
         assert poly._project_active_set(x) is None
         p, d = poly.project(x)
-        a, b = poly.halfspaces
-        assert np.all(a @ p <= b + 1e-9)  # primal feasibility
-        assert d == np.linalg.norm(x - p)
-        active = a @ p >= b - 1e-9
-        # x - p = A_active^T lam with lam >= 0; inactive rows carry none
-        _, residual = nnls(a[active].T, x - p)
-        assert residual <= 1e-9 * max(1.0, d)
+        assert_projection_kkt(poly, x, p, d)
 
 
 def flat_polytope(seed, dim):
@@ -461,6 +478,66 @@ def test_polytope_distance():
     a = Polytope.from_box([0, 0], [1, 1])
     b = Polytope.from_box([3, 0], [4, 1])
     assert polytope_distance(a, b) == pytest.approx(2.0)
+    # A gap that narrows from 1.01 to 1.0 over a length of 10: an
+    # iteration that creeps along it stops short of the nearest pair.
+    wedge = Polytope.from_vertices([[0, 2.01], [10, 2], [10, 3], [0, 3]])
+    assert abs(polytope_distance(Polytope.from_box([0, 0], [10, 1]), wedge)
+               - 1.0) <= 1e-9
+    # Serialization writes a vertex cache as "V": the distance fills none.
+    assert "V" not in polytope_to_dict(a) and "V" not in polytope_to_dict(b)
+
+
+def slsqp_distance(first, second):
+    """``min |u - v|`` over ``u in first``, ``v in second``, by SLSQP on
+    the two H-representations (no vertex enumeration)."""
+    n = first.dim
+    (a1, b1), (a2, b2) = first.halfspaces, second.halfspaces
+    rows = np.block([[a1, np.zeros_like(a1)], [np.zeros_like(a2), a2]])
+    offsets = np.concatenate([b1, b2])
+
+    def gap(z):
+        return z[:n] - z[n:]
+
+    res = minimize(lambda z: gap(z) @ gap(z),
+                   np.concatenate([first.chebyshev_center()[0],
+                                   second.chebyshev_center()[0]]),
+                   jac=lambda z: np.concatenate([2 * gap(z), -2 * gap(z)]),
+                   constraints=[{"type": "ineq",
+                                 "fun": lambda z: offsets - rows @ z,
+                                 "jac": lambda z: -rows}],
+                   method="SLSQP", options={"ftol": 1e-13, "maxiter": 1000})
+    assert res.success, res.message
+    return float(np.linalg.norm(gap(res.x)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["overlapping", "touching", "disjoint"]),
+       seed=st.integers(0, 2**32 - 2), dim=st.integers(1, 4))
+def test_polytope_distance_matches_slsqp(kind, seed, dim):
+    rng = np.random.default_rng(seed)
+    first = random_polytope(seed, 6, dim)
+    if kind == "touching":
+        # A vertex v plus rays of the normal cone at v: a polytope that
+        # meets ``first`` in v only.
+        v = first.vertices()[rng.integers(len(first.vertices()))]
+        a, b = first.halfspaces
+        active = a[a @ v >= b - 1e-9]
+        rays = rng.uniform(0.1, 1.0, size=(dim + 1, len(active))) @ active
+        second = Polytope.from_vertices(np.vstack([v, v + rays]))
+    else:
+        # Each holds the unit ball about its center and lies in the box
+        # of half-width 2 about it: a shift of 0.5 overlaps, 9 is apart.
+        u = rng.normal(size=dim)
+        shift = (0.5 if kind == "overlapping" else 9.0) * u / np.linalg.norm(u)
+        a, b = random_polytope(seed + 1, 6, dim).halfspaces
+        second = Polytope(a, b + a @ shift)
+    got = polytope_distance(first, second)
+    # SLSQP squares the distance, so at distance 0 it is good to ~1e-7.
+    assert abs(got - slsqp_distance(first, second)) <= 1e-6
+    if kind != "disjoint":
+        assert got <= 1e-9
+    else:
+        assert got >= 9.0 - 4.0 * math.sqrt(dim)
 
 
 def test_normal_cone_at_edge_and_corner():
