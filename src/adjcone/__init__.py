@@ -14,10 +14,8 @@ Submodules:
 __version__ = "0.1.0"
 
 from .geometry import (  # noqa: F401
-    DEFAULT_TOLERANCES,
     GeneratedCone,
     Polytope,
-    ToleranceConfig,
     weighted_minkowski,
 )
 from .quasiconvex import (  # noqa: F401

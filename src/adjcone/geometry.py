@@ -7,6 +7,10 @@ convex cone ``{sum t_k g_k : t_k >= 0}``.  All values are immutable after
 construction and every operation is a pure function of its inputs, so
 concurrent reads are safe.
 
+The toolkit's four fixed slacks are the constants ``FEAS``, ``GEN``,
+``CONE`` and ``ZERO`` below, imported by the other modules; a ``tol``
+argument defaults to one of them.
+
 Projections are solved as convex QPs by a primal active-set iteration
 with a min-norm-point fallback; linear subproblems go through the dense
 simplex kernel in :mod:`adjcone.lp`.  A caller that only compares
@@ -55,8 +59,10 @@ import numpy as np
 from .lp import solve_lp
 
 __all__ = [
-    "ToleranceConfig",
-    "DEFAULT_TOLERANCES",
+    "FEAS",
+    "GEN",
+    "CONE",
+    "ZERO",
     "GeometryError",
     "EmptyPolytopeError",
     "UnboundedPolytopeError",
@@ -71,6 +77,11 @@ __all__ = [
     "normal_cone_at",
     "polytope_distance",
 ]
+
+FEAS = 1e-9  # membership slack
+GEN = 1e-9  # minimum generator norm
+CONE = 1e-6  # cone-equality slack
+ZERO = 1e-3  # nonzero-base margin, above CONE
 
 _ENUM_DIM_LIMIT = 4
 _MINKOWSKI_LIMIT = 100_000
@@ -87,7 +98,7 @@ _PREFILTER_SLACK = 1e-7
 _COFACTOR_CONDITION = 1e-4
 _COFACTOR_SLACK = 1e-6
 # Half-width of the band around the radius in which ``within_distance``
-# projects instead of trusting its bounds, per unit of ``feas`` and of
+# projects instead of trusting its bounds, per unit of ``FEAS`` and of
 # magnitude; the method docstring argues the value.
 _DISTANCE_BAND = 1000.0
 
@@ -110,31 +121,6 @@ class ScaleBoundError(GeometryError):
 
 class ConeSectionError(GeometryError):
     """A generator does not point across the section hyperplane."""
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical slacks shared across the toolkit.
-
-    feas: membership slack; gen: minimum generator norm; cone: cone
-    equality slack; zero: nonzero-base margin.  Invariant: all positive
-    and ``zero > cone``.
-    """
-
-    feas: float = 1e-9
-    gen: float = 1e-9
-    cone: float = 1e-6
-    zero: float = 1e-3
-
-    def __post_init__(self):
-        for name in ("feas", "gen", "cone", "zero"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"tolerance {name} must be strictly positive")
-        if self.zero <= self.cone:
-            raise ValueError("zero margin must exceed the cone slack")
-
-
-DEFAULT_TOLERANCES = ToleranceConfig()
 
 
 def _as_point(x, dim):
@@ -272,9 +258,8 @@ class Polytope:
     in every +/- coordinate direction unless the caller vouches for them.
     """
 
-    def __init__(self, a, b, vertices=None, *, tolerances=None,
+    def __init__(self, a, b, vertices=None, *,
                  check_feasible=True, check_bounded=True):
-        tol = tolerances or DEFAULT_TOLERANCES
         a = np.atleast_2d(np.asarray(a, dtype=float))
         b = np.asarray(b, dtype=float).ravel()
         if not np.isfinite(a).all():
@@ -288,7 +273,7 @@ class Polytope:
         norms = np.linalg.norm(a, axis=1)
         keep = norms > 1e-14
         if not keep.all():
-            if np.any(b[~keep] < -tol.feas):
+            if np.any(b[~keep] < -FEAS):
                 raise EmptyPolytopeError("zero row with negative offset")
             a, b, norms = a[keep], b[keep], norms[keep]
             if a.shape[0] == 0:
@@ -298,7 +283,6 @@ class Polytope:
         self._a.setflags(write=False)
         self._b.setflags(write=False)
         self.dim = a.shape[1]
-        self.tolerances = tol
         self._vertices = None
         self._cheb = None
         self._bbox = None
@@ -313,7 +297,7 @@ class Polytope:
                 raise EmptyPolytopeError("halfspace system is infeasible")
         if self._box_bounds is not None:
             lo, hi = self._box_bounds
-            if np.any(hi < lo - tol.feas):
+            if np.any(hi < lo - FEAS):
                 raise EmptyPolytopeError("box bounds cross")
 
         if vertices is not None:
@@ -321,7 +305,7 @@ class Polytope:
             if verts.shape[1] != self.dim:
                 raise ValueError("cached vertices have the wrong dimension")
             slack = self._a @ verts.T - self._b[:, None]
-            if slack.size and slack.max() > tol.feas:
+            if slack.size and slack.max() > FEAS:
                 raise ValueError("a cached vertex violates the halfspaces")
             self._vertices = verts
             self._vertices.setflags(write=False)
@@ -329,18 +313,17 @@ class Polytope:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_box(cls, lo, hi, tolerances=None):
+    def from_box(cls, lo, hi):
         lo = np.asarray(lo, dtype=float).ravel()
         hi = np.asarray(hi, dtype=float).ravel()
         n = lo.size
         a = np.vstack([np.eye(n), -np.eye(n)])
         b = np.concatenate([hi, -lo])
-        return cls(a, b, tolerances=tolerances)
+        return cls(a, b)
 
     @classmethod
-    def from_vertices(cls, points, tolerances=None):
+    def from_vertices(cls, points):
         """Convex hull of a finite point set, degenerate sets included."""
-        tol = tolerances or DEFAULT_TOLERANCES
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 0:
             raise EmptyPolytopeError("no points given")
@@ -385,7 +368,7 @@ class Polytope:
             rows += [w, -w]
             offsets += [w @ center, -(w @ center)]
         return cls(np.array(rows), np.array(offsets), vertices=hull_pts,
-                   tolerances=tol, check_feasible=False, check_bounded=False)
+                   check_feasible=False, check_bounded=False)
 
     def _detect_box(self):
         """Recognize pure axis-box systems; enables closed-form fast paths."""
@@ -438,12 +421,12 @@ class Polytope:
 
     def contains(self, x, tol=None):
         x = _as_point(x, self.dim)
-        slack = tol if tol is not None else self.tolerances.feas
+        slack = tol if tol is not None else FEAS
         return bool(np.all(self._a @ x <= self._b + slack))
 
     def contains_many(self, points, tol=None):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        slack = tol if tol is not None else self.tolerances.feas
+        slack = tol if tol is not None else FEAS
         return np.all(pts @ self._a.T <= self._b + slack, axis=1)
 
     def bounding_box(self):
@@ -482,7 +465,7 @@ class Polytope:
         active-set iteration runs.  Where it gives up (seen on flat
         polytopes and point hulls, mostly from 10 to 100 away), the point
         is ``x + _min_norm_point(V - x)`` over the vertices ``V``; it must
-        pass ``contains(p, 10 * feas)``, its distance exceeds ``d(x, P)``
+        pass ``contains(p, 10 * FEAS)``, its distance exceeds ``d(x, P)``
         by at most ``1e-12 (d(x, P) + diam P)``, and above dim 4 it
         raises the ``ScaleBoundError`` of :meth:`vertices`.
         """
@@ -496,7 +479,7 @@ class Polytope:
         p = self._project_active_set(x)
         if p is None:
             p = x + _min_norm_point(self._vertex_list() - x)
-            if not self.contains(p, 10 * self.tolerances.feas):
+            if not self.contains(p, 10 * FEAS):
                 raise GeometryError("min-norm point left the polytope")
         return p, float(np.linalg.norm(x - p))
 
@@ -522,21 +505,21 @@ class Polytope:
         Chebyshev center ``c`` to ``y`` leaves P at ``z = c + t (y - c)``,
         with ``t`` from the ratio test, so ``d(y, P) <= |y - z| = upper``.
         A row is decided outside the band ``radius +/- band``, with
-        ``band = _DISTANCE_BAND * feas * (1 + max|y_k| + |radius|)``; only
+        ``band = _DISTANCE_BAND * FEAS * (1 + max|y_k| + |radius|)``; only
         the rows in the band go through :meth:`project`.
 
         The band holds the error of the scalar path.  Its point ``p``
-        passes ``contains(p, 10 * feas)``, so for the most violated row
-        ``|y - p| >= a_i . (y - p) >= lower - 10 * feas``: a row with
+        passes ``contains(p, 10 * FEAS)``, so for the most violated row
+        ``|y - p| >= a_i . (y - p) >= lower - 10 * FEAS``: a row with
         ``lower > radius + band`` projects farther than ``radius``.  A row
-        within ``feas`` of P projects to 0.  An accepted active-set point
+        within ``FEAS`` of P projects to 0.  An accepted active-set point
         (multipliers ``>= -1e-10``) is the projection onto working
         halfspaces that contain P, and the min-norm fallback is at most
         ``1e-12 (d(y, P) + diam P)`` farther: at desk scale both exceed
         ``d(y, P)`` by far less than the band, so a row with ``upper <
         radius - band`` projects within ``radius``.  With the default
-        ``feas = 1e-9`` the band is ``1e-6`` times the magnitude, a hundred
-        times ``10 * feas`` and far above the rounding of the bounds (about
+        ``FEAS = 1e-9`` the band is ``1e-6`` times the magnitude, a hundred
+        times ``10 * FEAS`` and far above the rounding of the bounds (about
         ``1e-16`` times the magnitude).  A wider band only sends more rows
         to ``project``.
         """
@@ -552,7 +535,7 @@ class Polytope:
             exit_at = np.where(rise > 0, (b - a @ center) / rise, np.inf)
         t = np.clip(exit_at.min(axis=1), 0.0, 1.0)
         upper = (1.0 - t) * np.linalg.norm(step, axis=1)
-        band = (_DISTANCE_BAND * self.tolerances.feas
+        band = (_DISTANCE_BAND * FEAS
                 * (1.0 + np.abs(pts).max(axis=1) + abs(radius)))
         within = upper < radius - band
         for i in np.flatnonzero(~within & (lower <= radius + band)):
@@ -577,7 +560,7 @@ class Polytope:
             step = target - y
             if np.linalg.norm(step) <= 1e-12:
                 if lam.size == 0 or np.all(lam >= -1e-10):
-                    if self.contains(target, 10 * self.tolerances.feas):
+                    if self.contains(target, 10 * FEAS):
                         return target
                     return None
                 drop = min(working[k] for k in range(len(working))
@@ -607,7 +590,7 @@ class Polytope:
 
         Every ``dim``-row subset with ``|det| >= 1e-10`` gives a candidate
         ``solve(rows, offsets)``, kept if it satisfies all halfspaces
-        within ``feas``; near-duplicates merge in subset order.  Subsets
+        within ``FEAS``; near-duplicates merge in subset order.  Subsets
         are solved a block at a time (see the module docstring), and the
         result is bit for bit that of the one-subset-at-a-time loop.
         """
@@ -628,13 +611,12 @@ class Polytope:
         else:
             a, b = self._a, self._b
             m = self.num_halfspaces
-            tol = self.tolerances.feas
             found = [np.zeros((0, self.dim))]
             for idx in _subset_blocks(m, self.dim):
                 sub = a[idx]
                 basis = ~(np.abs(np.linalg.det(sub)) < 1e-10)
                 cand = np.linalg.solve(sub[basis], b[idx[basis]][..., None])[..., 0]
-                found.append(cand[_satisfying(cand, a, b, tol)])
+                found.append(cand[_satisfying(cand, a, b, FEAS)])
             found = np.concatenate(found)
             if not len(found):
                 raise GeometryError("vertex enumeration found nothing")
@@ -649,10 +631,9 @@ class Polytope:
         return weights @ verts
 
     def _incidence(self):
-        """``on[i, k]``: vertex ``k`` lies on row ``i`` within
-        ``max(feas, 1e-9)``.  The one source of face structure."""
-        return (self._a @ self.vertices().T
-                >= self._b[:, None] - max(self.tolerances.feas, 1e-9))
+        """``on[i, k]``: vertex ``k`` lies on row ``i`` within ``FEAS``.
+        The one source of face structure."""
+        return self._a @ self.vertices().T >= self._b[:, None] - FEAS
 
     def reduced(self):
         """Irredundant facet rows plus implicit equality rows.
@@ -722,8 +703,7 @@ class GeneratedCone:
     cone definition; an empty generator list is the zero cone.
     """
 
-    def __init__(self, generators, dim=None, *, tolerances=None):
-        tol = tolerances or DEFAULT_TOLERANCES
+    def __init__(self, generators, dim=None):
         gens = np.atleast_2d(np.asarray(generators, dtype=float))
         if gens.size == 0:
             if dim is None:
@@ -732,30 +712,28 @@ class GeneratedCone:
         if dim is not None and gens.shape[1] != dim:
             raise ValueError("generator dimension mismatch")
         norms = np.linalg.norm(gens, axis=1)
-        if gens.shape[0] and norms.min() < tol.gen:
+        if gens.shape[0] and norms.min() < GEN:
             raise ValueError("generator below the minimum norm tolerance")
         self.generators = gens
         self.generators.setflags(write=False)
         self.dim = gens.shape[1]
-        self.tolerances = tol
 
     @classmethod
-    def from_rays(cls, rays, dim=None, tolerances=None):
+    def from_rays(cls, rays, dim=None):
         """Unit-normalize, drop near-zero rays, merge duplicates.
 
         Norms are ``_row_norms`` and the merge is ``_dedupe_points``, so
         the generators are those of a per-ray loop with
         ``np.linalg.norm``, bit for bit."""
-        tol = tolerances or DEFAULT_TOLERANCES
         rays = np.atleast_2d(np.asarray(rays, dtype=float))
         if rays.size == 0:
-            return cls(np.zeros((0, dim)), dim=dim, tolerances=tol)
+            return cls(np.zeros((0, dim)), dim=dim)
         norms = _row_norms(rays)
-        live = ~(norms < tol.gen)
+        live = ~(norms < GEN)
         kept = _dedupe_points(rays[live] / norms[live, None])
         dim = dim if dim is not None else rays.shape[1]
         return cls(kept if len(kept) else np.zeros((0, dim)),
-                   dim=dim, tolerances=tol)
+                   dim=dim)
 
     @property
     def is_zero(self):
@@ -764,7 +742,7 @@ class GeneratedCone:
     def contains(self, v, tol=None):
         """Nonnegative-combination membership, decided by a small LP."""
         v = _as_point(v, self.dim)
-        slack = tol if tol is not None else self.tolerances.cone
+        slack = tol if tol is not None else CONE
         vnorm = np.linalg.norm(v)
         if vnorm <= slack:
             return True
@@ -805,7 +783,7 @@ class GeneratedCone:
                 f"generator {bad} does not point across the hyperplane "
                 f"(dot={dots[bad]:.3e})")
         pts = offset * self.generators / dots[:, None]
-        return Polytope.from_vertices(pts, tolerances=self.tolerances)
+        return Polytope.from_vertices(pts)
 
     def minimal(self):
         """Prune generators expressible by the remaining ones."""
@@ -816,18 +794,16 @@ class GeneratedCone:
         while i < len(kept):
             others = [k for k in kept if k != kept[i]]
             if others:
-                sub = GeneratedCone(self.generators[others], dim=self.dim,
-                                    tolerances=self.tolerances)
+                sub = GeneratedCone(self.generators[others], dim=self.dim)
                 if sub.contains(self.generators[kept[i]], tol=1e-9):
                     kept.pop(i)
                     continue
             i += 1
-        return GeneratedCone(self.generators[kept], dim=self.dim,
-                             tolerances=self.tolerances)
+        return GeneratedCone(self.generators[kept], dim=self.dim)
 
     def equals(self, other, tol=None):
         """Mutual containment of generator sets."""
-        slack = tol if tol is not None else self.tolerances.cone
+        slack = tol if tol is not None else CONE
         mine = all(other.contains(g, slack) for g in self.generators)
         theirs = all(self.contains(g, slack) for g in other.generators)
         return mine and theirs
@@ -836,7 +812,7 @@ class GeneratedCone:
         return f"GeneratedCone(dim={self.dim}, rays={self.generators.shape[0]})"
 
 
-def weighted_minkowski(terms, tolerances=None):
+def weighted_minkowski(terms):
     """Weighted Minkowski sum ``{sum w_i q_i : q_i in Q_i}``.
 
     Weights must be nonnegative and sum to one within 1e-12.  Computed as
@@ -864,7 +840,7 @@ def weighted_minkowski(terms, tolerances=None):
     for w, q in terms:
         verts = w * q.vertices()
         sums = (sums[:, None, :] + verts[None, :, :]).reshape(-1, dim)
-    return Polytope.from_vertices(sums, tolerances=tolerances)
+    return Polytope.from_vertices(sums)
 
 
 def grid_points(polytope, mesh):
@@ -994,26 +970,25 @@ def polar_extreme_rays(directions, dim=None, tol=1e-9):
     return _dedupe_points(rays) if len(rays) else np.zeros((0, n))
 
 
-def normal_cone_at(polytope, x, tolerances=None):
+def normal_cone_at(polytope, x):
     """Normal cone of a polytope at a boundary (or interior) point.
 
     Generators are the active irredundant facet normals; implicit
     equality rows contribute both signs.  Interior points give the zero
     cone.
     """
-    tol = tolerances or polytope.tolerances
     x = _as_point(x, polytope.dim)
     a, b = polytope.halfspaces
     facet_idx, equality_idx = polytope.reduced()
     gens = []
     for i in facet_idx:
-        if a[i] @ x >= b[i] - max(tol.feas, 1e-9):
+        if a[i] @ x >= b[i] - FEAS:
             gens.append(a[i])
     for i in equality_idx:
         gens.append(a[i])
         gens.append(-a[i])
     return GeneratedCone.from_rays(np.array(gens) if gens else np.zeros((0, polytope.dim)),
-                                   dim=polytope.dim, tolerances=tol)
+                                   dim=polytope.dim)
 
 
 def polytope_distance(first, second):

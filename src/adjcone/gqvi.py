@@ -18,13 +18,14 @@ anything weaker is labelled ``residual_floor``.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (
-    DEFAULT_TOLERANCES,
+    FEAS,
     EmptyPolytopeError,
     GeometryError,
     Polytope,
@@ -54,6 +55,10 @@ __all__ = [
 ]
 
 
+# Random box points of the nonemptiness scan (``MovingPolytope.validate``).
+_SCAN_SAMPLES = 48
+
+
 class InstanceError(RuntimeError):
     """The instance violates a structural requirement (e.g. empty fix K)."""
 
@@ -61,8 +66,7 @@ class InstanceError(RuntimeError):
 class MovingPolytope:
     """Affinely moving constraint map ``K(x) = {y : A y <= b + D x} ∩ box``."""
 
-    def __init__(self, a, b, d, box: Polytope, *, tolerances=None):
-        tol = tolerances or DEFAULT_TOLERANCES
+    def __init__(self, a, b, d, box: Polytope):
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
         self.b = np.asarray(b, dtype=float).ravel()
         self.d = np.atleast_2d(np.asarray(d, dtype=float))
@@ -75,7 +79,6 @@ class MovingPolytope:
             raise ValueError("constraint matrix does not match the box dimension")
         self.box = box
         self.dim = box.dim
-        self.tolerances = tol
 
     def value(self, x) -> Polytope:
         """K(x); raises EmptyPolytopeError when infeasible at x."""
@@ -89,20 +92,21 @@ class MovingPolytope:
         box_a, box_b = self.box.halfspaces
         return Polytope(np.vstack([self.a, box_a]),
                         np.concatenate([self.b + self.d @ x, box_b]),
-                        tolerances=self.tolerances, check_bounded=False,
-                        check_feasible=check_feasible)
+                        check_bounded=False, check_feasible=check_feasible)
 
     def contains(self, x, y, tol=None):
-        slack = tol if tol is not None else self.tolerances.feas
+        slack = tol if tol is not None else FEAS
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
         return (bool(np.all(self.a @ y <= self.b + self.d @ x + slack))
                 and self.box.contains(y, slack))
 
-    def validate(self, samples=64, seed=0):
-        """Nonemptiness scan over the box; returns the failure points."""
+    def validate(self, seed=0):
+        """Nonemptiness scan over ``_SCAN_SAMPLES`` random box points and
+        the box vertices; returns the failure points."""
         rng = np.random.default_rng(seed)
-        points = np.vstack([self.box.sample(rng, samples), self.box.vertices()])
+        points = np.vstack([self.box.sample(rng, _SCAN_SAMPLES),
+                            self.box.vertices()])
         failures = []
         for x in points:
             try:
@@ -128,16 +132,27 @@ class TabulatedOperator:
 
     ``breakpoints`` has one entry fewer than ``polytopes``; cell i is
     ``x[axis] <= breakpoints[i]`` going left to right.  Deliberately able
-    to encode a jump, which the semicontinuity probes must detect.
+    to encode a jump, which the semicontinuity probes must detect.  A bad
+    argument raises ``ValueError`` whose message starts with its name.
     """
 
     def __init__(self, axis, breakpoints, polytopes):
         if len(polytopes) != len(breakpoints) + 1:
-            raise ValueError("need one more polytope than breakpoints")
+            raise ValueError("polytopes must number one more than breakpoints")
+        self.dim = polytopes[0].dim
+        if (isinstance(axis, bool) or not isinstance(axis, numbers.Integral)
+                or not 0 <= axis < self.dim):
+            raise ValueError(f"axis must be an integer in [0, {self.dim}), "
+                             f"got {axis!r}")
+        if any(isinstance(t, bool) or not isinstance(t, numbers.Real)
+               for t in breakpoints):
+            raise ValueError(f"breakpoints must be numbers, got {breakpoints!r}")
         self.axis = int(axis)
         self.breakpoints = [float(t) for t in breakpoints]
+        if not all(s < t for s, t in zip(self.breakpoints, self.breakpoints[1:])):
+            raise ValueError("breakpoints must strictly increase, "
+                             f"got {self.breakpoints!r}")
         self.polytopes = list(polytopes)
-        self.dim = polytopes[0].dim
 
     def value(self, x) -> Polytope:
         coord = float(np.asarray(x, dtype=float).ravel()[self.axis])
@@ -162,7 +177,6 @@ class GqviInstance:
     constraint_map: MovingPolytope
     operator: object
     config: SolverConfig = field(default_factory=SolverConfig)
-    tolerances: object = field(default_factory=lambda: DEFAULT_TOLERANCES)
 
 
 @dataclass
@@ -203,7 +217,6 @@ def fixed_point_set(constraint_map: MovingPolytope) -> Polytope:
     try:
         return Polytope(np.vstack([constraint_map.a - constraint_map.d, box_a]),
                         np.concatenate([constraint_map.b, box_b]),
-                        tolerances=constraint_map.tolerances,
                         check_bounded=False)
     except EmptyPolytopeError as exc:
         raise InstanceError("the constraint map has no fixed points") from exc
@@ -308,7 +321,6 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     t_start = time.perf_counter()
     cfg = instance.config
     cm = instance.constraint_map
-    tol = instance.tolerances
     fix = fixed_point_set(cm)
     rng = np.random.default_rng(cfg.seed)
     starts = [fix.chebyshev_center()[0]]
@@ -368,19 +380,19 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
                        iterations, time.perf_counter() - t_start, len(starts), trace)
 
 
-def lsc_probe(value_fn, box: Polytope, centers=12, radii=(1e-1, 1e-2, 1e-3),
-              seed=0, tol_lsc=1e-2):
+def lsc_probe(value_fn, box: Polytope, seed=0):
     """Inner-continuity probe for a polytope-valued map.
 
-    For probe centers x and shrinking radii r, measures the worst
-    ``dist(y, K(x'))`` over vertices y of K(x) and perturbed points x'.
-    Affinely moving maps shrink linearly with r; a jump stalls the curve
-    and fails the verdict.
+    For 12 random probe centers x, the box vertices and a grid, and radii
+    r = 1e-1, 1e-2, 1e-3, measures the worst ``dist(y, K(x'))`` over
+    vertices y of K(x) and perturbed points x'.  Affinely moving maps
+    shrink linearly with r; a jump stalls the curve and fails the verdict
+    (terminal value above 1e-2).
     """
     rng = np.random.default_rng(seed)
-    radii = tuple(sorted(radii, reverse=True))
+    radii = (1e-1, 1e-2, 1e-3)
     mesh = max(box.diameter() / 8.0, 1e-9)
-    points = np.vstack([box.sample(rng, centers), box.vertices(),
+    points = np.vstack([box.sample(rng, 12), box.vertices(),
                         _grid_points(box, mesh)])
     curves = []
     worst_terminal = 0.0
@@ -409,12 +421,12 @@ def lsc_probe(value_fn, box: Polytope, centers=12, radii=(1e-1, 1e-2, 1e-3),
             curve.append(max(within) if within else 0.0)
         curves.append(curve)
         worst_terminal = max(worst_terminal, curve[-1])
-    passed = worst_terminal <= tol_lsc
+    passed = worst_terminal <= 1e-2
     return {"radii": list(radii), "worst_terminal": worst_terminal,
             "passed": passed, "curves": curves}
 
 
-def hypothesis_report(instance: GqviInstance, samples=48, seed=0):
+def hypothesis_report(instance: GqviInstance, seed=0):
     """Informational record of the existence-theorem hypotheses.
 
     Compactness is structural (every K(x) carries the box constraints),
@@ -423,7 +435,7 @@ def hypothesis_report(instance: GqviInstance, samples=48, seed=0):
     the existence result does not apply.
     """
     cm = instance.constraint_map
-    failures = cm.validate(samples=samples, seed=seed)
+    failures = cm.validate(seed=seed)
     try:
         fixed_point_set(cm)
         fix_nonempty = True
@@ -432,7 +444,7 @@ def hypothesis_report(instance: GqviInstance, samples=48, seed=0):
     lsc = lsc_probe(cm.value, cm.box, seed=seed)
     report = {
         "bounded": True,
-        "nonempty_scan": {"checked": samples, "failures": len(failures)},
+        "nonempty_scan": {"checked": _SCAN_SAMPLES, "failures": len(failures)},
         # Every value K(x) is a closed convex polytope, so it always lies
         # in the convexity class the theory needs.
         "values_in_class_D": True,

@@ -83,8 +83,7 @@ def _finite(name, arr):
         raise ValueError(f"solve_lp: {name} has a non-finite entry")
 
 
-def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
-             max_iter=20000):
+def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.
 
     Variables are free unless ``bounds`` gives a per-variable ``(lo, hi)``
@@ -189,7 +188,7 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None,
         basis[need_art] = art_cols
     tableau[:, total] = np.abs(rhs)
 
-    budget = max(max_iter, 50 * (m + total))
+    budget = max(20000, 50 * (m + total))
     if n_art:
         cost1 = np.zeros(total)
         cost1[n_struct:] = 1.0

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DEFAULT_TOLERANCES, Polytope
+from .geometry import FEAS, Polytope
 
 __all__ = [
     "DomainError",
@@ -96,8 +96,7 @@ class StepLevelFunction:
     ``validate=False`` only to build corrupted diagnostic instances.
     """
 
-    def __init__(self, levels, polytopes, *, tolerances=None, validate=True):
-        tol = tolerances or DEFAULT_TOLERANCES
+    def __init__(self, levels, polytopes, *, validate=True):
         levels = [float(v) for v in levels]
         for i, v in enumerate(levels):
             if not math.isfinite(v):
@@ -114,14 +113,13 @@ class StepLevelFunction:
         if validate:
             for j in range(len(polytopes) - 1):
                 outer = polytopes[j + 1]
-                ok = outer.contains_many(polytopes[j].vertices(), tol.feas)
+                ok = outer.contains_many(polytopes[j].vertices(), FEAS)
                 if not ok.all():
                     raise ValueError(f"nestedness violated between levels "
                                      f"{levels[j]} and {levels[j + 1]}")
         self.levels = tuple(levels)
         self.polytopes = tuple(polytopes)
         self.dim = dims.pop()
-        self.tolerances = tol
         # Chebyshev radii witness the nonempty-interior hypothesis of the
         # chart construction for full-dimensional families.
         self._cheb = tuple(p.chebyshev_center() for p in self.polytopes)
@@ -136,7 +134,7 @@ class StepLevelFunction:
 
     @property
     def has_full_dimensional_levels(self) -> bool:
-        return all(r > self.tolerances.feas for _, r in self._cheb)
+        return all(r > FEAS for _, r in self._cheb)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float).ravel()
@@ -235,7 +233,7 @@ class StepLevelFunction:
         exactly when some level's distance is, and ``within_distance``
         is that comparison bit for bit.
         """
-        slack = tol if tol is not None else self.tolerances.feas
+        slack = tol if tol is not None else FEAS
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         if ys.shape[1] != self.dim:
             raise ValueError(f"expected points of dimension {self.dim}, "
@@ -469,15 +467,16 @@ def quasiconvexity_check(f, plan=None):
     return CheckVerdict(True, None, checked, kind="quasiconvexity")
 
 
-def _analytic_adjusted_witness(f, plan, rng, delta=1e-3, grid=801):
+def _analytic_adjusted_witness(f, plan, rng):
     """Search for a nonconvex adjusted set of an analytic function.
 
-    Membership is approximated on a box grid with the level offset
-    ``delta``; a witness is only reported when the midpoint misses the
-    plain sublevel set by a solid margin, which is robust to the grid.
+    Membership is approximated on a box grid (801 points per axis in 1-D,
+    161 above) with the level offset 1e-3; a witness is only reported
+    when the midpoint misses the plain sublevel set by a solid margin,
+    which is robust to the grid.
     """
     lo, hi = f.domain_box.bounding_box()
-    axes = [np.linspace(lo[k], hi[k], grid if f.dim == 1 else 161)
+    axes = [np.linspace(lo[k], hi[k], 801 if f.dim == 1 else 161)
             for k in range(f.dim)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim)
     values = np.array([f.evaluate(p) for p in mesh])
@@ -487,7 +486,7 @@ def _analytic_adjusted_witness(f, plan, rng, delta=1e-3, grid=801):
         fx = f.evaluate(x)
         if math.isinf(fx):
             continue
-        strict_mask = values <= fx - delta
+        strict_mask = values <= fx - 1e-3
         if not strict_mask.any():
             continue
         strict_pts = mesh[strict_mask]

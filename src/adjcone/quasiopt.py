@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DEFAULT_TOLERANCES, Polytope
+from .geometry import FEAS, Polytope
 from .gqvi import (
     GqviInstance,
     SolveReport,
@@ -78,7 +78,6 @@ class QuasioptInstance:
     atlas: Atlas
     config: SolverConfig = field(default_factory=SolverConfig)
     tol_opt: float = 1e-6
-    tolerances: object = field(default_factory=lambda: DEFAULT_TOLERANCES)
     grid_divisions: int = 200
 
     def validate(self):
@@ -129,8 +128,7 @@ def solve_quasiopt(instance: QuasioptInstance) -> QuasioptReport:
     instance.validate()
     operator = TFromNormal(instance.f, instance.atlas)
     gqvi_instance = GqviInstance(instance.constraint_map, operator,
-                                 config=instance.config,
-                                 tolerances=instance.tolerances)
+                                 config=instance.config)
     report = gqvi_solve(gqvi_instance)
     if report.status != "solved":
         return QuasioptReport(x=report.x, f_value=None, gqvi=report,
@@ -166,8 +164,7 @@ def brute_force_quasiopt(instance: QuasioptInstance, mesh):
             continue
         a, b, d = (instance.constraint_map.a, instance.constraint_map.b,
                    instance.constraint_map.d)
-        mask = np.all(box_grid @ a.T <= b + d @ x + instance.tolerances.feas,
-                      axis=1)
+        mask = np.all(box_grid @ a.T <= b + d @ x + FEAS, axis=1)
         if mask.any() and fx > f_on_grid[mask].min() + instance.tol_opt:
             continue
         solutions.append(x)

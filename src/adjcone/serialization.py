@@ -47,9 +47,18 @@ class SchemaError(ValueError):
 
 
 def _need(mapping, field, where):
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{where} must be an object")
     if field not in mapping:
         raise SchemaError(f"missing field {field!r} in {where}")
     return mapping[field]
+
+
+def _need_list(mapping, field, where):
+    value = _need(mapping, field, where)
+    if not isinstance(value, list):
+        raise SchemaError(f"{where}.{field} must be a list, got {value!r}")
+    return value
 
 
 def polytope_to_dict(polytope: Polytope) -> dict:
@@ -91,8 +100,8 @@ def function_from_dict(data, where="function"):
     _reject_non_finite(data, where)
     kind = _need(data, "type", where)
     if kind == "step":
-        levels = _need(data, "levels", where)
-        polys = _need(data, "polytopes", where)
+        levels = _need_list(data, "levels", where)
+        polys = _need_list(data, "polytopes", where)
         if len(levels) != len(polys):
             raise SchemaError(f"{where}: levels and polytopes lengths differ")
         return StepLevelFunction(
@@ -126,7 +135,7 @@ def atlas_from_dict(data, where="atlas") -> Atlas:
     _reject_non_finite(data, where)
     region = polytope_from_dict(_need(data, "region", where), f"{where}.region")
     charts = []
-    for i, entry in enumerate(_need(data, "charts", where)):
+    for i, entry in enumerate(_need_list(data, "charts", where)):
         at = f"{where}.charts[{i}]"
         charts.append(LocalChart(
             center=_point(entry, "z", at, region.dim),
@@ -233,11 +242,14 @@ def operator_from_dict(data, where="T"):
         return ConstantOperator(
             polytope_from_dict(_need(data, "polytope", where), f"{where}.polytope"))
     if kind == "tabulated":
-        return TabulatedOperator(
-            _need(data, "axis", where),
-            _need(data, "breakpoints", where),
-            [polytope_from_dict(p, f"{where}.polytopes[{i}]")
-             for i, p in enumerate(_need(data, "polytopes", where))])
+        axis = _need(data, "axis", where)
+        breakpoints = _need_list(data, "breakpoints", where)
+        polys = [polytope_from_dict(p, f"{where}.polytopes[{i}]")
+                 for i, p in enumerate(_need_list(data, "polytopes", where))]
+        try:
+            return TabulatedOperator(axis, breakpoints, polys)
+        except ValueError as exc:  # the message starts with the field
+            raise SchemaError(f"{where}.{exc}") from exc
     if kind == "normal_base":
         # Resolved by the caller: needs the function and atlas context.
         return data

@@ -3,6 +3,8 @@
 import numpy as np
 from scipy.optimize import nnls
 
+from adjcone.geometry import FEAS
+
 
 def same_set(first, second, tol=1e-7):
     """Set equality of two polytopes via mutual vertex membership."""
@@ -25,7 +27,7 @@ def assert_projection_kkt(polytope, x, p, d):
 def is_inside_point(polytope, x):
     """Membership in the relative interior (no proper face contains x)."""
     x = np.asarray(x, dtype=float).ravel()
-    tol = polytope.tolerances.feas
+    tol = FEAS
     if not polytope.contains(x, tol):
         return False
     facet_idx, equality_idx = polytope.reduced()

@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adjcone.geometry import (
+    CONE,
+    FEAS,
     GeneratedCone,
     GeometryError,
     Polytope,
@@ -53,7 +55,7 @@ def _sample_adjusted_polyhedral(f, x, sublevel_poly, strict_poly, radius, rng,
     ])
     blends = np.vstack([x + t * (cand - x) for t in (1.0, 0.6, 0.3)])
     _, dist = strict_poly.project_many(blends)
-    keep = blends[dist <= radius + f.tolerances.feas]
+    keep = blends[dist <= radius + FEAS]
     if len(keep) > count:
         keep = keep[rng.choice(len(keep), size=count, replace=False)]
     return keep
@@ -69,18 +71,18 @@ def reference_adjusted_normal_cone(f, x, verify_samples=REFERENCE_SAMPLES):
     if math.isinf(value):
         raise DomainError("point outside the domain")
     if f.in_argmin(x):
-        cone = normal_cone_at(f.polytopes[0], x, tolerances=f.tolerances)
+        cone = normal_cone_at(f.polytopes[0], x)
         return cone, np.zeros((0, f.dim)), False
 
     sub = f.sublevel(value).polytope
     strict = f.strict_sublevel(value).polytope
     anchor, radius = strict.project(x)
-    if radius <= f.tolerances.feas:
+    if radius <= FEAS:
         raise GeometryError("enlargement radius degenerate at x")
     ray = (x - anchor) / radius
-    facets = normal_cone_at(sub, x, tolerances=f.tolerances)
+    facets = normal_cone_at(sub, x)
     gens = np.vstack([facets.generators, ray[None, :]])
-    cone = GeneratedCone.from_rays(gens, dim=f.dim, tolerances=f.tolerances)
+    cone = GeneratedCone.from_rays(gens, dim=f.dim)
 
     rng = np.random.default_rng(_VERIFY_SEED)
     points = _sample_adjusted_polyhedral(f, x, sub, strict, radius, rng,
@@ -88,13 +90,12 @@ def reference_adjusted_normal_cone(f, x, verify_samples=REFERENCE_SAMPLES):
     fell_back = False
     if len(points):
         slackmax = ((points - x) @ cone.generators.T).max()
-        if slackmax > f.tolerances.cone:
+        if slackmax > CONE:
             fell_back = True
-            cone = polar_of_samples(points, x, dim=f.dim,
-                                    tolerances=f.tolerances)
+            cone = polar_of_samples(points, x, dim=f.dim)
             if not cone.is_zero:
                 slackmax = ((points - x) @ cone.generators.T).max()
-                if slackmax > 10 * f.tolerances.cone:
+                if slackmax > 10 * CONE:
                     raise ConeVerificationError(
                         f"fallback polar still violates the definition "
                         f"(slack {slackmax:.2e})")
@@ -183,7 +184,7 @@ def test_exact_cone_matches_sampled_reference(name, request, data):
     assert np.array_equal(got.generators, reference.generators)
     if len(points) and not got.is_zero:
         products = (points - x) @ got.generators.T
-        assert products.max() <= f.tolerances.feas
+        assert products.max() <= FEAS
     if name in NESTED and not f.in_argmin(x):
         value = f.evaluate(x)
         anchor, _ = f.strict_sublevel(value).polytope.project(x)

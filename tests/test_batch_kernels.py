@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from adjcone.geometry import Polytope
+from adjcone.geometry import FEAS, Polytope
 from adjcone.quasiconvex import ArgminError, DomainError, StepLevelFunction
 from helpers import band_edge_points
 
@@ -27,7 +27,7 @@ PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 def reference_contains(f, x, y, tol=None):
-    slack = tol if tol is not None else f.tolerances.feas
+    slack = tol if tol is not None else FEAS
     value = f.evaluate(x)
     if math.isinf(value):
         raise DomainError("adjusted set undefined outside the domain")
@@ -132,7 +132,7 @@ def test_band_edge_rows_match_reference(name, tol, request):
     # for anchors near every vertex of each non-argmin level: exactly the
     # rows that the distance bounds cannot decide.
     f = request.getfixturevalue(name)
-    slack = tol if tol is not None else f.tolerances.feas
+    slack = tol if tol is not None else FEAS
     rng = np.random.default_rng(11)
     outcomes = set()
     for j in range(1, len(f.levels)):

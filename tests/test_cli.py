@@ -567,6 +567,71 @@ def test_bad_atlas_build_exits_1(command, path, value, message, tmp_path,
                    "--out", str(tmp_path / "o")], message, capsys)
 
 
+_REGION_1D = {"A": [[1.0], [-1.0]], "b": [1.75, -0.25]}
+_POINT_1D = {"A": [[1.0], [-1.0]], "b": [1.0, -1.0]}
+_TABULATED_1D = {"kind": "tabulated", "axis": 0, "breakpoints": [0.0, 1.0],
+                 "polytopes": [_POINT_1D] * 3}
+
+BAD_STRUCTURE = [
+    ("quasiopt_window1d", ("atlas",), 5, "atlas must be an object"),
+    ("quasiopt_window1d", ("atlas",),
+     {"charts": 5, "region": _REGION_1D, "cover_step": 0.25},
+     "atlas.charts must be a list, got 5"),
+    ("quasiopt_window1d", ("atlas",),
+     {"charts": [5], "region": _REGION_1D, "cover_step": 0.25},
+     "atlas.charts[0] must be an object"),
+    ("quasiopt_window1d", ("K",), 5, "K must be an object"),
+    ("quasiopt_window1d", ("function",), 5, "function must be an object"),
+    ("quasiopt_window1d", ("function", "polytopes"), 5,
+     "function.polytopes must be a list, got 5"),
+    ("quasiopt_window1d", ("function", "levels"), 5,
+     "function.levels must be a list, got 5"),
+    ("step1d", ("levels",), 5, "function.levels must be a list, got 5"),
+    ("moving_interval", ("K",), 5, "K must be an object"),
+    ("moving_interval", ("T",), 5, "T must be an object"),
+    ("moving_interval", ("T",), {**_TABULATED_1D, "breakpoints": 5},
+     "T.breakpoints must be a list, got 5"),
+    ("moving_interval", ("T",), {**_TABULATED_1D, "polytopes": 5},
+     "T.polytopes must be a list, got 5"),
+    ("moving_interval", ("T",), {**_TABULATED_1D, "axis": 7},
+     "T.axis must be an integer in [0, 1), got 7"),
+    ("moving_interval", ("T",), {**_TABULATED_1D, "axis": True},
+     "T.axis must be an integer in [0, 1), got True"),
+    ("moving_interval", ("T",), {**_TABULATED_1D, "breakpoints": [1.0, 0.0]},
+     "T.breakpoints must strictly increase, got [1.0, 0.0]"),
+    ("moving_interval", ("T",), {**_TABULATED_1D, "breakpoints": [0.0, 0.0]},
+     "T.breakpoints must strictly increase, got [0.0, 0.0]"),
+]
+_STRUCTURE_COMMAND = {"quasiopt_window1d": "solve-quasiopt",
+                      "step1d": "check-quasiconvex",
+                      "moving_interval": "solve-gqvi"}
+
+
+@pytest.mark.parametrize("name, path, value, message", BAD_STRUCTURE, ids=[
+    "atlas-number", "charts-number", "chart-number", "quasiopt-K-number",
+    "function-number", "polytopes-number", "levels-number",
+    "step-levels-number", "gqvi-K-number", "T-number", "breakpoints-number",
+    "tabulated-polytopes-number", "axis-past-dim", "axis-bool",
+    "breakpoints-decreasing", "breakpoints-repeated"])
+def test_bad_instance_structure_exits_1(name, path, value, message, tmp_path,
+                                        capsys):
+    # Unchecked, a number where an object or a list belongs ended in a
+    # TypeError traceback out of serialization, a tabulated axis past the
+    # dimension in an IndexError, and unsorted breakpoints solved with
+    # mis-assigned cells.
+    instance = _edited_shipped(tmp_path, name, path, value)
+    _exits_1_with([_STRUCTURE_COMMAND[name], "--instance", str(instance),
+                   "--out", str(tmp_path / "o")], message, capsys)
+
+
+def test_tabulated_instance_solves(tmp_path):
+    # The well-formed base of the tabulated cases above.
+    instance = _edited_shipped(tmp_path, "moving_interval", ("T",),
+                               _TABULATED_1D)
+    assert run(["solve-gqvi", "--instance", str(instance),
+                "--out", str(tmp_path / "o")]) == 0
+
+
 # Non-box nested step families: one polytope (rounded unit normals of a
 # rotated simplex plus uniform directions) at scales 1, 2, 3.
 def _scaled_family(a, b):

@@ -53,12 +53,12 @@ def reference_dedupe_points(points, radius=geometry._MERGE_RADIUS):
 
 def reference_from_rays(rays, dim=None):
     """The generators of the ``GeneratedCone.from_rays`` loop the merge
-    kernel replaced (default tolerances)."""
+    kernel replaced."""
     rays = np.atleast_2d(np.asarray(rays, dtype=float))
     kept = []
     for g in rays:
         nrm = np.linalg.norm(g)
-        if nrm < geometry.DEFAULT_TOLERANCES.gen:
+        if nrm < geometry.GEN:
             continue
         u = g / nrm
         if all(np.linalg.norm(u - h) > geometry._MERGE_RADIUS for h in kept):
@@ -76,7 +76,7 @@ def reference_vertices(polytope):
             np.array(list(itertools.product(*zip(lo, hi)))))
     a, b = polytope.halfspaces
     m = polytope.num_halfspaces
-    tol = polytope.tolerances.feas
+    tol = geometry.FEAS
     found = []
     for idx in itertools.combinations(range(m), polytope.dim):
         sub = a[list(idx)]
@@ -367,7 +367,7 @@ def ray_inputs(draw):
             rays.append((u + rng.choice([1.0 - 1e-12, 1.0, 1.0 + 1e-12]) * w)
                         * 10.0 ** rng.uniform(-3.0, 3.0))
         elif kind == 1:
-            rays.append(u * geometry.DEFAULT_TOLERANCES.gen
+            rays.append(u * geometry.GEN
                         * rng.choice([1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.1]))
         elif kind == 2:
             rays.append(np.zeros(dim) if rng.random() < 0.5

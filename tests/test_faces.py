@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjcone.geometry import FaceDescriptor, Polytope, normal_cone_at
+from adjcone.geometry import FEAS, FaceDescriptor, Polytope, normal_cone_at
 from adjcone.lp import solve_lp
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
@@ -39,7 +39,7 @@ def reference_reduced(polytope):
     """The LP-based row classification ``Polytope.reduced`` replaced."""
     a, b = polytope.halfspaces
     m = polytope.num_halfspaces
-    tol = polytope.tolerances.feas
+    tol = FEAS
 
     alive = []
     for i in range(m):
@@ -79,7 +79,7 @@ def reference_proper_faces(polytope):
     facet_idx, _ = reference_reduced(polytope)
     verts = polytope.vertices()
     a, b = polytope.halfspaces
-    tol = max(polytope.tolerances.feas, 1e-9)
+    tol = FEAS
     all_ids = frozenset(range(len(verts)))
 
     facet_sets = []

@@ -9,6 +9,10 @@ from scipy.optimize import minimize
 from scipy.spatial import ConvexHull
 
 from adjcone.geometry import (
+    CONE,
+    FEAS,
+    GEN,
+    ZERO,
     ConeSectionError,
     EmptyPolytopeError,
     GeneratedCone,
@@ -225,7 +229,7 @@ WITHIN_KINDS = {
 class TestWithinDistance:
     """``within_distance`` is ``project_many(...)[1] <= radius`` bit for
     bit; the rows sit where the bounds are tight or loose, and radii below
-    ``feas`` put rows that the scalar path calls distance 0 beyond them."""
+    ``FEAS`` put rows that the scalar path calls distance 0 beyond them."""
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(kind=st.sampled_from(sorted(WITHIN_KINDS)),
@@ -241,8 +245,8 @@ class TestWithinDistance:
         assert np.array_equal(got, poly.project_many(pts)[1] <= radius)
 
     def test_rows_within_feas_count_as_distance_zero(self):
-        # The scalar path projects a row within feas of P to itself, so
-        # at a radius below feas these rows are within it although their
+        # The scalar path projects a row within FEAS of P to itself, so
+        # at a radius below FEAS these rows are within it although their
         # true distance exceeds it.
         poly = random_polytope(3)
         pts = band_edge_points(poly, 5e-10, np.random.default_rng(0))
@@ -548,21 +552,9 @@ def test_normal_cone_at_edge_and_corner():
     assert normal_cone_at(UNIT_SQUARE, [0.2, -0.3]).is_zero
 
 
-class TestToleranceConfig:
-    def test_defaults_valid(self):
-        from adjcone.geometry import ToleranceConfig
-        cfg = ToleranceConfig()
-        assert cfg.zero > cfg.cone > 0
-
-    def test_rejects_nonpositive(self):
-        from adjcone.geometry import ToleranceConfig
-        with pytest.raises(ValueError):
-            ToleranceConfig(feas=0.0)
-
-    def test_rejects_zero_below_cone(self):
-        from adjcone.geometry import ToleranceConfig
-        with pytest.raises(ValueError):
-            ToleranceConfig(cone=1e-3, zero=1e-6)
+def test_fixed_tolerances():
+    assert (FEAS, GEN, CONE, ZERO) == (1e-9, 1e-9, 1e-6, 1e-3)
+    assert ZERO > CONE
 
 
 def test_minkowski_split_weights_idempotent():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -239,6 +240,33 @@ class TestHypothesisReport:
         probe = lsc_probe(jump.value, box, seed=11)
         assert not probe["passed"]
         assert probe["worst_terminal"] > 1.0
+
+
+@pytest.mark.parametrize("axis, breakpoints, message", [
+    (1, [0.0], "axis must be an integer in [0, 1), got 1"),
+    (-1, [0.0], "axis must be an integer in [0, 1), got -1"),
+    (True, [0.0], "axis must be an integer in [0, 1), got True"),
+    (0.0, [0.0], "axis must be an integer in [0, 1), got 0.0"),
+    (0, [1.0, 0.0], "breakpoints must strictly increase"),
+    (0, [0.0, 0.0], "breakpoints must strictly increase"),
+    (0, ["0.5", 1.0], "breakpoints must be numbers"),
+], ids=["axis-past-dim", "axis-negative", "axis-bool", "axis-float",
+        "breakpoints-decreasing", "breakpoints-repeated", "breakpoints-string"])
+def test_tabulated_operator_rejects_bad_axis_and_breakpoints(axis, breakpoints,
+                                                            message):
+    # Unchecked, an axis past the dimension ended solve-gqvi in an
+    # IndexError and unsorted breakpoints silently mis-assigned cells.
+    cells = [Polytope.from_box([k], [k + 0.5])
+             for k in range(len(breakpoints) + 1)]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TabulatedOperator(axis, breakpoints, cells)
+
+
+def test_tabulated_operator_cells():
+    cells = [Polytope.from_box([k], [k + 0.5]) for k in range(3)]
+    op = TabulatedOperator(np.int64(0), [-1.0, 1.0], cells)
+    assert [op.value([x]) for x in (-2.0, -1.0, 0.0, 1.0, 2.0)] == [
+        cells[0], cells[0], cells[1], cells[1], cells[2]]
 
 
 class _FailingOperator:
