@@ -452,6 +452,67 @@ def test_solver_outputs_pinned(command, name, tmp_path):
     assert sha256_of(out / "report.json") == SOLVER_DIGESTS[command, name]
 
 
+# sha256 of (report.json, trace.csv) of ``solve-gqvi --trace``, recorded
+# from the start-by-start solver loop: the trace lists every damped step
+# in (start, iteration) order.
+TRACE_DIGESTS = {
+    "moving_interval": (
+        "3a30017b41dcc253d1651c78be1eafb58c17697d97a0f7149b15977afe461ba0",
+        "12510d4f1dfcbe9abf5d0997d6538c2c1ebb9de80fb8901845800f3a959248b2"),
+    "gqvi2d": (
+        "3a13b81a6d035adadc075876422fbaf7d5e78cedfb1e4789931c6bd686a261ff",
+        "2b759ddd695700b8d5d2ac2c2911dbcf50fa44e2535191b6f4856ff36891c61e"),
+    "gqvi3d": (
+        "4bb4caeb01ec0ce618a2cd3a316a0882cc0aee0f0a2ef8c2425a372271191f8b",
+        "6ff8bf15cb6dde6a6592679e1e52d7bdbf3abcbb76bc2b9289d06a0b15eea9d2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+def test_solver_trace_pinned(name, tmp_path):
+    if name in NON_BOX_GQVI:
+        instance = tmp_path / f"{name}.json"
+        dump_json(NON_BOX_GQVI[name], instance)
+    else:
+        instance = os.path.join(SHIPPED, f"{name}.json")
+    out = tmp_path / "o"
+    assert run(["solve-gqvi", "--instance", str(instance), "--out", str(out),
+                "--trace"]) == 0
+    assert (sha256_of(out / "report.json"),
+            sha256_of(out / "trace.csv")) == TRACE_DIGESTS[name]
+
+
+def _point_3d(v):
+    return {"A": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+                  [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]],
+            "b": [v, 0.0, 0.0, -v, 0.0, 0.0]}
+
+
+# The 3-D constraint map of GQVI_3D with an operator that pushes toward
+# +x0 left of 0 and toward -x0 right of it, so the inequality has no
+# solution, no start is accepted after its one step, and the report comes
+# from the grid fallback (58 grid points) as ``residual_floor``.
+GRID_FALLBACK_3D = {
+    **GQVI_3D,
+    "T": {"kind": "tabulated", "axis": 0, "breakpoints": [0.0],
+          "polytopes": [_point_3d(-1.0), _point_3d(1.0)]},
+    "solver": {"starts": 4, "seed": 7, "max_iters": 1, "mesh_divisions": 8},
+}
+
+
+def test_solver_grid_fallback_pinned(tmp_path):
+    instance = tmp_path / "grid_fallback3d.json"
+    dump_json(GRID_FALLBACK_3D, instance)
+    out = tmp_path / "o"
+    assert run(["solve-gqvi", "--instance", str(instance),
+                "--out", str(out)]) == 2
+    report = report_of(out)["report"]
+    assert report["status"] == "residual_floor"
+    assert report["iterations"] == report["starts_tried"] + 58
+    assert sha256_of(out / "report.json") == (
+        "14233ba3c4fbc37388567ca4183024f0d20e90dc60664c59b1c281e9b13fc175")
+
+
 @pytest.mark.parametrize("name, path, value, command", [
     pytest.param("sq2d", ("polytopes", 0, "A", 0, 0), "NaN",
                  ["adjusted-set", "--at=2,2"], id="sq2d-A-nan"),
