@@ -250,6 +250,52 @@ class FaceDescriptor:
     dim: int
 
 
+def _unit_halfspaces(a, b, norms):
+    """The system ``a x <= b`` with unit normals, given the row norms of
+    ``a``: zero rows are dropped, and a zero row with a negative offset
+    makes the system empty."""
+    keep = norms > 1e-14
+    if not keep.all():
+        if np.any(b[~keep] < -FEAS):
+            raise EmptyPolytopeError("zero row with negative offset")
+        a, b, norms = a[keep], b[keep], norms[keep]
+        if a.shape[0] == 0:
+            raise UnboundedPolytopeError("no effective halfspaces")
+    return a / norms[:, None], b / norms
+
+
+def _axis_layout(a):
+    """``(axis, upper)`` per row when every unit row of ``a`` is a signed
+    axis, which enables closed-form fast paths; None otherwise."""
+    layout = []
+    for row in a:
+        nz = np.nonzero(np.abs(row) > 1e-12)[0]
+        if nz.size != 1:
+            return None
+        j = nz[0]
+        if abs(abs(row[j]) - 1.0) > 1e-12:
+            return None
+        layout.append((j, row[j] > 0))
+    return layout
+
+
+def _axis_box(layout, b, dim):
+    """``(lo, hi)`` of the axis rows ``layout`` with offsets ``b``.
+    Raises when a coordinate lacks a bound or the bounds cross."""
+    lo = np.full(dim, -np.inf)
+    hi = np.full(dim, np.inf)
+    for (j, upper), off in zip(layout, b):
+        if upper:
+            hi[j] = min(hi[j], off)
+        else:
+            lo[j] = max(lo[j], -off)
+    if np.any(np.isinf(lo)) or np.any(np.isinf(hi)):
+        raise UnboundedPolytopeError("box is unbounded in a coordinate")
+    if np.any(hi < lo - FEAS):
+        raise EmptyPolytopeError("box bounds cross")
+    return lo, hi
+
+
 class Polytope:
     """Nonempty bounded polyhedron ``{x : a_i . x <= b_i}``.
 
@@ -270,16 +316,7 @@ class Polytope:
             raise ValueError("halfspace matrix and offset vector disagree")
         if a.shape[0] == 0:
             raise ValueError("a polytope needs at least one halfspace")
-        norms = np.linalg.norm(a, axis=1)
-        keep = norms > 1e-14
-        if not keep.all():
-            if np.any(b[~keep] < -FEAS):
-                raise EmptyPolytopeError("zero row with negative offset")
-            a, b, norms = a[keep], b[keep], norms[keep]
-            if a.shape[0] == 0:
-                raise UnboundedPolytopeError("no effective halfspaces")
-        self._a = a / norms[:, None]
-        self._b = b / norms
+        self._a, self._b = _unit_halfspaces(a, b, np.linalg.norm(a, axis=1))
         self._a.setflags(write=False)
         self._b.setflags(write=False)
         self.dim = a.shape[1]
@@ -287,7 +324,9 @@ class Polytope:
         self._cheb = None
         self._bbox = None
         self._reduced = None
-        self._box_bounds = self._detect_box()
+        layout = _axis_layout(self._a)
+        self._box_bounds = (None if layout is None
+                            else _axis_box(layout, self._b, self.dim))
 
         if check_bounded:
             self._bbox = self._compute_bbox()  # raises if unbounded
@@ -295,10 +334,6 @@ class Polytope:
             probe = solve_lp(np.zeros(self.dim), a_ub=self._a, b_ub=self._b)
             if probe.status == "infeasible":
                 raise EmptyPolytopeError("halfspace system is infeasible")
-        if self._box_bounds is not None:
-            lo, hi = self._box_bounds
-            if np.any(hi < lo - FEAS):
-                raise EmptyPolytopeError("box bounds cross")
 
         if vertices is not None:
             verts = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -369,25 +404,6 @@ class Polytope:
             offsets += [w @ center, -(w @ center)]
         return cls(np.array(rows), np.array(offsets), vertices=hull_pts,
                    check_feasible=False, check_bounded=False)
-
-    def _detect_box(self):
-        """Recognize pure axis-box systems; enables closed-form fast paths."""
-        lo = np.full(self.dim, -np.inf)
-        hi = np.full(self.dim, np.inf)
-        for row, off in zip(self._a, self._b):
-            nz = np.nonzero(np.abs(row) > 1e-12)[0]
-            if nz.size != 1:
-                return None
-            j = nz[0]
-            if abs(abs(row[j]) - 1.0) > 1e-12:
-                return None
-            if row[j] > 0:
-                hi[j] = min(hi[j], off)
-            else:
-                lo[j] = max(lo[j], -off)
-        if np.any(np.isinf(lo)) or np.any(np.isinf(hi)):
-            raise UnboundedPolytopeError("box is unbounded in a coordinate")
-        return lo, hi
 
     def _compute_bbox(self):
         if self._box_bounds is not None:

@@ -13,6 +13,13 @@ verifies.  The solver is a heuristic (damped fixed-point iteration with
 multistart and a grid fallback): the underlying theory is existence
 only, so every reported solution is re-verified from scratch and
 anything weaker is labelled ``residual_floor``.
+
+The starts are independent, so ``solve`` advances them in lockstep, one
+damped step of every live start at a time, and solves that step's
+minimax LPs together with ``lp.solve_lp_many``.  Each LP keeps the bits
+of its own ``solve_lp`` and every step rule stays per start, so the
+report, trace and iteration count are those of running the starts one
+after another.
 """
 
 from __future__ import annotations
@@ -29,8 +36,11 @@ from .geometry import (
     EmptyPolytopeError,
     GeometryError,
     Polytope,
+    _axis_box,
+    _axis_layout,
+    _unit_halfspaces,
 )
-from .lp import solve_lp
+from .lp import prepare_lp, solve_lp, solve_lp_many
 
 # The benchmark's layer tracer looks this helper up as ``gqvi._grid_points``
 # (ROADMAP item 3 renames that target at the next benchmark change).
@@ -58,6 +68,10 @@ __all__ = [
 # Random box points of the nonemptiness scan (``MovingPolytope.validate``).
 _SCAN_SAMPLES = 48
 
+# Grid points of the solver's fallback evaluated in one lockstep batch;
+# bounds the stacked tableaux at a few MB.
+_GRID_CHUNK = 256
+
 
 class InstanceError(RuntimeError):
     """The instance violates a structural requirement (e.g. empty fix K)."""
@@ -79,20 +93,37 @@ class MovingPolytope:
             raise ValueError("constraint matrix does not match the box dimension")
         self.box = box
         self.dim = box.dim
+        self._rows = None  # rows of K(x), norms and axis layout
 
     def value(self, x) -> Polytope:
         """K(x); raises EmptyPolytopeError when infeasible at x."""
-        return self._slice(x, check_feasible=True)
-
-    def _slice(self, x, check_feasible):
-        # Without the feasibility LP, only the closed-form checks (zero
-        # rows, crossing box bounds) can raise; the caller must settle
-        # emptiness itself.
         x = np.asarray(x, dtype=float).ravel()
         box_a, box_b = self.box.halfspaces
         return Polytope(np.vstack([self.a, box_a]),
                         np.concatenate([self.b + self.d @ x, box_b]),
-                        check_bounded=False, check_feasible=check_feasible)
+                        check_bounded=False)
+
+    def _halfspaces_at(self, x):
+        """The unit-normal rows of K(x), bit for bit those of ``value(x)``,
+        without its feasibility LP: the caller must settle emptiness.
+
+        Only the closed-form checks (non-finite or zero rows, crossing box
+        bounds) raise.  The rows of K(x) do not depend on x, so their
+        norms and axis layout are computed once, as ``Polytope`` does.
+        """
+        if self._rows is None:
+            rows = np.vstack([self.a, self.box.halfspaces[0]])
+            norms = np.linalg.norm(rows, axis=1)
+            unit, _ = _unit_halfspaces(rows, np.zeros(len(rows)), norms)
+            self._rows = rows, norms, _axis_layout(unit)
+        rows, norms, layout = self._rows
+        b = np.concatenate([self.b + self.d @ x, self.box.halfspaces[1]])
+        if not np.isfinite(b).all():
+            raise ValueError("Polytope: b has a non-finite entry")
+        a, b = _unit_halfspaces(rows, b, norms)
+        if layout is not None:
+            _axis_box(layout, b, self.dim)
+        return a, b
 
     def contains(self, x, y, tol=None):
         slack = tol if tol is not None else FEAS
@@ -222,6 +253,35 @@ def fixed_point_set(constraint_map: MovingPolytope) -> Polytope:
         raise InstanceError("the constraint map has no fixed points") from exc
 
 
+def _minimax_program(operator, constraint_map, x):
+    """``(c, a_ub, b_ub, vertices of T(x))`` of the minimax LP at x."""
+    n = x.size
+    # K(x) skips its own feasibility LP: t is free, so the minimax LP is
+    # feasible exactly when K(x) is, and its phase 1 decides emptiness.
+    k_a, k_b = constraint_map._halfspaces_at(x)
+    vertices = operator.value(x).vertices()
+    # variables (y, t): minimize t subject to v_j.y - t <= v_j.x, y in K(x)
+    a_ub = np.zeros((len(vertices) + len(k_a), n + 1))
+    a_ub[:len(vertices), :n] = vertices
+    a_ub[:len(vertices), n] = -1.0
+    a_ub[len(vertices):, :n] = k_a
+    b_ub = np.concatenate([vertices @ x, k_b])
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    return c, a_ub, b_ub, vertices
+
+
+def _minimax_result(sol, vertices, x) -> MinimaxResult:
+    if sol.status == "infeasible":
+        raise EmptyPolytopeError("constraint set K(x) is empty")
+    if not sol.optimal:
+        raise InstanceError(f"minimax LP ended with status {sol.status}")
+    y_opt = sol.x[:x.size]
+    products = vertices @ (y_opt - x)
+    witness = vertices[int(np.argmax(products))]
+    return MinimaxResult(value=float(sol.value), y_opt=y_opt, witness=witness)
+
+
 def minimax_value(operator, constraint_map, x) -> MinimaxResult:
     """One-LP evaluation of ``min_{y in K(x)} max_j <v_j, y - x>``.
 
@@ -229,28 +289,39 @@ def minimax_value(operator, constraint_map, x) -> MinimaxResult:
     nonnegative.  Raises EmptyPolytopeError when K(x) is empty.
     """
     x = np.asarray(x, dtype=float).ravel()
-    n = x.size
-    # K(x) skips its own feasibility LP: t is free, so the minimax LP is
-    # feasible exactly when K(x) is, and its phase 1 decides emptiness.
-    feasible = constraint_map._slice(x, check_feasible=False)
-    vertices = operator.value(x).vertices()
-    k_a, k_b = feasible.halfspaces
-    # variables (y, t): minimize t subject to v_j.y - t <= v_j.x, y in K(x)
-    top = np.hstack([vertices, -np.ones((len(vertices), 1))])
-    bottom = np.hstack([k_a, np.zeros((k_a.shape[0], 1))])
-    a_ub = np.vstack([top, bottom])
-    b_ub = np.concatenate([vertices @ x, k_b])
-    c = np.zeros(n + 1)
-    c[n] = 1.0
+    c, a_ub, b_ub, vertices = _minimax_program(operator, constraint_map, x)
     sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
-    if sol.status == "infeasible":
-        raise EmptyPolytopeError("constraint set K(x) is empty")
-    if not sol.optimal:
-        raise InstanceError(f"minimax LP ended with status {sol.status}")
-    y_opt = sol.x[:n]
-    products = vertices @ (y_opt - x)
-    witness = vertices[int(np.argmax(products))]
-    return MinimaxResult(value=float(sol.value), y_opt=y_opt, witness=witness)
+    return _minimax_result(sol, vertices, x)
+
+
+# A branch of the solver hit an operator hole or an empty slice.
+_ABANDON = (GeometryError, InstanceError, ValueError)
+
+
+def _minimax_many(operator, constraint_map, points):
+    """``minimax_value`` at every point, its LPs solved in lockstep.
+
+    Each entry is the point's MinimaxResult, or the ``_ABANDON`` error
+    that ``minimax_value`` raises there; an LPError ends the call.
+    """
+    out = [None] * len(points)
+    pending = []
+    for i, x in enumerate(points):
+        x = np.asarray(x, dtype=float).ravel()
+        try:
+            c, a_ub, b_ub, vertices = _minimax_program(operator, constraint_map, x)
+            program = prepare_lp(c, a_ub=a_ub, b_ub=b_ub)
+        except _ABANDON as exc:
+            out[i] = exc
+            continue
+        pending.append((i, x, vertices, program))
+    solutions = solve_lp_many([program for *_, program in pending])
+    for (i, x, vertices, _), sol in zip(pending, solutions):
+        try:
+            out[i] = _minimax_result(sol, vertices, x)
+        except _ABANDON as exc:
+            out[i] = exc
+    return out
 
 
 def sion_check(operator, constraint_map, x) -> SionResult:
@@ -317,6 +388,15 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     the branch; if no branch qualifies, the residual is maximized over a
     grid of the fixed-point set and reported as ``residual_floor``.
     Candidate ties break toward smaller norm, then lexicographically.
+
+    The starts run in lockstep: every live start takes its next step at
+    once, and ``_minimax_many`` solves their minimax LPs as lanes of
+    stacked simplex tableaux.  This is bit for bit the start-by-start
+    loop: no start reads another, each lane's LP has the bits of its own
+    ``solve_lp``, the step rules are per-lane scalar code, and trace rows
+    and candidates are kept per start and read in (start, iteration)
+    order.  The grid fallback evaluates its points the same way and scans
+    them in grid order.
     """
     t_start = time.perf_counter()
     cfg = instance.config
@@ -328,38 +408,47 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     starts.extend(fix.sample(rng, cfg.starts))
 
     iterations = 0
-    candidates = []
-    trace = [] if collect_trace else None
-    for start_idx, x in enumerate(starts):
-        x = np.asarray(x, dtype=float).copy()
-        try:
-            for _ in range(cfg.max_iters):
-                result = minimax_value(instance.operator, cm, x)
-                iterations += 1
-                if collect_trace:
-                    trace.append((start_idx, x.copy(), result.value))
-                if cm.contains(x, x) and result.value >= -cfg.tol_solve:
-                    candidates.append((x.copy(), result))
-                    break
-                x_next = (1.0 - cfg.gamma) * x + cfg.gamma * result.y_opt
-                if np.linalg.norm(x_next - x) <= 1e-12:
-                    break
-                x = x_next
-        except (GeometryError, InstanceError, ValueError):
-            continue  # branch hit an operator hole or infeasible slice
+    points = [np.asarray(x, dtype=float).copy() for x in starts]
+    accepted = [None] * len(starts)
+    rows = [[] for _ in starts]
+    live = list(range(len(starts)))
+    for _ in range(cfg.max_iters):
+        if not live:
+            break
+        results = _minimax_many(instance.operator, cm, [points[i] for i in live])
+        moving = []
+        for i, result in zip(live, results):
+            if not isinstance(result, MinimaxResult):
+                continue  # branch hit an operator hole or infeasible slice
+            iterations += 1
+            x = points[i]
+            if collect_trace:
+                rows[i].append((i, x.copy(), result.value))
+            if cm.contains(x, x) and result.value >= -cfg.tol_solve:
+                accepted[i] = (x.copy(), result)
+                continue
+            x_next = (1.0 - cfg.gamma) * x + cfg.gamma * result.y_opt
+            if np.linalg.norm(x_next - x) <= 1e-12:
+                continue
+            points[i] = x_next
+            moving.append(i)
+        live = moving
+    candidates = [found for found in accepted if found is not None]
+    trace = [row for lane in rows for row in lane] if collect_trace else None
 
     if not candidates:
         mesh = max(fix.diameter() / cfg.mesh_divisions, 1e-9)
+        grid = _grid_points(fix, mesh)
         best = None
-        for g in _grid_points(fix, mesh):
-            try:
-                result = minimax_value(instance.operator, cm, g)
-            except (GeometryError, InstanceError, ValueError):
-                continue
-            iterations += 1
-            if best is None or _candidate_key(g, result.value) < _candidate_key(*best_key):
-                best = (g, result)
-                best_key = (g, result.value)
+        for lo in range(0, len(grid), _GRID_CHUNK):
+            chunk = grid[lo:lo + _GRID_CHUNK]
+            for g, result in zip(chunk, _minimax_many(instance.operator, cm, chunk)):
+                if not isinstance(result, MinimaxResult):
+                    continue
+                iterations += 1
+                if best is None or _candidate_key(g, result.value) < _candidate_key(*best_key):
+                    best = (g, result)
+                    best_key = (g, result.value)
         if best is None:
             return SolveReport("infeasible", None, None, None, iterations,
                                time.perf_counter() - t_start, len(starts), trace)

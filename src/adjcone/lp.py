@@ -7,6 +7,24 @@ Bland's smallest-index rule is used for both the entering and the
 leaving variable, which makes the iteration cycle-free.  Each pivot is
 one masked rank-1 update of the tableau; every element goes through the
 same multiply and subtract as a row-by-row update would.
+
+``solve_lp_many`` solves many programs in lockstep, one simplex
+iteration of every program per step.  Programs whose tableaux have the
+same shape are stacked into one ``(k, m, n)`` array; each keeps its own
+basis, entering column, ratio test and pivot, so every program ends with
+the bits ``solve_lp`` gives it:
+
+- both build the tableau with one helper (``prepare_lp``);
+- the stacked pricing product ``(k, 1, m) @ (k, m, n)`` makes the same
+  BLAS ``gemv`` call per program, on the same strides, as the
+  program's own ``cost[basis] @ tableau``;
+- the ratios, the rank-1 update and the row scaling are elementwise;
+- the leaving row is taken from the minimum ratios only when the tie
+  scan provably picks it (``_stack_leaving``), and by the scan itself
+  otherwise.
+
+Stacks are never padded to a common shape: extra columns change the
+bits of the BLAS product.  A stack of one program runs the scalar loop.
 """
 
 from __future__ import annotations
@@ -16,11 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LPError", "LPSolution", "solve_lp"]
+__all__ = ["LPError", "LPSolution", "prepare_lp", "solve_lp", "solve_lp_many"]
 
 _COST_TOL = 1e-9
 _PIVOT_TOL = 1e-10
 _PHASE1_TOL = 1e-8
+_TIE = 1e-12  # ratios this close tie; the smaller basic index leaves
 
 
 class LPError(RuntimeError):
@@ -38,6 +57,38 @@ class LPSolution:
         return self.status == "optimal"
 
 
+@dataclass(eq=False)
+class LPTableau:
+    """A program between simplex phases: the tableau and basis of its
+    current phase and what maps the final basis back to ``x``.  Phase 1
+    is pending while ``n_art`` is nonzero."""
+
+    tableau: np.ndarray
+    basis: np.ndarray
+    n_struct: int
+    n_art: int
+    budget: int
+    c: np.ndarray
+    shift: np.ndarray
+    var_of: np.ndarray
+    coef: np.ndarray
+    cost2: np.ndarray
+
+    @property
+    def cost(self):
+        """Cost vector of the current phase."""
+        if self.n_art:
+            cost1 = np.zeros(self.n_struct + self.n_art)
+            cost1[self.n_struct:] = 1.0
+            return cost1
+        return self.cost2
+
+
+def _budget(rows, cols):
+    """Pivot budget of each simplex phase of an ``rows x cols`` tableau."""
+    return max(20000, 50 * (rows + cols))
+
+
 def _pivot(tableau, basis, row, col):
     pivot_row = tableau[row]
     pivot_row /= pivot_row[col]
@@ -47,6 +98,22 @@ def _pivot(tableau, basis, row, col):
     np.subtract(tableau, factors[:, None] * pivot_row, out=tableau,
                 where=mask[:, None])
     basis[row] = col
+
+
+def _scan_leaving(rows, ratios, basis):
+    """Bland's rule with a ``_TIE`` band over the candidate rows in order:
+    the first strictly smaller ratio wins, a tie goes to the smaller basic
+    index.  -1 when no ratio is finite."""
+    leaving = -1
+    best = math.inf
+    for i, ratio in zip(rows, ratios):
+        if ratio < best - _TIE:
+            best = ratio
+            leaving = i
+        elif (leaving >= 0 and abs(ratio - best) <= _TIE
+              and basis[i] < basis[leaving]):
+            leaving = i
+    return leaving
 
 
 def _run_phase(tableau, basis, cost, max_iter):
@@ -61,17 +128,7 @@ def _run_phase(tableau, basis, cost, max_iter):
         col = tableau[:, entering]
         rows = (col > _PIVOT_TOL).nonzero()[0]
         ratios = tableau[rows, n] / col[rows]
-        # Bland's rule with a 1e-12 tie band: the first strictly smaller
-        # ratio wins, a tie goes to the smaller basic index.
-        leaving = -1
-        best = math.inf
-        for i, ratio in zip(rows.tolist(), ratios.tolist()):
-            if ratio < best - 1e-12:
-                best = ratio
-                leaving = i
-            elif (leaving >= 0 and abs(ratio - best) <= 1e-12
-                  and basis[i] < basis[leaving]):
-                leaving = i
+        leaving = _scan_leaving(rows.tolist(), ratios.tolist(), basis)
         if leaving < 0:
             return "unbounded"
         _pivot(tableau, basis, leaving, entering)
@@ -83,14 +140,14 @@ def _finite(name, arr):
         raise ValueError(f"solve_lp: {name} has a non-finite entry")
 
 
-def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
-    """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.
+def prepare_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
+    """Validate a program and build its phase-1 tableau.
 
-    Variables are free unless ``bounds`` gives a per-variable ``(lo, hi)``
-    pair; either side may be ``None`` for unbounded.  Returns an
-    :class:`LPSolution` whose status is one of ``optimal``, ``infeasible``
-    or ``unbounded``.  Raises ``ValueError`` naming the argument when the
-    data holds a NaN or an infinity.
+    Takes the arguments of :func:`solve_lp`.  Returns the
+    :class:`LPSolution` of a program decided before any pivot (crossed
+    bounds, no constraints), else an :class:`LPTableau` for
+    :func:`solve_lp_many`.  Raises ``ValueError`` naming the argument
+    when the data holds a NaN or an infinity.
     """
     c = np.asarray(c, dtype=float).ravel()
     _finite("c", c)
@@ -161,13 +218,17 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     n_a = a_ub.shape[0]
     rhs = np.empty(m)
     rhs[:n_a] = b_ub - a_ub @ shift
-    rhs[n_a:n_ub] = [width for _, width in capped]
-    rhs[n_ub:] = b_eq - a_eq @ shift
+    if capped:
+        rhs[n_a:n_ub] = [width for _, width in capped]
+    if n_eq:
+        rhs[n_ub:] = b_eq - a_eq @ shift
     neg = rhs < 0
+    needs_art = neg
+    if n_eq:
+        needs_art = neg.copy()
+        needs_art[n_ub:] = True
     n_struct = ncols + n_ub
-    has_slack = ~neg
-    has_slack[n_ub:] = False
-    need_art = (~has_slack).nonzero()[0]
+    need_art = needs_art.nonzero()[0]
     n_art = need_art.size
     total = n_struct + n_art
     basis = np.arange(ncols, ncols + m)
@@ -188,36 +249,211 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
         basis[need_art] = art_cols
     tableau[:, total] = np.abs(rhs)
 
-    budget = max(20000, 50 * (m + total))
-    if n_art:
-        cost1 = np.zeros(total)
-        cost1[n_struct:] = 1.0
-        status = _run_phase(tableau, basis, cost1, budget)
-        if status != "optimal":
-            raise LPError("phase-1 simplex did not reach optimality")
-        if cost1[basis] @ tableau[:, total] > _PHASE1_TOL:
-            return LPSolution("infeasible", None, None)
-        # Drive remaining artificial variables out of the basis.
-        keep_rows = np.ones(m, dtype=bool)
-        for i in (basis >= n_struct).nonzero()[0]:
-            nonzero = (np.abs(tableau[i, :n_struct]) > 1e-9).nonzero()[0]
-            if nonzero.size:
-                _pivot(tableau, basis, i, nonzero[0])
-            else:
-                keep_rows[i] = False  # redundant row
-        if not keep_rows.all():
-            tableau = tableau[keep_rows]
-            basis = basis[keep_rows]
-        tableau = np.hstack([tableau[:, :n_struct], tableau[:, total:]])
-
     cost2 = np.zeros(n_struct)
     cost2[:ncols] += coef * c[var_of]
-    status = _run_phase(tableau, basis, cost2, budget)
+    return LPTableau(tableau, basis, n_struct, n_art, _budget(m, total), c,
+                     shift, var_of, coef, cost2)
+
+
+def _end_phase1(prog, status):
+    """Turn an ended phase 1 into the phase-2 tableau; the infeasible
+    solution when the artificials cannot all reach zero."""
+    if status != "optimal":
+        raise LPError("phase-1 simplex did not reach optimality")
+    tableau, basis, n_struct = prog.tableau, prog.basis, prog.n_struct
+    total = n_struct + prog.n_art
+    # The phase-1 cost of a basic variable is 1.0 on an artificial, else 0.0.
+    artificial = basis >= n_struct
+    if artificial.astype(float) @ tableau[:, total] > _PHASE1_TOL:
+        return LPSolution("infeasible", None, None)
+    # Drive remaining artificial variables out of the basis.
+    redundant = []
+    for i in artificial.nonzero()[0]:
+        nonzero = (np.abs(tableau[i, :n_struct]) > 1e-9).nonzero()[0]
+        if nonzero.size:
+            _pivot(tableau, basis, i, nonzero[0])
+        else:
+            redundant.append(i)
+    if redundant:
+        keep_rows = np.ones(tableau.shape[0], dtype=bool)
+        keep_rows[redundant] = False
+        tableau = tableau[keep_rows]
+        basis = basis[keep_rows]
+    prog.tableau = np.concatenate([tableau[:, :n_struct], tableau[:, total:]],
+                                  axis=1)
+    prog.basis = basis
+    prog.n_art = 0
+    return None
+
+
+def _solution(prog, status):
     if status == "unbounded":
         return LPSolution("unbounded", None, None)
+    u = np.zeros(prog.n_struct)
+    u[prog.basis] = prog.tableau[:, -1]
+    x = prog.shift.copy()
+    np.add.at(x, prog.var_of, prog.coef * u[:prog.var_of.size])
+    return LPSolution("optimal", x, float(prog.c @ x))
 
-    u = np.zeros(n_struct)
-    u[basis] = tableau[:, -1]
-    x = shift.copy()
-    np.add.at(x, var_of, coef * u[:ncols])
-    return LPSolution("optimal", x, float(c @ x))
+
+def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
+    """Minimize ``c @ x`` subject to ``a_ub @ x <= b_ub`` and ``a_eq @ x == b_eq``.
+
+    Variables are free unless ``bounds`` gives a per-variable ``(lo, hi)``
+    pair; either side may be ``None`` for unbounded.  Returns an
+    :class:`LPSolution` whose status is one of ``optimal``, ``infeasible``
+    or ``unbounded``.  Raises ``ValueError`` naming the argument when the
+    data holds a NaN or an infinity.
+    """
+    prog = prepare_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    if isinstance(prog, LPSolution):
+        return prog
+    if prog.n_art:
+        status = _run_phase(prog.tableau, prog.basis, prog.cost, prog.budget)
+        infeasible = _end_phase1(prog, status)
+        if infeasible is not None:
+            return infeasible
+    status = _run_phase(prog.tableau, prog.basis, prog.cost, prog.budget)
+    return _solution(prog, status)
+
+
+# -- lockstep kernel -----------------------------------------------------------
+
+
+# Stacks of fewer programs run the scalar loop: a stacked iteration costs
+# about as much as three scalar ones.
+_MIN_STACK = 3
+
+
+def _pivot_many(tableau, basis, index, rows, cols, factors):
+    """``_pivot`` of every stacked tableau on its own (row, col);
+    ``index`` is ``arange`` over the stack and ``factors`` the pivot
+    columns, ``tableau[index, :, cols]``."""
+    pivot_rows = tableau[index, rows]
+    pivot_rows /= factors[index, rows][:, None]
+    tableau[index, rows] = pivot_rows
+    # The pivot row's own factor is stale here, but that row is masked.
+    mask = np.abs(factors) > 1e-14
+    mask[index, rows] = False
+    np.subtract(tableau, factors[:, :, None] * pivot_rows[:, None, :],
+                out=tableau, where=mask[:, :, None])
+    basis[index, rows] = cols
+
+
+def _stack_leaving(col, rhs, basis):
+    """``_scan_leaving`` of every lane: the leaving row per lane, -1 when
+    the lane has no candidate row.
+
+    Let r* be a lane's smallest ratio and r2 the next in sorted order.
+    If ``r* < r2 - _TIE`` and ``r2 - r* > _TIE``, r* is attained by one
+    row, and every other ratio r passes both tests as r2 does, since
+    rounding is monotone.  The scan then takes that row against any
+    earlier best and keeps it against every later row: it picks the
+    row of the smallest ratio.  Every other lane runs the scan.
+    """
+    candidate = col > _PIVOT_TOL
+    ratios = np.divide(rhs, col, out=np.full(col.shape, np.inf),
+                       where=candidate)
+    leaving = ratios.argmin(axis=1)
+    if ratios.shape[1] > 1:
+        smallest = np.partition(ratios, 1, axis=1)
+        pairs = zip(smallest[:, 0].tolist(), smallest[:, 1].tolist())
+    else:
+        pairs = ((ratio, math.inf) for ratio in ratios[:, 0].tolist())
+    for lane, (best, runner_up) in enumerate(pairs):
+        if not (best < runner_up - _TIE and runner_up - best > _TIE):
+            rows = candidate[lane].nonzero()[0]
+            leaving[lane] = _scan_leaving(rows.tolist(),
+                                          ratios[lane, rows].tolist(),
+                                          basis[lane])
+    return leaving
+
+
+def _run_stack(progs):
+    """Lockstep ``_run_phase`` of programs whose tableaux share one shape;
+    their statuses in order.  Each program's tableau and basis are left
+    as its own ``_run_phase`` would leave them."""
+    status = [None] * len(progs)
+    if len(progs) < _MIN_STACK:
+        for i, prog in enumerate(progs):
+            status[i] = _run_phase(prog.tableau, prog.basis, prog.cost,
+                                   prog.budget)
+        return status
+    tableau = np.stack([prog.tableau for prog in progs])
+    basis = np.stack([prog.basis for prog in progs])
+    cost = np.stack([prog.cost for prog in progs])
+    budget = np.array([prog.budget for prog in progs])
+    lanes = np.arange(len(progs))
+    index, limit = lanes, budget.min()
+    n = tableau.shape[2] - 1
+    steps = 0
+    with np.errstate(invalid="ignore"):
+        while True:
+            if lanes.size < _MIN_STACK:
+                for row, lane in enumerate(lanes.tolist()):
+                    prog = progs[lane]
+                    prog.tableau, prog.basis = tableau[row], basis[row]
+                    status[lane] = _run_phase(tableau[row], basis[row],
+                                              cost[row], budget[row] - steps)
+                return status
+            if steps >= limit:
+                raise LPError("simplex pivot budget exhausted")
+            priced = cost[index[:, None], basis][:, None, :]
+            reduced = cost - (priced @ tableau[:, :, :n])[:, 0]
+            improving = reduced < -_COST_TOL
+            entering = improving.argmax(axis=1)
+            optimal = ~improving[index, entering]
+            col = tableau[index, :, entering]
+            col[optimal] = 0.0  # no candidate rows: the lane stops here
+            leaving = _stack_leaving(col, tableau[:, :, n], basis)
+            going = leaving >= 0
+            if not going.all():
+                for row in (~going).nonzero()[0].tolist():
+                    prog = progs[lanes[row]]
+                    prog.tableau, prog.basis = tableau[row], basis[row]
+                    status[lanes[row]] = ("optimal" if optimal[row]
+                                          else "unbounded")
+                tableau, basis, cost, budget, lanes, entering, leaving, col = (
+                    arr[going] for arr in (tableau, basis, cost, budget, lanes,
+                                           entering, leaving, col))
+                index = np.arange(lanes.size)
+                if lanes.size < _MIN_STACK:
+                    continue
+                limit = budget.min()
+            _pivot_many(tableau, basis, index, leaving, entering, col)
+            steps += 1
+
+
+def _run_phase_many(progs):
+    """The current phase of every program, one stack per tableau shape;
+    their statuses in order."""
+    stacks = {}
+    for i, prog in enumerate(progs):
+        stacks.setdefault(prog.tableau.shape, []).append(i)
+    status = [None] * len(progs)
+    for members in stacks.values():
+        for i, result in zip(members, _run_stack([progs[i] for i in members])):
+            status[i] = result
+    return status
+
+
+def solve_lp_many(programs):
+    """Solve many prepared programs in lockstep.
+
+    ``programs`` holds what :func:`prepare_lp` returned for each program.
+    Returns their :class:`LPSolution` objects in order, each bit for bit
+    the one :func:`solve_lp` returns for the same arguments; the
+    tableaux are consumed.  Phase 1
+    stacks programs by artificial-column count; a program that drops
+    redundant rows after phase 1 joins the phase-2 stack of its new shape.
+    Raises :class:`LPError` when any program exhausts its pivot budget.
+    """
+    out = [prog if isinstance(prog, LPSolution) else None for prog in programs]
+    pending = [i for i, sol in enumerate(out) if sol is None]
+    phase1 = [i for i in pending if programs[i].n_art]
+    for i, status in zip(phase1, _run_phase_many([programs[i] for i in phase1])):
+        out[i] = _end_phase1(programs[i], status)
+    pending = [i for i in pending if out[i] is None]
+    for i, status in zip(pending, _run_phase_many([programs[i] for i in pending])):
+        out[i] = _solution(programs[i], status)
+    return out

@@ -96,11 +96,21 @@ def function_to_dict(f) -> dict:
     raise SchemaError(f"unsupported function type {type(f).__name__}")
 
 
+# Each public parser first rejects non-finite numbers in its data, then
+# parses it with its private form; ``load_instance`` rejects them in the
+# whole file once and calls the private forms.
+
+
 def function_from_dict(data, where="function"):
     _reject_non_finite(data, where)
+    return _function(data, where)
+
+
+def _function(data, where):
     kind = _need(data, "type", where)
     if kind == "step":
-        levels = _need_list(data, "levels", where)
+        levels = [_number(v, f"{where}.levels[{i}]")
+                  for i, v in enumerate(_need_list(data, "levels", where))]
         polys = _need_list(data, "polytopes", where)
         if len(levels) != len(polys):
             raise SchemaError(f"{where}: levels and polytopes lengths differ")
@@ -133,13 +143,17 @@ def atlas_to_dict(atlas: Atlas) -> dict:
 
 def atlas_from_dict(data, where="atlas") -> Atlas:
     _reject_non_finite(data, where)
+    return _atlas(data, where)
+
+
+def _atlas(data, where):
     region = polytope_from_dict(_need(data, "region", where), f"{where}.region")
     charts = []
     for i, entry in enumerate(_need_list(data, "charts", where)):
         at = f"{where}.charts[{i}]"
         charts.append(LocalChart(
             center=_point(entry, "z", at, region.dim),
-            level=float(_need(entry, "lambda", at)),
+            level=_number(_need(entry, "lambda", at), f"{at}.lambda"),
             anchor=_point(entry, "z0", at, region.dim),
             radius=_positive(entry, "eps", at),
         ))
@@ -159,6 +173,13 @@ def _point(mapping, field, where, dim):
         raise SchemaError(f"{where}.{field} has {point.size} coordinates, "
                           f"expected {dim}")
     return point
+
+
+def _number(value, where):
+    """A JSON number other than a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SchemaError(f"{where} must be a number, got {value!r}")
+    return float(value)
 
 
 # Scalar rules as (kind, rule, test): a value passes when it is a
@@ -197,10 +218,14 @@ def _only(data, fields, where):
 
 def atlas_build_from_dict(data, where="atlas_build") -> dict:
     """The keyword arguments of ``build_atlas`` after the function."""
+    _reject_non_finite(data, where)
+    return _atlas_build(data, where)
+
+
+def _atlas_build(data, where):
     if not isinstance(data, dict):
         raise SchemaError(f"{where} must be an object with 'region' and "
                           "'cover_step'")
-    _reject_non_finite(data, where)
     _only(data, {"region", "cover_step", *_ATLAS_BUILD_OPTIONAL}, where)
     spec = {"region": polytope_from_dict(_need(data, "region", where),
                                          f"{where}.region"),
@@ -221,7 +246,7 @@ def moving_polytope_from_dict(data, where="K") -> MovingPolytope:
     try:
         return MovingPolytope(_need(data, "A", where), _need(data, "b", where),
                               _need(data, "D", where), box)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise SchemaError(f"invalid {where}: {exc}") from exc
 
 
@@ -237,6 +262,10 @@ def operator_to_dict(op) -> dict:
 
 def operator_from_dict(data, where="T"):
     _reject_non_finite(data, where)
+    return _operator(data, where)
+
+
+def _operator(data, where):
     kind = _need(data, "kind", where)
     if kind == "constant":
         return ConstantOperator(
@@ -257,11 +286,15 @@ def operator_from_dict(data, where="T"):
 
 
 def solver_config_from_dict(data, where="solver") -> SolverConfig:
+    _reject_non_finite(data, where)
+    return _solver_config(data, where)
+
+
+def _solver_config(data, where):
     if data is None:
         return SolverConfig()
     if not isinstance(data, dict):
         raise SchemaError(f"{where} must be an object")
-    _reject_non_finite(data, where)
     _only(data, _SOLVER_FIELDS, where)
     for field in data:
         _checked(data, field, where, *_SOLVER_FIELDS[field])
@@ -285,12 +318,17 @@ def gqvi_instance_to_dict(instance: GqviInstance) -> dict:
 
 
 def gqvi_instance_from_dict(data) -> GqviInstance:
+    _reject_non_finite(data, "")
+    return _gqvi_instance(data)
+
+
+def _gqvi_instance(data):
     cm = moving_polytope_from_dict(_need(data, "K", "instance"))
-    operator = operator_from_dict(_need(data, "T", "instance"))
+    operator = _operator(_need(data, "T", "instance"), "T")
     if isinstance(operator, dict):
         raise SchemaError("normal_base operators are only valid inside "
                           "quasiopt instances")
-    config = solver_config_from_dict(data.get("solver"))
+    config = _solver_config(data.get("solver"), "solver")
     return GqviInstance(cm, operator, config=config)
 
 
@@ -330,21 +368,22 @@ def load_instance(path):
         raise SchemaError("instance file must hold a JSON object")
     _reject_non_finite(data, "")
     if "type" in data:
-        return "function", {"function": function_from_dict(data), "raw": data}
+        return "function", {"function": _function(data, "function"), "raw": data}
     if "function" in data:
-        payload = {"function": function_from_dict(data["function"], "function"),
+        payload = {"function": _function(data["function"], "function"),
                    "raw": data}
         if "atlas" in data:
-            payload["atlas"] = atlas_from_dict(data["atlas"])
+            payload["atlas"] = _atlas(data["atlas"], "atlas")
         if "atlas_build" in data:
-            payload["atlas_build"] = atlas_build_from_dict(data["atlas_build"])
+            payload["atlas_build"] = _atlas_build(data["atlas_build"],
+                                                  "atlas_build")
         if "K" not in data:
             return "function", payload
         payload["K"] = moving_polytope_from_dict(data["K"])
-        payload["solver"] = solver_config_from_dict(data.get("solver"))
+        payload["solver"] = _solver_config(data.get("solver"), "solver")
         return "quasiopt", payload
     if "K" in data and "T" in data:
-        return "gqvi", {"instance": gqvi_instance_from_dict(data), "raw": data}
+        return "gqvi", {"instance": _gqvi_instance(data), "raw": data}
     raise SchemaError("unrecognized instance layout: expected 'type', "
                       "'function', or 'K'/'T' fields")
 

@@ -662,6 +662,19 @@ BAD_STRUCTURE = [
      "T.breakpoints must strictly increase, got [1.0, 0.0]"),
     ("moving_interval", ("T",), {**_TABULATED_1D, "breakpoints": [0.0, 0.0]},
      "T.breakpoints must strictly increase, got [0.0, 0.0]"),
+    ("step1d", ("levels",), [[0.0], 1.0, 2.0],
+     "function.levels[0] must be a number, got [0.0]"),
+    ("step1d", ("levels",), ["a", 1.0, 2.0],
+     "function.levels[0] must be a number, got 'a'"),
+    ("step1d", ("levels",), [0.0, True, 2.0],
+     "function.levels[1] must be a number, got True"),
+    ("quasiopt_window1d", ("function", "levels"), [0.0, None, 2.0],
+     "function.levels[1] must be a number, got None"),
+    ("quasiopt_window1d", ("atlas",),
+     {"charts": [{"z": [0.5], "lambda": [0.5], "z0": [0.0], "eps": 0.2}],
+      "region": _REGION_1D, "cover_step": 0.25},
+     "atlas.charts[0].lambda must be a number, got [0.5]"),
+    ("moving_interval", ("K", "b"), [{}, 1.0], "invalid K: float() argument"),
 ]
 _STRUCTURE_COMMAND = {"quasiopt_window1d": "solve-quasiopt",
                       "step1d": "check-quasiconvex",
@@ -673,13 +686,17 @@ _STRUCTURE_COMMAND = {"quasiopt_window1d": "solve-quasiopt",
     "function-number", "polytopes-number", "levels-number",
     "step-levels-number", "gqvi-K-number", "T-number", "breakpoints-number",
     "tabulated-polytopes-number", "axis-past-dim", "axis-bool",
-    "breakpoints-decreasing", "breakpoints-repeated"])
+    "breakpoints-decreasing", "breakpoints-repeated", "level-list",
+    "level-text", "level-bool", "quasiopt-level-null", "chart-lambda-list",
+    "K-b-object"])
 def test_bad_instance_structure_exits_1(name, path, value, message, tmp_path,
                                         capsys):
     # Unchecked, a number where an object or a list belongs ended in a
     # TypeError traceback out of serialization, a tabulated axis past the
     # dimension in an IndexError, and unsorted breakpoints solved with
-    # mis-assigned cells.
+    # mis-assigned cells.  A list or an object where a number belongs
+    # (a level, a chart level, an entry of K.b) ended in a TypeError
+    # traceback, and text in a ValueError that named no field.
     instance = _edited_shipped(tmp_path, name, path, value)
     _exits_1_with([_STRUCTURE_COMMAND[name], "--instance", str(instance),
                    "--out", str(tmp_path / "o")], message, capsys)

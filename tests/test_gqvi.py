@@ -1,5 +1,6 @@
 import itertools
 import re
+import time
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from adjcone.gqvi import (
     GqviInstance,
     InstanceError,
     MovingPolytope,
+    SolveReport,
     TabulatedOperator,
     fixed_point_set,
     hypothesis_report,
@@ -342,3 +344,210 @@ def test_moving_polytope_rejects_non_finite_data(field, data):
     with pytest.raises(ValueError, match=f"MovingPolytope: {field} has a "
                                          "non-finite entry"):
         MovingPolytope(box=Polytope.from_box([-2.0], [2.0]), **kwargs)
+
+
+# -- lockstep solver against the start-by-start oracle ---------------------------
+
+
+def sequential_solve(instance, collect_trace=False):
+    """The start-by-start loop that ``solve`` runs in lockstep, kept as its
+    oracle: each start iterates to acceptance, stationarity or
+    ``max_iters`` before the next one begins, one ``minimax_value`` per
+    step, and the grid fallback evaluates one point at a time."""
+    t_start = time.perf_counter()
+    cfg = instance.config
+    cm = instance.constraint_map
+    fix = fixed_point_set(cm)
+    rng = np.random.default_rng(cfg.seed)
+    starts = [fix.chebyshev_center()[0]]
+    starts.extend(fix.vertices())
+    starts.extend(fix.sample(rng, cfg.starts))
+
+    iterations = 0
+    candidates = []
+    trace = [] if collect_trace else None
+    for start_idx, x in enumerate(starts):
+        x = np.asarray(x, dtype=float).copy()
+        try:
+            for _ in range(cfg.max_iters):
+                result = minimax_value(instance.operator, cm, x)
+                iterations += 1
+                if collect_trace:
+                    trace.append((start_idx, x.copy(), result.value))
+                if cm.contains(x, x) and result.value >= -cfg.tol_solve:
+                    candidates.append((x.copy(), result))
+                    break
+                x_next = (1.0 - cfg.gamma) * x + cfg.gamma * result.y_opt
+                if np.linalg.norm(x_next - x) <= 1e-12:
+                    break
+                x = x_next
+        except (geometry.GeometryError, InstanceError, ValueError):
+            continue
+
+    if not candidates:
+        mesh = max(fix.diameter() / cfg.mesh_divisions, 1e-9)
+        best = None
+        for g in geometry.grid_points(fix, mesh):
+            try:
+                result = minimax_value(instance.operator, cm, g)
+            except (geometry.GeometryError, InstanceError, ValueError):
+                continue
+            iterations += 1
+            if best is None or (gqvi._candidate_key(g, result.value)
+                                < gqvi._candidate_key(*best_key)):
+                best = (g, result)
+                best_key = (g, result.value)
+        if best is None:
+            return SolveReport("infeasible", None, None, None, iterations,
+                               time.perf_counter() - t_start, len(starts), trace)
+        x_best, res_best = best
+        status = "solved" if (res_best.value >= -cfg.tol_solve
+                              and cm.contains(x_best, x_best)) else "residual_floor"
+        return SolveReport(status, x_best, float(res_best.value), res_best.witness,
+                           iterations, time.perf_counter() - t_start, len(starts), trace)
+
+    scored = sorted(candidates, key=lambda cr: gqvi._candidate_key(cr[0], cr[1].value))
+    x_best, _ = scored[0]
+    recheck = minimax_value(instance.operator, cm, x_best)
+    ok = cm.contains(x_best, x_best) and recheck.value >= -cfg.tol_solve
+    status = "solved" if ok else "residual_floor"
+    return SolveReport(status, x_best, float(recheck.value), recheck.witness,
+                       iterations, time.perf_counter() - t_start, len(starts), trace)
+
+
+def _bits(a):
+    return None if a is None else (np.asarray(a).tobytes(), np.asarray(a).shape)
+
+
+def assert_same_report(got, want):
+    assert (got.status, got.iterations, got.starts_tried) == (
+        want.status, want.iterations, want.starts_tried)
+    assert _bits(got.x) == _bits(want.x)
+    assert _bits(got.witness) == _bits(want.witness)
+    assert _bits(got.residual) == _bits(want.residual)
+    if want.trace is None:
+        assert got.trace is None
+    else:
+        assert [(s, _bits(x), _bits(v)) for s, x, v in got.trace] == [
+            (s, _bits(x), _bits(v)) for s, x, v in want.trace]
+
+
+def random_gqvi(seed, dim, operator=None, **solver):
+    """K(x) = {y : A y <= b + D x} ∩ [-2, 2]^dim with unit random normals
+    and |D x| below half of b, so no K(x) is empty; by default a constant
+    operator polytope that avoids the origin."""
+    rng = np.random.default_rng(seed)
+    facets = dim + 3
+    a = rng.normal(size=(facets, dim))
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    b = rng.uniform(0.8, 1.4, size=facets)
+    d = rng.uniform(-1.0, 1.0, size=(facets, dim))
+    d *= 0.5 * b.min() / (2.0 * np.abs(d).sum(axis=1).max())
+    box = Polytope.from_box(-2.0 * np.ones(dim), 2.0 * np.ones(dim))
+    if operator is None:
+        center = 1.5 * rng.normal(size=dim)
+        operator = ConstantOperator(Polytope.from_vertices(
+            center + 0.3 * rng.normal(size=(dim + 2, dim))))
+    config = gqvi.SolverConfig(**{"starts": 6, "seed": seed, **solver})
+    return GqviInstance(MovingPolytope(a, b, d, box), operator, config=config)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_matches_sequential_oracle(seed, dim):
+    instance = random_gqvi(seed, dim)
+    assert_same_report(solve(instance, collect_trace=True),
+                       sequential_solve(instance, collect_trace=True))
+
+
+def test_grid_fallback_matches_sequential_oracle():
+    # The operator pushes toward +x0 left of 0 and toward -x0 right of
+    # it: no solution, no start accepted, every grid point evaluated.
+    def point(v):
+        return Polytope.from_box([v, -0.1], [v, 0.1])
+
+    operator = TabulatedOperator(0, [0.0], [point(-1.0), point(1.0)])
+    instance = random_gqvi(5, 2, operator, max_iters=3, mesh_divisions=12)
+    got = solve(instance, collect_trace=True)
+    assert got.status == "residual_floor"
+    assert got.iterations > 3 * got.starts_tried
+    assert_same_report(got, sequential_solve(instance, collect_trace=True))
+
+
+class _HoleOperator:
+    """``inner`` with a hole: raises EmptyPolytopeError for x0 in (lo, hi)."""
+
+    def __init__(self, inner, lo, hi):
+        self.inner, self.lo, self.hi, self.dim = inner, lo, hi, inner.dim
+
+    def value(self, x):
+        if self.lo < x[0] < self.hi:
+            raise EmptyPolytopeError("operator hole")
+        return self.inner.value(x)
+
+
+def test_lane_abandoned_mid_run_leaves_other_lanes(moving_interval,
+                                                   unit_operator):
+    # From x = 2 the damped steps go 2, 1, 0.25, ...; a hole around 1
+    # abandons that start at its second step.
+    holed = GqviInstance(moving_interval, _HoleOperator(unit_operator, 0.9, 1.1))
+    whole = GqviInstance(moving_interval, unit_operator)
+    got = solve(holed, collect_trace=True)
+    assert_same_report(got, sequential_solve(holed, collect_trace=True))
+    rows = {}
+    for start, x, value in solve(whole, collect_trace=True).trace:
+        rows.setdefault(start, []).append((_bits(x), value))
+    kept = {}
+    for start, x, value in got.trace:
+        kept.setdefault(start, []).append((_bits(x), value))
+    cut = [start for start in rows if kept.get(start) != rows[start]]
+    assert cut and all(len(kept[start]) >= 1 for start in cut)
+    assert all(kept[start] == rows[start][:len(kept[start])] for start in cut)
+    assert got.iterations < solve(whole).iterations
+    assert got.status == "solved"
+
+
+def test_lp_budget_error_ends_the_solve(monkeypatch):
+    from adjcone import lp
+
+    instance = random_gqvi(1, 3)
+    monkeypatch.setattr(lp, "_budget", lambda rows, cols: 2)
+    with pytest.raises(lp.LPError):
+        sequential_solve(instance)
+    with pytest.raises(lp.LPError):
+        solve(instance)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_halfspaces_at_are_the_slice_rows(seed):
+    # Random non-box rows, axis rows whose box bounds cross at some x, and
+    # a zero row whose offset turns negative: the same bits, or the same
+    # error class, as the rows of K(x) built as a Polytope without its
+    # feasibility LP.
+    rng = np.random.default_rng(seed)
+    box = Polytope.from_box([-2.0, -2.0], [2.0, 2.0])
+    maps = [
+        MovingPolytope(rng.normal(size=(5, 2)), rng.uniform(0.5, 1.5, 5),
+                       0.2 * rng.normal(size=(5, 2)), box),
+        MovingPolytope([[1.0, 0.0], [-1.0, 0.0]], [0.2, 0.2],
+                       [[0.0, 1.0], [0.0, 1.0]], box),
+        MovingPolytope([[0.0, 0.0], [1.0, 1.0]], [0.1, 1.0],
+                       [[1.0, 0.0], [0.0, 0.0]], box),
+    ]
+    for cm in maps:
+        box_a, box_b = box.halfspaces
+        errors = set()
+        for x in rng.uniform(-2.0, 2.0, size=(30, 2)):
+            try:
+                want = Polytope(np.vstack([cm.a, box_a]),
+                                np.concatenate([cm.b + cm.d @ x, box_b]),
+                                check_bounded=False,
+                                check_feasible=False).halfspaces
+            except geometry.GeometryError as exc:
+                errors.add(type(exc))
+                with pytest.raises(type(exc)):
+                    cm._halfspaces_at(x)
+                continue
+            got = cm._halfspaces_at(x)
+            assert all(_bits(g) == _bits(w) for g, w in zip(got, want))
+        assert errors == ({EmptyPolytopeError} if cm is not maps[0] else set())

@@ -387,12 +387,18 @@ def programs(draw):
     through a drawn point; without inequality rows, a duplicated
     equality row is left for the phase-1 clean-up to drop.
     """
-    kind = draw(st.sampled_from(["random", "degenerate", "degenerate",
-                                 "infeasible", "unbounded"]))
+    kind = draw(st.sampled_from(KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 4))
     m_ub = draw(st.integers(0, 6))
     m_eq = draw(st.integers(0, min(2, n)))
+    return _program(draw, kind, rng, n, m_ub, m_eq)
+
+
+KINDS = ["random", "degenerate", "degenerate", "infeasible", "unbounded"]
+
+
+def _program(draw, kind, rng, n, m_ub, m_eq):
     if kind == "degenerate":
         a_ub = rng.integers(-2, 3, size=(m_ub, n)).astype(float)
         b_ub = rng.integers(0, 3, size=m_ub).astype(float)
@@ -468,3 +474,167 @@ def test_pivot_matches_reference(seed, m, n):
     lp._pivot(tableau, basis, row, col)
     assert bit_identical(tableau, want)
     assert np.array_equal(basis, want_basis)
+
+
+# -- lockstep kernel ------------------------------------------------------------
+#
+# ``solve_lp_many`` against ``solve_lp`` on the same programs: every lane
+# must end with the status, x and value bits of its own scalar solve.
+
+
+@st.composite
+def program_stacks(draw):
+    """2-12 programs of one kind and size, drawn like ``programs``, so
+    that many share a tableau shape; half the time all take the first
+    one's bounds."""
+    kind = draw(st.sampled_from(KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    m_ub = draw(st.integers(0, 6))
+    m_eq = draw(st.integers(0, min(2, n)))
+    stack = [_program(draw, kind, rng, n, m_ub, m_eq)
+             for _ in range(draw(st.integers(2, 12)))]
+    if draw(st.booleans()):
+        for program in stack[1:]:
+            program.pop("bounds", None)
+            if "bounds" in stack[0]:
+                program["bounds"] = stack[0]["bounds"]
+    return stack
+
+
+def solve_in_lockstep(stack):
+    return lp.solve_lp_many([lp.prepare_lp(**program) for program in stack])
+
+
+def assert_same_solution(got, want):
+    assert got.status == want.status
+    if want.x is None:
+        assert got.x is None and got.value is None
+    else:
+        assert bit_identical(got.x, want.x)
+        assert got.value == want.value
+
+
+def assert_lockstep_matches(stack):
+    for got, program in zip(solve_in_lockstep(stack), stack):
+        assert_same_solution(got, solve_lp(**program))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(program_stacks())
+def test_lockstep_matches_solve_lp(stack):
+    assert_lockstep_matches(stack)
+
+
+def test_lockstep_stacks_same_shapes(monkeypatch):
+    # 20 random programs of one size with positive right-hand sides have
+    # one tableau shape and no phase 1: one stack of 20 lanes.
+    rng = np.random.default_rng(11)
+    stack = [{"c": rng.normal(size=3), "a_ub": rng.normal(size=(9, 3)),
+              "b_ub": rng.uniform(0.5, 2.0, size=9)} for _ in range(20)]
+    widths = []
+    pivot_many = lp._pivot_many
+
+    def recording(tableau, *args):
+        widths.append(tableau.shape[0])
+        pivot_many(tableau, *args)
+
+    monkeypatch.setattr(lp, "_pivot_many", recording)
+    assert_lockstep_matches(stack)
+    assert widths[0] == 20
+    assert widths == sorted(widths, reverse=True)  # finished lanes leave
+
+
+def test_lockstep_infeasible_unbounded_and_degenerate_lanes():
+    # One shape (4 rows, 2 free variables, one negated row): a bounded
+    # lane, an infeasible one, an unbounded one and a degenerate optimum
+    # where three rows are active.
+    lanes = [
+        ([1.0, 1.0], [[1, 0], [0, 1], [-1, -1], [-1, 0]], [2, 2, -1, 3]),
+        ([1.0, 1.0], [[1, 0], [0, 1], [-1, -1], [-1, 0]], [1, 1, -3, 5]),
+        ([-1.0, -1.0], [[1, -1], [-1, 1], [-1, -1], [-1, 0]], [1, 1, -1, 10]),
+        ([-1.0, -1.0], [[1, 0], [0, 1], [1, 1], [-1, -1]], [1, 1, 2, -1]),
+    ]
+    stack = [{"c": c, "a_ub": a, "b_ub": b} for c, a, b in lanes]
+    shapes = {lp.prepare_lp(**program).tableau.shape for program in stack}
+    assert shapes == {(4, 10)}
+    got = solve_in_lockstep(stack)
+    assert [sol.status for sol in got] == ["optimal", "infeasible",
+                                           "unbounded", "optimal"]
+    assert got[3].value == pytest.approx(-2.0)
+    assert_lockstep_matches(stack)
+
+
+@pytest.mark.parametrize("offset", [0.0, 5e-13, 1e-12, 1.5e-12, 3e-12, -5e-13])
+def test_lockstep_ratio_ties(offset):
+    # Two rows that bound x0 at 1 and 1 + offset: an exact tie, ties
+    # inside and at the edge of the 1e-12 band, and clear winners.
+    # Lanes differ in the order of the tied rows and in the other rows.
+    stack = []
+    for order in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
+        rows = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        rhs = [1.0, 1.0 + offset, 2.0]
+        stack.append({"c": [-1.0, -1.0], "a_ub": [rows[i] for i in order],
+                      "b_ub": [rhs[i] for i in order]})
+    assert_lockstep_matches(stack)
+
+
+def test_stack_leaving_is_the_scan():
+    # Ratio columns with exact ties, ties inside and just outside the
+    # band, and lanes without candidates; both the vectorised rule and
+    # the per-lane scan must decide lanes here.
+    rng = np.random.default_rng(5)
+    decided = scanned = 0
+    for _ in range(300):
+        k, m = int(rng.integers(2, 9)), int(rng.integers(1, 9))
+        col = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], size=(k, m))
+        rhs = rng.choice([0.0, 1.0, 2.0], size=(k, m)) * col
+        rhs += rng.choice([0.0, 0.0, 4e-13, -4e-13, 1e-12, 2.5e-12],
+                          size=(k, m)) * col
+        basis = np.array([rng.permutation(20)[:m] for _ in range(k)])
+        with np.errstate(invalid="ignore"):
+            leaving = lp._stack_leaving(col, rhs, basis)
+        for lane in range(k):
+            rows = (col[lane] > lp._PIVOT_TOL).nonzero()[0]
+            ratios = rhs[lane, rows] / col[lane, rows]
+            want = lp._scan_leaving(rows.tolist(), ratios.tolist(), basis[lane])
+            assert leaving[lane] == want
+            tied = ratios == ratios.min() if rows.size else ratios
+            clean = rows.size and np.all(
+                tied | ((ratios.min() < ratios - 1e-12)
+                        & (np.abs(ratios - ratios.min()) > 1e-12)))
+            decided += bool(clean)
+            scanned += rows.size and not clean
+    assert decided > 100 and scanned > 100
+
+
+def test_lockstep_lane_drops_redundant_row():
+    # Equality rows only: a duplicated row leaves an artificial basic on a
+    # zero row after phase 1, which is dropped, so the two lanes share
+    # their phase-1 shape but not their phase-2 shape.
+    nonneg = [(0.0, None), (0.0, None)]
+    stack = [
+        {"c": [1.0, 1.0], "a_eq": [[1.0, 2.0], [1.0, 2.0]], "b_eq": [1.0, 1.0],
+         "bounds": nonneg},
+        {"c": [1.0, 1.0], "a_eq": [[1.0, 2.0], [2.0, 1.0]], "b_eq": [1.0, 1.0],
+         "bounds": nonneg},
+        {"c": [2.0, 1.0], "a_eq": [[3.0, 1.0], [3.0, 1.0]], "b_eq": [2.0, 2.0],
+         "bounds": nonneg},
+    ]
+    prepared = [lp.prepare_lp(**program) for program in stack]
+    assert {prog.tableau.shape for prog in prepared} == {(2, 5)}
+    got = lp.solve_lp_many(prepared)
+    assert [prog.tableau.shape for prog in prepared] == [(1, 3), (2, 3), (1, 3)]
+    for sol, program in zip(got, stack):
+        assert_same_solution(sol, solve_lp(**program))
+
+
+def test_lockstep_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(lp, "_budget", lambda rows, cols: 1)
+    rng = np.random.default_rng(3)
+    stack = [{"c": rng.normal(size=3), "a_ub": rng.normal(size=(9, 3)),
+              "b_ub": rng.uniform(0.5, 2.0, size=9)} for _ in range(4)]
+    with pytest.raises(lp.LPError):
+        solve_lp(**stack[0])
+    with pytest.raises(lp.LPError):
+        solve_in_lockstep(stack)

@@ -1,8 +1,11 @@
+import json
+import os
 import re
 
 import numpy as np
 import pytest
 
+from adjcone import serialization
 from adjcone.geometry import Polytope
 from adjcone.gqvi import ConstantOperator, GqviInstance, MovingPolytope, SolverConfig
 from adjcone.normal_op import build_atlas
@@ -247,3 +250,33 @@ def test_atlas_parser_names_malformed_chart(chart, cover_step, message):
         atlas_from_dict(data)
     assert len(atlas_from_dict({**data, "charts": [_chart()],
                                 "cover_step": 0.2}).charts) == 1
+
+
+SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
+
+
+def _nodes(value):
+    if isinstance(value, dict):
+        return 1 + sum(_nodes(item) for item in value.values())
+    if isinstance(value, list):
+        return 1 + sum(_nodes(item) for item in value)
+    return 1
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(SHIPPED)))
+def test_load_instance_walks_each_value_once(name, monkeypatch):
+    # The file-level non-finite check covers every parser it calls; a
+    # second walk per parser visited every number of a function, atlas
+    # or operator twice.
+    walk = serialization._reject_non_finite
+    visits = []
+
+    def counting(value, where):
+        visits.append(where)
+        return walk(value, where)
+
+    monkeypatch.setattr(serialization, "_reject_non_finite", counting)
+    path = os.path.join(SHIPPED, name)
+    load_instance(path)
+    with open(path) as handle:
+        assert len(visits) == _nodes(json.load(handle))
