@@ -43,7 +43,7 @@ from .geometry import (
 from .lp import prepare_lp, solve_lp, solve_lp_many
 
 # The benchmark's layer tracer looks this helper up as ``gqvi._grid_points``
-# (ROADMAP item 3 renames that target at the next benchmark change).
+# (ROADMAP item 4 renames that target at the next benchmark change).
 from .geometry import grid_points as _grid_points
 
 __all__ = [

@@ -24,7 +24,8 @@ the bits ``solve_lp`` gives it:
   otherwise.
 
 Stacks are never padded to a common shape: extra columns change the
-bits of the BLAS product.  A stack of one program runs the scalar loop.
+bits of the BLAS product.  Stacks of fewer than ``_MIN_STACK`` programs
+run the scalar loop.
 """
 
 from __future__ import annotations
@@ -443,10 +444,10 @@ def solve_lp_many(programs):
     ``programs`` holds what :func:`prepare_lp` returned for each program.
     Returns their :class:`LPSolution` objects in order, each bit for bit
     the one :func:`solve_lp` returns for the same arguments; the
-    tableaux are consumed.  Phase 1
-    stacks programs by artificial-column count; a program that drops
-    redundant rows after phase 1 joins the phase-2 stack of its new shape.
-    Raises :class:`LPError` when any program exhausts its pivot budget.
+    tableaux are consumed.  Phase 1 stacks programs by artificial-column
+    count; a program that drops redundant rows after phase 1 joins the
+    phase-2 stack of its new shape.  Raises :class:`LPError` when any
+    program exhausts its pivot budget.
     """
     out = [prog if isinstance(prog, LPSolution) else None for prog in programs]
     pending = [i for i, sol in enumerate(out) if sol is None]

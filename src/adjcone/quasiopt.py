@@ -29,7 +29,7 @@ from .gqvi import (
 )
 
 # The benchmark's layer tracer and its self-test expect this binding to be
-# the traced ``gqvi._grid_points`` (ROADMAP item 3 renames that target at
+# the traced ``gqvi._grid_points`` (ROADMAP item 4 renames that target at
 # the next benchmark change).
 from .geometry import grid_points as _grid_points
 from .normal_op import Atlas, global_base

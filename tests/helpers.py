@@ -1,9 +1,12 @@
-"""Polytope oracles shared by the tests."""
+"""Polytope and solver oracles shared by the tests."""
+
+import time
 
 import numpy as np
 from scipy.optimize import nnls
 
-from adjcone.geometry import FEAS
+from adjcone import gqvi
+from adjcone.geometry import FEAS, GeometryError, grid_points
 
 
 def same_set(first, second, tol=1e-7):
@@ -69,3 +72,86 @@ def band_edge_points(polytope, radius, rng):
     feet, normals = np.array(feet), np.array(normals)
     return np.vstack([feet + radius * (1.0 + s) * normals
                       for s in (-1e-12, 1e-12)])
+
+
+def sequential_solve(instance, collect_trace=False):
+    """The start-by-start loop that ``solve`` runs in lockstep, kept as its
+    oracle: each start iterates to acceptance, stationarity or
+    ``max_iters`` before the next one begins, one ``minimax_value`` per
+    step, and the grid fallback evaluates one point at a time."""
+    t_start = time.perf_counter()
+    cfg = instance.config
+    cm = instance.constraint_map
+    fix = gqvi.fixed_point_set(cm)
+    rng = np.random.default_rng(cfg.seed)
+    starts = [fix.chebyshev_center()[0]]
+    starts.extend(fix.vertices())
+    starts.extend(fix.sample(rng, cfg.starts))
+
+    iterations = 0
+    candidates = []
+    trace = [] if collect_trace else None
+    for start_idx, x in enumerate(starts):
+        x = np.asarray(x, dtype=float).copy()
+        try:
+            for _ in range(cfg.max_iters):
+                result = gqvi.minimax_value(instance.operator, cm, x)
+                iterations += 1
+                if collect_trace:
+                    trace.append((start_idx, x.copy(), result.value))
+                if cm.contains(x, x) and result.value >= -cfg.tol_solve:
+                    candidates.append((x.copy(), result))
+                    break
+                x_next = (1.0 - cfg.gamma) * x + cfg.gamma * result.y_opt
+                if np.linalg.norm(x_next - x) <= 1e-12:
+                    break
+                x = x_next
+        except (GeometryError, gqvi.InstanceError, ValueError):
+            continue
+
+    if not candidates:
+        mesh = max(fix.diameter() / cfg.mesh_divisions, 1e-9)
+        best = None
+        for g in grid_points(fix, mesh):
+            try:
+                result = gqvi.minimax_value(instance.operator, cm, g)
+            except (GeometryError, gqvi.InstanceError, ValueError):
+                continue
+            iterations += 1
+            if best is None or (gqvi._candidate_key(g, result.value)
+                                < gqvi._candidate_key(*best_key)):
+                best = (g, result)
+                best_key = (g, result.value)
+        if best is None:
+            return gqvi.SolveReport("infeasible", None, None, None, iterations,
+                               time.perf_counter() - t_start, len(starts), trace)
+        x_best, res_best = best
+        status = "solved" if (res_best.value >= -cfg.tol_solve
+                              and cm.contains(x_best, x_best)) else "residual_floor"
+        return gqvi.SolveReport(status, x_best, float(res_best.value), res_best.witness,
+                           iterations, time.perf_counter() - t_start, len(starts), trace)
+
+    scored = sorted(candidates, key=lambda cr: gqvi._candidate_key(cr[0], cr[1].value))
+    x_best, _ = scored[0]
+    recheck = gqvi.minimax_value(instance.operator, cm, x_best)
+    ok = cm.contains(x_best, x_best) and recheck.value >= -cfg.tol_solve
+    status = "solved" if ok else "residual_floor"
+    return gqvi.SolveReport(status, x_best, float(recheck.value), recheck.witness,
+                       iterations, time.perf_counter() - t_start, len(starts), trace)
+
+
+def bits(a):
+    return None if a is None else (np.asarray(a).tobytes(), np.asarray(a).shape)
+
+
+def assert_same_report(got, want):
+    assert (got.status, got.iterations, got.starts_tried) == (
+        want.status, want.iterations, want.starts_tried)
+    assert bits(got.x) == bits(want.x)
+    assert bits(got.witness) == bits(want.witness)
+    assert bits(got.residual) == bits(want.residual)
+    if want.trace is None:
+        assert got.trace is None
+    else:
+        assert [(s, bits(x), bits(v)) for s, x, v in got.trace] == [
+            (s, bits(x), bits(v)) for s, x, v in want.trace]

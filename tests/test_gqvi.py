@@ -1,6 +1,5 @@
 import itertools
 import re
-import time
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from adjcone.gqvi import (
     GqviInstance,
     InstanceError,
     MovingPolytope,
-    SolveReport,
     TabulatedOperator,
     fixed_point_set,
     hypothesis_report,
@@ -23,6 +21,7 @@ from adjcone.gqvi import (
     sion_check,
     solve,
 )
+from helpers import assert_same_report, bits, sequential_solve
 
 
 @pytest.fixture(scope="module")
@@ -349,89 +348,6 @@ def test_moving_polytope_rejects_non_finite_data(field, data):
 # -- lockstep solver against the start-by-start oracle ---------------------------
 
 
-def sequential_solve(instance, collect_trace=False):
-    """The start-by-start loop that ``solve`` runs in lockstep, kept as its
-    oracle: each start iterates to acceptance, stationarity or
-    ``max_iters`` before the next one begins, one ``minimax_value`` per
-    step, and the grid fallback evaluates one point at a time."""
-    t_start = time.perf_counter()
-    cfg = instance.config
-    cm = instance.constraint_map
-    fix = fixed_point_set(cm)
-    rng = np.random.default_rng(cfg.seed)
-    starts = [fix.chebyshev_center()[0]]
-    starts.extend(fix.vertices())
-    starts.extend(fix.sample(rng, cfg.starts))
-
-    iterations = 0
-    candidates = []
-    trace = [] if collect_trace else None
-    for start_idx, x in enumerate(starts):
-        x = np.asarray(x, dtype=float).copy()
-        try:
-            for _ in range(cfg.max_iters):
-                result = minimax_value(instance.operator, cm, x)
-                iterations += 1
-                if collect_trace:
-                    trace.append((start_idx, x.copy(), result.value))
-                if cm.contains(x, x) and result.value >= -cfg.tol_solve:
-                    candidates.append((x.copy(), result))
-                    break
-                x_next = (1.0 - cfg.gamma) * x + cfg.gamma * result.y_opt
-                if np.linalg.norm(x_next - x) <= 1e-12:
-                    break
-                x = x_next
-        except (geometry.GeometryError, InstanceError, ValueError):
-            continue
-
-    if not candidates:
-        mesh = max(fix.diameter() / cfg.mesh_divisions, 1e-9)
-        best = None
-        for g in geometry.grid_points(fix, mesh):
-            try:
-                result = minimax_value(instance.operator, cm, g)
-            except (geometry.GeometryError, InstanceError, ValueError):
-                continue
-            iterations += 1
-            if best is None or (gqvi._candidate_key(g, result.value)
-                                < gqvi._candidate_key(*best_key)):
-                best = (g, result)
-                best_key = (g, result.value)
-        if best is None:
-            return SolveReport("infeasible", None, None, None, iterations,
-                               time.perf_counter() - t_start, len(starts), trace)
-        x_best, res_best = best
-        status = "solved" if (res_best.value >= -cfg.tol_solve
-                              and cm.contains(x_best, x_best)) else "residual_floor"
-        return SolveReport(status, x_best, float(res_best.value), res_best.witness,
-                           iterations, time.perf_counter() - t_start, len(starts), trace)
-
-    scored = sorted(candidates, key=lambda cr: gqvi._candidate_key(cr[0], cr[1].value))
-    x_best, _ = scored[0]
-    recheck = minimax_value(instance.operator, cm, x_best)
-    ok = cm.contains(x_best, x_best) and recheck.value >= -cfg.tol_solve
-    status = "solved" if ok else "residual_floor"
-    return SolveReport(status, x_best, float(recheck.value), recheck.witness,
-                       iterations, time.perf_counter() - t_start, len(starts), trace)
-
-
-def _bits(a):
-    return None if a is None else (np.asarray(a).tobytes(), np.asarray(a).shape)
-
-
-def assert_same_report(got, want):
-    assert (got.status, got.iterations, got.starts_tried) == (
-        want.status, want.iterations, want.starts_tried)
-    assert _bits(got.x) == _bits(want.x)
-    assert _bits(got.witness) == _bits(want.witness)
-    assert _bits(got.residual) == _bits(want.residual)
-    if want.trace is None:
-        assert got.trace is None
-    else:
-        assert [(s, _bits(x), _bits(v)) for s, x, v in got.trace] == [
-            (s, _bits(x), _bits(v)) for s, x, v in want.trace]
-
-
 def random_gqvi(seed, dim, operator=None, **solver):
     """K(x) = {y : A y <= b + D x} ∩ [-2, 2]^dim with unit random normals
     and |D x| below half of b, so no K(x) is empty; by default a constant
@@ -496,10 +412,10 @@ def test_lane_abandoned_mid_run_leaves_other_lanes(moving_interval,
     assert_same_report(got, sequential_solve(holed, collect_trace=True))
     rows = {}
     for start, x, value in solve(whole, collect_trace=True).trace:
-        rows.setdefault(start, []).append((_bits(x), value))
+        rows.setdefault(start, []).append((bits(x), value))
     kept = {}
     for start, x, value in got.trace:
-        kept.setdefault(start, []).append((_bits(x), value))
+        kept.setdefault(start, []).append((bits(x), value))
     cut = [start for start in rows if kept.get(start) != rows[start]]
     assert cut and all(len(kept[start]) >= 1 for start in cut)
     assert all(kept[start] == rows[start][:len(kept[start])] for start in cut)
@@ -549,5 +465,5 @@ def test_halfspaces_at_are_the_slice_rows(seed):
                     cm._halfspaces_at(x)
                 continue
             got = cm._halfspaces_at(x)
-            assert all(_bits(g) == _bits(w) for g, w in zip(got, want))
+            assert all(bits(g) == bits(w) for g, w in zip(got, want))
         assert errors == ({EmptyPolytopeError} if cm is not maps[0] else set())

@@ -1,5 +1,6 @@
 """LP kernel tests: small hand programs, the array kernel against the
-row-by-row reference it replaced, and scipy's HiGHS as an oracle."""
+row-by-row reference it replaced, scipy's HiGHS as an oracle, and the
+lockstep kernel against ``solve_lp``."""
 
 import numpy as np
 import pytest

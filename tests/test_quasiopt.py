@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from adjcone.geometry import Polytope
-from adjcone.gqvi import MovingPolytope, SolverConfig
+from adjcone.gqvi import GqviInstance, MovingPolytope, SolverConfig, solve
 from adjcone.normal_op import adjusted_normal_cone, build_atlas
 from adjcone.quasiopt import (
     QuasioptInstance,
@@ -10,7 +10,7 @@ from adjcone.quasiopt import (
     brute_force_quasiopt,
     solve_quasiopt,
 )
-from helpers import same_set
+from helpers import assert_same_report, same_set, sequential_solve
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +138,20 @@ def test_validate_rejects_box_outside_domain(step1d, atlas1d):
     instance = QuasioptInstance(step1d, cm, atlas1d)
     with pytest.raises(ValueError, match="domain"):
         instance.validate()
+
+
+def test_reduction_solves_as_the_sequential_oracle(step1d, window1d, atlas1d,
+                                                   sq2d, atlas2d):
+    # T(x) is the dual box on the argmin and the glued base elsewhere, so
+    # lanes carry LPs of different sizes, and it raises a coverage error
+    # outside the atlas, which abandons a lane.
+    window2d = MovingPolytope(
+        a=np.vstack([np.eye(2), -np.eye(2)]), b=[0.5] * 4,
+        d=np.vstack([np.eye(2), -np.eye(2)]),
+        box=Polytope.from_box([-2, -2], [2, 2]))
+    for f, window, atlas in ((step1d, window1d, atlas1d),
+                             (sq2d, window2d, atlas2d)):
+        instance = GqviInstance(window, TFromNormal(f, atlas),
+                                config=SolverConfig(starts=6))
+        assert_same_report(solve(instance, collect_trace=True),
+                           sequential_solve(instance, collect_trace=True))
