@@ -703,11 +703,18 @@ def test_bad_instance_structure_exits_1(name, path, value, message, tmp_path,
 
 
 def test_tabulated_instance_solves(tmp_path):
-    # The well-formed base of the tabulated cases above.
+    # The well-formed base of the tabulated cases above.  Its operator
+    # value changes from cell to cell along the steps, so the digests of
+    # (report.json, trace.csv), recorded from the start-by-start solver,
+    # pin a solve whose minimax LPs change rows with x.
     instance = _edited_shipped(tmp_path, "moving_interval", ("T",),
                                _TABULATED_1D)
-    assert run(["solve-gqvi", "--instance", str(instance),
-                "--out", str(tmp_path / "o")]) == 0
+    out = tmp_path / "o"
+    assert run(["solve-gqvi", "--instance", str(instance), "--out", str(out),
+                "--trace"]) == 0
+    assert (sha256_of(out / "report.json"), sha256_of(out / "trace.csv")) == (
+        "1e31a2da7b82e60ca7cbc04720127f337027b69baadca2938d3e013953d81da0",
+        "12510d4f1dfcbe9abf5d0997d6538c2c1ebb9de80fb8901845800f3a959248b2")
 
 
 # Non-box nested step families: one polytope (rounded unit normals of a
