@@ -250,18 +250,31 @@ class FaceDescriptor:
     dim: int
 
 
+_ZERO_ROW = 1e-14  # rows of a smaller norm are zero rows
+
+
+def _unit_offsets(b, norms):
+    """The offsets of ``_unit_halfspaces``: each nonzero row's over its
+    norm.  A zero row with a negative offset makes the system empty."""
+    keep = norms > _ZERO_ROW
+    if keep.all():
+        return b / norms
+    if np.any(b[~keep] < -FEAS):
+        raise EmptyPolytopeError("zero row with negative offset")
+    return b[keep] / norms[keep]
+
+
 def _unit_halfspaces(a, b, norms):
     """The system ``a x <= b`` with unit normals, given the row norms of
     ``a``: zero rows are dropped, and a zero row with a negative offset
     makes the system empty."""
-    keep = norms > 1e-14
-    if not keep.all():
-        if np.any(b[~keep] < -FEAS):
-            raise EmptyPolytopeError("zero row with negative offset")
-        a, b, norms = a[keep], b[keep], norms[keep]
+    b = _unit_offsets(b, norms)
+    if b.size < norms.size:
+        keep = norms > _ZERO_ROW
+        a, norms = a[keep], norms[keep]
         if a.shape[0] == 0:
             raise UnboundedPolytopeError("no effective halfspaces")
-    return a / norms[:, None], b / norms
+    return a / norms[:, None], b
 
 
 def _axis_layout(a):

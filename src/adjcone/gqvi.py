@@ -20,6 +20,11 @@ minimax LPs together with ``lp.solve_lp_many``.  Each LP keeps the bits
 of its own ``solve_lp`` and every step rule stays per start, so the
 report, trace and iteration count are those of running the starts one
 after another.
+
+Given T(x), only the right-hand side of the minimax LP depends on x, so
+``solve`` builds one LP body (``lp.prepare_body``) per vertex array of
+T(x) in use and each step fills in its right-hand side
+(``lp.prepare_rhs``): the two stages ``solve_lp`` runs, bit for bit.
 """
 
 from __future__ import annotations
@@ -39,8 +44,9 @@ from .geometry import (
     _axis_box,
     _axis_layout,
     _unit_halfspaces,
+    _unit_offsets,
 )
-from .lp import prepare_lp, solve_lp, solve_lp_many
+from .lp import prepare_body, prepare_rhs, solve_lp, solve_lp_many
 
 # The benchmark's layer tracer looks this helper up as ``gqvi._grid_points``
 # (ROADMAP item 4 renames that target at the next benchmark change).
@@ -93,7 +99,7 @@ class MovingPolytope:
             raise ValueError("constraint matrix does not match the box dimension")
         self.box = box
         self.dim = box.dim
-        self._rows = None  # rows of K(x), norms and axis layout
+        self._rows = None  # see _unit_rows
 
     def value(self, x) -> Polytope:
         """K(x); raises EmptyPolytopeError when infeasible at x."""
@@ -107,23 +113,33 @@ class MovingPolytope:
         """The unit-normal rows of K(x), bit for bit those of ``value(x)``,
         without its feasibility LP: the caller must settle emptiness.
 
-        Only the closed-form checks (non-finite or zero rows, crossing box
-        bounds) raise.  The rows of K(x) do not depend on x, so their
-        norms and axis layout are computed once, as ``Polytope`` does.
+        The rows do not depend on x: they are normalised once, as
+        ``Polytope`` does, and the same array is returned for every x.
+        Only the offsets are computed per x, by :meth:`_offsets_at`.
         """
+        return self._unit_rows()[0], self._offsets_at(x)
+
+    def _unit_rows(self):
+        """``(unit rows, row norms, axis layout)`` of K(x)."""
         if self._rows is None:
             rows = np.vstack([self.a, self.box.halfspaces[0]])
             norms = np.linalg.norm(rows, axis=1)
             unit, _ = _unit_halfspaces(rows, np.zeros(len(rows)), norms)
-            self._rows = rows, norms, _axis_layout(unit)
-        rows, norms, layout = self._rows
+            self._rows = unit, norms, _axis_layout(unit)
+        return self._rows
+
+    def _offsets_at(self, x):
+        """The offsets of the unit rows of K(x).  Only the closed-form
+        checks raise: non-finite offsets, a zero row with a negative
+        offset, crossing box bounds."""
+        _, norms, layout = self._unit_rows()
         b = np.concatenate([self.b + self.d @ x, self.box.halfspaces[1]])
         if not np.isfinite(b).all():
             raise ValueError("Polytope: b has a non-finite entry")
-        a, b = _unit_halfspaces(rows, b, norms)
+        b = _unit_offsets(b, norms)
         if layout is not None:
             _axis_box(layout, b, self.dim)
-        return a, b
+        return b
 
     def contains(self, x, y, tol=None):
         slack = tol if tol is not None else FEAS
@@ -253,22 +269,19 @@ def fixed_point_set(constraint_map: MovingPolytope) -> Polytope:
         raise InstanceError("the constraint map has no fixed points") from exc
 
 
-def _minimax_program(operator, constraint_map, x):
-    """``(c, a_ub, b_ub, vertices of T(x))`` of the minimax LP at x."""
-    n = x.size
-    # K(x) skips its own feasibility LP: t is free, so the minimax LP is
-    # feasible exactly when K(x) is, and its phase 1 decides emptiness.
-    k_a, k_b = constraint_map._halfspaces_at(x)
-    vertices = operator.value(x).vertices()
-    # variables (y, t): minimize t subject to v_j.y - t <= v_j.x, y in K(x)
+def _minimax_rows(vertices, k_a):
+    """``(c, a_ub)`` of the minimax LP over the vertices of T(x) and the
+    unit rows of K(x): in the variables (y, t), minimize t subject to
+    ``v_j.y - t <= v_j.x`` and y in K(x).  Only the right-hand side,
+    ``concatenate([vertices @ x, offsets of K(x)])``, depends on x."""
+    n = k_a.shape[1]
     a_ub = np.zeros((len(vertices) + len(k_a), n + 1))
     a_ub[:len(vertices), :n] = vertices
     a_ub[:len(vertices), n] = -1.0
     a_ub[len(vertices):, :n] = k_a
-    b_ub = np.concatenate([vertices @ x, k_b])
     c = np.zeros(n + 1)
     c[n] = 1.0
-    return c, a_ub, b_ub, vertices
+    return c, a_ub
 
 
 def _minimax_result(sol, vertices, x) -> MinimaxResult:
@@ -289,8 +302,12 @@ def minimax_value(operator, constraint_map, x) -> MinimaxResult:
     nonnegative.  Raises EmptyPolytopeError when K(x) is empty.
     """
     x = np.asarray(x, dtype=float).ravel()
-    c, a_ub, b_ub, vertices = _minimax_program(operator, constraint_map, x)
-    sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+    # K(x) skips its own feasibility LP: t is free, so the minimax LP is
+    # feasible exactly when K(x) is, and its phase 1 decides emptiness.
+    k_a, k_b = constraint_map._halfspaces_at(x)
+    vertices = operator.value(x).vertices()
+    c, a_ub = _minimax_rows(vertices, k_a)
+    sol = solve_lp(c, a_ub=a_ub, b_ub=np.concatenate([vertices @ x, k_b]))
     return _minimax_result(sol, vertices, x)
 
 
@@ -298,23 +315,37 @@ def minimax_value(operator, constraint_map, x) -> MinimaxResult:
 _ABANDON = (GeometryError, InstanceError, ValueError)
 
 
-def _minimax_many(operator, constraint_map, points):
+def _minimax_many(operator, constraint_map, points, bodies):
     """``minimax_value`` at every point, its LPs solved in lockstep.
 
     Each entry is the point's MinimaxResult, or the ``_ABANDON`` error
     that ``minimax_value`` raises there; an LPError ends the call.
+
+    The LP body depends on x only through the operator value: ``bodies``
+    maps the ``id`` of a vertex array to ``(array, body)``, and on return
+    holds just the entries this call used.  An entry keeps its array
+    alive, so no other array can take its id.
     """
     out = [None] * len(points)
     pending = []
+    used = {}
     for i, x in enumerate(points):
         x = np.asarray(x, dtype=float).ravel()
         try:
-            c, a_ub, b_ub, vertices = _minimax_program(operator, constraint_map, x)
-            program = prepare_lp(c, a_ub=a_ub, b_ub=b_ub)
+            k_a, k_b = constraint_map._halfspaces_at(x)
+            vertices = operator.value(x).vertices()
+            key = id(vertices)
+            if key not in used:
+                used[key] = bodies.get(key) or (
+                    vertices, prepare_body(*_minimax_rows(vertices, k_a)))
+            program = prepare_rhs(used[key][1],
+                                  np.concatenate([vertices @ x, k_b]))
         except _ABANDON as exc:
             out[i] = exc
             continue
         pending.append((i, x, vertices, program))
+    bodies.clear()
+    bodies.update(used)
     solutions = solve_lp_many([program for *_, program in pending])
     for (i, x, vertices, _), sol in zip(pending, solutions):
         try:
@@ -412,10 +443,12 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     accepted = [None] * len(starts)
     rows = [[] for _ in starts]
     live = list(range(len(starts)))
+    bodies = {}
     for _ in range(cfg.max_iters):
         if not live:
             break
-        results = _minimax_many(instance.operator, cm, [points[i] for i in live])
+        results = _minimax_many(instance.operator, cm,
+                                [points[i] for i in live], bodies)
         moving = []
         for i, result in zip(live, results):
             if not isinstance(result, MinimaxResult):
@@ -424,7 +457,8 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
             x = points[i]
             if collect_trace:
                 rows[i].append((i, x.copy(), result.value))
-            if cm.contains(x, x) and result.value >= -cfg.tol_solve:
+            # Residual first: most steps fail it, so contains runs rarely.
+            if result.value >= -cfg.tol_solve and cm.contains(x, x):
                 accepted[i] = (x.copy(), result)
                 continue
             x_next = (1.0 - cfg.gamma) * x + cfg.gamma * result.y_opt
@@ -442,7 +476,8 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
         best = None
         for lo in range(0, len(grid), _GRID_CHUNK):
             chunk = grid[lo:lo + _GRID_CHUNK]
-            for g, result in zip(chunk, _minimax_many(instance.operator, cm, chunk)):
+            results = _minimax_many(instance.operator, cm, chunk, bodies)
+            for g, result in zip(chunk, results):
                 if not isinstance(result, MinimaxResult):
                     continue
                 iterations += 1

@@ -8,13 +8,21 @@ leaving variable, which makes the iteration cycle-free.  Each pivot is
 one masked rank-1 update of the tableau; every element goes through the
 same multiply and subtract as a row-by-row update would.
 
+A tableau is built in two stages: ``prepare_body`` does all that does
+not depend on the right-hand sides (validation, the substitution of
+nonnegative variables, the coefficient and slack columns, the cost),
+and ``prepare_rhs`` fills in one right-hand side (negated rows,
+artificial columns).  ``solve_lp`` runs the same two stages, so a body
+reused for many right-hand sides gives each the bits of its own
+``solve_lp``.
+
 ``solve_lp_many`` solves many programs in lockstep, one simplex
 iteration of every program per step.  Programs whose tableaux have the
 same shape are stacked into one ``(k, m, n)`` array; each keeps its own
 basis, entering column, ratio test and pivot, so every program ends with
 the bits ``solve_lp`` gives it:
 
-- both build the tableau with one helper (``prepare_lp``);
+- both build the tableau with the same two stages;
 - the stacked pricing product ``(k, 1, m) @ (k, m, n)`` makes the same
   BLAS ``gemv`` call per program, on the same strides, as the
   program's own ``cost[basis] @ tableau``;
@@ -35,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LPError", "LPSolution", "prepare_lp", "solve_lp", "solve_lp_many"]
+__all__ = ["LPError", "LPSolution", "prepare_body", "prepare_rhs", "prepare_lp",
+           "solve_lp", "solve_lp_many"]
 
 _COST_TOL = 1e-9
 _PIVOT_TOL = 1e-10
@@ -59,21 +68,37 @@ class LPSolution:
 
 
 @dataclass(eq=False)
+class LPBody:
+    """The part of a phase-1 tableau that ``b_ub`` and ``b_eq`` do not
+    change.  ``solution`` is set, and the other fields are not, when the
+    program is decided before any pivot (crossed bounds, no constraints)."""
+
+    has_ub: bool  # a_ub was given, so b_ub is read
+    has_eq: bool
+    solution: LPSolution | None = None
+    c: np.ndarray | None = None
+    shift: np.ndarray | None = None
+    var_of: np.ndarray | None = None
+    coef: np.ndarray | None = None
+    cost2: np.ndarray | None = None
+    block: np.ndarray | None = None  # rows over u and slacks, none negated
+    widths: list | None = None  # right-hand sides of the capped rows
+    ub_shift: np.ndarray | None = None  # a_ub @ shift
+    eq_shift: np.ndarray | None = None  # a_eq @ shift
+
+
+@dataclass(eq=False)
 class LPTableau:
     """A program between simplex phases: the tableau and basis of its
-    current phase and what maps the final basis back to ``x``.  Phase 1
-    is pending while ``n_art`` is nonzero."""
+    current phase, and the body that maps the final basis back to ``x``.
+    Phase 1 is pending while ``n_art`` is nonzero."""
 
     tableau: np.ndarray
     basis: np.ndarray
     n_struct: int
     n_art: int
     budget: int
-    c: np.ndarray
-    shift: np.ndarray
-    var_of: np.ndarray
-    coef: np.ndarray
-    cost2: np.ndarray
+    body: LPBody
 
     @property
     def cost(self):
@@ -82,7 +107,7 @@ class LPTableau:
             cost1 = np.zeros(self.n_struct + self.n_art)
             cost1[self.n_struct:] = 1.0
             return cost1
-        return self.cost2
+        return self.body.cost2
 
 
 def _budget(rows, cols):
@@ -141,34 +166,29 @@ def _finite(name, arr):
         raise ValueError(f"solve_lp: {name} has a non-finite entry")
 
 
-def prepare_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
-    """Validate a program and build its phase-1 tableau.
+def _matrix(name, a, n):
+    a = np.asarray(a, dtype=float).reshape(-1, n)
+    _finite(name, a)
+    return a
 
-    Takes the arguments of :func:`solve_lp`.  Returns the
-    :class:`LPSolution` of a program decided before any pivot (crossed
-    bounds, no constraints), else an :class:`LPTableau` for
-    :func:`solve_lp_many`.  Raises ``ValueError`` naming the argument
-    when the data holds a NaN or an infinity.
+
+def _vector(name, b):
+    b = np.asarray(b, dtype=float).ravel()
+    _finite(name, b)
+    return b
+
+
+def prepare_body(c, a_ub=None, a_eq=None, bounds=None):
+    """The :class:`LPBody` of a program, for :func:`prepare_rhs` to
+    complete with any number of right-hand sides.  Raises ``ValueError``
+    naming the argument when the data holds a NaN or an infinity.
     """
     c = np.asarray(c, dtype=float).ravel()
     _finite("c", c)
     n = c.size
-    if a_ub is None:
-        a_ub = np.zeros((0, n))
-        b_ub = np.zeros(0)
-    else:
-        a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n)
-        b_ub = np.asarray(b_ub, dtype=float).ravel()
-        _finite("a_ub", a_ub)
-        _finite("b_ub", b_ub)
-    if a_eq is None:
-        a_eq = np.zeros((0, n))
-        b_eq = np.zeros(0)
-    else:
-        a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n)
-        b_eq = np.asarray(b_eq, dtype=float).ravel()
-        _finite("a_eq", a_eq)
-        _finite("b_eq", b_eq)
+    body = LPBody(a_ub is not None, a_eq is not None)
+    a_ub = np.zeros((0, n)) if a_ub is None else _matrix("a_ub", a_ub, n)
+    a_eq = np.zeros((0, n)) if a_eq is None else _matrix("a_eq", a_eq, n)
     if bounds is None:
         bounds = [(None, None)] * n
     elif not all(math.isfinite(v) for pair in bounds for v in pair
@@ -194,7 +214,8 @@ def prepare_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
             coef.append(-1.0)
         else:
             if hi < lo - 1e-12:
-                return LPSolution("infeasible", None, None)
+                body.solution = LPSolution("infeasible", None, None)
+                return body
             shift[j] = lo
             capped.append((len(var_of), hi - lo))
             coef.append(1.0)
@@ -203,57 +224,97 @@ def prepare_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     var_of = np.array(var_of, dtype=int)
     coef = np.array(coef)
 
-    n_ub = a_ub.shape[0] + len(capped)
-    n_eq = a_eq.shape[0]
-    m = n_ub + n_eq
+    n_a = a_ub.shape[0]
+    n_ub = n_a + len(capped)
+    m = n_ub + a_eq.shape[0]
     if m == 0:
         # No constraints: only bounded if the cost over u is nonnegative.
         if np.any(coef * c[var_of] < -_COST_TOL):
-            return LPSolution("unbounded", None, None)
-        return LPSolution("optimal", shift.copy(), float(c @ shift))
+            body.solution = LPSolution("unbounded", None, None)
+        else:
+            body.solution = LPSolution("optimal", shift.copy(), float(c @ shift))
+        return body
 
-    # Columns: u variables, then slacks for the ub rows, then artificials.
+    # Columns: u variables, then slacks for the ub rows.  Coefficients
+    # over u are added onto zeros, as a column-by-column expansion of x
+    # into u would add them, so signed zeros agree.
+    n_struct = ncols + n_ub
+    block = np.zeros((m, n_struct))
+    block[:n_a, :ncols] += coef * a_ub[:, var_of]
+    if capped:
+        block[np.arange(n_a, n_ub), [col for col, _ in capped]] = 1.0
+    if m > n_ub:
+        block[n_ub:, :ncols] += coef * a_eq[:, var_of]
+    block[np.arange(n_ub), np.arange(ncols, n_struct)] = 1.0
+
+    cost2 = np.zeros(n_struct)
+    cost2[:ncols] += coef * c[var_of]
+    body.c, body.shift, body.var_of, body.coef, body.cost2 = (
+        c, shift, var_of, coef, cost2)
+    body.block, body.widths = block, [width for _, width in capped]
+    body.ub_shift, body.eq_shift = a_ub @ shift, a_eq @ shift
+    return body
+
+
+def prepare_rhs(body, b_ub=None, b_eq=None):
+    """What :func:`prepare_lp` returns for ``body`` with these
+    right-hand sides.  ``b_ub`` (``b_eq``) is read only when the body
+    was built with ``a_ub`` (``a_eq``), and rejected, naming it, when it
+    holds a NaN or an infinity.
+    """
+    if body.has_ub:
+        b_ub = _vector("b_ub", b_ub)
+    if body.has_eq:
+        b_eq = _vector("b_eq", b_eq)
+    if body.solution is not None:
+        return body.solution
+
     # Rows with a negative right-hand side are negated, so their slack
     # cannot start the basis; those rows and the equality rows get an
-    # artificial column each.
-    n_a = a_ub.shape[0]
+    # artificial column each, after the u and slack columns.
+    m, n_struct = body.block.shape
+    n_a = body.ub_shift.size
+    n_ub = n_a + len(body.widths)
     rhs = np.empty(m)
-    rhs[:n_a] = b_ub - a_ub @ shift
-    if capped:
-        rhs[n_a:n_ub] = [width for _, width in capped]
-    if n_eq:
-        rhs[n_ub:] = b_eq - a_eq @ shift
+    if body.has_ub:
+        rhs[:n_a] = b_ub - body.ub_shift
+    if body.widths:
+        rhs[n_a:n_ub] = body.widths
+    if m > n_ub:
+        rhs[n_ub:] = b_eq - body.eq_shift
     neg = rhs < 0
     needs_art = neg
-    if n_eq:
+    if m > n_ub:
         needs_art = neg.copy()
         needs_art[n_ub:] = True
-    n_struct = ncols + n_ub
+    ncols = body.var_of.size
     need_art = needs_art.nonzero()[0]
     n_art = need_art.size
     total = n_struct + n_art
     basis = np.arange(ncols, ncols + m)
 
-    # Coefficients over u are added onto zeros, as a column-by-column
-    # expansion of x into u would add them, so signed zeros agree.
     tableau = np.zeros((m, total + 1))
-    tableau[:n_a, :ncols] += coef * a_ub[:, var_of]
-    if capped:
-        tableau[np.arange(n_a, n_ub), [col for col, _ in capped]] = 1.0
-    if n_eq:
-        tableau[n_ub:, :ncols] += coef * a_eq[:, var_of]
-    tableau[np.arange(n_ub), np.arange(ncols, n_struct)] = 1.0
+    tableau[:, :n_struct] = body.block
     if n_art:
         tableau[neg, :n_struct] *= -1.0
         art_cols = np.arange(n_struct, total)
         tableau[need_art, art_cols] = 1.0
         basis[need_art] = art_cols
     tableau[:, total] = np.abs(rhs)
+    return LPTableau(tableau, basis, n_struct, n_art, _budget(m, total), body)
 
-    cost2 = np.zeros(n_struct)
-    cost2[:ncols] += coef * c[var_of]
-    return LPTableau(tableau, basis, n_struct, n_art, _budget(m, total), c,
-                     shift, var_of, coef, cost2)
+
+def prepare_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
+    """Validate a program and build its phase-1 tableau.
+
+    Takes the arguments of :func:`solve_lp`; :func:`prepare_body`, then
+    :func:`prepare_rhs`.  Returns the
+    :class:`LPSolution` of a program decided before any pivot (crossed
+    bounds, no constraints), else an :class:`LPTableau` for
+    :func:`solve_lp_many`.  Raises ``ValueError`` naming the argument
+    when the data holds a NaN or an infinity.
+    """
+    return prepare_rhs(prepare_body(c, a_ub, a_eq, bounds), b_ub, b_eq)
 
 
 def _end_phase1(prog, status):
@@ -290,11 +351,12 @@ def _end_phase1(prog, status):
 def _solution(prog, status):
     if status == "unbounded":
         return LPSolution("unbounded", None, None)
+    body = prog.body
     u = np.zeros(prog.n_struct)
     u[prog.basis] = prog.tableau[:, -1]
-    x = prog.shift.copy()
-    np.add.at(x, prog.var_of, prog.coef * u[:prog.var_of.size])
-    return LPSolution("optimal", x, float(prog.c @ x))
+    x = body.shift.copy()
+    np.add.at(x, body.var_of, body.coef * u[:body.var_of.size])
+    return LPSolution("optimal", x, float(body.c @ x))
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
@@ -350,7 +412,8 @@ def _stack_leaving(col, rhs, basis):
     row, and every other ratio r passes both tests as r2 does, since
     rounding is monotone.  The scan then takes that row against any
     earlier best and keeps it against every later row: it picks the
-    row of the smallest ratio.  Every other lane runs the scan.
+    row of the smallest ratio.  A lane without candidate rows gets -1,
+    as from the scan.  Every other lane runs the scan.
     """
     candidate = col > _PIVOT_TOL
     ratios = np.divide(rhs, col, out=np.full(col.shape, np.inf),
@@ -358,15 +421,17 @@ def _stack_leaving(col, rhs, basis):
     leaving = ratios.argmin(axis=1)
     if ratios.shape[1] > 1:
         smallest = np.partition(ratios, 1, axis=1)
-        pairs = zip(smallest[:, 0].tolist(), smallest[:, 1].tolist())
+        best, runner_up = smallest[:, 0], smallest[:, 1]
     else:
-        pairs = ((ratio, math.inf) for ratio in ratios[:, 0].tolist())
-    for lane, (best, runner_up) in enumerate(pairs):
-        if not (best < runner_up - _TIE and runner_up - best > _TIE):
-            rows = candidate[lane].nonzero()[0]
-            leaving[lane] = _scan_leaving(rows.tolist(),
-                                          ratios[lane, rows].tolist(),
-                                          basis[lane])
+        best, runner_up = ratios[:, 0], math.inf
+    clear = (best < runner_up - _TIE) & (runner_up - best > _TIE)
+    none = ~candidate.any(axis=1)
+    leaving[none] = -1
+    for lane in (~(clear | none)).nonzero()[0].tolist():
+        rows = candidate[lane].nonzero()[0]
+        leaving[lane] = _scan_leaving(rows.tolist(),
+                                      ratios[lane, rows].tolist(),
+                                      basis[lane])
     return leaving
 
 
@@ -441,7 +506,8 @@ def _run_phase_many(progs):
 def solve_lp_many(programs):
     """Solve many prepared programs in lockstep.
 
-    ``programs`` holds what :func:`prepare_lp` returned for each program.
+    ``programs`` holds what :func:`prepare_lp` (or :func:`prepare_rhs`)
+    returned for each program.
     Returns their :class:`LPSolution` objects in order, each bit for bit
     the one :func:`solve_lp` returns for the same arguments; the
     tableaux are consumed.  Phase 1 stacks programs by artificial-column

@@ -359,14 +359,28 @@ def load_instance(path):
     A NaN or infinite number raises SchemaError naming its field, such
     as ``K.D[0][0]``.
     """
+    non_finite = []
+
+    def number(text):
+        value = float(text)
+        if not math.isfinite(value):
+            non_finite.append(text)
+        return value
+
+    def constant(text):
+        non_finite.append(text)
+        return float(text)
+
     with open(path) as handle:
         try:
-            data = json.load(handle)
+            data = json.load(handle, parse_float=number,
+                             parse_constant=constant)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("instance file must hold a JSON object")
-    _reject_non_finite(data, "")
+    if non_finite:  # the walk names the first one by its path
+        _reject_non_finite(data, "")
     if "type" in data:
         return "function", {"function": _function(data, "function"), "raw": data}
     if "function" in data:

@@ -467,3 +467,115 @@ def test_halfspaces_at_are_the_slice_rows(seed):
             got = cm._halfspaces_at(x)
             assert all(bits(g) == bits(w) for g, w in zip(got, want))
         assert errors == ({EmptyPolytopeError} if cm is not maps[0] else set())
+
+
+# -- LP bodies: one per operator value ---------------------------------------------
+
+
+def _count_bodies(monkeypatch):
+    """The list that grows by one for every minimax LP body ``solve``
+    builds (``minimax_value`` builds its own through ``solve_lp``)."""
+    built = []
+    prepare_body = gqvi.prepare_body
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return prepare_body(*args, **kwargs)
+
+    monkeypatch.setattr(gqvi, "prepare_body", counting)
+    return built
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_constant_operator_builds_one_body_per_solve(dim, monkeypatch):
+    instance = random_gqvi(dim, dim)
+    want = sequential_solve(instance, collect_trace=True)
+    built = _count_bodies(monkeypatch)
+    got = solve(instance, collect_trace=True)
+    assert len(built) == 1
+    assert got.iterations > 10 * got.starts_tried
+    assert_same_report(got, want)
+
+
+class _InfiniteOffsetsPast1(MovingPolytope):
+    """K(x) whose offsets are infinite for x0 > 1, as they are where
+    huge offsets are divided by tiny row norms."""
+
+    def _offsets_at(self, x):
+        b = super()._offsets_at(x)
+        return np.full_like(b, np.inf) if x[0] > 1.0 else b
+
+
+def _unusable_past_1(kind):
+    """The moving interval ``[x/2 - 1, x/2 + 1] ∩ [-2, 2]``, unusable for
+    x > 1: emptied by a zero row whose offset ``1 - x`` turns negative,
+    or given infinite offsets there."""
+    box = Polytope.from_box([-2.0], [2.0])
+    if kind == "zero-row":
+        return MovingPolytope([[1.0], [-1.0], [0.0]], [1.0, 1.0, 1.0],
+                              [[0.5], [-0.5], [-1.0]], box)
+    return _InfiniteOffsetsPast1([[1.0], [-1.0]], [1.0, 1.0],
+                                 [[0.5], [-0.5]], box)
+
+
+def _point_1d(v):
+    return Polytope.from_box([v], [v])
+
+
+@pytest.mark.parametrize("kind", ["zero-row", "non-finite"])
+def test_lane_abandoned_by_its_slice_leaves_other_lanes(kind, monkeypatch):
+    # T(x) = {1} for x <= 0 pushes x down to -2, where it is accepted;
+    # T(x) = {-1} beyond pushes it up past 1, where the lane is abandoned
+    # after some steps.  The two cells build one body each.
+    operator = TabulatedOperator(0, [0.0], [_point_1d(1.0), _point_1d(-1.0)])
+    instance = GqviInstance(_unusable_past_1(kind), operator,
+                            gqvi.SolverConfig(starts=6, seed=3))
+    want = sequential_solve(instance, collect_trace=True)
+    built = _count_bodies(monkeypatch)
+    got = solve(instance, collect_trace=True)
+    assert_same_report(got, want)
+    assert len(built) == 2
+    rows = {}
+    for start, x, value in got.trace:
+        rows.setdefault(start, []).append(value)
+    accepted = [start for start, values in rows.items() if values[-1] >= 0.0]
+    cut = [start for start, values in rows.items()
+           if values[-1] < 0.0 and len(values) >= 2]
+    assert accepted and cut
+    assert got.status == "solved"
+
+
+def test_body_cache_holds_only_the_last_call(moving_interval):
+    # One body per vertex array in use; an array the last call did not
+    # use is dropped, so the cache cannot grow with the step count.
+    cells = [_point_1d(1.0), _point_1d(-1.0)]
+    operator = TabulatedOperator(0, [0.0], cells)
+    bodies = {}
+    gqvi._minimax_many(operator, moving_interval, [[-1.0], [0.5], [-0.5]],
+                       bodies)
+    assert sorted(map(id, (array for array, _ in bodies.values()))) == sorted(
+        id(cell.vertices()) for cell in cells)
+    left = bodies[id(cells[0].vertices())]
+    gqvi._minimax_many(operator, moving_interval, [[-1.5]], bodies)
+    assert len(bodies) == 1 and next(iter(bodies.values())) is left
+
+
+def test_reduction_shares_the_dual_box_body(step1d, monkeypatch):
+    # The quasiopt operator is the dual box on the argmin and a freshly
+    # glued base elsewhere: lanes that meet the argmin at one step share
+    # the box's body, and every base builds its own.
+    from adjcone.normal_op import build_atlas
+    from adjcone.quasiopt import TFromNormal
+
+    atlas = build_atlas(step1d, Polytope.from_box([0.25], [1.75]), 0.25,
+                        argmin_margin=0.25)
+    window = MovingPolytope(a=[[1.0], [-1.0]], b=[0.5, 0.5],
+                            d=[[1.0], [-1.0]],
+                            box=Polytope.from_box([-1.0], [2.0]))
+    instance = GqviInstance(window, TFromNormal(step1d, atlas),
+                            config=gqvi.SolverConfig(starts=6))
+    want = sequential_solve(instance, collect_trace=True)
+    built = _count_bodies(monkeypatch)
+    got = solve(instance, collect_trace=True)
+    assert_same_report(got, want)
+    assert 1 < len(built) < got.iterations

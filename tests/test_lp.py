@@ -639,3 +639,185 @@ def test_lockstep_budget_exhausted(monkeypatch):
         solve_lp(**stack[0])
     with pytest.raises(lp.LPError):
         solve_in_lockstep(stack)
+
+
+# -- body and right-hand-side stages -------------------------------------------
+#
+# ``prepare_lp`` runs ``prepare_body`` and then ``prepare_rhs``.  The
+# one-stage builder it replaced is kept below as the oracle: one body
+# completed with any right-hand side must give that builder's tableau,
+# basis, artificial count, budget and decided solution bit for bit.
+
+
+def one_stage_prepare_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
+                         bounds=None):
+    """``(tableau, basis, n_struct, n_art, budget, shift, var_of, coef,
+    cost2)`` of the program, or its LPSolution when decided before any
+    pivot."""
+    c = np.asarray(c, dtype=float).ravel()
+    lp._finite("c", c)
+    n = c.size
+    if a_ub is None:
+        a_ub, b_ub = np.zeros((0, n)), np.zeros(0)
+    else:
+        a_ub = np.asarray(a_ub, dtype=float).reshape(-1, n)
+        b_ub = np.asarray(b_ub, dtype=float).ravel()
+        lp._finite("a_ub", a_ub)
+        lp._finite("b_ub", b_ub)
+    if a_eq is None:
+        a_eq, b_eq = np.zeros((0, n)), np.zeros(0)
+    else:
+        a_eq = np.asarray(a_eq, dtype=float).reshape(-1, n)
+        b_eq = np.asarray(b_eq, dtype=float).ravel()
+        lp._finite("a_eq", a_eq)
+        lp._finite("b_eq", b_eq)
+    if bounds is None:
+        bounds = [(None, None)] * n
+    var_of, coef, shift, capped = [], [], np.zeros(n), []
+    for j, (lo, hi) in enumerate(bounds):
+        if lo is None and hi is None:
+            var_of += [j, j]
+            coef += [1.0, -1.0]
+            continue
+        if hi is None:
+            shift[j] = lo
+            coef.append(1.0)
+        elif lo is None:
+            shift[j] = hi
+            coef.append(-1.0)
+        else:
+            if hi < lo - 1e-12:
+                return LPSolution("infeasible", None, None)
+            shift[j] = lo
+            capped.append((len(var_of), hi - lo))
+            coef.append(1.0)
+        var_of.append(j)
+    ncols = len(var_of)
+    var_of, coef = np.array(var_of, dtype=int), np.array(coef)
+    n_a = a_ub.shape[0]
+    n_ub = n_a + len(capped)
+    n_eq = a_eq.shape[0]
+    m = n_ub + n_eq
+    if m == 0:
+        if np.any(coef * c[var_of] < -lp._COST_TOL):
+            return LPSolution("unbounded", None, None)
+        return LPSolution("optimal", shift.copy(), float(c @ shift))
+    rhs = np.empty(m)
+    rhs[:n_a] = b_ub - a_ub @ shift
+    if capped:
+        rhs[n_a:n_ub] = [width for _, width in capped]
+    if n_eq:
+        rhs[n_ub:] = b_eq - a_eq @ shift
+    neg = rhs < 0
+    needs_art = neg.copy()
+    needs_art[n_ub:] = True
+    n_struct = ncols + n_ub
+    need_art = needs_art.nonzero()[0]
+    n_art = need_art.size
+    total = n_struct + n_art
+    basis = np.arange(ncols, ncols + m)
+    tableau = np.zeros((m, total + 1))
+    tableau[:n_a, :ncols] += coef * a_ub[:, var_of]
+    if capped:
+        tableau[np.arange(n_a, n_ub), [col for col, _ in capped]] = 1.0
+    if n_eq:
+        tableau[n_ub:, :ncols] += coef * a_eq[:, var_of]
+    tableau[np.arange(n_ub), np.arange(ncols, n_struct)] = 1.0
+    if n_art:
+        tableau[neg, :n_struct] *= -1.0
+        art_cols = np.arange(n_struct, total)
+        tableau[need_art, art_cols] = 1.0
+        basis[need_art] = art_cols
+    tableau[:, total] = np.abs(rhs)
+    cost2 = np.zeros(n_struct)
+    cost2[:ncols] += coef * c[var_of]
+    return (tableau, basis, n_struct, n_art, lp._budget(m, total), shift,
+            var_of, coef, cost2)
+
+
+def assert_same_preparation(got, want):
+    if isinstance(want, LPSolution):
+        assert isinstance(got, LPSolution)
+        assert_same_solution(got, want)
+        return
+    tableau, basis, n_struct, n_art, budget, *body = want
+    assert bit_identical(got.tableau, tableau)
+    assert np.array_equal(got.basis, basis)
+    assert (got.n_struct, got.n_art, got.budget) == (n_struct, n_art, budget)
+    for got_part, want_part in zip(
+            (got.body.shift, got.body.var_of, got.body.coef, got.body.cost2),
+            body):
+        assert bit_identical(got_part, want_part)
+
+
+RHS_SIGNS = ["drawn", "negative", "positive", "signed-zero"]
+
+
+def _right_hand_side(b, sign, rng):
+    if sign == "negative":
+        return -np.abs(b) - 0.5
+    if sign == "positive":
+        return np.abs(b) + 0.5
+    if sign == "signed-zero":
+        return rng.choice([0.0, -0.0], size=b.shape)
+    return b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(programs(), st.sampled_from(RHS_SIGNS), st.integers(0, 2**32 - 1))
+def test_body_then_rhs_is_the_one_stage_builder(program, sign, seed):
+    # One body, completed with the drawn right-hand sides and three
+    # redrawn ones: each must be the one-stage tableau of its program.
+    rng = np.random.default_rng(seed)
+    body = lp.prepare_body(program["c"], program["a_ub"], program.get("a_eq"),
+                           program.get("bounds"))
+    for _ in range(4):
+        b_ub = _right_hand_side(program["b_ub"], sign, rng)
+        b_eq = program.get("b_eq")
+        if b_eq is not None:
+            b_eq = _right_hand_side(b_eq, sign, rng)
+        want = one_stage_prepare_lp(**{**program, "b_ub": b_ub, "b_eq": b_eq})
+        assert_same_preparation(lp.prepare_rhs(body, b_ub, b_eq), want)
+        assert_same_preparation(
+            lp.prepare_lp(**{**program, "b_ub": b_ub, "b_eq": b_eq}), want)
+        program["b_ub"] = rng.normal(size=program["b_ub"].shape)
+
+
+@pytest.mark.parametrize("bounds, status", [
+    ([(0.0, 1.0), (2.0, 1.0)], "infeasible"),
+    ([(0.0, None), (None, 1.0)], None),
+    ([(-1.0, 1.0), (None, None)], None),
+], ids=["crossed", "one-sided", "two-sided-and-free"])
+def test_rhs_stage_completes_bodies_of_every_bound_kind(bounds, status):
+    a_ub = [[1.0, 2.0], [-1.0, 0.5]]
+    a_eq = [[1.0, 1.0]]
+    body = lp.prepare_body([1.0, -1.0], a_ub, a_eq, bounds)
+    for b_ub, b_eq in (([1.0, 1.0], [0.5]), ([-1.0, -0.0], [-0.5]),
+                       ([0.0, -0.0], [0.0])):
+        want = one_stage_prepare_lp([1.0, -1.0], a_ub, b_ub, a_eq, b_eq,
+                                    bounds)
+        got = lp.prepare_rhs(body, b_ub, b_eq)
+        assert_same_preparation(got, want)
+        if status is not None:
+            assert got.status == status
+
+
+def test_body_without_constraints_is_decided():
+    body = lp.prepare_body([1.0], bounds=[(0.5, None)])
+    assert_same_solution(lp.prepare_rhs(body),
+                         LPSolution("optimal", np.array([0.5]), 0.5))
+    body = lp.prepare_body([-1.0], bounds=[(0.5, None)])
+    assert lp.prepare_rhs(body).status == "unbounded"
+
+
+@pytest.mark.parametrize("bounds", [None, [(2.0, 1.0)]],
+                         ids=["free", "crossed"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rhs_stage_rejects_non_finite_b_ub(bounds, bad):
+    # The body is valid; only this right-hand side is not.  A crossed
+    # bound decides the program, but its right-hand side is still read.
+    body = lp.prepare_body([1.0], [[1.0], [-1.0]], bounds=bounds)
+    with pytest.raises(ValueError, match="solve_lp: b_ub has a non-finite"):
+        lp.prepare_rhs(body, [bad, 1.0])
+    with pytest.raises(ValueError, match="solve_lp: b_eq has a non-finite"):
+        lp.prepare_rhs(lp.prepare_body([1.0], a_eq=[[1.0]]), b_eq=[bad])

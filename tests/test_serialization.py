@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -145,6 +146,8 @@ def test_atlas_missing_chart_field_named():
 @pytest.mark.parametrize("text, field", [
     ('{"type": "step", "levels": [0.0, 1e400], "polytopes": []}', "levels[1]"),
     ('{"K": {"A": [[1.0]], "b": [NaN]}, "T": {}}', "K.b[0]"),
+    ('{"K": {"A": [[1.0]], "b": [1.0, -Infinity]}, "T": {}}', "K.b[1]"),
+    ('{"type": "step", "levels": [-1E+999], "polytopes": []}', "levels[0]"),
 ])
 def test_load_instance_names_non_finite_field(text, field, tmp_path):
     # Python's json accepts NaN and Infinity and turns overflowing
@@ -263,11 +266,25 @@ def _nodes(value):
     return 1
 
 
+def _last_number(value, path=()):
+    """The key path of the last number in ``value``, in walk order."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    found = None
+    for key, item in items:
+        if isinstance(item, float):
+            found = (*path, key)
+        else:
+            found = _last_number(item, (*path, key)) or found
+    return found
+
+
 @pytest.mark.parametrize("name", sorted(os.listdir(SHIPPED)))
-def test_load_instance_walks_each_value_once(name, monkeypatch):
-    # The file-level non-finite check covers every parser it calls; a
-    # second walk per parser visited every number of a function, atlas
-    # or operator twice.
+def test_load_instance_walks_each_value_once(name, monkeypatch, tmp_path):
+    # The parser flags a non-finite number as it reads it, so a clean
+    # file is not walked at all.  A file with one is walked once, to name
+    # its path; no value is visited twice (a second walk per parser once
+    # visited every number of a function, atlas or operator twice).
     walk = serialization._reject_non_finite
     visits = []
 
@@ -278,5 +295,19 @@ def test_load_instance_walks_each_value_once(name, monkeypatch):
     monkeypatch.setattr(serialization, "_reject_non_finite", counting)
     path = os.path.join(SHIPPED, name)
     load_instance(path)
+    assert visits == []
     with open(path) as handle:
-        assert len(visits) == _nodes(json.load(handle))
+        data = json.load(handle)
+    node = data
+    *parents, last = _last_number(data)
+    for key in parents:
+        node = node[key]
+    node[last] = -math.inf
+    bad = tmp_path / name
+    bad.write_text(json.dumps(data))
+    with pytest.raises(SchemaError, match=r" must be a finite number, got -inf"):
+        load_instance(bad)
+    assert len(set(visits)) == len(visits) <= _nodes(data)
+    assert visits[-1] == "".join(
+        f"[{key}]" if isinstance(key, int) else f".{key}" if i else key
+        for i, key in enumerate(_last_number(data)))
