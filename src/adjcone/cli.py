@@ -3,9 +3,9 @@ emit machine-readable reports.
 
 Every run writes ``report.json`` (deterministic for a fixed config and
 seed), ``manifest.json`` (timestamps, effective configuration, instance
-hash) and any CSV data series into the output directory.  Exit codes:
-0 pass/solved, 2 fail/residual_floor (report still written), 1 input
-errors.
+hash, run counters) and any CSV data series into the output directory.
+Exit codes: 0 pass/solved, 2 fail/residual_floor (report still
+written), 1 input errors.
 """
 
 from __future__ import annotations
@@ -354,7 +354,7 @@ def _cmd_solve_gqvi(kind, payload, args, out_dir):
         rows = [[s, *map(float, x), v] for s, x, v in report_obj.trace]
         dim = instance.constraint_map.dim
         series["trace"] = (["start", *(f"x{k}" for k in range(dim)), "residual"], rows)
-    return (0 if report_obj.status == "solved" else 2), report, series
+    return (0 if report_obj.status == "solved" else 2), report, series, report_obj.stats
 
 
 def _cmd_solve_quasiopt(kind, payload, args, out_dir):
@@ -451,7 +451,8 @@ def run(argv) -> int:
     try:
         _check_flags(args)
         kind, payload = load_instance(args.instance)
-        code, report, series = _DISPATCH[args.command](kind, payload, args, out_dir)
+        code, report, series, *stats = _DISPATCH[args.command](
+            kind, payload, args, out_dir)
     except (SchemaError, FileNotFoundError, ValueError, GeometryError,
             DomainError, ArgminError) as exc:
         sys.stderr.write(f"adjcone: {exc}\n")
@@ -481,6 +482,7 @@ def run(argv) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "wall_time": time.time() - started,
         "exit_code": code,
+        **({"stats": stats[0]} if stats else {}),
     })
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return code

@@ -15,16 +15,17 @@ only, so every reported solution is re-verified from scratch and
 anything weaker is labelled ``residual_floor``.
 
 The starts are independent, so ``solve`` advances them in lockstep, one
-damped step of every live start at a time, and solves that step's
-minimax LPs together with ``lp.solve_lp_many``.  Each LP keeps the bits
-of its own ``solve_lp`` and every step rule stays per start, so the
-report, trace and iteration count are those of running the starts one
-after another.
+damped step of every live start at a time.  Every step rule stays per
+start, so the report, trace and iteration count are those of running
+the starts one after another.
 
 Given T(x), only the right-hand side of the minimax LP depends on x, so
 ``solve`` builds one LP body (``lp.prepare_body``) per vertex array of
-T(x) in use and each step fills in its right-hand side
-(``lp.prepare_rhs``): the two stages ``solve_lp`` runs, bit for bit.
+T(x) in use, with an ``lp.PathMemo`` that solves it for each step's
+right-hand side.  Most steps retrace a pivot path an earlier LP of the
+same solve took, and the memo replays it on the right-hand side alone;
+either way each LP has the bits of its own ``solve_lp``.  The memo
+counts go to ``SolveReport.stats``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +48,7 @@ from .geometry import (
     _unit_halfspaces,
     _unit_offsets,
 )
-from .lp import prepare_body, prepare_rhs, solve_lp, solve_lp_many
+from .lp import PathMemo, prepare_body, solve_lp
 
 # The benchmark's layer tracer looks this helper up as ``gqvi._grid_points``
 # (ROADMAP item 4 renames that target at the next benchmark change).
@@ -73,10 +75,6 @@ __all__ = [
 
 # Random box points of the nonemptiness scan (``MovingPolytope.validate``).
 _SCAN_SAMPLES = 48
-
-# Grid points of the solver's fallback evaluated in one lockstep batch;
-# bounds the stacked tableaux at a few MB.
-_GRID_CHUNK = 256
 
 
 class InstanceError(RuntimeError):
@@ -230,7 +228,7 @@ class GqviInstance:
 class MinimaxResult:
     value: float
     y_opt: np.ndarray
-    witness: np.ndarray  # maximizing vertex of T(x) at y_opt
+    witness: np.ndarray | None = None  # maximizing vertex of T(x) at y_opt
 
 
 @dataclass
@@ -284,15 +282,18 @@ def _minimax_rows(vertices, k_a):
     return c, a_ub
 
 
-def _minimax_result(sol, vertices, x) -> MinimaxResult:
+def _minimax_result(sol, x) -> MinimaxResult:
+    """The result of the minimax LP at x, without its witness."""
     if sol.status == "infeasible":
         raise EmptyPolytopeError("constraint set K(x) is empty")
     if not sol.optimal:
         raise InstanceError(f"minimax LP ended with status {sol.status}")
-    y_opt = sol.x[:x.size]
-    products = vertices @ (y_opt - x)
-    witness = vertices[int(np.argmax(products))]
-    return MinimaxResult(value=float(sol.value), y_opt=y_opt, witness=witness)
+    return MinimaxResult(value=float(sol.value), y_opt=sol.x[:x.size])
+
+
+def _witness(vertices, y_opt, x):
+    """The vertex of T(x) that attains the maximum at y_opt."""
+    return vertices[int(np.argmax(vertices @ (y_opt - x)))]
 
 
 def minimax_value(operator, constraint_map, x) -> MinimaxResult:
@@ -308,51 +309,44 @@ def minimax_value(operator, constraint_map, x) -> MinimaxResult:
     vertices = operator.value(x).vertices()
     c, a_ub = _minimax_rows(vertices, k_a)
     sol = solve_lp(c, a_ub=a_ub, b_ub=np.concatenate([vertices @ x, k_b]))
-    return _minimax_result(sol, vertices, x)
+    result = _minimax_result(sol, x)
+    result.witness = _witness(vertices, result.y_opt, x)
+    return result
 
 
 # A branch of the solver hit an operator hole or an empty slice.
 _ABANDON = (GeometryError, InstanceError, ValueError)
 
 
-def _minimax_many(operator, constraint_map, points, bodies):
-    """``minimax_value`` at every point, its LPs solved in lockstep.
-
-    Each entry is the point's MinimaxResult, or the ``_ABANDON`` error
-    that ``minimax_value`` raises there; an LPError ends the call.
-
-    The LP body depends on x only through the operator value: ``bodies``
-    maps the ``id`` of a vertex array to ``(array, body)``, and on return
-    holds just the entries this call used.  An entry keeps its array
-    alive, so no other array can take its id.
+def _minimax_many(operator, constraint_map, points, bodies, counts):
+    """``minimax_value`` at every point without the witness, or the
+    ``_ABANDON`` error it raises there, and the vertex array of T there.
+    An LPError ends the call.  The LP body depends on x only through the
+    operator value: ``bodies`` maps the ``id`` of a vertex array to
+    ``(array, memo of its body)``, and on return holds just the entries
+    this call used.  An entry keeps its array alive, so no other array
+    can take its id.  ``counts`` counts the LPs and the memos' work.
     """
-    out = [None] * len(points)
-    pending = []
-    used = {}
-    for i, x in enumerate(points):
+    results, arrays, used = [], [], {}
+    for x in points:
         x = np.asarray(x, dtype=float).ravel()
+        vertices = None
         try:
             k_a, k_b = constraint_map._halfspaces_at(x)
             vertices = operator.value(x).vertices()
             key = id(vertices)
-            if key not in used:
-                used[key] = bodies.get(key) or (
-                    vertices, prepare_body(*_minimax_rows(vertices, k_a)))
-            program = prepare_rhs(used[key][1],
-                                  np.concatenate([vertices @ x, k_b]))
+            entry = used[key] = used.get(key) or bodies.get(key) or (
+                vertices, PathMemo(prepare_body(*_minimax_rows(vertices, k_a)),
+                                   counts))
+            sol = entry[1].solve(np.concatenate([vertices @ x, k_b]))
+            counts["minimax_lps"] += 1
+            results.append(_minimax_result(sol, x))
         except _ABANDON as exc:
-            out[i] = exc
-            continue
-        pending.append((i, x, vertices, program))
+            results.append(exc)
+        arrays.append(vertices)
     bodies.clear()
     bodies.update(used)
-    solutions = solve_lp_many([program for *_, program in pending])
-    for (i, x, vertices, _), sol in zip(pending, solutions):
-        try:
-            out[i] = _minimax_result(sol, vertices, x)
-        except _ABANDON as exc:
-            out[i] = exc
-    return out
+    return results, arrays
 
 
 def sion_check(operator, constraint_map, x) -> SionResult:
@@ -394,6 +388,7 @@ class SolveReport:
     wall_time: float
     starts_tried: int = 0
     trace: list | None = None
+    stats: dict | None = None  # minimax LP and memo counts, not reported
 
     def to_dict(self):
         return {
@@ -421,13 +416,12 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     Candidate ties break toward smaller norm, then lexicographically.
 
     The starts run in lockstep: every live start takes its next step at
-    once, and ``_minimax_many`` solves their minimax LPs as lanes of
-    stacked simplex tableaux.  This is bit for bit the start-by-start
-    loop: no start reads another, each lane's LP has the bits of its own
-    ``solve_lp``, the step rules are per-lane scalar code, and trace rows
-    and candidates are kept per start and read in (start, iteration)
-    order.  The grid fallback evaluates its points the same way and scans
-    them in grid order.
+    once.  This is bit for bit the start-by-start loop: no start reads
+    another, each LP has the bits of its own ``solve_lp``, the step rules
+    are per-start scalar code, and trace rows and candidates are kept per
+    start and read in (start, iteration) order.  The grid fallback scans
+    its points in grid order.  ``stats`` counts the minimax LPs, those
+    the memos replayed and solved from scratch, and the states recorded.
     """
     t_start = time.perf_counter()
     cfg = instance.config
@@ -444,11 +438,12 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     rows = [[] for _ in starts]
     live = list(range(len(starts)))
     bodies = {}
+    counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0)
     for _ in range(cfg.max_iters):
         if not live:
             break
-        results = _minimax_many(instance.operator, cm,
-                                [points[i] for i in live], bodies)
+        results, _ = _minimax_many(instance.operator, cm,
+                                   [points[i] for i in live], bodies, counts)
         moving = []
         for i, result in zip(live, results):
             if not isinstance(result, MinimaxResult):
@@ -470,38 +465,38 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     candidates = [found for found in accepted if found is not None]
     trace = [row for lane in rows for row in lane] if collect_trace else None
 
+    def report(status, x=None, residual=None, witness=None):
+        return SolveReport(status, x, residual, witness, iterations,
+                           time.perf_counter() - t_start, len(starts), trace,
+                           dict(counts))
+
     if not candidates:
         mesh = max(fix.diameter() / cfg.mesh_divisions, 1e-9)
         grid = _grid_points(fix, mesh)
-        best = None
-        for lo in range(0, len(grid), _GRID_CHUNK):
-            chunk = grid[lo:lo + _GRID_CHUNK]
-            results = _minimax_many(instance.operator, cm, chunk, bodies)
-            for g, result in zip(chunk, results):
-                if not isinstance(result, MinimaxResult):
-                    continue
-                iterations += 1
-                if best is None or _candidate_key(g, result.value) < _candidate_key(*best_key):
-                    best = (g, result)
-                    best_key = (g, result.value)
+        results, arrays = _minimax_many(instance.operator, cm, grid, bodies,
+                                        counts)
+        best = best_key = None
+        for g, result, vertices in zip(grid, results, arrays):
+            if not isinstance(result, MinimaxResult):
+                continue
+            iterations += 1
+            key = _candidate_key(g, result.value)
+            if best is None or key < best_key:
+                best, best_key = (g, result, vertices), key
         if best is None:
-            return SolveReport("infeasible", None, None, None, iterations,
-                               time.perf_counter() - t_start, len(starts), trace)
-        x_best, res_best = best
+            return report("infeasible")
+        x_best, res_best, vertices = best
         status = "solved" if (res_best.value >= -cfg.tol_solve
                               and cm.contains(x_best, x_best)) else "residual_floor"
-        return SolveReport(status, x_best, float(res_best.value), res_best.witness,
-                           iterations, time.perf_counter() - t_start, len(starts), trace)
+        return report(status, x_best, float(res_best.value),
+                      _witness(vertices, res_best.y_opt, x_best))
 
-    scored = sorted(((c, r) for c, r in candidates),
-                    key=lambda cr: _candidate_key(cr[0], cr[1].value))
-    x_best, _ = scored[0]
+    x_best, _ = min(candidates, key=lambda cr: _candidate_key(cr[0], cr[1].value))
     # Solver soundness: re-verify the winner from scratch.
     recheck = minimax_value(instance.operator, cm, x_best)
     ok = cm.contains(x_best, x_best) and recheck.value >= -cfg.tol_solve
     status = "solved" if ok else "residual_floor"
-    return SolveReport(status, x_best, float(recheck.value), recheck.witness,
-                       iterations, time.perf_counter() - t_start, len(starts), trace)
+    return report(status, x_best, float(recheck.value), recheck.witness)
 
 
 def lsc_probe(value_fn, box: Polytope, seed=0):

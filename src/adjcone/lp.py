@@ -16,35 +16,30 @@ artificial columns).  ``solve_lp`` runs the same two stages, so a body
 reused for many right-hand sides gives each the bits of its own
 ``solve_lp``.
 
-``solve_lp_many`` solves many programs in lockstep, one simplex
-iteration of every program per step.  Programs whose tableaux have the
-same shape are stacked into one ``(k, m, n)`` array; each keeps its own
-basis, entering column, ratio test and pivot, so every program ends with
-the bits ``solve_lp`` gives it:
-
-- both build the tableau with the same two stages;
-- the stacked pricing product ``(k, 1, m) @ (k, m, n)`` makes the same
-  BLAS ``gemv`` call per program, on the same strides, as the
-  program's own ``cost[basis] @ tableau``;
-- the ratios, the rank-1 update and the row scaling are elementwise;
-- the leaving row is taken from the minimum ratios only when the tie
-  scan provably picks it (``_stack_leaving``), and by the scan itself
-  otherwise.
-
-Stacks are never padded to a common shape: extra columns change the
-bits of the BLAS product.  Stacks of fewer than ``_MIN_STACK`` programs
-run the scalar loop.
+``PathMemo`` solves many programs of one body.  Under Bland's rule
+every simplex choice but the leaving row depends only on the tableau's
+body columns, never on its right-hand-side column: the entering column,
+its candidate rows, and each pivot's update of the body columns.  So a
+program that retraces a recorded path, with the same negated rows, is
+replayed on its right-hand-side column alone, with the operations of
+``solve_lp``: ``_scan_leaving`` on the same quotients; per pivot,
+``r_l / p`` and then ``r_i - f_i * r_l`` on the rows ``_pivot`` updates,
+each one IEEE binary64 operation that rounds once, in CPython floats as
+in numpy; the phase-1 dot product on a column with the tableau's
+strides; and the shared ``_solution``.  A program that leaves the
+recorded paths is solved from scratch and recorded.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LPError", "LPSolution", "prepare_body", "prepare_rhs", "prepare_lp",
-           "solve_lp", "solve_lp_many"]
+__all__ = ["LPError", "LPSolution", "PathMemo", "prepare_body", "prepare_rhs",
+           "solve_lp"]
 
 _COST_TOL = 1e-9
 _PIVOT_TOL = 1e-10
@@ -126,35 +121,43 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _scan_leaving(rows, ratios, basis):
-    """Bland's rule with a ``_TIE`` band over the candidate rows in order:
-    the first strictly smaller ratio wins, a tie goes to the smaller basic
-    index.  -1 when no ratio is finite."""
+def _scan_leaving(rows, den, rhs, basis):
+    """Bland's rule with a ``_TIE`` band over the ratios ``rhs[i] / d``
+    of the candidate rows ``i`` and their entering-column entries ``d``,
+    in order: the first strictly smaller ratio wins, a tie goes to the
+    smaller basic index.  -1 when no ratio is finite."""
     leaving = -1
-    best = math.inf
-    for i, ratio in zip(rows, ratios):
-        if ratio < best - _TIE:
-            best = ratio
-            leaving = i
-        elif (leaving >= 0 and abs(ratio - best) <= _TIE
+    best = bar = math.inf  # bar is best - _TIE
+    for i, d in zip(rows, den):
+        ratio = rhs[i] / d
+        if ratio < bar:
+            best, bar, leaving = ratio, ratio - _TIE, i
+        # |ratio - best| <= _TIE; best - ratio is -(ratio - best) exactly.
+        elif (ratio - best <= _TIE and best - ratio <= _TIE and leaving >= 0
               and basis[i] < basis[leaving]):
             leaving = i
     return leaving
 
 
-def _run_phase(tableau, basis, cost, max_iter):
-    """Minimize cost over the current tableau; returns 'optimal'/'unbounded'."""
+def _run_phase(tableau, basis, cost, max_iter, path=None):
+    """Minimize cost over the current tableau; returns 'optimal'/'unbounded'.
+    ``path`` collects ``(basis, entering column or None, leaving row)``
+    of every state met."""
     n = tableau.shape[1] - 1
     for _ in range(max_iter):
         reduced = cost[:n] - cost[basis] @ tableau[:, :n]
         improving = reduced < -_COST_TOL
         entering = improving.argmax()  # Bland: the first improving column
         if not improving[entering]:
+            if path is not None:
+                path.append((basis.copy(), None, -1))
             return "optimal"
         col = tableau[:, entering]
         rows = (col > _PIVOT_TOL).nonzero()[0]
-        ratios = tableau[rows, n] / col[rows]
-        leaving = _scan_leaving(rows.tolist(), ratios.tolist(), basis)
+        leaving = _scan_leaving(rows.tolist(), col[rows].tolist(),
+                                tableau[:, n].tolist(), basis)
+        if path is not None:
+            path.append((basis.copy(), col.copy(), leaving))
         if leaving < 0:
             return "unbounded"
         _pivot(tableau, basis, leaving, entering)
@@ -257,36 +260,24 @@ def prepare_body(c, a_ub=None, a_eq=None, bounds=None):
 
 
 def prepare_rhs(body, b_ub=None, b_eq=None):
-    """What :func:`prepare_lp` returns for ``body`` with these
-    right-hand sides.  ``b_ub`` (``b_eq``) is read only when the body
-    was built with ``a_ub`` (``a_eq``), and rejected, naming it, when it
-    holds a NaN or an infinity.
+    """The phase-1 :class:`LPTableau` of ``body`` with these right-hand
+    sides, or the :class:`LPSolution` of a program decided before any
+    pivot (crossed bounds, no constraints).  ``b_ub`` (``b_eq``) is read
+    only when the body was built with ``a_ub`` (``a_eq``), and rejected,
+    naming it, when it holds a NaN or an infinity.
     """
-    if body.has_ub:
-        b_ub = _vector("b_ub", b_ub)
-    if body.has_eq:
-        b_eq = _vector("b_eq", b_eq)
-    if body.solution is not None:
-        return body.solution
-
+    rhs = _rhs(body, b_ub, b_eq)
+    if isinstance(rhs, LPSolution):
+        return rhs
     # Rows with a negative right-hand side are negated, so their slack
     # cannot start the basis; those rows and the equality rows get an
     # artificial column each, after the u and slack columns.
     m, n_struct = body.block.shape
-    n_a = body.ub_shift.size
-    n_ub = n_a + len(body.widths)
-    rhs = np.empty(m)
-    if body.has_ub:
-        rhs[:n_a] = b_ub - body.ub_shift
-    if body.widths:
-        rhs[n_a:n_ub] = body.widths
-    if m > n_ub:
-        rhs[n_ub:] = b_eq - body.eq_shift
     neg = rhs < 0
     needs_art = neg
-    if m > n_ub:
+    if body.eq_shift.size:
         needs_art = neg.copy()
-        needs_art[n_ub:] = True
+        needs_art[m - body.eq_shift.size:] = True
     ncols = body.var_of.size
     need_art = needs_art.nonzero()[0]
     n_art = need_art.size
@@ -304,22 +295,33 @@ def prepare_rhs(body, b_ub=None, b_eq=None):
     return LPTableau(tableau, basis, n_struct, n_art, _budget(m, total), body)
 
 
-def prepare_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
-    """Validate a program and build its phase-1 tableau.
+def _rhs(body, b_ub, b_eq):
+    """The right-hand side of every row of the body, or its decided
+    solution."""
+    if body.has_ub:
+        b_ub = _vector("b_ub", b_ub)
+    if body.has_eq:
+        b_eq = _vector("b_eq", b_eq)
+    if body.solution is not None:
+        return body.solution
+    m = body.block.shape[0]
+    n_a = body.ub_shift.size
+    n_ub = n_a + len(body.widths)
+    rhs = np.empty(m)
+    if body.has_ub:
+        rhs[:n_a] = b_ub - body.ub_shift
+    if body.widths:
+        rhs[n_a:n_ub] = body.widths
+    if m > n_ub:
+        rhs[n_ub:] = b_eq - body.eq_shift
+    return rhs
 
-    Takes the arguments of :func:`solve_lp`; :func:`prepare_body`, then
-    :func:`prepare_rhs`.  Returns the
-    :class:`LPSolution` of a program decided before any pivot (crossed
-    bounds, no constraints), else an :class:`LPTableau` for
-    :func:`solve_lp_many`.  Raises ``ValueError`` naming the argument
-    when the data holds a NaN or an infinity.
-    """
-    return prepare_rhs(prepare_body(c, a_ub, a_eq, bounds), b_ub, b_eq)
 
-
-def _end_phase1(prog, status):
+def _end_phase1(prog, status, drives=None):
     """Turn an ended phase 1 into the phase-2 tableau; the infeasible
-    solution when the artificials cannot all reach zero."""
+    solution when the artificials cannot all reach zero.  ``drives``
+    collects ``(row, pivot column)`` of every artificial driven out, and
+    ``(row, None)`` of every redundant row dropped."""
     if status != "optimal":
         raise LPError("phase-1 simplex did not reach optimality")
     tableau, basis, n_struct = prog.tableau, prog.basis, prog.n_struct
@@ -332,15 +334,14 @@ def _end_phase1(prog, status):
     redundant = []
     for i in artificial.nonzero()[0]:
         nonzero = (np.abs(tableau[i, :n_struct]) > 1e-9).nonzero()[0]
+        if drives is not None:
+            drives.append((i, tableau[:, nonzero[0]].copy() if nonzero.size else None))
         if nonzero.size:
             _pivot(tableau, basis, i, nonzero[0])
         else:
             redundant.append(i)
     if redundant:
-        keep_rows = np.ones(tableau.shape[0], dtype=bool)
-        keep_rows[redundant] = False
-        tableau = tableau[keep_rows]
-        basis = basis[keep_rows]
+        tableau, basis = np.delete(tableau, redundant, 0), np.delete(basis, redundant)
     prog.tableau = np.concatenate([tableau[:, :n_struct], tableau[:, total:]],
                                   axis=1)
     prog.basis = basis
@@ -348,12 +349,10 @@ def _end_phase1(prog, status):
     return None
 
 
-def _solution(prog, status):
-    if status == "unbounded":
-        return LPSolution("unbounded", None, None)
-    body = prog.body
-    u = np.zeros(prog.n_struct)
-    u[prog.basis] = prog.tableau[:, -1]
+def _solution(body, basis, rhs):
+    """The optimal solution of a final basis and its right-hand side."""
+    u = np.zeros(body.block.shape[1])
+    u[basis] = rhs
     x = body.shift.copy()
     np.add.at(x, body.var_of, body.coef * u[:body.var_of.size])
     return LPSolution("optimal", x, float(body.c @ x))
@@ -368,159 +367,162 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     or ``unbounded``.  Raises ``ValueError`` naming the argument when the
     data holds a NaN or an infinity.
     """
-    prog = prepare_lp(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    prog = prepare_rhs(prepare_body(c, a_ub, a_eq, bounds), b_ub, b_eq)
     if isinstance(prog, LPSolution):
         return prog
+    return _simplex(prog)
+
+
+def _simplex(prog, path1=None, drives=None, path2=None):
+    """Both phases of a prepared tableau; the paths are ``_run_phase``'s
+    and ``drives`` is ``_end_phase1``'s."""
     if prog.n_art:
-        status = _run_phase(prog.tableau, prog.basis, prog.cost, prog.budget)
-        infeasible = _end_phase1(prog, status)
+        status = _run_phase(prog.tableau, prog.basis, prog.cost, prog.budget,
+                            path1)
+        infeasible = _end_phase1(prog, status, drives)
         if infeasible is not None:
             return infeasible
-    status = _run_phase(prog.tableau, prog.basis, prog.cost, prog.budget)
-    return _solution(prog, status)
+    status = _run_phase(prog.tableau, prog.basis, prog.cost, prog.budget,
+                        path2)
+    if status == "unbounded":
+        return LPSolution("unbounded", None, None)
+    return _solution(prog.body, prog.basis, prog.tableau[:, -1])
 
 
-# -- lockstep kernel -----------------------------------------------------------
+# -- pivot-path memo -----------------------------------------------------------
 
 
-# Stacks of fewer programs run the scalar loop: a stacked iteration costs
-# about as much as three scalar ones.
-_MIN_STACK = 3
+# States one memo records at most; past the cap, misses are not recorded.
+_MEMO_NODES = 4096
 
 
-def _pivot_many(tableau, basis, index, rows, cols, factors):
-    """``_pivot`` of every stacked tableau on its own (row, col);
-    ``index`` is ``arange`` over the stack and ``factors`` the pivot
-    columns, ``tableau[index, :, cols]``."""
-    pivot_rows = tableau[index, rows]
-    pivot_rows /= factors[index, rows][:, None]
-    tableau[index, rows] = pivot_rows
-    # The pivot row's own factor is stale here, but that row is masked.
-    mask = np.abs(factors) > 1e-14
-    mask[index, rows] = False
-    np.subtract(tableau, factors[:, :, None] * pivot_rows[:, None, :],
-                out=tableau, where=mask[:, :, None])
-    basis[index, rows] = cols
+class _Node:
+    """A recorded tableau state: its basis (``order``), the candidate rows
+    of its entering column and their entries (None where the phase
+    ends), and ``edges`` from a leaving row to ``(row, pivot, updated
+    rows, their factors, next state)``.  Once a feasible program got
+    there, the last state of phase 1 holds ``end``: ``(artificial mask,
+    tableau width, drive-out updates, rows kept, first phase-2 state)``."""
+
+    __slots__ = ("order", "rows", "den", "edges", "end")
+
+    def __init__(self, memo, basis, col):
+        memo.nodes += 1
+        memo.counts["nodes"] += 1
+        self.order, self.rows, self.den, self.edges, self.end = (
+            basis.tolist(), None, None, {}, None)
+        if col is not None:
+            rows = (col > _PIVOT_TOL).nonzero()[0]
+            self.rows, self.den = rows.tolist(), col[rows].tolist()
 
 
-def _stack_leaving(col, rhs, basis):
-    """``_scan_leaving`` of every lane: the leaving row per lane, -1 when
-    the lane has no candidate row.
+def _edge(col, row):
+    """``(row, pivot, updated rows, their factors)`` of a ``_pivot`` on
+    ``row`` of the entering column ``col``."""
+    mask = np.abs(col) > 1e-14
+    mask[row] = False
+    rows = mask.nonzero()[0]
+    return row, float(col[row]), rows.tolist(), col[rows].tolist()
 
-    Let r* be a lane's smallest ratio and r2 the next in sorted order.
-    If ``r* < r2 - _TIE`` and ``r2 - r* > _TIE``, r* is attained by one
-    row, and every other ratio r passes both tests as r2 does, since
-    rounding is monotone.  The scan then takes that row against any
-    earlier best and keeps it against every later row: it picks the
-    row of the smallest ratio.  A lane without candidate rows gets -1,
-    as from the scan.  Every other lane runs the scan.
+
+def _update(rhs, row, pivot, rows, factors):
+    """What ``_pivot`` does to the right-hand-side column, on a list."""
+    value = rhs[row] = rhs[row] / pivot
+    for i, factor in zip(rows, factors):
+        rhs[i] -= factor * value
+
+
+def _walk(node, rhs):
+    """Take ``rhs`` down the recorded pivots from ``node``; ``(node,
+    row)`` where it stops.  The row is -1 where the phase ends or the
+    program is unbounded, else a leaving row no recorded program took."""
+    while node.rows is not None:
+        leaving = _scan_leaving(node.rows, node.den, rhs, node.order)
+        edge = node.edges.get(leaving)
+        if edge is None:
+            return node, leaving
+        row, pivot, rows, factors, node = edge
+        _update(rhs, row, pivot, rows, factors)
+    return node, -1
+
+
+class PathMemo:
+    """Solves programs of one :class:`LPBody`, replaying recorded paths.
+
+    ``solve(b_ub, b_eq)`` returns what :func:`solve_lp` returns for the
+    body with these right-hand sides, bit for bit (module docstring).
+    Paths are recorded in one trie per pattern of negated rows, at most
+    ``_MEMO_NODES`` states.  ``counts``, shared when given, counts the
+    programs ``replayed`` and ``solved`` from scratch and the ``nodes``.
     """
-    candidate = col > _PIVOT_TOL
-    ratios = np.divide(rhs, col, out=np.full(col.shape, np.inf),
-                       where=candidate)
-    leaving = ratios.argmin(axis=1)
-    if ratios.shape[1] > 1:
-        smallest = np.partition(ratios, 1, axis=1)
-        best, runner_up = smallest[:, 0], smallest[:, 1]
-    else:
-        best, runner_up = ratios[:, 0], math.inf
-    clear = (best < runner_up - _TIE) & (runner_up - best > _TIE)
-    none = ~candidate.any(axis=1)
-    leaving[none] = -1
-    for lane in (~(clear | none)).nonzero()[0].tolist():
-        rows = candidate[lane].nonzero()[0]
-        leaving[lane] = _scan_leaving(rows.tolist(),
-                                      ratios[lane, rows].tolist(),
-                                      basis[lane])
-    return leaving
 
+    def __init__(self, body, counts=None):
+        self.body, self.nodes, self.roots = body, 0, {}
+        self.counts = Counter() if counts is None else counts
 
-def _run_stack(progs):
-    """Lockstep ``_run_phase`` of programs whose tableaux share one shape;
-    their statuses in order.  Each program's tableau and basis are left
-    as its own ``_run_phase`` would leave them."""
-    status = [None] * len(progs)
-    if len(progs) < _MIN_STACK:
-        for i, prog in enumerate(progs):
-            status[i] = _run_phase(prog.tableau, prog.basis, prog.cost,
-                                   prog.budget)
-        return status
-    tableau = np.stack([prog.tableau for prog in progs])
-    basis = np.stack([prog.basis for prog in progs])
-    cost = np.stack([prog.cost for prog in progs])
-    budget = np.array([prog.budget for prog in progs])
-    lanes = np.arange(len(progs))
-    index, limit = lanes, budget.min()
-    n = tableau.shape[2] - 1
-    steps = 0
-    with np.errstate(invalid="ignore"):
-        while True:
-            if lanes.size < _MIN_STACK:
-                for row, lane in enumerate(lanes.tolist()):
-                    prog = progs[lane]
-                    prog.tableau, prog.basis = tableau[row], basis[row]
-                    status[lane] = _run_phase(tableau[row], basis[row],
-                                              cost[row], budget[row] - steps)
-                return status
-            if steps >= limit:
-                raise LPError("simplex pivot budget exhausted")
-            priced = cost[index[:, None], basis][:, None, :]
-            reduced = cost - (priced @ tableau[:, :, :n])[:, 0]
-            improving = reduced < -_COST_TOL
-            entering = improving.argmax(axis=1)
-            optimal = ~improving[index, entering]
-            col = tableau[index, :, entering]
-            col[optimal] = 0.0  # no candidate rows: the lane stops here
-            leaving = _stack_leaving(col, tableau[:, :, n], basis)
-            going = leaving >= 0
-            if not going.all():
-                for row in (~going).nonzero()[0].tolist():
-                    prog = progs[lanes[row]]
-                    prog.tableau, prog.basis = tableau[row], basis[row]
-                    status[lanes[row]] = ("optimal" if optimal[row]
-                                          else "unbounded")
-                tableau, basis, cost, budget, lanes, entering, leaving, col = (
-                    arr[going] for arr in (tableau, basis, cost, budget, lanes,
-                                           entering, leaving, col))
-                index = np.arange(lanes.size)
-                if lanes.size < _MIN_STACK:
-                    continue
-                limit = budget.min()
-            _pivot_many(tableau, basis, index, leaving, entering, col)
-            steps += 1
+    def solve(self, b_ub=None, b_eq=None):
+        rhs = _rhs(self.body, b_ub, b_eq)
+        if isinstance(rhs, LPSolution):
+            self.counts["solved"] += 1
+            return rhs
+        key = (rhs < 0).tobytes()
+        if key in self.roots:
+            sol = self._replay(*self.roots[key], np.abs(rhs).tolist())
+            if sol is not None:
+                self.counts["replayed"] += 1
+                return sol
+        self.counts["solved"] += 1
+        prog = prepare_rhs(self.body, b_ub, b_eq)
+        width = prog.tableau.shape[1]
+        path1, drives, path2 = [], [], []
+        sol = _simplex(prog, path1, drives, path2)
+        # Each state met is at most one new node.
+        if self.nodes + len(path1) + len(path2) <= _MEMO_NODES:
+            self._record(key, path1, width, drives, path2)
+        return sol
 
+    def _replay(self, node, phase1, rhs):
+        """The solution along the recorded paths; None where it leaves them."""
+        node, leaving = _walk(node, rhs)
+        if phase1:
+            if node.end is None:
+                return None
+            art, width, drives, keep, root = node.end
+            col = np.empty((len(rhs), width))[:, -1]  # the tableau's strides
+            col[:] = rhs
+            if art @ col > _PHASE1_TOL:
+                return LPSolution("infeasible", None, None)
+            for edge in drives:
+                _update(rhs, *edge)
+            rhs = [rhs[i] for i in keep]
+            node, leaving = _walk(root, rhs)
+        if leaving >= 0:
+            return None
+        if node.rows is not None:
+            return LPSolution("unbounded", None, None)
+        return _solution(self.body, node.order, rhs)
 
-def _run_phase_many(progs):
-    """The current phase of every program, one stack per tableau shape;
-    their statuses in order."""
-    stacks = {}
-    for i, prog in enumerate(progs):
-        stacks.setdefault(prog.tableau.shape, []).append(i)
-    status = [None] * len(progs)
-    for members in stacks.values():
-        for i, result in zip(members, _run_stack([progs[i] for i in members])):
-            status[i] = result
-    return status
+    def _graft(self, node, path):
+        """Record ``path`` from its first state, ``node``; its last state."""
+        for (_, col, leaving), (basis, next_col, _) in zip(path, path[1:]):
+            if leaving not in node.edges:
+                node.edges[leaving] = (*_edge(col, leaving),
+                                       _Node(self, basis, next_col))
+            node = node.edges[leaving][4]
+        return node
 
-
-def solve_lp_many(programs):
-    """Solve many prepared programs in lockstep.
-
-    ``programs`` holds what :func:`prepare_lp` (or :func:`prepare_rhs`)
-    returned for each program.
-    Returns their :class:`LPSolution` objects in order, each bit for bit
-    the one :func:`solve_lp` returns for the same arguments; the
-    tableaux are consumed.  Phase 1 stacks programs by artificial-column
-    count; a program that drops redundant rows after phase 1 joins the
-    phase-2 stack of its new shape.  Raises :class:`LPError` when any
-    program exhausts its pivot budget.
-    """
-    out = [prog if isinstance(prog, LPSolution) else None for prog in programs]
-    pending = [i for i, sol in enumerate(out) if sol is None]
-    phase1 = [i for i in pending if programs[i].n_art]
-    for i, status in zip(phase1, _run_phase_many([programs[i] for i in phase1])):
-        out[i] = _end_phase1(programs[i], status)
-    pending = [i for i in pending if out[i] is None]
-    for i, status in zip(pending, _run_phase_many([programs[i] for i in pending])):
-        out[i] = _solution(programs[i], status)
-    return out
+    def _record(self, key, path1, width, drives, path2):
+        """Record one solved program's paths in the trie of its pattern."""
+        if key not in self.roots:
+            self.roots[key] = _Node(self, *(path1 or path2)[0][:2]), bool(path1)
+        node = self._graft(self.roots[key][0], path1 or path2)
+        if path1 and path2:  # phase 1 ended feasible
+            if node.end is None:
+                basis = path1[-1][0]
+                dropped = [row for row, col in drives if col is None]
+                node.end = (
+                    (basis >= self.body.block.shape[1]).astype(float), width,
+                    [_edge(col, row) for row, col in drives if col is not None],
+                    [i for i in range(basis.size) if i not in dropped],
+                    _Node(self, *path2[0][:2]))
+            self._graft(node.end[4], path2)

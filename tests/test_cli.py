@@ -195,6 +195,23 @@ def test_reports_embed_instance_hash(files, tmp_path):
     assert "ADJCONE_THREADS" not in json.dumps(manifest)  # read by nothing
 
 
+def test_solve_gqvi_writes_memo_stats_to_manifest(tmp_path):
+    # Every minimax LP is replayed or solved from scratch; on the moving
+    # interval all but the first few retrace a recorded pivot path.  The
+    # counts go to the manifest, never to the report.
+    out = tmp_path / "o"
+    assert run(["solve-gqvi", "--instance",
+                os.path.join(SHIPPED, "moving_interval.json"),
+                "--out", str(out)]) == 0
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    assert set(stats) == {"minimax_lps", "replayed", "solved", "nodes"}
+    assert stats["replayed"] + stats["solved"] == stats["minimax_lps"]
+    assert stats["minimax_lps"] == report_of(out)["report"]["iterations"]
+    assert stats["replayed"] >= 0.95 * stats["minimax_lps"]  # 490 of 493
+    assert stats["nodes"] > 0
+    assert "stats" not in (out / "report.json").read_text()
+
+
 def test_malformed_instance_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "step", "levels": [0.0]}))

@@ -1,12 +1,13 @@
 import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjcone import geometry, gqvi
+from adjcone import geometry, gqvi, lp
 from adjcone.geometry import EmptyPolytopeError, Polytope
 from adjcone.gqvi import (
     ConstantOperator,
@@ -390,6 +391,21 @@ def test_grid_fallback_matches_sequential_oracle():
     assert_same_report(got, sequential_solve(instance, collect_trace=True))
 
 
+def test_solve_stats_count_every_minimax_lp():
+    # The grid fallback's LPs go through the memos of the steps' bodies;
+    # the counts stay out of the report.
+    def point(v):
+        return Polytope.from_box([v, -0.1], [v, 0.1])
+
+    operator = TabulatedOperator(0, [0.0], [point(-1.0), point(1.0)])
+    got = solve(random_gqvi(5, 2, operator, max_iters=3, mesh_divisions=12))
+    stats = got.stats
+    assert stats["minimax_lps"] == got.iterations
+    assert stats["replayed"] + stats["solved"] == got.iterations
+    assert stats["replayed"] > 3 * stats["solved"]
+    assert "stats" not in got.to_dict()
+
+
 class _HoleOperator:
     """``inner`` with a hole: raises EmptyPolytopeError for x0 in (lo, hi)."""
 
@@ -550,14 +566,22 @@ def test_body_cache_holds_only_the_last_call(moving_interval):
     # use is dropped, so the cache cannot grow with the step count.
     cells = [_point_1d(1.0), _point_1d(-1.0)]
     operator = TabulatedOperator(0, [0.0], cells)
-    bodies = {}
+    # Each entry is the array and the memo of its body, which keeps its
+    # recorded paths across calls while the array stays in use.
+    bodies, counts = {}, Counter()
     gqvi._minimax_many(operator, moving_interval, [[-1.0], [0.5], [-0.5]],
-                       bodies)
+                       bodies, counts)
     assert sorted(map(id, (array for array, _ in bodies.values()))) == sorted(
         id(cell.vertices()) for cell in cells)
+    assert all(isinstance(memo, lp.PathMemo) and memo.counts is counts
+               for _, memo in bodies.values())
     left = bodies[id(cells[0].vertices())]
-    gqvi._minimax_many(operator, moving_interval, [[-1.5]], bodies)
+    left_nodes = left[1].nodes
+    gqvi._minimax_many(operator, moving_interval, [[-1.5]], bodies, counts)
     assert len(bodies) == 1 and next(iter(bodies.values())) is left
+    assert left[1].nodes >= left_nodes > 0
+    assert counts["minimax_lps"] == 4
+    assert counts["replayed"] + counts["solved"] == 4
 
 
 def test_reduction_shares_the_dual_box_body(step1d, monkeypatch):

@@ -1,6 +1,8 @@
 """LP kernel tests: small hand programs, the array kernel against the
 row-by-row reference it replaced, scipy's HiGHS as an oracle, and the
-lockstep kernel against ``solve_lp``."""
+pivot-path memo against ``solve_lp``."""
+
+import math
 
 import numpy as np
 import pytest
@@ -345,9 +347,9 @@ def solve_with_final(**program):
     finals = []
     run_phase = lp._run_phase
 
-    def recording(tableau, basis, cost, max_iter):
+    def recording(tableau, basis, cost, max_iter, path=None):
         try:
-            return run_phase(tableau, basis, cost, max_iter)
+            return run_phase(tableau, basis, cost, max_iter, path)
         finally:
             finals.append((basis.copy(), tableau.copy()))
 
@@ -477,34 +479,11 @@ def test_pivot_matches_reference(seed, m, n):
     assert np.array_equal(basis, want_basis)
 
 
-# -- lockstep kernel ------------------------------------------------------------
+# -- pivot-path memo ------------------------------------------------------------
 #
-# ``solve_lp_many`` against ``solve_lp`` on the same programs: every lane
-# must end with the status, x and value bits of its own scalar solve.
-
-
-@st.composite
-def program_stacks(draw):
-    """2-12 programs of one kind and size, drawn like ``programs``, so
-    that many share a tableau shape; half the time all take the first
-    one's bounds."""
-    kind = draw(st.sampled_from(KINDS))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, 4))
-    m_ub = draw(st.integers(0, 6))
-    m_eq = draw(st.integers(0, min(2, n)))
-    stack = [_program(draw, kind, rng, n, m_ub, m_eq)
-             for _ in range(draw(st.integers(2, 12)))]
-    if draw(st.booleans()):
-        for program in stack[1:]:
-            program.pop("bounds", None)
-            if "bounds" in stack[0]:
-                program["bounds"] = stack[0]["bounds"]
-    return stack
-
-
-def solve_in_lockstep(stack):
-    return lp.solve_lp_many([lp.prepare_lp(**program) for program in stack])
+# ``PathMemo`` against ``solve_lp``: every right-hand side solved through
+# one memo must end with the status, x and value bits of its own scalar
+# solve, whether the memo replays it or solves it from scratch.
 
 
 def assert_same_solution(got, want):
@@ -516,135 +495,246 @@ def assert_same_solution(got, want):
         assert got.value == want.value
 
 
-def assert_lockstep_matches(stack):
-    for got, program in zip(solve_in_lockstep(stack), stack):
-        assert_same_solution(got, solve_lp(**program))
+def memo_of(program):
+    return lp.PathMemo(lp.prepare_body(program["c"], program.get("a_ub"),
+                                       program.get("a_eq"),
+                                       program.get("bounds")))
+
+
+def assert_memo_matches(program, sides, memo=None):
+    """Solve the program's body for every ``(b_ub, b_eq)`` in order
+    through one memo, against ``solve_lp``; returns the memo."""
+    memo = memo or memo_of(program)
+    for b_ub, b_eq in sides:
+        want = solve_lp(**{**program, "b_ub": b_ub, "b_eq": b_eq})
+        assert_same_solution(memo.solve(b_ub, b_eq), want)
+    return memo
+
+
+@st.composite
+def rhs_sequences(draw):
+    """A program drawn like ``programs`` and 2-8 right-hand sides of its
+    body: the drawn one, then repeats, perturbations and sign flips of
+    earlier ones.  Perturbations range from inside the 1e-12 tie band to
+    0.5, so paths part at every depth; flips change the negated rows."""
+    program = draw(programs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sides = [(program["b_ub"], program.get("b_eq"))]
+    for _ in range(draw(st.integers(1, 7))):
+        b_ub, b_eq = sides[draw(st.integers(0, len(sides) - 1))]
+        how = draw(st.sampled_from(["repeat", "perturb", "flip"]))
+        if how == "perturb":
+            scale = draw(st.sampled_from([5e-13, 1e-9, 1e-4, 0.5]))
+            b_ub = b_ub + scale * rng.normal(size=b_ub.shape)
+            if b_eq is not None and draw(st.booleans()):
+                b_eq = b_eq + scale * rng.normal(size=b_eq.shape)
+        elif how == "flip":
+            b_ub = np.where(rng.random(b_ub.shape) < 0.5, -b_ub, b_ub)
+        sides.append((b_ub, b_eq))
+    return program, sides
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(program_stacks())
-def test_lockstep_matches_solve_lp(stack):
-    assert_lockstep_matches(stack)
+@given(rhs_sequences())
+def test_memo_matches_solve_lp(case):
+    # A second round replays every right-hand side along the path that it,
+    # or an earlier one, recorded in the first; one found infeasible in
+    # phase 1 only where a feasible one recorded the end of that phase.
+    program, sides = case
+    memo = assert_memo_matches(program, sides)
+    assert memo.counts["replayed"] + memo.counts["solved"] == len(sides)
+    replayed = memo.counts["replayed"]
+    assert_memo_matches(program, sides, memo)
+    replayed = memo.counts["replayed"] - replayed
+    if memo.body.solution is not None:
+        assert replayed == 0
+    else:
+        feasible = sum(solve_lp(**{**program, "b_ub": b_ub, "b_eq": b_eq})
+                       .status != "infeasible" for b_ub, b_eq in sides)
+        assert feasible <= replayed <= len(sides)
 
 
-def test_lockstep_stacks_same_shapes(monkeypatch):
-    # 20 random programs of one size with positive right-hand sides have
-    # one tableau shape and no phase 1: one stack of 20 lanes.
+def _negated_rows_program():
     rng = np.random.default_rng(11)
-    stack = [{"c": rng.normal(size=3), "a_ub": rng.normal(size=(9, 3)),
-              "b_ub": rng.uniform(0.5, 2.0, size=9)} for _ in range(20)]
-    widths = []
-    pivot_many = lp._pivot_many
-
-    def recording(tableau, *args):
-        widths.append(tableau.shape[0])
-        pivot_many(tableau, *args)
-
-    monkeypatch.setattr(lp, "_pivot_many", recording)
-    assert_lockstep_matches(stack)
-    assert widths[0] == 20
-    assert widths == sorted(widths, reverse=True)  # finished lanes leave
+    return {"c": rng.normal(size=3), "a_ub": rng.normal(size=(9, 3)),
+            "b_ub": rng.uniform(-0.5, 2.0, size=9)}
 
 
-def test_lockstep_infeasible_unbounded_and_degenerate_lanes():
-    # One shape (4 rows, 2 free variables, one negated row): a bounded
-    # lane, an infeasible one, an unbounded one and a degenerate optimum
-    # where three rows are active.
-    lanes = [
+def test_memo_hit_makes_no_pivot(monkeypatch):
+    # A right-hand side that retraces a recorded path is replayed on its
+    # column alone: no tableau, no pivot.
+    program = _negated_rows_program()
+    b_ub = program["b_ub"]
+    assert (b_ub < 0).any()  # phase 1 runs
+    sides = [b_ub, b_ub.copy(), b_ub * (1.0 + 1e-9)]
+    wants = [solve_lp(**{**program, "b_ub": side}) for side in sides]
+    pivots = []
+    pivot = lp._pivot
+
+    def counting(*args):
+        pivots.append(args[2])
+        pivot(*args)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    memo = memo_of(program)
+    assert_same_solution(memo.solve(b_ub), wants[0])
+    assert wants[0].optimal and len(pivots) > 2
+    del pivots[:]
+    for side, want in zip(sides, wants):
+        assert_same_solution(memo.solve(side), want)
+    assert memo.counts["replayed"] == 3 and not pivots
+
+
+def test_memo_node_cap_stops_recording(monkeypatch):
+    # Past the cap, misses are solved but not recorded; every result keeps
+    # its bits.
+    rng = np.random.default_rng(11)
+    program = {"c": rng.normal(size=3), "a_ub": rng.normal(size=(9, 3))}
+    b_ub = rng.uniform(0.5, 2.0, size=9)
+    sides = [(b_ub + 0.3 * rng.normal(size=9), None) for _ in range(40)]
+    free = assert_memo_matches(program, sides)
+    cap = free.nodes // 2
+    monkeypatch.setattr(lp, "_MEMO_NODES", cap)
+    capped = assert_memo_matches(program, sides)
+    assert 0 < capped.nodes <= cap and capped.counts["nodes"] == capped.nodes
+    assert capped.counts["solved"] > free.counts["solved"]
+
+
+def test_memo_infeasible_unbounded_and_degenerate():
+    # A bounded program, an infeasible one, an unbounded one and a
+    # degenerate optimum where three rows are active, each solved for its
+    # right-hand side, a repeat, a perturbation and a sign flip.  With no
+    # feasible program to record the end of phase 1, the infeasible one
+    # is never replayed.
+    programs_ = [
         ([1.0, 1.0], [[1, 0], [0, 1], [-1, -1], [-1, 0]], [2, 2, -1, 3]),
         ([1.0, 1.0], [[1, 0], [0, 1], [-1, -1], [-1, 0]], [1, 1, -3, 5]),
         ([-1.0, -1.0], [[1, -1], [-1, 1], [-1, -1], [-1, 0]], [1, 1, -1, 10]),
         ([-1.0, -1.0], [[1, 0], [0, 1], [1, 1], [-1, -1]], [1, 1, 2, -1]),
     ]
-    stack = [{"c": c, "a_ub": a, "b_ub": b} for c, a, b in lanes]
-    shapes = {lp.prepare_lp(**program).tableau.shape for program in stack}
-    assert shapes == {(4, 10)}
-    got = solve_in_lockstep(stack)
-    assert [sol.status for sol in got] == ["optimal", "infeasible",
-                                           "unbounded", "optimal"]
-    assert got[3].value == pytest.approx(-2.0)
-    assert_lockstep_matches(stack)
+    statuses = []
+    for c, a_ub, b_ub in programs_:
+        b_ub = np.array(b_ub, dtype=float)
+        program = {"c": c, "a_ub": a_ub}
+        memo = assert_memo_matches(program, [
+            (b_ub, None), (b_ub, None), (b_ub + 1e-9, None),
+            (-b_ub, None), (b_ub, None)])
+        statuses.append(memo.solve(b_ub).status)
+        assert memo.counts["replayed"] >= (statuses[-1] != "infeasible") * 3
+    assert statuses == ["optimal", "infeasible", "unbounded", "optimal"]
 
 
 @pytest.mark.parametrize("offset", [0.0, 5e-13, 1e-12, 1.5e-12, 3e-12, -5e-13])
-def test_lockstep_ratio_ties(offset):
-    # Two rows that bound x0 at 1 and 1 + offset: an exact tie, ties
-    # inside and at the edge of the 1e-12 band, and clear winners.
-    # Lanes differ in the order of the tied rows and in the other rows.
-    stack = []
+def test_memo_ratio_ties(offset):
+    # Two rows bound x0 at 1 and 1 + offset: an exact tie, ties inside and
+    # at the edge of the 1e-12 band, and clear winners.  Each order of the
+    # rows is one body, whose memo first records the exact tie and a clear
+    # winner either way, then meets the offset.
     for order in ((0, 1, 2), (1, 0, 2), (2, 1, 0)):
         rows = [[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
-        rhs = [1.0, 1.0 + offset, 2.0]
-        stack.append({"c": [-1.0, -1.0], "a_ub": [rows[i] for i in order],
-                      "b_ub": [rhs[i] for i in order]})
-    assert_lockstep_matches(stack)
+        program = {"c": [-1.0, -1.0], "a_ub": [rows[i] for i in order]}
+        sides = []
+        for shift in (0.0, 1.0, -0.5, offset):
+            rhs = [1.0, 1.0 + shift, 2.0]
+            sides.append(([rhs[i] for i in order], None))
+        memo = assert_memo_matches(program, sides)
+        assert memo.counts["replayed"] >= 1
 
 
-def test_stack_leaving_is_the_scan():
+def reference_scan(rows, ratios, basis):
+    """The leaving-row scan as first written, on precomputed ratios."""
+    leaving, best = -1, math.inf
+    for i, ratio in zip(rows, ratios):
+        if ratio < best - lp._TIE:
+            best, leaving = ratio, i
+        elif (leaving >= 0 and abs(ratio - best) <= lp._TIE
+              and basis[i] < basis[leaving]):
+            leaving = i
+    return leaving
+
+
+def test_scan_leaving_is_the_reference():
     # Ratio columns with exact ties, ties inside and just outside the
-    # band, and lanes without candidates; both the vectorised rule and
-    # the per-lane scan must decide lanes here.
+    # band, and no candidate rows at all.
     rng = np.random.default_rng(5)
-    decided = scanned = 0
-    for _ in range(300):
-        k, m = int(rng.integers(2, 9)), int(rng.integers(1, 9))
-        col = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], size=(k, m))
-        rhs = rng.choice([0.0, 1.0, 2.0], size=(k, m)) * col
+    tied = 0
+    for _ in range(2000):
+        m = int(rng.integers(1, 9))
+        col = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], size=m)
+        rhs = rng.choice([0.0, 1.0, 2.0], size=m) * col
         rhs += rng.choice([0.0, 0.0, 4e-13, -4e-13, 1e-12, 2.5e-12],
-                          size=(k, m)) * col
-        basis = np.array([rng.permutation(20)[:m] for _ in range(k)])
-        with np.errstate(invalid="ignore"):
-            leaving = lp._stack_leaving(col, rhs, basis)
-        for lane in range(k):
-            rows = (col[lane] > lp._PIVOT_TOL).nonzero()[0]
-            ratios = rhs[lane, rows] / col[lane, rows]
-            want = lp._scan_leaving(rows.tolist(), ratios.tolist(), basis[lane])
-            assert leaving[lane] == want
-            tied = ratios == ratios.min() if rows.size else ratios
-            clean = rows.size and np.all(
-                tied | ((ratios.min() < ratios - 1e-12)
-                        & (np.abs(ratios - ratios.min()) > 1e-12)))
-            decided += bool(clean)
-            scanned += rows.size and not clean
-    assert decided > 100 and scanned > 100
+                          size=m) * col
+        basis = rng.permutation(20)[:m]
+        rows = (col > lp._PIVOT_TOL).nonzero()[0]
+        ratios = rhs[rows] / col[rows]
+        want = reference_scan(rows.tolist(), ratios.tolist(), basis)
+        assert lp._scan_leaving(rows.tolist(), col[rows].tolist(),
+                                rhs.tolist(), basis) == want
+        tied += rows.size and np.sum(ratios - ratios.min() <= 1e-12) > 1
+    assert tied > 300
 
 
-def test_lockstep_lane_drops_redundant_row():
+def _phase1_ends(memo):
+    stack = [root for root, _ in memo.roots.values()]
+    while stack:
+        node = stack.pop()
+        stack.extend(edge[-1] for edge in node.edges.values())
+        if node.end is not None:
+            yield node.end
+            stack.extend([node.end[4]] if node.end[4] else [])
+
+
+def test_memo_drops_redundant_row():
     # Equality rows only: a duplicated row leaves an artificial basic on a
-    # zero row after phase 1, which is dropped, so the two lanes share
-    # their phase-1 shape but not their phase-2 shape.
-    nonneg = [(0.0, None), (0.0, None)]
-    stack = [
-        {"c": [1.0, 1.0], "a_eq": [[1.0, 2.0], [1.0, 2.0]], "b_eq": [1.0, 1.0],
-         "bounds": nonneg},
-        {"c": [1.0, 1.0], "a_eq": [[1.0, 2.0], [2.0, 1.0]], "b_eq": [1.0, 1.0],
-         "bounds": nonneg},
-        {"c": [2.0, 1.0], "a_eq": [[3.0, 1.0], [3.0, 1.0]], "b_eq": [2.0, 2.0],
-         "bounds": nonneg},
-    ]
-    prepared = [lp.prepare_lp(**program) for program in stack]
-    assert {prog.tableau.shape for prog in prepared} == {(2, 5)}
-    got = lp.solve_lp_many(prepared)
-    assert [prog.tableau.shape for prog in prepared] == [(1, 3), (2, 3), (1, 3)]
-    for sol, program in zip(got, stack):
-        assert_same_solution(sol, solve_lp(**program))
+    # zero row after phase 1, which is dropped; a replay drops it too, here
+    # from the middle of the column.  An inconsistent right-hand side is
+    # found infeasible at the same phase-1 end.
+    a_eq = np.array([[1.0, 2.0], [1.0, 2.0], [2.0, 1.0]])
+    program = {"c": [1.0, 1.0], "a_eq": a_eq,
+               "bounds": [(0.0, None), (0.0, None)]}
+    points = ([0.3, 0.2], [0.3, 0.2], [0.5, 0.1], [0.2, 0.4])
+    memo = assert_memo_matches(
+        program, [(None, a_eq @ point) for point in points]
+        + [(None, [1.0, 2.0, 1.0])])
+    assert memo.counts["replayed"] == 4
+    assert [end[3] for end in _phase1_ends(memo)] == [[0, 2]]  # rows kept
+    assert memo.solve(b_eq=[1.0, 2.0, 1.0]).status == "infeasible"
 
 
-def test_lockstep_budget_exhausted(monkeypatch):
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_rhs_update_is_the_pivot(seed, m):
+    # The replay's update of a right-hand-side list gives the bits of
+    # ``_pivot`` on the tableau's last column.  Entries near the 1e-14
+    # row-skip threshold and signed zeros included.
+    rng = np.random.default_rng(seed)
+    tableau = rng.normal(size=(m, 3))
+    tableau *= 10.0 ** rng.integers(-16, 3, size=(m, 3))
+    tableau[rng.random((m, 3)) < 0.2] = 0.0
+    tableau[rng.random((m, 3)) < 0.1] = -0.0
+    row = int(rng.integers(m))
+    tableau[row, 0] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    rhs = tableau[:, -1].tolist()
+    lp._update(rhs, *lp._edge(tableau[:, 0].copy(), row))
+    lp._pivot(tableau, np.arange(m), row, 0)
+    assert bit_identical(np.array(rhs), tableau[:, -1])
+
+
+def test_memo_budget_exhausted_on_a_miss(monkeypatch):
     monkeypatch.setattr(lp, "_budget", lambda rows, cols: 1)
-    rng = np.random.default_rng(3)
-    stack = [{"c": rng.normal(size=3), "a_ub": rng.normal(size=(9, 3)),
-              "b_ub": rng.uniform(0.5, 2.0, size=9)} for _ in range(4)]
+    program = _negated_rows_program()
     with pytest.raises(lp.LPError):
-        solve_lp(**stack[0])
+        solve_lp(**program)
+    memo = memo_of(program)
     with pytest.raises(lp.LPError):
-        solve_in_lockstep(stack)
+        memo.solve(program["b_ub"])
+    assert memo.nodes == 0 and not memo.roots
 
 
 # -- body and right-hand-side stages -------------------------------------------
 #
-# ``prepare_lp`` runs ``prepare_body`` and then ``prepare_rhs``.  The
-# one-stage builder it replaced is kept below as the oracle: one body
+# ``solve_lp`` runs ``prepare_body`` and then ``prepare_rhs``.  The
+# one-stage builder they replaced is kept below as the oracle: one body
 # completed with any right-hand side must give that builder's tableau,
 # basis, artificial count, budget and decided solution bit for bit.
 
@@ -778,8 +868,9 @@ def test_body_then_rhs_is_the_one_stage_builder(program, sign, seed):
             b_eq = _right_hand_side(b_eq, sign, rng)
         want = one_stage_prepare_lp(**{**program, "b_ub": b_ub, "b_eq": b_eq})
         assert_same_preparation(lp.prepare_rhs(body, b_ub, b_eq), want)
-        assert_same_preparation(
-            lp.prepare_lp(**{**program, "b_ub": b_ub, "b_eq": b_eq}), want)
+        fresh = lp.prepare_body(program["c"], program["a_ub"],
+                                program.get("a_eq"), program.get("bounds"))
+        assert_same_preparation(lp.prepare_rhs(fresh, b_ub, b_eq), want)
         program["b_ub"] = rng.normal(size=program["b_ub"].shape)
 
 
