@@ -3,9 +3,9 @@ emit machine-readable reports.
 
 Every run writes ``report.json`` (deterministic for a fixed config and
 seed), ``manifest.json`` (timestamps, effective configuration, instance
-hash, run counters) and any CSV data series into the output directory.
-Exit codes: 0 pass/solved, 2 fail/residual_floor (report still
-written), 1 input errors.
+hash, run counters such as the command's LP cache counts) and any CSV
+data series into the output directory.  Exit codes: 0 pass/solved, 2
+fail/residual_floor (report still written), 1 input errors.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, lp
 from .geometry import GeometryError, Polytope
 from .gqvi import (
     ConstantOperator,
@@ -448,6 +448,7 @@ def run(argv) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()
+    lp.clear_cache()  # a command's work never depends on an earlier one
     try:
         _check_flags(args)
         kind, payload = load_instance(args.instance)
@@ -482,6 +483,7 @@ def run(argv) -> int:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "wall_time": time.time() - started,
         "exit_code": code,
+        "lp": lp.cache_counts(),
         **({"stats": stats[0]} if stats else {}),
     })
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)

@@ -20,12 +20,10 @@ start, so the report, trace and iteration count are those of running
 the starts one after another.
 
 Given T(x), only the right-hand side of the minimax LP depends on x, so
-``solve`` builds one LP body (``lp.prepare_body``) per vertex array of
-T(x) in use, with an ``lp.PathMemo`` that solves it for each step's
-right-hand side.  Most steps retrace a pivot path an earlier LP of the
-same solve took, and the memo replays it on the right-hand side alone;
-either way each LP has the bits of its own ``solve_lp``.  The memo
-counts go to ``SolveReport.stats``.
+most steps retrace a pivot path an earlier LP of the same body took, and
+``solve_lp``'s body cache replays it on the right-hand side alone (see
+``lp``).  The cache counts of the minimax LPs go to
+``SolveReport.stats``.
 """
 
 from __future__ import annotations
@@ -48,7 +46,8 @@ from .geometry import (
     _unit_halfspaces,
     _unit_offsets,
 )
-from .lp import PathMemo, prepare_body, solve_lp
+from . import lp
+from .lp import solve_lp
 
 # The benchmark's layer tracer looks this helper up as ``gqvi._grid_points``
 # (ROADMAP item 4 renames that target at the next benchmark change).
@@ -318,34 +317,41 @@ def minimax_value(operator, constraint_map, x) -> MinimaxResult:
 _ABANDON = (GeometryError, InstanceError, ValueError)
 
 
-def _minimax_many(operator, constraint_map, points, bodies, counts):
+def _minimax_many(operator, constraint_map, points, counts):
     """``minimax_value`` at every point without the witness, or the
     ``_ABANDON`` error it raises there, and the vertex array of T there.
-    An LPError ends the call.  The LP body depends on x only through the
-    operator value: ``bodies`` maps the ``id`` of a vertex array to
-    ``(array, memo of its body)``, and on return holds just the entries
-    this call used.  An entry keeps its array alive, so no other array
-    can take its id.  ``counts`` counts the LPs and the memos' work.
+    An LPError ends the call.  ``counts`` counts the minimax LPs and their
+    share of the LP cache counts; the operator's own LPs, which run
+    first, are not counted.
     """
-    results, arrays, used = [], [], {}
+    lanes, arrays = [], []
     for x in points:
         x = np.asarray(x, dtype=float).ravel()
         vertices = None
         try:
             k_a, k_b = constraint_map._halfspaces_at(x)
             vertices = operator.value(x).vertices()
-            key = id(vertices)
-            entry = used[key] = used.get(key) or bodies.get(key) or (
-                vertices, PathMemo(prepare_body(*_minimax_rows(vertices, k_a)),
-                                   counts))
-            sol = entry[1].solve(np.concatenate([vertices @ x, k_b]))
+            lanes.append((x, vertices, k_a, k_b))
+        except _ABANDON as exc:
+            lanes.append(exc)
+        arrays.append(vertices)
+    before = lp.cache_counts()
+    results = []
+    for lane in lanes:
+        if isinstance(lane, Exception):
+            results.append(lane)
+            continue
+        x, vertices, k_a, k_b = lane
+        try:
+            sol = solve_lp(*_minimax_rows(vertices, k_a),
+                           b_ub=np.concatenate([vertices @ x, k_b]))
             counts["minimax_lps"] += 1
             results.append(_minimax_result(sol, x))
         except _ABANDON as exc:
             results.append(exc)
-        arrays.append(vertices)
-    bodies.clear()
-    bodies.update(used)
+    after = lp.cache_counts()
+    for name in ("replayed", "solved", "nodes"):
+        counts[name] += after[name] - before[name]
     return results, arrays
 
 
@@ -421,7 +427,8 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     are per-start scalar code, and trace rows and candidates are kept per
     start and read in (start, iteration) order.  The grid fallback scans
     its points in grid order.  ``stats`` counts the minimax LPs, those
-    the memos replayed and solved from scratch, and the states recorded.
+    the LP cache replayed and solved from scratch, and the states it
+    recorded for them.
     """
     t_start = time.perf_counter()
     cfg = instance.config
@@ -437,13 +444,12 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     accepted = [None] * len(starts)
     rows = [[] for _ in starts]
     live = list(range(len(starts)))
-    bodies = {}
     counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0)
     for _ in range(cfg.max_iters):
         if not live:
             break
         results, _ = _minimax_many(instance.operator, cm,
-                                   [points[i] for i in live], bodies, counts)
+                                   [points[i] for i in live], counts)
         moving = []
         for i, result in zip(live, results):
             if not isinstance(result, MinimaxResult):
@@ -473,8 +479,7 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     if not candidates:
         mesh = max(fix.diameter() / cfg.mesh_divisions, 1e-9)
         grid = _grid_points(fix, mesh)
-        results, arrays = _minimax_many(instance.operator, cm, grid, bodies,
-                                        counts)
+        results, arrays = _minimax_many(instance.operator, cm, grid, counts)
         best = best_key = None
         for g, result, vertices in zip(grid, results, arrays):
             if not isinstance(result, MinimaxResult):
@@ -502,47 +507,42 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
 def lsc_probe(value_fn, box: Polytope, seed=0):
     """Inner-continuity probe for a polytope-valued map.
 
-    For 12 random probe centers x, the box vertices and a grid, and radii
-    r = 1e-1, 1e-2, 1e-3, measures the worst ``dist(y, K(x'))`` over
-    vertices y of K(x) and perturbed points x'.  Affinely moving maps
-    shrink linearly with r; a jump stalls the curve and fails the verdict
-    (terminal value above 1e-2).
+    For 12 random probe centers x, the box vertices and a grid, draws
+    perturbed points x' at radii r = 1e-1, 1e-2, 1e-3 and measures the
+    worst ``dist(y, K(x'))`` over vertices y of K(x) and the x' within
+    the terminal radius 1e-3 of x.  Affinely moving maps shrink linearly
+    with r; a jump stalls the value and fails the verdict (above 1e-2).
+    Every x' is drawn, so the draws do not depend on the map, but only
+    those within the terminal radius are evaluated.
     """
     rng = np.random.default_rng(seed)
     radii = (1e-1, 1e-2, 1e-3)
+    reach = radii[-1] + 1e-15
     mesh = max(box.diameter() / 8.0, 1e-9)
     points = np.vstack([box.sample(rng, 12), box.vertices(),
                         _grid_points(box, mesh)])
-    curves = []
     worst_terminal = 0.0
     for x in points:
         try:
             vertices = value_fn(x).vertices()
         except EmptyPolytopeError:
             continue
-        samples = []
         for r in radii:
             for _ in range(6):
                 direction = rng.normal(size=box.dim)
                 direction /= np.linalg.norm(direction)
                 x_p = x + r * direction * rng.uniform() ** (1.0 / box.dim)
-                if not box.contains(x_p):
+                if float(np.linalg.norm(x_p - x)) > reach or not box.contains(x_p):
                     continue
                 try:
                     moved = value_fn(x_p)
                 except EmptyPolytopeError:
                     continue
                 _, dist = moved.project_many(vertices)
-                samples.append((float(np.linalg.norm(x_p - x)), float(dist.max())))
-        curve = []
-        for r in radii:
-            within = [d for s, d in samples if s <= r + 1e-15]
-            curve.append(max(within) if within else 0.0)
-        curves.append(curve)
-        worst_terminal = max(worst_terminal, curve[-1])
+                worst_terminal = max(worst_terminal, float(dist.max()))
     passed = worst_terminal <= 1e-2
     return {"radii": list(radii), "worst_terminal": worst_terminal,
-            "passed": passed, "curves": curves}
+            "passed": passed}
 
 
 def hypothesis_report(instance: GqviInstance, seed=0):

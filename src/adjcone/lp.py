@@ -28,6 +28,20 @@ each one IEEE binary64 operation that rounds once, in CPython floats as
 in numpy; the phase-1 dot product on a column with the tableau's
 strides; and the shared ``_solution``.  A program that leaves the
 recorded paths is solved from scratch and recorded.
+
+``solve_lp`` keeps one bounded cache of bodies, so no caller has to
+manage a memo.  The key is the exact body: the shape and bytes of ``c``,
+``a_ub`` and ``a_eq`` (None and an empty matrix differ) and the float
+bits of ``bounds``; keys compare bytes, not values, so ``0.0`` and
+``-0.0`` differ and every result keeps its bits.  The first program of a
+body is solved from scratch and only marks the body as seen; from its
+second program on, a body is solved through its ``PathMemo``.  The cache
+holds at most ``_CACHE_BODIES`` bodies and drops the oldest past that;
+each memo records at most ``_MEMO_NODES`` states.  ``cache_counts``
+counts the ``calls``, the programs ``replayed`` and ``solved`` from
+scratch, and the ``nodes`` recorded; ``clear_cache`` empties both.  The
+command line clears the cache when a command starts, so no command's
+work depends on an earlier one.
 """
 
 from __future__ import annotations
@@ -38,8 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LPError", "LPSolution", "PathMemo", "prepare_body", "prepare_rhs",
-           "solve_lp"]
+__all__ = ["LPError", "LPSolution", "PathMemo", "cache_counts", "clear_cache",
+           "prepare_body", "prepare_rhs", "solve_lp"]
 
 _COST_TOL = 1e-9
 _PIVOT_TOL = 1e-10
@@ -181,12 +195,16 @@ def _vector(name, b):
     return b
 
 
+def _bound(v):
+    return v if v is None else float(v)
+
+
 def prepare_body(c, a_ub=None, a_eq=None, bounds=None):
     """The :class:`LPBody` of a program, for :func:`prepare_rhs` to
     complete with any number of right-hand sides.  Raises ``ValueError``
     naming the argument when the data holds a NaN or an infinity.
     """
-    c = np.asarray(c, dtype=float).ravel()
+    c = np.array(c, dtype=float).ravel()  # a copy: the body outlives the call
     _finite("c", c)
     n = c.size
     body = LPBody(a_ub is not None, a_eq is not None)
@@ -194,9 +212,11 @@ def prepare_body(c, a_ub=None, a_eq=None, bounds=None):
     a_eq = np.zeros((0, n)) if a_eq is None else _matrix("a_eq", a_eq, n)
     if bounds is None:
         bounds = [(None, None)] * n
-    elif not all(math.isfinite(v) for pair in bounds for v in pair
-                 if v is not None):
-        raise ValueError("solve_lp: bounds has a non-finite entry")
+    else:
+        bounds = [(_bound(lo), _bound(hi)) for lo, hi in bounds]
+        if not all(math.isfinite(v) for pair in bounds for v in pair
+                   if v is not None):
+            raise ValueError("solve_lp: bounds has a non-finite entry")
 
     # Substitute every original variable by nonnegative ones:
     #   x_j = shift_j + sum(coef[k] * u_k for the columns k with var_of[k] == j).
@@ -269,6 +289,12 @@ def prepare_rhs(body, b_ub=None, b_eq=None):
     rhs = _rhs(body, b_ub, b_eq)
     if isinstance(rhs, LPSolution):
         return rhs
+    return _tableau(body, rhs)
+
+
+def _tableau(body, rhs):
+    """The phase-1 :class:`LPTableau` of ``body`` with ``rhs``, the
+    right-hand side of every row (``_rhs``)."""
     # Rows with a negative right-hand side are negated, so their slack
     # cannot start the basis; those rows and the equality rows get an
     # artificial column each, after the u and slack columns.
@@ -296,14 +322,16 @@ def prepare_rhs(body, b_ub=None, b_eq=None):
 
 
 def _rhs(body, b_ub, b_eq):
-    """The right-hand side of every row of the body, or its decided
-    solution."""
+    """The right-hand side of every row of the body, or a copy of its
+    decided solution."""
     if body.has_ub:
         b_ub = _vector("b_ub", b_ub)
     if body.has_eq:
         b_eq = _vector("b_eq", b_eq)
     if body.solution is not None:
-        return body.solution
+        sol = body.solution
+        return LPSolution(sol.status, None if sol.x is None else sol.x.copy(),
+                          sol.value)
     m = body.block.shape[0]
     n_a = body.ub_shift.size
     n_ub = n_a + len(body.widths)
@@ -365,12 +393,28 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     pair; either side may be ``None`` for unbounded.  Returns an
     :class:`LPSolution` whose status is one of ``optimal``, ``infeasible``
     or ``unbounded``.  Raises ``ValueError`` naming the argument when the
-    data holds a NaN or an infinity.
+    data holds a NaN or an infinity.  Bodies are cached (module
+    docstring); the result is bit for bit that of a solve from scratch.
     """
-    prog = prepare_rhs(prepare_body(c, a_ub, a_eq, bounds), b_ub, b_eq)
-    if isinstance(prog, LPSolution):
-        return prog
-    return _simplex(prog)
+    _counts["calls"] += 1
+    c = np.asarray(c, dtype=float)
+    a_ub = None if a_ub is None else np.asarray(a_ub, dtype=float)
+    a_eq = None if a_eq is None else np.asarray(a_eq, dtype=float)
+    key = (_bytes(c), _bytes(a_ub), _bytes(a_eq),
+           None if bounds is None else _bounds_key(bounds))
+    entry = _bodies.get(key)
+    if entry is None:
+        body = prepare_body(c, a_ub, a_eq, bounds)
+        if len(_bodies) >= _CACHE_BODIES:
+            del _bodies[next(iter(_bodies))]
+        _bodies[key] = body
+        prog = prepare_rhs(body, b_ub, b_eq)
+        sol = prog if isinstance(prog, LPSolution) else _simplex(prog)
+        _counts["solved"] += 1
+        return sol
+    if isinstance(entry, LPBody):
+        entry = _bodies[key] = PathMemo(entry, _counts)
+    return entry.solve(b_ub, b_eq)
 
 
 def _simplex(prog, path1=None, drives=None, path2=None):
@@ -387,6 +431,43 @@ def _simplex(prog, path1=None, drives=None, path2=None):
     if status == "unbounded":
         return LPSolution("unbounded", None, None)
     return _solution(prog.body, prog.basis, prog.tableau[:, -1])
+
+
+# -- body cache ----------------------------------------------------------------
+
+
+# Bodies the cache holds at most; a new body past the cap drops the oldest.
+_CACHE_BODIES = 64
+
+_bodies = {}  # body key -> its LPBody once seen, its PathMemo from then on
+_counts = Counter()
+
+
+def _bytes(a):
+    return None if a is None else (a.shape, a.tobytes())
+
+
+def _bounds_key(bounds):
+    """The float bits of every bound, pair by pair; None stays None."""
+    key = []
+    for lo, hi in bounds:
+        key += (lo if lo is None else float(lo).hex(),
+                hi if hi is None else float(hi).hex())
+    return tuple(key)
+
+
+def clear_cache():
+    """Empty the body cache and zero its counts."""
+    _bodies.clear()
+    _counts.clear()
+
+
+def cache_counts():
+    """The cache's counts since it was last cleared: ``solve_lp`` calls,
+    programs replayed and solved from scratch, and memo states recorded.
+    A call that raised is counted only in ``calls``."""
+    return {name: _counts[name] for name in ("calls", "replayed", "solved",
+                                             "nodes")}
 
 
 # -- pivot-path memo -----------------------------------------------------------
@@ -471,11 +552,11 @@ class PathMemo:
             if sol is not None:
                 self.counts["replayed"] += 1
                 return sol
-        self.counts["solved"] += 1
-        prog = prepare_rhs(self.body, b_ub, b_eq)
+        prog = _tableau(self.body, rhs)
         width = prog.tableau.shape[1]
         path1, drives, path2 = [], [], []
         sol = _simplex(prog, path1, drives, path2)
+        self.counts["solved"] += 1
         # Each state met is at most one new node.
         if self.nodes + len(path1) + len(path2) <= _MEMO_NODES:
             self._record(key, path1, width, drives, path2)

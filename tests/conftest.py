@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from adjcone import lp
 from adjcone.geometry import Polytope
 from adjcone.quasiconvex import StepLevelFunction
+
+
+@pytest.fixture(autouse=True)
+def _fresh_lp_cache():
+    """Each test starts on an empty LP body cache: a replay runs no pivot,
+    so a body cached by an earlier test would change what a test sees."""
+    lp.clear_cache()
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import adjcone
-from adjcone import geometry
+from adjcone import geometry, lp
 from adjcone.cli import run
 from adjcone.geometry import Polytope
 from adjcone.gqvi import ConstantOperator, GqviInstance, MovingPolytope
@@ -207,9 +207,62 @@ def test_solve_gqvi_writes_memo_stats_to_manifest(tmp_path):
     assert set(stats) == {"minimax_lps", "replayed", "solved", "nodes"}
     assert stats["replayed"] + stats["solved"] == stats["minimax_lps"]
     assert stats["minimax_lps"] == report_of(out)["report"]["iterations"]
-    assert stats["replayed"] >= 0.95 * stats["minimax_lps"]  # 490 of 493
+    assert stats["replayed"] >= 0.95 * stats["minimax_lps"]  # 489 of 493
     assert stats["nodes"] > 0
     assert "stats" not in (out / "report.json").read_text()
+
+
+SHIPPED_COMMANDS = [
+    ("check-quasiconvex", "two_wells", None),
+    ("adjusted-set", "step1d", "0.5"),
+    ("normal-cone", "sq2d", "2,2"),
+    ("build-atlas", "step1d", "0.5"),
+    ("base-map", "sq2d", "1.5,0.5"),
+    ("usc-probe", "sq2d", "1.5,0.5"),
+    ("closedness-probe", "step1d", "0.5"),
+    ("quasimono-probe", "sq2d", None),
+    ("solve-gqvi", "moving_interval", None),
+    ("solve-quasiopt", "quasiopt_window1d", None),
+    ("verify", "quasiopt_window1d", None),
+]
+
+
+def run_shipped(command, name, at, out):
+    extra = [f"--at={at}"] if at is not None else []
+    return run([command, "--instance", os.path.join(SHIPPED, f"{name}.json"),
+                *extra, "--out", str(out)])
+
+
+@pytest.mark.parametrize("command, name, at", SHIPPED_COMMANDS,
+                         ids=[command for command, _, _ in SHIPPED_COMMANDS])
+def test_every_command_writes_lp_counts_to_manifest(command, name, at,
+                                                    tmp_path):
+    # The LP cache counts of this command alone go to the manifest, never
+    # to the report.
+    out = tmp_path / "o"
+    assert run_shipped(command, name, at, out) in (0, 2)
+    counts = json.loads((out / "manifest.json").read_text())["lp"]
+    assert set(counts) == {"calls", "replayed", "solved", "nodes"}
+    assert counts["calls"] == counts["replayed"] + counts["solved"]
+    assert counts == lp.cache_counts()
+    assert '"lp"' not in (out / "report.json").read_text()
+
+
+@pytest.mark.parametrize("command, name, at", [
+    ("usc-probe", "sq2d", "1.5,0.5"), ("closedness-probe", "step1d", "0.5"),
+    ("solve-quasiopt", "quasiopt_window1d", None)])
+def test_lp_cache_lives_one_command(command, name, at, tmp_path):
+    # The cache is cleared when a command starts: the same command twice
+    # in one process gives the same report bytes and the same counts,
+    # though the second could have replayed every LP of the first.
+    runs = []
+    for out in (tmp_path / "r1", tmp_path / "r2"):
+        assert run_shipped(command, name, at, out) == 0
+        runs.append(((out / "report.json").read_bytes(),
+                     json.loads((out / "manifest.json").read_text())["lp"]))
+    assert runs[0] == runs[1]
+    counts = runs[0][1]
+    assert 0 < counts["replayed"] and 0 < counts["solved"] < counts["calls"]
 
 
 def test_malformed_instance_exits_1(tmp_path, capsys):

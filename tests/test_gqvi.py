@@ -244,6 +244,74 @@ class TestHypothesisReport:
         assert probe["worst_terminal"] > 1.0
 
 
+def reference_lsc_probe(value_fn, box, seed=0):
+    """``lsc_probe`` as first written: every perturbed point is evaluated
+    and projected, for the full curve; returns its worst terminal value
+    and the number of points within the terminal radius."""
+    rng = np.random.default_rng(seed)
+    radii = (1e-1, 1e-2, 1e-3)
+    mesh = max(box.diameter() / 8.0, 1e-9)
+    points = np.vstack([box.sample(rng, 12), box.vertices(),
+                        geometry.grid_points(box, mesh)])
+    worst_terminal, terminal = 0.0, 0
+    for x in points:
+        try:
+            vertices = value_fn(x).vertices()
+        except EmptyPolytopeError:
+            continue
+        samples = []
+        for r in radii:
+            for _ in range(6):
+                direction = rng.normal(size=box.dim)
+                direction /= np.linalg.norm(direction)
+                x_p = x + r * direction * rng.uniform() ** (1.0 / box.dim)
+                if not box.contains(x_p):
+                    continue
+                try:
+                    moved = value_fn(x_p)
+                except EmptyPolytopeError:
+                    continue
+                _, dist = moved.project_many(vertices)
+                samples.append((float(np.linalg.norm(x_p - x)), float(dist.max())))
+        within = [d for s, d in samples if s <= radii[-1] + 1e-15]
+        terminal += len(within)
+        worst_terminal = max(worst_terminal, max(within) if within else 0.0)
+    return worst_terminal, terminal
+
+
+@pytest.mark.parametrize("case", ["moving-2d", "jump-1d", "window-1d"])
+def test_lsc_probe_evaluates_only_terminal_points(case):
+    # The map is called at each center and at each perturbed point within
+    # the terminal radius, r = 1e-1 and 1e-2 draws that land there
+    # included; the worst terminal value keeps its bits.
+    if case == "moving-2d":
+        cm = random_gqvi(2, 2).constraint_map
+        value_fn, box = cm.value, cm.box
+    elif case == "jump-1d":
+        box = Polytope.from_box([-2.0], [2.0])
+        value_fn = TabulatedOperator(0, [0.0], [Polytope.from_box([-2.0], [-1.0]),
+                                                Polytope.from_box([1.0], [2.0])]).value
+    else:
+        box = Polytope.from_box([-1.0], [2.0])
+        value_fn = MovingPolytope([[1.0], [-1.0]], [0.5, 0.5], [[1.0], [-1.0]],
+                                  box).value
+    calls = []
+
+    def counting(x):
+        calls.append(1)
+        return value_fn(x)
+
+    want, terminal = reference_lsc_probe(value_fn, box, seed=5)
+    got = lsc_probe(counting, box, seed=5)
+    assert bits(got["worst_terminal"]) == bits(want)
+    assert got["passed"] == (want <= 1e-2)
+    assert set(got) == {"radii", "worst_terminal", "passed"}
+    centers = 12 + len(box.vertices()) + len(geometry.grid_points(
+        box, max(box.diameter() / 8.0, 1e-9)))
+    assert len(calls) == centers + terminal
+    assert terminal < 9 * centers  # a third of the 18 draws per center, and a few
+
+
 @pytest.mark.parametrize("axis, breakpoints, message", [
     (1, [0.0], "axis must be an integer in [0, 1), got 1"),
     (-1, [0.0], "axis must be an integer in [0, 1), got -1"),
@@ -489,16 +557,25 @@ def test_halfspaces_at_are_the_slice_rows(seed):
 
 
 def _count_bodies(monkeypatch):
-    """The list that grows by one for every minimax LP body ``solve``
-    builds (``minimax_value`` builds its own through ``solve_lp``)."""
-    built = []
-    prepare_body = gqvi.prepare_body
+    """The list that grows by one for every LP body the cache builds for
+    a minimax LP of ``gqvi``: the first program of each body."""
+    built, inside = [], []
+    solve_lp, prepare_body = gqvi.solve_lp, lp.prepare_body
+
+    def minimax_lp(*args, **kwargs):
+        inside.append(1)
+        try:
+            return solve_lp(*args, **kwargs)
+        finally:
+            inside.pop()
 
     def counting(*args, **kwargs):
-        built.append(1)
+        if inside:
+            built.append(1)
         return prepare_body(*args, **kwargs)
 
-    monkeypatch.setattr(gqvi, "prepare_body", counting)
+    monkeypatch.setattr(gqvi, "solve_lp", minimax_lp)
+    monkeypatch.setattr(lp, "prepare_body", counting)
     return built
 
 
@@ -506,10 +583,12 @@ def _count_bodies(monkeypatch):
 def test_constant_operator_builds_one_body_per_solve(dim, monkeypatch):
     instance = random_gqvi(dim, dim)
     want = sequential_solve(instance, collect_trace=True)
+    lp.clear_cache()
     built = _count_bodies(monkeypatch)
     got = solve(instance, collect_trace=True)
     assert len(built) == 1
     assert got.iterations > 10 * got.starts_tried
+    assert got.stats["replayed"] > got.stats["solved"]
     assert_same_report(got, want)
 
 
@@ -547,6 +626,7 @@ def test_lane_abandoned_by_its_slice_leaves_other_lanes(kind, monkeypatch):
     instance = GqviInstance(_unusable_past_1(kind), operator,
                             gqvi.SolverConfig(starts=6, seed=3))
     want = sequential_solve(instance, collect_trace=True)
+    lp.clear_cache()
     built = _count_bodies(monkeypatch)
     got = solve(instance, collect_trace=True)
     assert_same_report(got, want)
@@ -561,27 +641,38 @@ def test_lane_abandoned_by_its_slice_leaves_other_lanes(kind, monkeypatch):
     assert got.status == "solved"
 
 
-def test_body_cache_holds_only_the_last_call(moving_interval):
-    # One body per vertex array in use; an array the last call did not
-    # use is dropped, so the cache cannot grow with the step count.
+class _CountingOperator(TabulatedOperator):
+    """A tabulated operator that runs an LP of its own at every value."""
+
+    def value(self, x):
+        lp.solve_lp([1.0], a_ub=[[-1.0]], b_ub=[float(x[0]) ** 2])
+        return super().value(x)
+
+
+def test_minimax_stats_leave_out_the_operator_lps(moving_interval):
+    # One body per cell in use; the operator's own LPs go through the
+    # same cache but stay out of the minimax counts.
     cells = [_point_1d(1.0), _point_1d(-1.0)]
-    operator = TabulatedOperator(0, [0.0], cells)
-    # Each entry is the array and the memo of its body, which keeps its
-    # recorded paths across calls while the array stays in use.
-    bodies, counts = {}, Counter()
-    gqvi._minimax_many(operator, moving_interval, [[-1.0], [0.5], [-0.5]],
-                       bodies, counts)
-    assert sorted(map(id, (array for array, _ in bodies.values()))) == sorted(
-        id(cell.vertices()) for cell in cells)
-    assert all(isinstance(memo, lp.PathMemo) and memo.counts is counts
-               for _, memo in bodies.values())
-    left = bodies[id(cells[0].vertices())]
-    left_nodes = left[1].nodes
-    gqvi._minimax_many(operator, moving_interval, [[-1.5]], bodies, counts)
-    assert len(bodies) == 1 and next(iter(bodies.values())) is left
-    assert left[1].nodes >= left_nodes > 0
-    assert counts["minimax_lps"] == 4
-    assert counts["replayed"] + counts["solved"] == 4
+    operator = _CountingOperator(0, [0.0], cells)
+    counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0)
+    points = [[-1.0], [0.5], [-0.5], [-1.5], [-0.75]]
+    results, arrays = gqvi._minimax_many(operator, moving_interval, points,
+                                         counts)
+    assert all(isinstance(result, gqvi.MinimaxResult) for result in results)
+    assert [id(a) for a in arrays] == [id(cells[p[0] > 0].vertices())
+                                       for p in points]
+    assert counts["minimax_lps"] == 5
+    assert counts["replayed"] + counts["solved"] == 5
+    cache = lp.cache_counts()
+    assert cache["calls"] == 10
+    assert cache["replayed"] + cache["solved"] == 10
+    assert counts["replayed"] < cache["replayed"]
+    minimax_bodies = [key for key in lp._bodies if key[0][0] == (2,)]
+    assert len(minimax_bodies) == 2
+    for point, result in zip(points, results):
+        want = gqvi.minimax_value(operator, moving_interval, point)
+        assert bits(result.y_opt) == bits(want.y_opt)
+        assert bits(result.value) == bits(want.value)
 
 
 def test_reduction_shares_the_dual_box_body(step1d, monkeypatch):
@@ -599,7 +690,9 @@ def test_reduction_shares_the_dual_box_body(step1d, monkeypatch):
     instance = GqviInstance(window, TFromNormal(step1d, atlas),
                             config=gqvi.SolverConfig(starts=6))
     want = sequential_solve(instance, collect_trace=True)
+    lp.clear_cache()
     built = _count_bodies(monkeypatch)
     got = solve(instance, collect_trace=True)
     assert_same_report(got, want)
     assert 1 < len(built) < got.iterations
+    assert got.stats["replayed"] > 0

@@ -343,7 +343,9 @@ def reference_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
 
 def solve_with_final(**program):
     """``solve_lp`` plus the basis and tableau its last simplex phase
-    ended on (None when no phase ran)."""
+    ended on (None when no phase ran).  The cache is cleared first, so
+    the program is the first of its body and is solved from scratch."""
+    lp.clear_cache()
     finals = []
     run_phase = lp._run_phase
 
@@ -481,9 +483,17 @@ def test_pivot_matches_reference(seed, m, n):
 
 # -- pivot-path memo ------------------------------------------------------------
 #
-# ``PathMemo`` against ``solve_lp``: every right-hand side solved through
-# one memo must end with the status, x and value bits of its own scalar
-# solve, whether the memo replays it or solves it from scratch.
+# ``PathMemo`` against a solve from scratch: every right-hand side solved
+# through one memo must end with the status, x and value bits of its own
+# ``solve_lp`` on an empty cache, whether the memo replays it or solves
+# it from scratch.  ``solve_lp`` itself replays through its cache, so it
+# is not the oracle here.
+
+
+def scratch_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
+    """``solve_lp`` without the cache: both stages, then the simplex."""
+    prog = lp.prepare_rhs(lp.prepare_body(c, a_ub, a_eq, bounds), b_ub, b_eq)
+    return prog if isinstance(prog, LPSolution) else lp._simplex(prog)
 
 
 def assert_same_solution(got, want):
@@ -503,10 +513,10 @@ def memo_of(program):
 
 def assert_memo_matches(program, sides, memo=None):
     """Solve the program's body for every ``(b_ub, b_eq)`` in order
-    through one memo, against ``solve_lp``; returns the memo."""
+    through one memo, against ``scratch_solve``; returns the memo."""
     memo = memo or memo_of(program)
     for b_ub, b_eq in sides:
-        want = solve_lp(**{**program, "b_ub": b_ub, "b_eq": b_eq})
+        want = scratch_solve(**{**program, "b_ub": b_ub, "b_eq": b_eq})
         assert_same_solution(memo.solve(b_ub, b_eq), want)
     return memo
 
@@ -549,7 +559,7 @@ def test_memo_matches_solve_lp(case):
     if memo.body.solution is not None:
         assert replayed == 0
     else:
-        feasible = sum(solve_lp(**{**program, "b_ub": b_ub, "b_eq": b_eq})
+        feasible = sum(scratch_solve(**{**program, "b_ub": b_ub, "b_eq": b_eq})
                        .status != "infeasible" for b_ub, b_eq in sides)
         assert feasible <= replayed <= len(sides)
 
@@ -567,7 +577,7 @@ def test_memo_hit_makes_no_pivot(monkeypatch):
     b_ub = program["b_ub"]
     assert (b_ub < 0).any()  # phase 1 runs
     sides = [b_ub, b_ub.copy(), b_ub * (1.0 + 1e-9)]
-    wants = [solve_lp(**{**program, "b_ub": side}) for side in sides]
+    wants = [scratch_solve(**{**program, "b_ub": side}) for side in sides]
     pivots = []
     pivot = lp._pivot
 
@@ -729,6 +739,134 @@ def test_memo_budget_exhausted_on_a_miss(monkeypatch):
     with pytest.raises(lp.LPError):
         memo.solve(program["b_ub"])
     assert memo.nodes == 0 and not memo.roots
+
+
+# -- body cache ---------------------------------------------------------------
+#
+# ``solve_lp`` keys a cache by the exact body; from a body's second
+# program on it solves through the body's memo.  Every result must keep
+# the bits of a solve from scratch.
+
+
+def test_cache_matches_a_scratch_solve():
+    # Hypothesis programs, each solved for its right-hand sides twice in
+    # a row through ``solve_lp``: the first program of a body is solved
+    # from scratch, the second through a fresh memo, later ones replay.
+    lp.clear_cache()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(rhs_sequences())
+    def check(case):
+        program, sides = case
+        for b_ub, b_eq in sides + sides:
+            side = {**program, "b_ub": b_ub, "b_eq": b_eq}
+            assert_same_solution(solve_lp(**side), scratch_solve(**side))
+
+    check()
+    counts = lp.cache_counts()
+    assert counts["calls"] == counts["replayed"] + counts["solved"]
+    assert min(counts["replayed"], counts["solved"], counts["nodes"]) > 0
+
+
+def test_cache_marks_a_body_then_memoises_it():
+    program = _negated_rows_program()
+    want = scratch_solve(**program)
+    assert_same_solution(solve_lp(**program), want)
+    (body,) = lp._bodies.values()
+    assert isinstance(body, lp.LPBody)
+    assert lp.cache_counts() == {"calls": 1, "replayed": 0, "solved": 1,
+                                 "nodes": 0}
+    assert_same_solution(solve_lp(**program), want)
+    (memo,) = lp._bodies.values()
+    assert isinstance(memo, lp.PathMemo) and memo.body is body
+    nodes = lp.cache_counts()["nodes"]
+    assert nodes == memo.nodes > 0
+    assert_same_solution(solve_lp(**program), want)
+    assert lp.cache_counts() == {"calls": 3, "replayed": 1, "solved": 2,
+                                 "nodes": nodes}
+
+
+def test_cache_key_is_the_exact_body():
+    # Signed zeros in c, a_ub and bounds, None against an empty matrix,
+    # and lists against arrays of other shapes are all different bodies;
+    # the same values as a list and as an array are one.
+    a_ub = [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]
+    b_ub = [1.0, 1.0, 0.0]
+    variants = [
+        {"c": [0.0, -1.0], "a_ub": a_ub},
+        {"c": np.array([0.0, -1.0]), "a_ub": np.array(a_ub)},
+        {"c": [-0.0, -1.0], "a_ub": a_ub},
+        {"c": [0.0, -1.0], "a_ub": [[1.0, -0.0], *a_ub[1:]]},
+        {"c": [0.0, -1.0], "a_ub": a_ub, "bounds": [(0.0, None), (None, 1.0)]},
+        {"c": [0.0, -1.0], "a_ub": a_ub, "bounds": [(-0.0, None), (None, 1.0)]},
+        {"c": [0.0, -1.0], "a_ub": a_ub, "a_eq": np.zeros((0, 2)), "b_eq": []},
+        {"c": [[0.0], [-1.0]], "a_ub": a_ub},
+    ]
+    for variant in variants:
+        side = {**variant, "b_ub": b_ub}
+        assert_same_solution(solve_lp(**side), scratch_solve(**side))
+    assert len(lp._bodies) == len(variants) - 1
+
+
+def test_cache_evicts_the_oldest_body(monkeypatch):
+    monkeypatch.setattr(lp, "_CACHE_BODIES", 2)
+    rng = np.random.default_rng(4)
+    programs_ = [{"c": rng.normal(size=2), "a_ub": rng.normal(size=(5, 2)),
+                  "b_ub": rng.uniform(0.5, 1.5, size=5)} for _ in range(3)]
+    for program in programs_ + programs_[1:] + programs_[:1]:
+        assert_same_solution(solve_lp(**program), scratch_solve(**program))
+    assert len(lp._bodies) == 2
+    # The first body was dropped for the third, so its repeat was a first
+    # program again; the other two were memoised.
+    assert lp.cache_counts()["replayed"] == 0
+    assert [type(entry) for entry in lp._bodies.values()] == [lp.PathMemo,
+                                                             lp.LPBody]
+
+
+def test_cache_owns_its_bodies():
+    # A caller that changes its arrays after the call, or the x of a
+    # returned solution, changes no later result.
+    c = np.array([1.0, 1.0])
+    program = {"a_ub": np.array([[-1.0, 0.0], [0.0, -1.0]]), "b_ub": [1.0, 2.0]}
+    want = scratch_solve(c, **program)
+    assert_same_solution(solve_lp(c, **program), want)
+    c[:] = -1.0
+    assert solve_lp(c, **program).status == "unbounded"
+    for _ in range(3):
+        sol = solve_lp([1.0, 1.0], **program)
+        assert_same_solution(sol, want)
+        sol.x[:] = 7.0
+    decided = {"c": [1.0], "bounds": [(0.5, None)]}
+    for _ in range(3):
+        sol = solve_lp(**decided)
+        assert_same_solution(sol, scratch_solve(**decided))
+        sol.x[:] = 7.0
+
+
+def test_memo_validates_a_missed_rhs_once(monkeypatch):
+    # A miss reads the right-hand side once; a non-finite one is still
+    # named, also once the body is memoised.
+    program = _negated_rows_program()
+    reads = []
+    vector = lp._vector
+
+    def counting(name, b):
+        reads.append(name)
+        return vector(name, b)
+
+    monkeypatch.setattr(lp, "_vector", counting)
+    memo = memo_of(program)
+    memo.solve(program["b_ub"])
+    assert memo.counts["solved"] == 1 and reads == ["b_ub"]
+    for _ in range(2):
+        solve_lp(**program)
+    bad = program["b_ub"].copy()
+    bad[2] = np.nan
+    with pytest.raises(ValueError, match="solve_lp: b_ub has a non-finite"):
+        solve_lp(**{**program, "b_ub": bad})
+    with pytest.raises(ValueError, match="solve_lp: b_eq has a non-finite"):
+        memo_of({"c": [1.0], "a_eq": [[1.0]]}).solve(b_eq=[np.inf])
+    assert lp.cache_counts()["calls"] == 3 and lp.cache_counts()["solved"] == 2
 
 
 # -- body and right-hand-side stages -------------------------------------------
