@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import math
 import os
@@ -39,6 +40,7 @@ from .normal_op import (
     usc_probe,
 )
 from .quasiconvex import (
+    AdjustedAnchor,
     ArgminError,
     DomainError,
     SamplingPlan,
@@ -61,6 +63,7 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _parser():
     parser = argparse.ArgumentParser(
         prog="adjcone",
@@ -227,7 +230,8 @@ def _cmd_adjusted_set(kind, payload, args, out_dir):
     if not isinstance(f, StepLevelFunction):
         raise SchemaError("adjusted-set needs a step function instance")
     at = _parse_point(args.at, f.dim)
-    value = f.evaluate(at)
+    anchor = AdjustedAnchor(f, at)
+    value = anchor.value
     if math.isinf(value):
         raise SchemaError("--at lies outside the domain")
     sub = f.sublevel(value).polytope
@@ -257,14 +261,14 @@ def _cmd_adjusted_set(kind, payload, args, out_dir):
     sets = {"sublevel": sub.contains_many(flat)}
     if not strict_handle.is_empty:
         sets["strict_sublevel"] = strict_handle.polytope.contains_many(flat)
-    sets["adjusted"] = f.adjusted_contains_many(at, flat)
+    sets["adjusted"] = anchor.contains_many(flat)
     for name, mask in sets.items():
         for point in boundary(mask):
             rows.append([name] + [float(v) for v in point])
     report = {
         "at": at.tolist(),
         "f_value": value,
-        "rho": None if f.in_argmin(at) else f.rho(at),
+        "rho": None if anchor.in_argmin else anchor.rho,
         "boundary_points": len(rows),
         "mesh": mesh,
     }

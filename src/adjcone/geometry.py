@@ -23,23 +23,14 @@ polytopes (segments, facets of cones) first class.
 
 Vertex enumeration (:meth:`Polytope.vertices`) and polar extreme rays
 (:func:`polar_extreme_rays`) share one blocked kernel: lexicographic row
-subsets come in blocks of ``_ENUM_BLOCK``, and each block runs one
-stacked LAPACK call (``det`` and ``solve``, or ``svd``), then
-``_satisfying``, the acceptance test ``rows @ p <= bound + tol`` of
-every candidate at once.  LAPACK factors each stacked matrix on its own,
-so a stacked call returns the bits of one call per matrix.
-``_satisfying`` drops clear misses with one matrix product and a slack
-far above rounding, and decides the rest with a stacked matrix-vector
-product, each item of which is the BLAS ``gemv`` call of one point.  In
-2-D to 4-D, polar subsets first pass ``_may_hold_ray``, a closed-form
-cofactor test that keeps every subset able to give a ray (argued in
-:func:`polar_extreme_rays`), so the SVD sees a few percent of them.
-The accepted candidates, in subset order, go through
-``_dedupe_points``, the one merge kernel (also of ``from_vertices`` and
-:meth:`GeneratedCone.from_rays`), whose distances ``_row_norms`` are the
-BLAS ``ddot`` of ``np.linalg.norm`` on one vector.  So every output is
-bit for bit that of a one-subset-at-a-time loop with one norm per
-compared pair.
+subsets come in blocks of ``_ENUM_BLOCK``, each block runs one stacked
+LAPACK call (``det`` and ``solve``, or ``svd``; LAPACK factors each
+matrix on its own), and the candidates pass ``_satisfying`` (polar
+subsets in 2-D to 4-D first pass the cofactor test ``_may_hold_ray``).
+The accepted ones, in subset order, go through ``_dedupe_points``, the
+one merge kernel (also of ``from_vertices`` and
+:meth:`GeneratedCone.from_rays`).  Each helper's docstring argues its
+bits, so every output is that of a one-subset-at-a-time loop.
 
 The vertices are also the one source of face structure: their incidence
 with the rows gives the implicit equalities, the irredundant facets
@@ -101,6 +92,8 @@ _COFACTOR_SLACK = 1e-6
 # projects instead of trusting its bounds, per unit of ``FEAS`` and of
 # magnitude; the method docstring argues the value.
 _DISTANCE_BAND = 1000.0
+# Rounding of A^T y per unit of sum(y) in the check of ``Polytope``.
+_CERTIFICATE_SLACK = 1e-12
 
 
 class GeometryError(RuntimeError):
@@ -112,7 +105,7 @@ class EmptyPolytopeError(GeometryError):
 
 
 class UnboundedPolytopeError(GeometryError):
-    """H-representation is unbounded in some coordinate direction."""
+    """H-representation has a recession direction."""
 
 
 class ScaleBoundError(GeometryError):
@@ -313,8 +306,15 @@ class Polytope:
     """Nonempty bounded polyhedron ``{x : a_i . x <= b_i}``.
 
     Rows are normalized to unit normals on construction.  Construction
-    rejects non-finite data and checks feasibility by LP and boundedness
-    in every +/- coordinate direction unless the caller vouches for them.
+    rejects non-finite data and, unless the caller vouches for them,
+    checks feasibility by LP, then boundedness: it holds iff rank A = n
+    and some y >= 1 has A^T y = 0 (Stiemke's alternative; Schrijver,
+    *Theory of Linear and Integer Programming*, ch. 7).  One LP finds y;
+    its phase-1 slack is absolute, so y is checked: a unit d with
+    A d <= 0 has sigma_min(A) <= |A d| <= |d . A^T y| / min(y), which
+    ``|A^T y| + _CERTIFICATE_SLACK * sum(y) < sigma_min(A) * min(y)``
+    rules out.  Else the 2n coordinate LPs of the box decide at once;
+    otherwise ``bounding_box`` solves them on first use.
     """
 
     def __init__(self, a, b, vertices=None, *,
@@ -335,18 +335,24 @@ class Polytope:
         self.dim = a.shape[1]
         self._vertices = None
         self._cheb = None
-        self._bbox = None
         self._reduced = None
         layout = _axis_layout(self._a)
         self._box_bounds = (None if layout is None
                             else _axis_box(layout, self._b, self.dim))
+        self._bbox = self._box_bounds
 
-        if check_bounded:
-            self._bbox = self._compute_bbox()  # raises if unbounded
         if check_feasible and self._box_bounds is None:
             probe = solve_lp(np.zeros(self.dim), a_ub=self._a, b_ub=self._b)
             if probe.status == "infeasible":
                 raise EmptyPolytopeError("halfspace system is infeasible")
+        if check_bounded and self._box_bounds is None:
+            m = self.num_halfspaces
+            y = solve_lp(np.zeros(m), a_eq=self._a.T, b_eq=np.zeros(self.dim),
+                         bounds=[(1.0, None)] * m).x
+            sigma = np.linalg.svd(self._a, compute_uv=False)[-1]
+            if y is None or (np.linalg.norm(self._a.T @ y)
+                             + _CERTIFICATE_SLACK * y.sum() >= sigma * y.min()):
+                self._bbox = self._compute_bbox()  # raises if unbounded
 
         if vertices is not None:
             verts = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -419,13 +425,8 @@ class Polytope:
                    check_feasible=False, check_bounded=False)
 
     def _compute_bbox(self):
-        if self._box_bounds is not None:
-            return self._box_bounds
-        lo = np.empty(self.dim)
-        hi = np.empty(self.dim)
-        for j in range(self.dim):
-            c = np.zeros(self.dim)
-            c[j] = 1.0
+        lo, hi = np.empty(self.dim), np.empty(self.dim)
+        for j, c in enumerate(np.eye(self.dim)):
             low = solve_lp(c, a_ub=self._a, b_ub=self._b)
             if low.status == "unbounded":
                 raise UnboundedPolytopeError(f"unbounded below in coordinate {j}")

@@ -8,13 +8,10 @@ leaving variable, which makes the iteration cycle-free.  Each pivot is
 one masked rank-1 update of the tableau; every element goes through the
 same multiply and subtract as a row-by-row update would.
 
-A tableau is built in two stages: ``prepare_body`` does all that does
-not depend on the right-hand sides (validation, the substitution of
-nonnegative variables, the coefficient and slack columns, the cost),
-and ``prepare_rhs`` fills in one right-hand side (negated rows,
-artificial columns).  ``solve_lp`` runs the same two stages, so a body
-reused for many right-hand sides gives each the bits of its own
-``solve_lp``.
+``prepare_body`` builds what does not depend on the right-hand sides
+and ``prepare_rhs`` fills in one; ``solve_lp`` runs the same two
+stages, so a body reused for many right-hand sides gives each the bits
+of its own ``solve_lp``.
 
 ``PathMemo`` solves many programs of one body.  Under Bland's rule
 every simplex choice but the leaving row depends only on the tableau's

@@ -27,15 +27,10 @@ base map is the weighted Minkowski combination of the per-chart bases.
 
 Every atlas query (bumps, weights, covering, the partition defect and
 the stable probe points) runs through one kernel, ``Atlas._gap_blocks``:
-the chart centers and radii are held as arrays, and the gaps
-``radius - |x - center|`` come out in row blocks of bounded size, so no
-reduction holds the whole points x charts matrix.  Each distance is
-``geometry._row_norms``, the stacked product
-``sqrt(d[..., None, :] @ d[..., :, None])``, which calls
-the same BLAS ``ddot`` as ``np.linalg.norm`` on one vector; every kernel
-bump therefore has the bits of the scalar ``LocalChart.bump``, and
-points on a chart rim fall on the same side in both.  A bulk
-``norm(axis=-1)`` sums the squares in another order and does not.
+it holds the chart centers and radii as arrays and yields the gaps
+``radius - |x - center|`` in row blocks of bounded size, each with the
+bits of the scalar ``LocalChart.bump`` (``geometry._row_norms`` argues
+why), so points on a chart rim fall on the same side in both.
 
 The probes at the bottom of the module turn the continuity statements
 into numbers: upper-Hausdorff deviation curves for upper semicontinuity,

@@ -13,31 +13,25 @@ with the single-polytope realizations returned by ``sublevel`` and
 ``strict_sublevel``; for deliberately corrupted non-nested families the
 union semantics is what lets the diagnostic checks detect the damage.
 
-The batch kernels ``evaluate_many`` and ``adjusted_contains_many`` answer
-an array of points with one ``contains_many``/``within_distance`` call
-per level.  ``adjusted_contains_many`` is the one home of the adjusted
-membership rule (``adjusted_contains`` is its one-row case), and the
-``adjusted-set`` mesh, ``adjusted_sample``, the sampled checks and the
-quasiopt grid oracles all go through these kernels.
+The batch kernels ``evaluate_many`` and ``AdjustedAnchor.contains_many``
+answer an array of points with one ``contains_many``/``within_distance``
+call per level.  The anchor is the one home of the adjusted membership
+rule: ``adjusted_contains(_many)``, the ``adjusted-set`` mesh, the
+sampled checks and the quasiopt grid oracles all go through it.
 
-Membership only compares a distance with ``rho(x) + tol``, so
-``Polytope.within_distance`` decides most rows from two exact bounds on
-the distance and projects only the rows whose bounds straddle a band
-around the radius; the band holds the error of the scalar projection, so
-the booleans are those of projecting every row.  Projections whose
-values reach a report (``rho``, the anchor of the adjusted normal cone,
-the probe deviations) stay scalar.
+Membership only compares a distance with ``rho(x) + tol``, which
+``Polytope.within_distance`` decides bit for bit, projecting only near
+the radius.  Projections whose values reach a report (``rho``, the
+anchor of the adjusted normal cone, the probe deviations) stay scalar.
 
-Both sampled checks draw their segments (two pool indices and a weight
-per draw) through ``_draw_segments``.  On numpy's default PCG64
-generator it replays, from one block of raw words, exactly the stream
-of ``rng.integers(0, size, size=2)`` and ``rng.uniform()`` per draw,
-and leaves the generator in the loop's state; elsewhere it runs that
-loop.  Its docstring gives the argument.
+Both sampled checks draw their segments through ``_draw_segments``,
+which replays numpy's per-draw stream from one block of raw words; its
+docstring gives the argument.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +44,7 @@ __all__ = [
     "ArgminError",
     "LevelSetHandle",
     "StepLevelFunction",
+    "AdjustedAnchor",
     "AnalyticFunction",
     "analytic_from_name",
     "ANALYTIC_REGISTRY",
@@ -218,58 +213,64 @@ class StepLevelFunction:
         return bool(self.adjusted_contains_many(x, [y], tol=tol)[0])
 
     def adjusted_contains_many(self, x, ys, tol=None):
-        """Membership of every row of ``ys`` in the adjusted sublevel set
-        anchored at x, as a boolean array.
+        """``AdjustedAnchor(self, x).contains_many(ys, tol)``."""
+        return AdjustedAnchor(self, x).contains_many(ys, tol)
 
-        A point belongs when it lies in the sublevel set of f(x) and, off
-        the argmin set, within ``rho(x) + tol`` of the strict sublevel
-        set.  f(x), the argmin test and rho(x) are computed once.  Rows
-        in the sublevel set are tested against the strict levels,
-        outermost first, by ``Polytope.within_distance``: distance
-        bounds first, a projection only for rows in its band.  A row
-        found near one level skips the inner ones.  The booleans are
-        ``min(dist) <= rho(x) + tol`` over the projected distances: the
-        minimum is one of its operands, so it is within the radius
-        exactly when some level's distance is, and ``within_distance``
-        is that comparison bit for bit.
+
+class AdjustedAnchor:
+    """An anchor x of the adjusted sublevel sets of a step function f:
+    f(x), the argmin test and rho(x), each computed once on first use."""
+
+    def __init__(self, f, x):
+        self.f, self.x = f, x
+
+    value = functools.cached_property(lambda self: self.f.evaluate(self.x))
+    in_argmin = functools.cached_property(lambda self: self.f.in_argmin(self.x))
+    rho = functools.cached_property(lambda self: self.f.rho(self.x))
+
+    def contains_many(self, ys, tol=None):
+        """Membership of every row of ``ys``, as a boolean array: in the
+        sublevel set of f(x) and, off the argmin set, within
+        ``rho(x) + tol`` of the strict sublevel set.  The strict levels
+        are tried outermost first by ``Polytope.within_distance``, and a
+        row near one skips the inner ones: the minimum distance is one of
+        its operands, so the booleans are ``min(dist) <= rho(x) + tol``
+        bit for bit.
         """
+        f = self.f
         slack = tol if tol is not None else FEAS
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        if ys.shape[1] != self.dim:
-            raise ValueError(f"expected points of dimension {self.dim}, "
+        if ys.shape[1] != f.dim:
+            raise ValueError(f"expected points of dimension {f.dim}, "
                              f"got {ys.shape[1]}")
-        value = self.evaluate(x)
+        value = self.value
         if math.isinf(value):
             raise DomainError("adjusted set undefined outside the domain")
         member = np.zeros(ys.shape[0], dtype=bool)
-        for lam, poly in zip(self.levels, self.polytopes):
+        for lam, poly in zip(f.levels, f.polytopes):
             if lam <= value + 1e-12:
                 member |= poly.contains_many(ys)
-        if not member.any() or self.in_argmin(x):
+        if not member.any() or self.in_argmin:
             return member
-        radius = self.rho(x) + slack
+        radius = self.rho + slack
         inside = ys[member]
         near = np.zeros(inside.shape[0], dtype=bool)
-        for lam, poly in zip(reversed(self.levels), reversed(self.polytopes)):
+        for lam, poly in zip(reversed(f.levels), reversed(f.polytopes)):
             if lam < value - 1e-12 and not near.all():
                 far = ~near
                 near[far] = poly.within_distance(inside[far], radius)
         member[member] = near
         return member
 
-    def adjusted_sample(self, x, rng, count):
-        """Points of the adjusted sublevel set anchored at x.
-
-        Draws candidates from every level polytope at or below f(x) and
-        blends them toward x (which always belongs to the set), keeping
-        those that pass the membership test.
-        """
-        x = np.asarray(x, dtype=float).ravel()
-        value = self.evaluate(x)
+    def sample(self, rng, count):
+        """Points of the adjusted sublevel set: candidates from every
+        level polytope at or below f(x), blended toward x (a member) and
+        kept when they pass the membership test."""
+        x, value = np.asarray(self.x, dtype=float).ravel(), self.value
         if math.isinf(value):
             raise DomainError("cannot sample outside the domain")
         pool = [x.copy()]
-        eligible = [poly for lam, poly in zip(self.levels, self.polytopes)
+        eligible = [poly for lam, poly in zip(self.f.levels, self.f.polytopes)
                     if lam <= value + 1e-12]
         per = max(4, count)
         for poly in eligible:
@@ -279,7 +280,7 @@ class StepLevelFunction:
                 if room <= 0:
                     break
                 blended = x + t * (cand - x)
-                pool.extend(blended[self.adjusted_contains_many(x, blended)][:room])
+                pool.extend(blended[self.contains_many(blended)][:room])
         pts = np.array(pool)
         if len(pts) > count:
             idx = rng.choice(len(pts), size=count, replace=False)
@@ -527,14 +528,15 @@ def adjusted_convexity_check(f, plan=None):
     pool = pool[rng.permutation(len(pool))]
     checked = 0
     for x in pool[: max(8, plan.points // 50)]:
-        if math.isinf(f.evaluate(x)):
+        anchor = AdjustedAnchor(f, x)
+        if math.isinf(anchor.value):
             continue
-        members = f.adjusted_sample(x, rng, max(8, plan.pairs // 4))
+        members = anchor.sample(rng, max(8, plan.pairs // 4))
         if len(members) < 2:
             continue
         ii, jj, ts = _draw_segments(rng, len(members), plan.pairs)
         mids = _blend(ts, members[ii], members[jj])
-        bad = np.flatnonzero(~f.adjusted_contains_many(x, mids, tol=1e-7))
+        bad = np.flatnonzero(~anchor.contains_many(mids, tol=1e-7))
         if bad.size:
             k = bad[0]
             return CheckVerdict(False, {

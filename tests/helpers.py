@@ -6,7 +6,60 @@ import numpy as np
 from scipy.optimize import nnls
 
 from adjcone import gqvi
-from adjcone.geometry import FEAS, GeometryError, grid_points
+from adjcone.geometry import (
+    FEAS,
+    EmptyPolytopeError,
+    GeometryError,
+    UnboundedPolytopeError,
+    grid_points,
+)
+from adjcone.lp import solve_lp
+
+
+# Non-box nested step families: one polytope (rounded unit normals of a
+# rotated simplex plus uniform directions) at scales 1, 2, 3.
+def _scaled_family(a, b):
+    return {"schema_version": 1, "type": "step", "levels": [0.0, 1.0, 2.0],
+            "polytopes": [{"A": a, "b": [s * v for v in b]}
+                          for s in (1.0, 2.0, 3.0)]}
+
+
+STEP_3D = _scaled_family(
+    [[-0.83, -0.04, -0.557], [-0.553, -0.364, 0.75], [-0.694, 0.312, -0.649],
+     [0.342, 0.859, 0.381], [-0.589, -0.456, -0.667], [-0.511, 0.853, 0.108],
+     [0.693, -0.619, -0.369], [0.791, 0.132, -0.597]],
+    [1.114, 1.448, 1.436, 1.009, 1.354, 1.001, 1.252, 1.218])
+STEP_4D = _scaled_family(
+    [[0.912, 0.298, 0.232, 0.157], [-0.211, -0.918, 0.16, -0.295],
+     [-0.045, 0.181, -0.981, 0.046], [0.495, 0.689, -0.01, 0.53],
+     [-0.722, -0.651, 0.065, 0.224], [0.448, 0.012, 0.217, 0.867],
+     [-0.631, -0.683, 0.14, -0.34], [0.624, 0.445, 0.219, -0.603],
+     [-0.751, 0.563, 0.336, 0.076]],
+    [1.156, 1.441, 1.033, 1.433, 1.414, 1.447, 1.03, 1.119, 1.388])
+
+
+def lp_bounding_box(polytope):
+    """``(lo, hi)`` of ``polytope`` from its 2n coordinate LPs, the check
+    that construction once ran for boundedness, kept as the oracle of the
+    boundedness certificate and of the lazy ``bounding_box``.  Raises
+    ``UnboundedPolytopeError`` or ``EmptyPolytopeError`` as it did."""
+    a, b = polytope.halfspaces
+    lo = np.empty(polytope.dim)
+    hi = np.empty(polytope.dim)
+    for j in range(polytope.dim):
+        c = np.zeros(polytope.dim)
+        c[j] = 1.0
+        low = solve_lp(c, a_ub=a, b_ub=b)
+        if low.status == "unbounded":
+            raise UnboundedPolytopeError(f"unbounded below in coordinate {j}")
+        if low.status == "infeasible":
+            raise EmptyPolytopeError("halfspace system is infeasible")
+        high = solve_lp(-c, a_ub=a, b_ub=b)
+        if high.status == "unbounded":
+            raise UnboundedPolytopeError(f"unbounded above in coordinate {j}")
+        lo[j] = low.value
+        hi[j] = -high.value
+    return lo, hi
 
 
 def same_set(first, second, tol=1e-7):

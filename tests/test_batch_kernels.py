@@ -16,7 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from adjcone.geometry import FEAS, Polytope
-from adjcone.quasiconvex import ArgminError, DomainError, StepLevelFunction
+from adjcone.quasiconvex import (
+    AdjustedAnchor,
+    ArgminError,
+    DomainError,
+    StepLevelFunction,
+)
 from helpers import band_edge_points
 
 FAMILIES = ["step1d", "sq2d", "nested3d", "corrupted1d", "pentagons2d"]
@@ -104,6 +109,21 @@ def test_adjusted_contains_many_matches_reference(name, tol, request, data):
 def test_kernels_reject_wrong_dimension(sq2d):
     with pytest.raises(ValueError, match="dimension"):
         sq2d.adjusted_contains_many([1.5, 0.5], [[0.0, 0.0, 0.0]])
+    # The rows are checked before the anchor is evaluated.
+    with pytest.raises(ValueError, match="expected points of dimension 2"):
+        sq2d.adjusted_contains_many([1.5], [[0.0, 0.0, 0.0]])
+
+
+def test_anchor_works_on_first_use(step1d, monkeypatch):
+    # No row in the sublevel set: neither the argmin test nor rho runs.
+    calls = []
+    for name in ("in_argmin", "rho"):
+        method = getattr(StepLevelFunction, name)
+        monkeypatch.setattr(StepLevelFunction, name, lambda self, x, m=method,
+                            n=name: calls.append(n) or m(self, x))
+    anchor = AdjustedAnchor(step1d, [0.5])
+    assert calls == [] and not anchor.contains_many([[5.0]]).any()
+    assert calls == []
 
 
 @pytest.mark.parametrize("tol, expected", [(None, [False, True, False]),
@@ -145,3 +165,21 @@ def test_band_edge_rows_match_reference(name, tol, request):
             assert got.dtype == bool and got.tolist() == expected
             outcomes.update(expected)
     assert outcomes == {False, True}
+
+
+def test_anchor_computes_rho_once(pentagons2d, monkeypatch):
+    # An anchor's samples and every membership test at it share one
+    # rho(x); off the argmin set the samples pass the test they drew on.
+    calls = []
+    rho = StepLevelFunction.rho
+    monkeypatch.setattr(StepLevelFunction, "rho",
+                        lambda self, x: calls.append(1) or rho(self, x))
+    f = pentagons2d
+    center, _ = f.polytopes[2].chebyshev_center()
+    anchor = AdjustedAnchor(f, 0.9 * f.polytopes[2].vertices()[0] + 0.1 * center)
+    assert anchor.value == 2.0 and not anchor.in_argmin
+    members = anchor.sample(np.random.default_rng(3), 16)
+    assert len(members) == 16 and anchor.contains_many(members).all()
+    assert anchor.contains_many(members, tol=1e-7).all()
+    assert calls == [1]
+    assert anchor.rho == rho(f, anchor.x)

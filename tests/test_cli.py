@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import adjcone
-from adjcone import geometry, lp
+from adjcone import cli, geometry, lp
 from adjcone.cli import run
 from adjcone.geometry import Polytope
 from adjcone.gqvi import ConstantOperator, GqviInstance, MovingPolytope
@@ -20,6 +20,7 @@ from adjcone.serialization import (
     moving_polytope_to_dict,
     polytope_to_dict,
 )
+from helpers import STEP_3D, STEP_4D
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +284,25 @@ def test_missing_file_exits_1(tmp_path):
 
 def test_bad_usage_exits_1(capsys):
     assert run(["not-a-command", "--instance", "x.json"]) == 1
+
+
+def test_one_parser_serves_every_run(files, tmp_path, capsys):
+    # The parser is built once per process; a usage error, --help and a
+    # joined negative --at leave it as they found it.
+    assert cli._parser() is cli._parser()
+    assert run(["not-a-command", "--instance", "x.json"]) == 1
+    assert run(["--help"]) == 0
+    assert run(["normal-cone", "--instance", str(files["sq2d"]),
+                "--out", str(tmp_path / "o0")]) == 1
+    assert "requires --at" in capsys.readouterr().err
+    reports = []
+    for out in (tmp_path / "o1", tmp_path / "o2"):
+        assert run(["normal-cone", "--instance", str(files["sq2d"]),
+                    "--at", "-2,2", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["at"] == "-2,2"
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_verify_function_instances(files, tmp_path):
@@ -787,26 +807,6 @@ def test_tabulated_instance_solves(tmp_path):
         "12510d4f1dfcbe9abf5d0997d6538c2c1ebb9de80fb8901845800f3a959248b2")
 
 
-# Non-box nested step families: one polytope (rounded unit normals of a
-# rotated simplex plus uniform directions) at scales 1, 2, 3.
-def _scaled_family(a, b):
-    return {"schema_version": 1, "type": "step", "levels": [0.0, 1.0, 2.0],
-            "polytopes": [{"A": a, "b": [s * v for v in b]}
-                          for s in (1.0, 2.0, 3.0)]}
-
-
-STEP_3D = _scaled_family(
-    [[-0.83, -0.04, -0.557], [-0.553, -0.364, 0.75], [-0.694, 0.312, -0.649],
-     [0.342, 0.859, 0.381], [-0.589, -0.456, -0.667], [-0.511, 0.853, 0.108],
-     [0.693, -0.619, -0.369], [0.791, 0.132, -0.597]],
-    [1.114, 1.448, 1.436, 1.009, 1.354, 1.001, 1.252, 1.218])
-STEP_4D = _scaled_family(
-    [[0.912, 0.298, 0.232, 0.157], [-0.211, -0.918, 0.16, -0.295],
-     [-0.045, 0.181, -0.981, 0.046], [0.495, 0.689, -0.01, 0.53],
-     [-0.722, -0.651, 0.065, 0.224], [0.448, 0.012, 0.217, 0.867],
-     [-0.631, -0.683, 0.14, -0.34], [0.624, 0.445, 0.219, -0.603],
-     [-0.751, 0.563, 0.336, 0.076]],
-    [1.156, 1.441, 1.033, 1.433, 1.414, 1.447, 1.03, 1.119, 1.388])
 NON_BOX_STEP = {"step3d": STEP_3D, "step4d": STEP_4D}
 
 # sha256 of report.json, recorded from the adjusted normal cone with the
@@ -925,6 +925,20 @@ def test_atlas_outputs_pinned_non_box_3d(command, tmp_path):
                 "--mesh=0.14", "--out", str(out)])
     assert code == 0
     assert sha256_of(out / "report.json") == ATLAS_3D_DIGESTS[command]
+
+
+def test_normal_cone_lp_calls_pinned_non_box_3d(tmp_path):
+    # Loading each of the three levels solves a feasibility probe and one
+    # boundedness certificate, and the step function solves one Chebyshev
+    # centre per level; the cone itself needs no LP.  With the 2n
+    # bounding-box LPs of every load this was 24: an LP added to the
+    # load path shows here.
+    instance = tmp_path / "step3d.json"
+    dump_json(STEP_3D, instance)
+    out = tmp_path / "o"
+    assert run(["normal-cone", "--instance", str(instance),
+                f"--at={ATLAS_3D_AT}", "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["lp"]["calls"] == 9
 
 
 # sha256 of report.json for check-quasiconvex (seed 42) on the non-box
