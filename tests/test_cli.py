@@ -902,6 +902,40 @@ def test_atlas_and_verify_outputs_pinned(command, name, at, tmp_path):
             == ATLAS_VERIFY_DIGESTS[command, name, at])
 
 
+# sha256 of report.json for the shipped commands that no other pin covers,
+# so that with the pins above every shipped command of the benchmark's
+# pass has its report bytes checked; recorded before the closed-form
+# axis-box membership test.  check-quasiconvex on two_wells exits 2.
+SHIPPED_DIGESTS = {
+    ("check-quasiconvex", "step1d", None):
+        "e806f582289a783703e41f881db7b056193581911fe266afbc6e8a0f03f52637",
+    ("check-quasiconvex", "sq2d", None):
+        "7a2ecb04dccf5abda801444398063fc233449e28f5be573f955cb73c9a655d03",
+    ("check-quasiconvex", "two_wells", None):
+        "a6d041298dd732801d227bc544aef7b79f660c2d101fa9448d7d3dfc4f2998bf",
+    ("normal-cone", "sq2d", "2,2"):
+        "80ab9fc5e8543b5d5da5a88a3e892e25d4d8abf55cbd1007d166e70858afd3ec",
+    ("normal-cone", "step1d", "0.5"):
+        "9d8840e4b1c9a183e3d0b359f663bec537f52b8c07303db45d927c323202b903",
+    ("verify", "two_wells", None):
+        "e1e008ff1e91fa82c53bc7e28e8a73e248408ae5a7bdde8fcafc2df4ed18a31a",
+}
+
+
+@pytest.mark.parametrize(
+    "command, name, at", SHIPPED_DIGESTS,
+    ids=["check-step1d", "check-sq2d", "check-two_wells", "normal-cone-sq2d",
+         "normal-cone-step1d", "verify-two_wells"])
+def test_shipped_outputs_pinned(command, name, at, tmp_path):
+    out = tmp_path / "o"
+    extra = [f"--at={at}"] if at is not None else []
+    code = run([command, "--instance", os.path.join(SHIPPED, f"{name}.json"),
+                *extra, "--out", str(out)])
+    assert code == (2 if (command, name) == ("check-quasiconvex", "two_wells")
+                    else 0)
+    assert sha256_of(out / "report.json") == SHIPPED_DIGESTS[command, name, at]
+
+
 # sha256 of report.json for the atlas commands on the non-box 3-D family,
 # at its interior normal-cone point, recorded from the per-chart bump
 # loops.  The mesh gives 243 charts and a 17^3 verification grid.
