@@ -373,7 +373,7 @@ def _cmd_solve_quasiopt(kind, payload, args, out_dir):
     result = solve_quasiopt(instance)
     report = result.to_dict()
     code = 0 if result.verified else 2
-    return code, report, {}
+    return code, report, {}, result.gqvi.stats
 
 
 def _cmd_verify(kind, payload, args, out_dir):

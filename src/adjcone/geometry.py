@@ -270,34 +270,39 @@ def _unit_halfspaces(a, b, norms):
     return a / norms[:, None], b
 
 
-def _axis_layout(a):
-    """``(axis, upper)`` per row when every unit row of ``a`` is a signed
-    axis, which enables closed-form fast paths; None otherwise."""
-    layout = []
-    for row in a:
-        nz = np.nonzero(np.abs(row) > 1e-12)[0]
-        if nz.size != 1:
-            return None
+def _axis_layout(rows):
+    """``(layout, exact)`` for the unit rows ``rows`` (``a.tolist()``):
+    ``layout`` is ``(axis, upper)`` per row when every row is a signed
+    axis within 1e-12, which enables closed-form fast paths, else None;
+    ``exact`` says every entry is exactly 0.0 or +-1.0."""
+    layout, exact = [], True
+    for row in rows:
+        nz = [k for k, v in enumerate(row) if abs(v) > 1e-12]
+        if len(nz) != 1:
+            return None, False
         j = nz[0]
         if abs(abs(row[j]) - 1.0) > 1e-12:
-            return None
+            return None, False
         layout.append((j, row[j] > 0))
-    return layout
+        exact = exact and abs(row[j]) == 1.0 and row.count(0.0) == len(row) - 1
+    return layout, exact
 
 
 def _axis_box(layout, b, dim):
-    """``(lo, hi)`` of the axis rows ``layout`` with offsets ``b``.
-    Raises when a coordinate lacks a bound or the bounds cross."""
-    lo = np.full(dim, -np.inf)
-    hi = np.full(dim, np.inf)
+    """``(lo, hi)`` lists of the axis rows ``layout`` with offsets ``b``
+    (``b.tolist()``); ``min`` and ``max`` keep the earlier of two equal
+    signed zeros.  Raises when a coordinate lacks a bound or the bounds
+    cross."""
+    lo = [-math.inf] * dim
+    hi = [math.inf] * dim
     for (j, upper), off in zip(layout, b):
         if upper:
             hi[j] = min(hi[j], off)
         else:
             lo[j] = max(lo[j], -off)
-    if np.any(np.isinf(lo)) or np.any(np.isinf(hi)):
+    if any(map(math.isinf, lo + hi)):
         raise UnboundedPolytopeError("box is unbounded in a coordinate")
-    if np.any(hi < lo - FEAS):
+    if any(h < l - FEAS for l, h in zip(lo, hi)):
         raise EmptyPolytopeError("box bounds cross")
     return lo, hi
 
@@ -336,9 +341,13 @@ class Polytope:
         self._vertices = None
         self._cheb = None
         self._reduced = None
-        layout = _axis_layout(self._a)
-        self._box_bounds = (None if layout is None
-                            else _axis_box(layout, self._b, self.dim))
+        layout, exact = _axis_layout(self._a.tolist())
+        self._box_bounds = self._exact_box = None
+        if layout is not None:
+            lo, hi = _axis_box(layout, self._b.tolist(), self.dim)
+            self._box_bounds = np.array(lo), np.array(hi)
+            if exact:
+                self._exact_box = hi, [-v for v in lo]
         self._bbox = self._box_bounds
 
         if check_feasible and self._box_bounds is None:
@@ -450,8 +459,21 @@ class Polytope:
         return self._a.shape[0]
 
     def contains(self, x, tol=None):
+        """Whether ``a @ x <= b + slack`` holds in every row.
+
+        On an exact box (every row exactly a signed axis) ``a_i @ x`` is
+        exactly ``+-x_j``, so the tightest row on each side decides, as
+        rounding of ``b + slack`` is monotone; ``nlo = -lo`` is that
+        row's offset.  A non-finite ``x_k`` makes the other rows' products
+        NaN and fails both closed-form tests at axis k, unless a bound
+        plus slack overflows: slack above 1 takes the matrix product.
+        """
         x = _as_point(x, self.dim)
         slack = tol if tol is not None else FEAS
+        if self._exact_box is not None and slack <= 1.0:
+            hi, nlo = self._exact_box
+            return all(v <= h + slack and -v <= l + slack
+                       for v, h, l in zip(x.tolist(), hi, nlo))
         return bool(np.all(self._a @ x <= self._b + slack))
 
     def contains_many(self, points, tol=None):

@@ -22,8 +22,8 @@ the starts one after another.
 Given T(x), only the right-hand side of the minimax LP depends on x, so
 most steps retrace a pivot path an earlier LP of the same body took, and
 ``solve_lp``'s body cache replays it on the right-hand side alone (see
-``lp``).  The cache counts of the minimax LPs go to
-``SolveReport.stats``.
+``lp``).  The cache counts of the minimax LPs, and the lanes abandoned
+by error type, go to ``SolveReport.stats``.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ class MovingPolytope:
             rows = np.vstack([self.a, self.box.halfspaces[0]])
             norms = np.linalg.norm(rows, axis=1)
             unit, _ = _unit_halfspaces(rows, np.zeros(len(rows)), norms)
-            self._rows = unit, norms, _axis_layout(unit)
+            self._rows = unit, norms, _axis_layout(unit.tolist())[0]
         return self._rows
 
     def _offsets_at(self, x):
@@ -135,7 +135,7 @@ class MovingPolytope:
             raise ValueError("Polytope: b has a non-finite entry")
         b = _unit_offsets(b, norms)
         if layout is not None:
-            _axis_box(layout, b, self.dim)
+            _axis_box(layout, b.tolist(), self.dim)
         return b
 
     def contains(self, x, y, tol=None):
@@ -322,7 +322,8 @@ def _minimax_many(operator, constraint_map, points, counts):
     ``_ABANDON`` error it raises there, and the vertex array of T there.
     An LPError ends the call.  ``counts`` counts the minimax LPs and their
     share of the LP cache counts; the operator's own LPs, which run
-    first, are not counted.
+    first, are not counted.  Its ``abandoned`` Counter counts the errors
+    by type name.
     """
     lanes, arrays = [], []
     for x in points:
@@ -333,6 +334,7 @@ def _minimax_many(operator, constraint_map, points, counts):
             vertices = operator.value(x).vertices()
             lanes.append((x, vertices, k_a, k_b))
         except _ABANDON as exc:
+            counts["abandoned"][type(exc).__name__] += 1
             lanes.append(exc)
         arrays.append(vertices)
     before = lp.cache_counts()
@@ -348,6 +350,7 @@ def _minimax_many(operator, constraint_map, points, counts):
             counts["minimax_lps"] += 1
             results.append(_minimax_result(sol, x))
         except _ABANDON as exc:
+            counts["abandoned"][type(exc).__name__] += 1
             results.append(exc)
     after = lp.cache_counts()
     for name in ("replayed", "solved", "nodes"):
@@ -394,7 +397,7 @@ class SolveReport:
     wall_time: float
     starts_tried: int = 0
     trace: list | None = None
-    stats: dict | None = None  # minimax LP and memo counts, not reported
+    stats: dict | None = None  # LP, memo and abandon counts, not reported
 
     def to_dict(self):
         return {
@@ -427,8 +430,9 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     are per-start scalar code, and trace rows and candidates are kept per
     start and read in (start, iteration) order.  The grid fallback scans
     its points in grid order.  ``stats`` counts the minimax LPs, those
-    the LP cache replayed and solved from scratch, and the states it
-    recorded for them.
+    the LP cache replayed and solved from scratch, the states it
+    recorded for them, and under ``abandoned`` the lanes given up, by
+    error type.
     """
     t_start = time.perf_counter()
     cfg = instance.config
@@ -444,7 +448,8 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     accepted = [None] * len(starts)
     rows = [[] for _ in starts]
     live = list(range(len(starts)))
-    counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0)
+    counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0,
+                     abandoned=Counter())
     for _ in range(cfg.max_iters):
         if not live:
             break
@@ -474,7 +479,7 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     def report(status, x=None, residual=None, witness=None):
         return SolveReport(status, x, residual, witness, iterations,
                            time.perf_counter() - t_start, len(starts), trace,
-                           dict(counts))
+                           {**counts, "abandoned": dict(counts["abandoned"])})
 
     if not candidates:
         mesh = max(fix.diameter() / cfg.mesh_divisions, 1e-9)

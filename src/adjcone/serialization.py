@@ -72,12 +72,14 @@ def polytope_to_dict(polytope: Polytope) -> dict:
 def polytope_from_dict(data, where="polytope") -> Polytope:
     if not isinstance(data, dict):
         raise SchemaError(f"{where} must be an object with 'A' and 'b'")
-    a = _need(data, "A", where)
-    b = _need(data, "b", where)
+    a = _numbers(_need(data, "A", where), f"{where}.A", rows=True)
+    b = _numbers(_need(data, "b", where), f"{where}.b")
+    v = data.get("V")
+    if v is not None:
+        v = _numbers(v, f"{where}.V", rows=True)
     try:
-        return Polytope(np.asarray(a, dtype=float), np.asarray(b, dtype=float),
-                        vertices=data.get("V"))
-    except (ValueError, TypeError) as exc:
+        return Polytope(a, b, vertices=v)
+    except ValueError as exc:
         raise SchemaError(f"invalid {where}: {exc}") from exc
 
 
@@ -114,11 +116,15 @@ def _function(data, where):
         polys = _need_list(data, "polytopes", where)
         if len(levels) != len(polys):
             raise SchemaError(f"{where}: levels and polytopes lengths differ")
+        validate = data.get("validate", True)
+        if not isinstance(validate, bool):
+            raise SchemaError(f"{where}.validate must be true or false, "
+                              f"got {validate!r}")
         return StepLevelFunction(
             levels,
             [polytope_from_dict(p, f"{where}.polytopes[{i}]")
              for i, p in enumerate(polys)],
-            validate=bool(data.get("validate", True)))
+            validate=validate)
     if kind == "analytic":
         name = _need(data, "name", where)
         box = polytope_from_dict(_need(data, "box", where), f"{where}.box")
@@ -179,7 +185,27 @@ def _number(value, where):
     """A JSON number other than a bool, as a float."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise SchemaError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal past the float range
+        raise SchemaError(f"{where} must be a finite number, got an "
+                          "integer too large for a float") from None
+
+
+def _numbers(value, where, rows=False):
+    """A list of numbers, or with ``rows`` a list of equally long lists
+    of numbers, as a float array."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{where} must be a list, got {value!r}")
+    if not rows:
+        return np.array([_number(v, f"{where}[{i}]")
+                         for i, v in enumerate(value)], dtype=float)
+    out = [_numbers(row, f"{where}[{i}]") for i, row in enumerate(value)]
+    for i, row in enumerate(out):
+        if row.size != out[0].size:
+            raise SchemaError(f"{where}[{i}] has {row.size} entries, "
+                              f"expected {out[0].size}")
+    return np.array(out, dtype=float)
 
 
 # Scalar rules as (kind, rule, test): a value passes when it is a
@@ -243,10 +269,12 @@ def moving_polytope_to_dict(cm: MovingPolytope) -> dict:
 
 def moving_polytope_from_dict(data, where="K") -> MovingPolytope:
     box = polytope_from_dict(_need(data, "box", where), f"{where}.box")
+    a = _numbers(_need(data, "A", where), f"{where}.A", rows=True)
+    b = _numbers(_need(data, "b", where), f"{where}.b")
+    d = _numbers(_need(data, "D", where), f"{where}.D", rows=True)
     try:
-        return MovingPolytope(_need(data, "A", where), _need(data, "b", where),
-                              _need(data, "D", where), box)
-    except (ValueError, TypeError) as exc:
+        return MovingPolytope(a, b, d, box)
+    except ValueError as exc:
         raise SchemaError(f"invalid {where}: {exc}") from exc
 
 

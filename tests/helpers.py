@@ -62,6 +62,46 @@ def lp_bounding_box(polytope):
     return lo, hi
 
 
+def array_axis_layout(a):
+    """The numpy form of ``geometry._axis_layout`` that the closed form
+    on ``a.tolist()`` replaced: ``(axis, upper)`` per row when every unit
+    row of ``a`` is a signed axis within 1e-12, None otherwise."""
+    layout = []
+    for row in a:
+        nz = np.nonzero(np.abs(row) > 1e-12)[0]
+        if nz.size != 1:
+            return None
+        j = nz[0]
+        if abs(abs(row[j]) - 1.0) > 1e-12:
+            return None
+        layout.append((j, row[j] > 0))
+    return layout
+
+
+def array_axis_box(layout, b, dim):
+    """The numpy form of ``geometry._axis_box``: ``(lo, hi)`` arrays, with
+    the same errors."""
+    lo = np.full(dim, -np.inf)
+    hi = np.full(dim, np.inf)
+    for (j, upper), off in zip(layout, b):
+        if upper:
+            hi[j] = min(hi[j], off)
+        else:
+            lo[j] = max(lo[j], -off)
+    if np.any(np.isinf(lo)) or np.any(np.isinf(hi)):
+        raise UnboundedPolytopeError("box is unbounded in a coordinate")
+    if np.any(hi < lo - FEAS):
+        raise EmptyPolytopeError("box bounds cross")
+    return lo, hi
+
+
+def matrix_contains(polytope, x, tol=None):
+    """``Polytope.contains`` by the matrix product over every row."""
+    a, b = polytope.halfspaces
+    slack = tol if tol is not None else FEAS
+    return bool(np.all(a @ np.asarray(x, dtype=float) <= b + slack))
+
+
 def same_set(first, second, tol=1e-7):
     """Set equality of two polytopes via mutual vertex membership."""
     return (bool(second.contains_many(first.vertices(), tol).all())

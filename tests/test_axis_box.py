@@ -1,0 +1,184 @@
+"""The closed forms of the axis-box path of ``Polytope``, bit for bit
+against the numpy forms they replaced (``helpers.array_axis_layout``,
+``helpers.array_axis_box`` and ``helpers.matrix_contains``).
+
+``_axis_layout`` and ``_axis_box`` run on ``tolist()`` values, and an
+exact box (every unit row exactly a signed axis) decides ``contains`` by
+its tightest row per side.  Near-axis rows keep the box bounds but take
+the matrix product for ``contains``.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adjcone.geometry import (
+    EmptyPolytopeError,
+    Polytope,
+    UnboundedPolytopeError,
+    _axis_box,
+    _axis_layout,
+)
+from helpers import array_axis_box, array_axis_layout, bits, matrix_contains
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True,
+                    database=None)
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-9, -1e-9, 1e-300]
+TOLS = [None, 0.0, -0.0, -1e-9, -0.5, 1e-7, 1e-8, 1.0, 2.0, 1e300,
+        math.inf, -math.inf, math.nan]
+# Off-axis entries: exact zeros, entries that keep a row near an axis
+# (|v| <= 1e-12 after normalisation), and entries that do not.
+OFF_AXIS = [0.0, -0.0, 1e-300, -1e-13, 5e-13, 1e-12, -2e-12, 1e-6, 0.3]
+SCALES = [1.0, -1.0, 2.0, -0.25, 3.0, 1e-3]
+offsets = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-10, -1e-10]),
+                    st.floats(-3.0, 3.0))
+
+
+def quiet():
+    """A non-finite coordinate makes NaN products in the matrix form."""
+    return np.errstate(invalid="ignore")
+
+
+def outcome(call):
+    try:
+        return call()
+    except (EmptyPolytopeError, UnboundedPolytopeError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def axis_systems(draw, off_axis=st.just(0.0)):
+    """``(a, b)`` of rows on random axes, in random order, with repeated
+    rows on one axis; ``off_axis`` fills the other entries."""
+    dim = draw(st.integers(1, 3))
+    rows, offs = [], []
+    for j in range(dim):
+        for sign in (1.0, -1.0):
+            for _ in range(draw(st.integers(0, 3))):
+                row = [draw(off_axis) for _ in range(dim)]
+                row[j] = sign * abs(draw(st.sampled_from(SCALES)))
+                rows.append(row)
+                offs.append(draw(offsets))
+    if not rows:
+        rows, offs = [[1.0] + [0.0] * (dim - 1)], [1.0]
+    order = draw(st.permutations(range(len(rows))))
+    return (np.array([rows[i] for i in order]),
+            np.array([offs[i] for i in order]))
+
+
+def unit_rows(a):
+    return a / np.linalg.norm(a, axis=1)[:, None]
+
+
+@PROPERTY
+@given(axis_systems(off_axis=st.sampled_from(OFF_AXIS)))
+def test_layout_matches_array_form(system):
+    a = unit_rows(system[0])
+    layout, exact = _axis_layout(a.tolist())
+    want = array_axis_layout(a)
+    if want is None:
+        assert layout is None and not exact
+        return
+    assert layout == [(int(j), bool(up)) for j, up in want]
+    assert exact == bool(np.all((a == 0.0) | (np.abs(a) == 1.0)))
+
+
+@PROPERTY
+@given(axis_systems())
+def test_box_matches_array_form(system):
+    a, b = unit_rows(system[0]), system[1]
+    layout, exact = _axis_layout(a.tolist())
+    assert exact
+    got = outcome(lambda: _axis_box(layout, b.tolist(), a.shape[1]))
+    want = outcome(lambda: array_axis_box(array_axis_layout(a), b, a.shape[1]))
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    else:
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+
+def test_box_errors():
+    assert outcome(lambda: Polytope([[1.0], [1.0]], [1.0, 2.0])) == (
+        UnboundedPolytopeError, "box is unbounded in a coordinate")
+    assert outcome(lambda: Polytope([[1.0], [-1.0]], [-1.0, 0.5])) == (
+        EmptyPolytopeError, "box bounds cross")
+
+
+def test_box_keeps_signed_zero_bits():
+    # min and max keep the earlier of two equal signed zeros.
+    for b in ([0.0, -0.0, 0.0, -0.0], [-0.0, 0.0, -0.0, 0.0]):
+        a = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+        got = Polytope(a, b)._box_bounds
+        want = array_axis_box(array_axis_layout(a), np.array(b), 1)
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+
+@st.composite
+def boxes_and_points(draw):
+    """An exact box with repeated rows per side, and a point whose
+    coordinates lie on, near or far from its bounds, or are +-0, +-inf
+    or NaN."""
+    dim = draw(st.integers(1, 3))
+    rows, offs, near = [], [], []
+    for j in range(dim):
+        lo, hi = sorted([draw(offsets), draw(offsets)])
+        for sign, bound in ((1.0, hi), (-1.0, -lo)):
+            extra = draw(st.lists(st.sampled_from([0.0, -0.0, 1e-12, 1.0]),
+                                  max_size=2))
+            for pad in [0.0] + extra:
+                row = [0.0] * dim
+                row[j] = sign * draw(st.sampled_from([1.0, 2.0, 0.5]))
+                rows.append(row)
+                offs.append((bound + pad) * abs(row[j]))
+        near += [lo, hi, lo - 1e-9, hi + 1e-9,
+                 np.nextafter(hi + 1e-9, math.inf),
+                 np.nextafter(lo - 1e-9, -math.inf)]
+    order = draw(st.permutations(range(len(rows))))
+    a = np.array([rows[i] for i in order])
+    b = np.array([offs[i] for i in order])
+    coord = st.one_of(st.sampled_from(SPECIAL + near), st.floats(-4.0, 4.0))
+    x = [draw(coord) for _ in range(dim)]
+    return a, b, x, draw(st.sampled_from(TOLS))
+
+
+@PROPERTY
+@given(boxes_and_points())
+def test_exact_box_contains_matches_matrix_product(case):
+    a, b, x, tol = case
+    p = Polytope(a, b)
+    assert p._exact_box is not None
+    with quiet():
+        assert p.contains(x, tol) == matrix_contains(p, x, tol)
+
+
+@pytest.mark.parametrize("off", [1e-13, -1e-13, 1e-300])
+def test_near_axis_rows_take_the_matrix_product(off):
+    a = np.array([[1.0, off], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    p = Polytope(a, [1.0, 1.0, 2.0 / abs(off), 2.0 / abs(off)])
+    assert p._box_bounds is not None and p._exact_box is None
+    # Far along the second axis the off-axis term counts: the first row
+    # reads 1 + off / off = 2 against its bound of 1, which the tightest
+    # rows per axis alone would accept.
+    x = [1.0, 1.0 / off]
+    assert not p.contains(x, 0.5)
+    assert matrix_contains(p, x, 0.5) is False
+    for x in ([0.5, 0.5], [1.0 + 1e-9, 0.0], [math.inf, 0.0], [0.0, math.nan]):
+        with quiet():
+            assert p.contains(x) == matrix_contains(p, x)
+
+
+def test_infinite_slack_takes_the_matrix_product():
+    # b + inf is inf, so an infinite coordinate passes its own axis rows;
+    # the other axis's rows read 0 * inf = NaN and fail.
+    p = Polytope.from_box([-1.0, -1.0], [1.0, 1.0])
+    for x in ([math.inf, 0.0], [0.0, -math.inf]):
+        with quiet():
+            assert not p.contains(x, math.inf)
+            assert not matrix_contains(p, x, math.inf)
+    one = Polytope.from_box([-1.0], [1.0])
+    assert one.contains([math.inf], math.inf)
+    assert matrix_contains(one, [math.inf], math.inf)

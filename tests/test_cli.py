@@ -196,6 +196,9 @@ def test_reports_embed_instance_hash(files, tmp_path):
     assert "ADJCONE_THREADS" not in json.dumps(manifest)  # read by nothing
 
 
+SOLVER_STATS = {"minimax_lps", "replayed", "solved", "nodes", "abandoned"}
+
+
 def test_solve_gqvi_writes_memo_stats_to_manifest(tmp_path):
     # Every minimax LP is replayed or solved from scratch; on the moving
     # interval all but the first few retrace a recorded pivot path.  The
@@ -205,12 +208,51 @@ def test_solve_gqvi_writes_memo_stats_to_manifest(tmp_path):
                 os.path.join(SHIPPED, "moving_interval.json"),
                 "--out", str(out)]) == 0
     stats = json.loads((out / "manifest.json").read_text())["stats"]
-    assert set(stats) == {"minimax_lps", "replayed", "solved", "nodes"}
+    assert set(stats) == SOLVER_STATS
     assert stats["replayed"] + stats["solved"] == stats["minimax_lps"]
     assert stats["minimax_lps"] == report_of(out)["report"]["iterations"]
     assert stats["replayed"] >= 0.95 * stats["minimax_lps"]  # 489 of 493
     assert stats["nodes"] > 0
+    assert stats["abandoned"] == {}
     assert "stats" not in (out / "report.json").read_text()
+
+
+def _square(half):
+    return {"A": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+            "b": [half] * 4}
+
+
+def test_solve_quasiopt_writes_solver_stats_to_manifest(tmp_path):
+    # The reduction's solver counts go to the manifest as solve-gqvi's do.
+    # Off the argmin of nested squares, with charts 0.0625 apart, two
+    # lanes end in the 1e5 bound of the Minkowski vertex product; the
+    # solve still verifies, and only the manifest says so.
+    window = tmp_path / "o1"
+    assert run(["solve-quasiopt", "--instance",
+                os.path.join(SHIPPED, "quasiopt_window1d.json"),
+                "--out", str(window)]) == 0
+    stats = json.loads((window / "manifest.json").read_text())["stats"]
+    assert set(stats) == SOLVER_STATS
+    assert stats["minimax_lps"] == (
+        report_of(window)["report"]["gqvi"]["iterations"])
+    assert stats["abandoned"] == {}
+    instance = tmp_path / "offargmin2d.json"
+    dump_json({"schema_version": 1,
+               "function": {"type": "step", "levels": [0.0, 1.0, 2.0],
+                            "polytopes": [_square(h) for h in (0.5, 1.0, 2.0)]},
+               "K": {"A": [[-1.0, 0.0]], "b": [-1.0], "D": [[0.0, 0.0]],
+                     "box": _square(2.0)},
+               "atlas_build": {"region": {**_square(2.0),
+                                          "b": [2.0, 2.0, -0.75, 2.0]},
+                               "cover_step": 0.0625, "argmin_margin": 0.25},
+               "solver": {"seed": 42}}, instance)
+    out = tmp_path / "o2"
+    assert run(["solve-quasiopt", "--instance", str(instance),
+                "--out", str(out)]) == 0
+    assert report_of(out)["report"]["verified"] is True
+    stats = json.loads((out / "manifest.json").read_text())["stats"]
+    assert stats["abandoned"] == {"ScaleBoundError": 2}
+    assert "abandoned" not in (out / "report.json").read_text()
 
 
 SHIPPED_COMMANDS = [
@@ -764,7 +806,26 @@ BAD_STRUCTURE = [
      {"charts": [{"z": [0.5], "lambda": [0.5], "z0": [0.0], "eps": 0.2}],
       "region": _REGION_1D, "cover_step": 0.25},
      "atlas.charts[0].lambda must be a number, got [0.5]"),
-    ("moving_interval", ("K", "b"), [{}, 1.0], "invalid K: float() argument"),
+    ("moving_interval", ("K", "b"), [{}, 1.0], "K.b[0] must be a number, got {}"),
+    ("step1d", ("polytopes", 2, "b"), [True, 1.0],
+     "function.polytopes[2].b[0] must be a number, got True"),
+    ("step1d", ("polytopes", 2, "A"), [[1.0], ["-1"]],
+     "function.polytopes[2].A[1][0] must be a number, got '-1'"),
+    ("step1d", ("polytopes", 2, "A"), [[1.0], [-1.0, 0.0]],
+     "function.polytopes[2].A[1] has 2 entries, expected 1"),
+    ("step1d", ("polytopes", 2, "A"), "x",
+     "function.polytopes[2].A must be a list, got 'x'"),
+    ("step1d", ("polytopes", 0, "V"), [[-1.0], [False]],
+     "function.polytopes[0].V[1][0] must be a number, got False"),
+    ("step1d", ("validate",), "false",
+     "function.validate must be true or false, got 'false'"),
+    ("moving_interval", ("K", "A"), [[1.0], [True]],
+     "K.A[1][0] must be a number, got True"),
+    ("moving_interval", ("K", "D"), [[0.5], [-0.5, 0.0]],
+     "K.D[1] has 2 entries, expected 1"),
+    ("moving_interval", ("K", "b"), 1.0, "K.b must be a list, got 1.0"),
+    ("moving_interval", ("K", "D"), [[0.5], [-(10 ** 400)]],
+     "K.D[1][0] must be a finite number, got an integer too large"),
 ]
 _STRUCTURE_COMMAND = {"quasiopt_window1d": "solve-quasiopt",
                       "step1d": "check-quasiconvex",
@@ -778,7 +839,9 @@ _STRUCTURE_COMMAND = {"quasiopt_window1d": "solve-quasiopt",
     "tabulated-polytopes-number", "axis-past-dim", "axis-bool",
     "breakpoints-decreasing", "breakpoints-repeated", "level-list",
     "level-text", "level-bool", "quasiopt-level-null", "chart-lambda-list",
-    "K-b-object"])
+    "K-b-object", "polytope-b-bool", "polytope-A-text", "polytope-A-ragged",
+    "polytope-A-text-matrix", "polytope-V-bool", "validate-text", "K-A-bool",
+    "K-D-ragged", "K-b-number", "K-D-huge-integer"])
 def test_bad_instance_structure_exits_1(name, path, value, message, tmp_path,
                                         capsys):
     # Unchecked, a number where an object or a list belongs ended in a
@@ -786,7 +849,11 @@ def test_bad_instance_structure_exits_1(name, path, value, message, tmp_path,
     # dimension in an IndexError, and unsorted breakpoints solved with
     # mis-assigned cells.  A list or an object where a number belongs
     # (a level, a chart level, an entry of K.b) ended in a TypeError
-    # traceback, and text in a ValueError that named no field.
+    # traceback, and text in a ValueError that named no field.  In a
+    # polytope's A, b or V, or in K's A, b or D, a bool loaded as 0 or 1,
+    # and text or a ragged row gave numpy's message; a text "validate"
+    # was read by its truthiness.  An integer literal past the float
+    # range ended in an OverflowError traceback.
     instance = _edited_shipped(tmp_path, name, path, value)
     _exits_1_with([_STRUCTURE_COMMAND[name], "--instance", str(instance),
                    "--out", str(tmp_path / "o")], message, capsys)

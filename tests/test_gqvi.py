@@ -471,6 +471,7 @@ def test_solve_stats_count_every_minimax_lp():
     assert stats["minimax_lps"] == got.iterations
     assert stats["replayed"] + stats["solved"] == got.iterations
     assert stats["replayed"] > 3 * stats["solved"]
+    assert stats["abandoned"] == {}
     assert "stats" not in got.to_dict()
 
 
@@ -639,6 +640,13 @@ def test_lane_abandoned_by_its_slice_leaves_other_lanes(kind, monkeypatch):
            if values[-1] < 0.0 and len(values) >= 2]
     assert accepted and cut
     assert got.status == "solved"
+    # Every lane that does not end accepted is abandoned once, some at
+    # their first step (they leave no trace row).
+    ended = [start for start, values in rows.items()
+             if values[-1] >= -instance.config.tol_solve]
+    error = "EmptyPolytopeError" if kind == "zero-row" else "ValueError"
+    assert got.stats["abandoned"] == {error: got.starts_tried - len(ended)}
+    assert got.stats["abandoned"][error] >= 3
 
 
 class _CountingOperator(TabulatedOperator):
@@ -654,7 +662,8 @@ def test_minimax_stats_leave_out_the_operator_lps(moving_interval):
     # same cache but stay out of the minimax counts.
     cells = [_point_1d(1.0), _point_1d(-1.0)]
     operator = _CountingOperator(0, [0.0], cells)
-    counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0)
+    counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0,
+                     abandoned=Counter())
     points = [[-1.0], [0.5], [-0.5], [-1.5], [-0.75]]
     results, arrays = gqvi._minimax_many(operator, moving_interval, points,
                                          counts)
