@@ -14,16 +14,11 @@ multistart and a grid fallback): the underlying theory is existence
 only, so every reported solution is re-verified from scratch and
 anything weaker is labelled ``residual_floor``.
 
-The starts are independent, so ``solve`` advances them in lockstep, one
-damped step of every live start at a time.  Every step rule stays per
-start, so the report, trace and iteration count are those of running
-the starts one after another.
-
 Given T(x), only the right-hand side of the minimax LP depends on x, so
 most steps retrace a pivot path an earlier LP of the same body took, and
 ``solve_lp``'s body cache replays it on the right-hand side alone (see
-``lp``).  The cache counts of the minimax LPs, and the lanes abandoned
-by error type, go to ``SolveReport.stats``.
+``lp``).  The cache counts of the minimax LPs, and the branches
+abandoned by error type, go to ``SolveReport.stats``.
 """
 
 from __future__ import annotations
@@ -183,7 +178,10 @@ class TabulatedOperator:
     def __init__(self, axis, breakpoints, polytopes):
         if len(polytopes) != len(breakpoints) + 1:
             raise ValueError("polytopes must number one more than breakpoints")
-        self.dim = polytopes[0].dim
+        dims = [p.dim for p in polytopes]
+        if len(set(dims)) != 1:
+            raise ValueError(f"polytopes must share a dimension, got {dims}")
+        self.dim = dims[0]
         if (isinstance(axis, bool) or not isinstance(axis, numbers.Integral)
                 or not 0 <= axis < self.dim):
             raise ValueError(f"axis must be an integer in [0, {self.dim}), "
@@ -295,6 +293,25 @@ def _witness(vertices, y_opt, x):
     return vertices[int(np.argmax(vertices @ (y_opt - x)))]
 
 
+def _minimax(operator, constraint_map, x, counts):
+    """``minimax_value`` at the flat float point x without the witness,
+    and the vertex array of T(x).  ``counts`` counts the minimax LP under
+    ``minimax_lps`` and its share of the LP cache counts under their
+    names; the operator's own LPs, which run first, are not counted."""
+    # K(x) skips its own feasibility LP: t is free, so the minimax LP is
+    # feasible exactly when K(x) is, and its phase 1 decides emptiness.
+    k_a, k_b = constraint_map._halfspaces_at(x)
+    vertices = operator.value(x).vertices()
+    c, a_ub = _minimax_rows(vertices, k_a)
+    before = lp.cache_counts()
+    sol = solve_lp(c, a_ub=a_ub, b_ub=np.concatenate([vertices @ x, k_b]))
+    after = lp.cache_counts()
+    counts["minimax_lps"] += 1
+    for name in ("replayed", "solved", "nodes"):
+        counts[name] += after[name] - before[name]
+    return _minimax_result(sol, x), vertices
+
+
 def minimax_value(operator, constraint_map, x) -> MinimaxResult:
     """One-LP evaluation of ``min_{y in K(x)} max_j <v_j, y - x>``.
 
@@ -302,60 +319,13 @@ def minimax_value(operator, constraint_map, x) -> MinimaxResult:
     nonnegative.  Raises EmptyPolytopeError when K(x) is empty.
     """
     x = np.asarray(x, dtype=float).ravel()
-    # K(x) skips its own feasibility LP: t is free, so the minimax LP is
-    # feasible exactly when K(x) is, and its phase 1 decides emptiness.
-    k_a, k_b = constraint_map._halfspaces_at(x)
-    vertices = operator.value(x).vertices()
-    c, a_ub = _minimax_rows(vertices, k_a)
-    sol = solve_lp(c, a_ub=a_ub, b_ub=np.concatenate([vertices @ x, k_b]))
-    result = _minimax_result(sol, x)
+    result, vertices = _minimax(operator, constraint_map, x, Counter())
     result.witness = _witness(vertices, result.y_opt, x)
     return result
 
 
 # A branch of the solver hit an operator hole or an empty slice.
 _ABANDON = (GeometryError, InstanceError, ValueError)
-
-
-def _minimax_many(operator, constraint_map, points, counts):
-    """``minimax_value`` at every point without the witness, or the
-    ``_ABANDON`` error it raises there, and the vertex array of T there.
-    An LPError ends the call.  ``counts`` counts the minimax LPs and their
-    share of the LP cache counts; the operator's own LPs, which run
-    first, are not counted.  Its ``abandoned`` Counter counts the errors
-    by type name.
-    """
-    lanes, arrays = [], []
-    for x in points:
-        x = np.asarray(x, dtype=float).ravel()
-        vertices = None
-        try:
-            k_a, k_b = constraint_map._halfspaces_at(x)
-            vertices = operator.value(x).vertices()
-            lanes.append((x, vertices, k_a, k_b))
-        except _ABANDON as exc:
-            counts["abandoned"][type(exc).__name__] += 1
-            lanes.append(exc)
-        arrays.append(vertices)
-    before = lp.cache_counts()
-    results = []
-    for lane in lanes:
-        if isinstance(lane, Exception):
-            results.append(lane)
-            continue
-        x, vertices, k_a, k_b = lane
-        try:
-            sol = solve_lp(*_minimax_rows(vertices, k_a),
-                           b_ub=np.concatenate([vertices @ x, k_b]))
-            counts["minimax_lps"] += 1
-            results.append(_minimax_result(sol, x))
-        except _ABANDON as exc:
-            counts["abandoned"][type(exc).__name__] += 1
-            results.append(exc)
-    after = lp.cache_counts()
-    for name in ("replayed", "solved", "nodes"):
-        counts[name] += after[name] - before[name]
-    return results, arrays
 
 
 def sion_check(operator, constraint_map, x) -> SionResult:
@@ -424,15 +394,10 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     grid of the fixed-point set and reported as ``residual_floor``.
     Candidate ties break toward smaller norm, then lexicographically.
 
-    The starts run in lockstep: every live start takes its next step at
-    once.  This is bit for bit the start-by-start loop: no start reads
-    another, each LP has the bits of its own ``solve_lp``, the step rules
-    are per-start scalar code, and trace rows and candidates are kept per
-    start and read in (start, iteration) order.  The grid fallback scans
-    its points in grid order.  ``stats`` counts the minimax LPs, those
-    the LP cache replayed and solved from scratch, the states it
-    recorded for them, and under ``abandoned`` the lanes given up, by
-    error type.
+    The starts run one after another, and the grid fallback scans its
+    points in grid order.  ``stats`` counts the minimax LPs, those the LP
+    cache replayed and solved from scratch, the states it recorded for
+    them, and under ``abandoned`` the branches given up, by error type.
     """
     t_start = time.perf_counter()
     cfg = instance.config
@@ -444,37 +409,29 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     starts.extend(fix.sample(rng, cfg.starts))
 
     iterations = 0
-    points = [np.asarray(x, dtype=float).copy() for x in starts]
-    accepted = [None] * len(starts)
-    rows = [[] for _ in starts]
-    live = list(range(len(starts)))
+    candidates = []
+    trace = [] if collect_trace else None
     counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0,
                      abandoned=Counter())
-    for _ in range(cfg.max_iters):
-        if not live:
-            break
-        results, _ = _minimax_many(instance.operator, cm,
-                                   [points[i] for i in live], counts)
-        moving = []
-        for i, result in zip(live, results):
-            if not isinstance(result, MinimaxResult):
-                continue  # branch hit an operator hole or infeasible slice
+    for start, x in enumerate(starts):
+        x = np.array(x, dtype=float)
+        for _ in range(cfg.max_iters):
+            try:
+                result, _ = _minimax(instance.operator, cm, x, counts)
+            except _ABANDON as exc:  # an operator hole or an empty slice
+                counts["abandoned"][type(exc).__name__] += 1
+                break
             iterations += 1
-            x = points[i]
             if collect_trace:
-                rows[i].append((i, x.copy(), result.value))
+                trace.append((start, x, result.value))
             # Residual first: most steps fail it, so contains runs rarely.
             if result.value >= -cfg.tol_solve and cm.contains(x, x):
-                accepted[i] = (x.copy(), result)
-                continue
+                candidates.append((x, result))
+                break
             x_next = (1.0 - cfg.gamma) * x + cfg.gamma * result.y_opt
             if np.linalg.norm(x_next - x) <= 1e-12:
-                continue
-            points[i] = x_next
-            moving.append(i)
-        live = moving
-    candidates = [found for found in accepted if found is not None]
-    trace = [row for lane in rows for row in lane] if collect_trace else None
+                break
+            x = x_next
 
     def report(status, x=None, residual=None, witness=None):
         return SolveReport(status, x, residual, witness, iterations,
@@ -483,11 +440,12 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
 
     if not candidates:
         mesh = max(fix.diameter() / cfg.mesh_divisions, 1e-9)
-        grid = _grid_points(fix, mesh)
-        results, arrays = _minimax_many(instance.operator, cm, grid, counts)
         best = best_key = None
-        for g, result, vertices in zip(grid, results, arrays):
-            if not isinstance(result, MinimaxResult):
+        for g in _grid_points(fix, mesh):
+            try:
+                result, vertices = _minimax(instance.operator, cm, g, counts)
+            except _ABANDON as exc:
+                counts["abandoned"][type(exc).__name__] += 1
                 continue
             iterations += 1
             key = _candidate_key(g, result.value)

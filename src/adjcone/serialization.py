@@ -168,17 +168,19 @@ def _atlas(data, where):
 
 def _point(mapping, field, where, dim):
     """A flat list of ``dim`` numbers."""
-    value = _need(mapping, field, where)
-    try:
-        point = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}.{field} must be a list of numbers: {exc}") from exc
-    if point.ndim != 1:
-        raise SchemaError(f"{where}.{field} must be a flat list of numbers")
+    point = _numbers(_need(mapping, field, where), f"{where}.{field}")
     if point.size != dim:
         raise SchemaError(f"{where}.{field} has {point.size} coordinates, "
                           f"expected {dim}")
     return point
+
+
+def _same_dim(dim, want, where, of):
+    """Reject ``where``, of dimension ``dim``, unless ``dim`` is ``want``,
+    the dimension of ``of``."""
+    if dim != want:
+        raise SchemaError(f"{where} has dimension {dim}, expected {want} "
+                          f"(the dimension of {of})")
 
 
 def _number(value, where):
@@ -356,6 +358,7 @@ def _gqvi_instance(data):
     if isinstance(operator, dict):
         raise SchemaError("normal_base operators are only valid inside "
                           "quasiopt instances")
+    _same_dim(operator.dim, cm.dim, "T", "K")
     config = _solver_config(data.get("solver"), "solver")
     return GqviInstance(cm, operator, config=config)
 
@@ -412,16 +415,21 @@ def load_instance(path):
     if "type" in data:
         return "function", {"function": _function(data, "function"), "raw": data}
     if "function" in data:
-        payload = {"function": _function(data["function"], "function"),
-                   "raw": data}
+        f = _function(data["function"], "function")
+        payload = {"function": f, "raw": data}
         if "atlas" in data:
             payload["atlas"] = _atlas(data["atlas"], "atlas")
+            _same_dim(payload["atlas"].region.dim, f.dim, "atlas.region",
+                      "the function")
         if "atlas_build" in data:
             payload["atlas_build"] = _atlas_build(data["atlas_build"],
                                                   "atlas_build")
+            _same_dim(payload["atlas_build"]["region"].dim, f.dim,
+                      "atlas_build.region", "the function")
         if "K" not in data:
             return "function", payload
         payload["K"] = moving_polytope_from_dict(data["K"])
+        _same_dim(payload["K"].dim, f.dim, "K", "the function")
         payload["solver"] = _solver_config(data.get("solver"), "solver")
         return "quasiopt", payload
     if "K" in data and "T" in data:

@@ -38,6 +38,41 @@ STEP_4D = _scaled_family(
     [1.156, 1.441, 1.033, 1.433, 1.414, 1.447, 1.03, 1.119, 1.388])
 
 
+# Instance fields of dimension 2 beside 1-D data elsewhere in the file.
+_SQUARE = {"A": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+           "b": [1.0, 1.0, 1.0, 1.0]}
+_POINT_1D = {"A": [[1.0], [-1.0]], "b": [1.0, -1.0]}
+_POINT_2D = {"A": _SQUARE["A"], "b": [1.0, 0.0, -1.0, 0.0]}
+_K_2D = {"A": [[1.0, 0.0], [-1.0, 0.0]], "b": [0.5, 0.5],
+         "D": [[1.0, 0.0], [-1.0, 0.0]], "box": _SQUARE}
+_CHART_2D = {"z": [0.5, 0.2], "lambda": 0.5, "z0": [0.0, 0.0], "eps": 0.3}
+_OF_K = "expected 1 (the dimension of K)"
+_OF_F = "expected 1 (the dimension of the function)"
+
+# (shipped instance, top-level field, its 2-D replacement, the message
+# that rejects it).
+DIMENSION_MISMATCHES = [
+    ("moving_interval", "T", {"kind": "constant", "polytope": _POINT_2D},
+     f"T has dimension 2, {_OF_K}"),
+    ("moving_interval", "T",
+     {"kind": "tabulated", "axis": 0, "breakpoints": [0.0],
+      "polytopes": [_POINT_2D, _POINT_2D]},
+     f"T has dimension 2, {_OF_K}"),
+    ("moving_interval", "T",
+     {"kind": "tabulated", "axis": 0, "breakpoints": [0.0],
+      "polytopes": [_POINT_1D, _POINT_2D]},
+     "T.polytopes must share a dimension, got [1, 2]"),
+    ("quasiopt_window1d", "K", _K_2D, f"K has dimension 2, {_OF_F}"),
+    ("quasiopt_window1d", "atlas_build", {"region": _SQUARE, "cover_step": 0.25},
+     f"atlas_build.region has dimension 2, {_OF_F}"),
+    ("quasiopt_window1d", "atlas",
+     {"charts": [_CHART_2D], "region": _SQUARE, "cover_step": 0.25},
+     f"atlas.region has dimension 2, {_OF_F}"),
+]
+DIMENSION_IDS = ["T-constant", "T-tabulated", "T-mixed", "quasiopt-K",
+                 "atlas-build-region", "atlas-region"]
+
+
 def lp_bounding_box(polytope):
     """``(lo, hi)`` of ``polytope`` from its 2n coordinate LPs, the check
     that construction once ran for boundedness, kept as the oracle of the
@@ -168,10 +203,11 @@ def band_edge_points(polytope, radius, rng):
 
 
 def sequential_solve(instance, collect_trace=False):
-    """The start-by-start loop that ``solve`` runs in lockstep, kept as its
-    oracle: each start iterates to acceptance, stationarity or
-    ``max_iters`` before the next one begins, one ``minimax_value`` per
-    step, and the grid fallback evaluates one point at a time."""
+    """The multistart loop of ``solve`` written from the public
+    ``minimax_value`` alone, kept as its bit-for-bit oracle: each start
+    iterates to acceptance, stationarity or ``max_iters`` before the next
+    one begins, one ``minimax_value`` per step, and the grid fallback
+    evaluates one point at a time."""
     t_start = time.perf_counter()
     cfg = instance.config
     cm = instance.constraint_map

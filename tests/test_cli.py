@@ -20,7 +20,7 @@ from adjcone.serialization import (
     moving_polytope_to_dict,
     polytope_to_dict,
 )
-from helpers import STEP_3D, STEP_4D
+from helpers import DIMENSION_IDS, DIMENSION_MISMATCHES, STEP_3D, STEP_4D
 
 
 @pytest.fixture(scope="module")
@@ -225,7 +225,7 @@ def _square(half):
 def test_solve_quasiopt_writes_solver_stats_to_manifest(tmp_path):
     # The reduction's solver counts go to the manifest as solve-gqvi's do.
     # Off the argmin of nested squares, with charts 0.0625 apart, two
-    # lanes end in the 1e5 bound of the Minkowski vertex product; the
+    # branches end in the 1e5 bound of the Minkowski vertex product; the
     # solve still verifies, and only the manifest says so.
     window = tmp_path / "o1"
     assert run(["solve-quasiopt", "--instance",
@@ -857,6 +857,18 @@ def test_bad_instance_structure_exits_1(name, path, value, message, tmp_path,
     instance = _edited_shipped(tmp_path, name, path, value)
     _exits_1_with([_STRUCTURE_COMMAND[name], "--instance", str(instance),
                    "--out", str(tmp_path / "o")], message, capsys)
+
+
+@pytest.mark.parametrize("name, field, value, message", DIMENSION_MISMATCHES,
+                         ids=DIMENSION_IDS)
+def test_dimension_mismatch_exits_1(name, field, value, message, tmp_path,
+                                    capsys):
+    commands = (["solve-gqvi", "verify"] if name == "moving_interval"
+                else ["solve-quasiopt", "verify"])
+    instance = _edited_shipped(tmp_path, name, (field,), value)
+    for command in commands:
+        _exits_1_with([command, "--instance", str(instance),
+                       "--out", str(tmp_path / command)], message, capsys)
 
 
 def test_tabulated_instance_solves(tmp_path):

@@ -1,6 +1,5 @@
 import itertools
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -414,7 +413,7 @@ def test_moving_polytope_rejects_non_finite_data(field, data):
         MovingPolytope(box=Polytope.from_box([-2.0], [2.0]), **kwargs)
 
 
-# -- lockstep solver against the start-by-start oracle ---------------------------
+# -- solver against the start-by-start oracle ------------------------------------
 
 
 def random_gqvi(seed, dim, operator=None, **solver):
@@ -621,7 +620,7 @@ def _point_1d(v):
 @pytest.mark.parametrize("kind", ["zero-row", "non-finite"])
 def test_lane_abandoned_by_its_slice_leaves_other_lanes(kind, monkeypatch):
     # T(x) = {1} for x <= 0 pushes x down to -2, where it is accepted;
-    # T(x) = {-1} beyond pushes it up past 1, where the lane is abandoned
+    # T(x) = {-1} beyond pushes it up past 1, where the start is abandoned
     # after some steps.  The two cells build one body each.
     operator = TabulatedOperator(0, [0.0], [_point_1d(1.0), _point_1d(-1.0)])
     instance = GqviInstance(_unusable_past_1(kind), operator,
@@ -640,7 +639,7 @@ def test_lane_abandoned_by_its_slice_leaves_other_lanes(kind, monkeypatch):
            if values[-1] < 0.0 and len(values) >= 2]
     assert accepted and cut
     assert got.status == "solved"
-    # Every lane that does not end accepted is abandoned once, some at
+    # Every start that does not end accepted is abandoned once, some at
     # their first step (they leave no trace row).
     ended = [start for start, values in rows.items()
              if values[-1] >= -instance.config.tol_solve]
@@ -650,43 +649,80 @@ def test_lane_abandoned_by_its_slice_leaves_other_lanes(kind, monkeypatch):
 
 
 class _CountingOperator(TabulatedOperator):
-    """A tabulated operator that runs an LP of its own at every value."""
+    """A tabulated operator that runs an LP of its own at every value and
+    keeps the cache's call count from just before each of them."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.marks = []
 
     def value(self, x):
+        self.marks.append(lp.cache_counts()["calls"])
         lp.solve_lp([1.0], a_ub=[[-1.0]], b_ub=[float(x[0]) ** 2])
         return super().value(x)
 
 
-def test_minimax_stats_leave_out_the_operator_lps(moving_interval):
-    # One body per cell in use; the operator's own LPs go through the
-    # same cache but stay out of the minimax counts.
-    cells = [_point_1d(1.0), _point_1d(-1.0)]
-    operator = _CountingOperator(0, [0.0], cells)
-    counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0,
-                     abandoned=Counter())
-    points = [[-1.0], [0.5], [-0.5], [-1.5], [-0.75]]
-    results, arrays = gqvi._minimax_many(operator, moving_interval, points,
-                                         counts)
-    assert all(isinstance(result, gqvi.MinimaxResult) for result in results)
-    assert [id(a) for a in arrays] == [id(cells[p[0] > 0].vertices())
-                                       for p in points]
-    assert counts["minimax_lps"] == 5
-    assert counts["replayed"] + counts["solved"] == 5
+def test_minimax_stats_leave_out_the_operator_lps(moving_interval,
+                                                  monkeypatch):
+    # T(x) = {1} for x <= 0 and {-1} beyond: the starts are accepted at
+    # -2 or 2, one body per cell.  The operator's own LPs go through the
+    # same cache but stay out of the minimax counts.  Every step asks the
+    # operator first, and the recheck's value is the last one asked for,
+    # so the cache calls between the first and the last mark are the
+    # steps' minimax LPs and all but the last operator LP.
+    operator = _CountingOperator(0, [0.0], [_point_1d(1.0), _point_1d(-1.0)])
+    instance = GqviInstance(moving_interval, operator,
+                            gqvi.SolverConfig(starts=6, seed=3))
+    want = sequential_solve(instance, collect_trace=True)
+    lp.clear_cache()
+    operator.marks.clear()
+    built = _count_bodies(monkeypatch)
+    got = solve(instance, collect_trace=True)
+    assert_same_report(got, want)
+    assert got.status == "solved"
+    stats = got.stats
+    assert stats["minimax_lps"] == got.iterations
+    assert stats["replayed"] + stats["solved"] == stats["minimax_lps"]
+    marks = operator.marks
+    assert len(marks) == got.iterations + 1
+    assert marks[-1] - marks[0] == stats["minimax_lps"] + len(marks) - 1
     cache = lp.cache_counts()
-    assert cache["calls"] == 10
-    assert cache["replayed"] + cache["solved"] == 10
-    assert counts["replayed"] < cache["replayed"]
-    minimax_bodies = [key for key in lp._bodies if key[0][0] == (2,)]
-    assert len(minimax_bodies) == 2
-    for point, result in zip(points, results):
-        want = gqvi.minimax_value(operator, moving_interval, point)
-        assert bits(result.y_opt) == bits(want.y_opt)
-        assert bits(result.value) == bits(want.value)
+    assert stats["replayed"] < cache["replayed"]
+    assert {bool(x[0] > 0.0) for _, x, _ in got.trace} == {False, True}
+    assert len(built) == 2
+
+
+def test_solve_calls_the_public_minimax_value_only_to_recheck(
+        moving_interval, unit_operator, monkeypatch):
+    # The benchmark traces ``gqvi.minimax_value``: its calls and the LPs
+    # run inside them stay one per solve that accepts a start, and none
+    # when the grid fallback runs, however many steps the solve takes.
+    calls = []
+    public = gqvi.minimax_value
+
+    def counting(*args):
+        calls.append(args)
+        return public(*args)
+
+    monkeypatch.setattr(gqvi, "minimax_value", counting)
+    got = solve(GqviInstance(moving_interval, unit_operator))
+    assert got.status == "solved" and got.iterations > got.starts_tried
+    assert len(calls) == 1 and bits(calls[0][2]) == bits(got.x)
+
+    def point(v):
+        return Polytope.from_box([v, -0.1], [v, 0.1])
+
+    calls.clear()
+    operator = TabulatedOperator(0, [0.0], [point(-1.0), point(1.0)])
+    got = solve(random_gqvi(5, 2, operator, max_iters=3, mesh_divisions=12))
+    assert got.status == "residual_floor"
+    assert got.iterations > 3 * got.starts_tried
+    assert calls == []
 
 
 def test_reduction_shares_the_dual_box_body(step1d, monkeypatch):
     # The quasiopt operator is the dual box on the argmin and a freshly
-    # glued base elsewhere: lanes that meet the argmin at one step share
+    # glued base elsewhere: starts that meet the argmin at one step share
     # the box's body, and every base builds its own.
     from adjcone.normal_op import build_atlas
     from adjcone.quasiopt import TFromNormal

@@ -143,8 +143,8 @@ def test_validate_rejects_box_outside_domain(step1d, atlas1d):
 def test_reduction_solves_as_the_sequential_oracle(step1d, window1d, atlas1d,
                                                    sq2d, atlas2d):
     # T(x) is the dual box on the argmin and the glued base elsewhere, so
-    # lanes carry LPs of different sizes, and it raises a coverage error
-    # outside the atlas, which abandons a lane.
+    # steps carry LPs of different sizes, and it raises a coverage error
+    # outside the atlas, which abandons a start.
     window2d = MovingPolytope(
         a=np.vstack([np.eye(2), -np.eye(2)]), b=[0.5] * 4,
         d=np.vstack([np.eye(2), -np.eye(2)]),

@@ -26,7 +26,7 @@ from adjcone.serialization import (
     polytope_to_dict,
     solver_config_from_dict,
 )
-from helpers import same_set
+from helpers import DIMENSION_IDS, DIMENSION_MISMATCHES, same_set
 
 
 def test_polytope_round_trip():
@@ -234,20 +234,25 @@ def _chart(**fields):
     (_chart(z=[0.5]), 0.2,
      "atlas.charts[0].z has 1 coordinates, expected 2"),
     (_chart(z=[[0.5, 0.2]]), 0.2,
-     "atlas.charts[0].z must be a flat list of numbers"),
+     "atlas.charts[0].z[0] must be a number, got [0.5, 0.2]"),
     (_chart(z0=[0.0, 0.0, 0.0]), 0.2,
      "atlas.charts[0].z0 has 3 coordinates, expected 2"),
     (_chart(z=["a", 0.2]), 0.2,
-     "atlas.charts[0].z must be a list of numbers"),
+     "atlas.charts[0].z[0] must be a number, got 'a'"),
+    (_chart(z=[True, 0.2]), 0.2,
+     "atlas.charts[0].z[0] must be a number, got True"),
+    (_chart(z0=[0.0, False]), 0.2,
+     "atlas.charts[0].z0[1] must be a number, got False"),
     (_chart(eps=-0.3), 0.2, "atlas.charts[0].eps must be positive, got -0.3"),
     (_chart(eps=0.0), 0.2, "atlas.charts[0].eps must be positive, got 0.0"),
     (_chart(), 0.0, "atlas.cover_step must be positive, got 0.0"),
-], ids=["z-short", "z-nested", "z0-long", "z-text", "eps-negative",
-        "eps-zero", "cover-step-zero"])
+], ids=["z-short", "z-nested", "z0-long", "z-text", "z-bool", "z0-bool",
+        "eps-negative", "eps-zero", "cover-step-zero"])
 def test_atlas_parser_names_malformed_chart(chart, cover_step, message):
     # Unchecked, a short z broadcast against every point (no chart ever
-    # covered), a nested z loaded as a 1x2 center, and a negative eps
-    # loaded as a chart that covers nothing.
+    # covered), a nested z loaded as a 1x2 center, a bool in z loaded as
+    # the coordinate 0 or 1, and a negative eps loaded as a chart that
+    # covers nothing.
     data = {"charts": [chart], "region": _SQUARE, "cover_step": cover_step}
     with pytest.raises(SchemaError, match=rf"^{re.escape(message)}"):
         atlas_from_dict(data)
@@ -256,6 +261,21 @@ def test_atlas_parser_names_malformed_chart(chart, cover_step, message):
 
 
 SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
+
+
+@pytest.mark.parametrize("name, field, value, message", DIMENSION_MISMATCHES,
+                         ids=DIMENSION_IDS)
+def test_load_instance_rejects_dimension_mismatch(name, field, value, message,
+                                                  tmp_path):
+    # Unchecked, a 2-D T over the 1-D moving interval abandoned every
+    # step and reported "infeasible", a 2-D K passed verify, and a 2-D
+    # region failed in build_atlas with a message that named no field.
+    with open(os.path.join(SHIPPED, f"{name}.json")) as handle:
+        data = json.load(handle)
+    path = tmp_path / "bad.json"
+    dump_json({**data, field: value}, path)
+    with pytest.raises(SchemaError, match=rf"^{re.escape(message)}$"):
+        load_instance(path)
 
 
 def _nodes(value):
