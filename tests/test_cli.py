@@ -1040,6 +1040,29 @@ def test_atlas_outputs_pinned_non_box_3d(command, tmp_path):
     assert sha256_of(out / "report.json") == ATLAS_3D_DIGESTS[command]
 
 
+# sha256 of report.json for the normal-cone probes on the non-box 3-D
+# family at the same point, recorded before the probes shared cones
+# between points.  No closedness approach point repeats here, unlike on
+# step1d, where the unit directions are exactly +-1.
+PROBE_3D_DIGESTS = {
+    "closedness-probe":
+        "c7b0c1c16421eda20ab7238efe67bc76457c944711c26dd50445480cdecdb0fe",
+    "quasimono-probe":
+        "8421bd3056af2b645341da3e3c2b247908d70a5991f0c06d2d2b0449ea5cc698",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PROBE_3D_DIGESTS))
+def test_probe_outputs_pinned_non_box_3d(command, tmp_path):
+    instance = tmp_path / "step3d.json"
+    dump_json(STEP_3D, instance)
+    out = tmp_path / "o"
+    code = run([command, "--instance", str(instance), f"--at={ATLAS_3D_AT}",
+                "--out", str(out)])
+    assert code == 0
+    assert sha256_of(out / "report.json") == PROBE_3D_DIGESTS[command]
+
+
 def test_normal_cone_lp_calls_pinned_non_box_3d(tmp_path):
     # Loading each of the three levels solves a feasibility probe and one
     # boundedness certificate, and the step function solves one Chebyshev
