@@ -41,6 +41,7 @@ with the rows gives the implicit equalities, the irredundant facets
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -167,16 +168,25 @@ def _affine_dim(points):
     return int(np.linalg.matrix_rank(points - points[0], tol=1e-9))
 
 
+@functools.lru_cache(maxsize=32)
+def _subset_table(m, k):
+    """Every ``k``-subset of ``range(m)`` in lexicographic order, one per
+    row of a read-only index array, built once per ``(m, k)``; the
+    smallest unsigned dtype that holds ``m`` keeps the kept tables small."""
+    rows = math.comb(m, k)
+    table = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(m), k)),
+        dtype=np.min_scalar_type(m), count=rows * k).reshape(rows, k)
+    table.setflags(write=False)
+    return table
+
+
 def _subset_blocks(m, k):
-    """The ``k``-subsets of ``range(m)`` in lexicographic order, as index
-    arrays of at most ``_ENUM_BLOCK`` rows."""
-    combos = itertools.combinations(range(m), k)
-    while True:
-        flat = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(combos, _ENUM_BLOCK)), dtype=np.intp)
-        if flat.size == 0:
-            return
-        yield flat.reshape(-1, k)
+    """The ``k``-subsets of ``range(m)`` in lexicographic order, as
+    read-only index arrays of at most ``_ENUM_BLOCK`` rows."""
+    table = _subset_table(m, k)
+    for start in range(0, len(table), _ENUM_BLOCK):
+        yield table[start:start + _ENUM_BLOCK]
 
 
 def _satisfying(points, rows, bound, tol):

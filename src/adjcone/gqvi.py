@@ -216,9 +216,17 @@ class SolverConfig:
 
 @dataclass
 class GqviInstance:
+    """K and T of a GQVI; a T that declares ``dim`` must share K's."""
+
     constraint_map: MovingPolytope
     operator: object
     config: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self):
+        dim = getattr(self.operator, "dim", None)
+        if dim is not None and dim != self.constraint_map.dim:
+            raise InstanceError(f"T has dimension {dim}, expected "
+                                f"{self.constraint_map.dim} (the dimension of K)")
 
 
 @dataclass

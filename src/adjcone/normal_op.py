@@ -88,6 +88,8 @@ __all__ = [
 _PAIR_BLOCK = 1 << 14
 # Densification rounds of ``build_atlas`` before it gives up.
 _DENSIFY_ROUNDS = 8
+# Entries per ``Atlas`` cache; past the cap the oldest is dropped.
+_ATLAS_CACHE = 256
 
 
 class ChartError(GeometryError):
@@ -261,10 +263,29 @@ def _ball_section(cone, chart):
     return base
 
 
+def _bits(*arrays):
+    """Exact cache key of arrays: their shapes and bytes."""
+    return tuple((a.shape, a.tobytes()) for a in arrays)
+
+
+def _remember(cache, key, value):
+    """Store ``value`` under ``key``, dropping the oldest entry past
+    ``_ATLAS_CACHE``."""
+    if len(cache) >= _ATLAS_CACHE:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
 @dataclass
 class Atlas:
     """Finite chart covering of a compact region with hat-bump weights;
-    ``centers`` (k x n) and ``radii`` (k) hold the charts as arrays."""
+    ``centers`` (k x n) and ``radii`` (k) hold the charts as arrays.
+
+    Two caches keep successes only, each a pure function of its exact key:
+    ``_sections`` the checked section per (chart index, cone generator
+    shape and bytes), ``_checked`` the (base halfspace, base vertex, cone
+    generator) bits that passed the checks of ``global_base``.
+    """
 
     charts: tuple
     region: Polytope
@@ -272,6 +293,10 @@ class Atlas:
     _grid: np.ndarray | None = field(default=None, repr=False)
     centers: np.ndarray = field(init=False, repr=False)
     radii: np.ndarray = field(init=False, repr=False)
+    _sections: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    _checked: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __post_init__(self):
         self.centers = np.array([c.center for c in self.charts], dtype=float
@@ -337,6 +362,16 @@ class Atlas:
         if self._grid is None:
             self._grid = grid_points(self.region, self.cover_step / 4.0)
         return self._grid
+
+    def section(self, i, cone):
+        """``_ball_section`` of ``cone`` by chart ``i``, kept in
+        ``_sections``."""
+        key = (int(i), *_bits(cone.generators))
+        base = self._sections.get(key)
+        if base is None:
+            base = _ball_section(cone, self.charts[i])
+            _remember(self._sections, key, base)
+        return base
 
 
 def build_atlas(f: StepLevelFunction, region: Polytope, cover_step,
@@ -407,14 +442,14 @@ def global_base(atlas: Atlas, f: StepLevelFunction, x, *,
 
     Post-verifies the base invariants: contained in the dual unit ball,
     min-norm point bounded away from the origin, and generating exactly
-    the adjusted normal cone at x.
+    the adjusted normal cone at x (once per bits, ``Atlas._checked``).
     """
     x = np.asarray(x, dtype=float).ravel()
     active, weights = atlas.weights(x)
     cone = adjusted_normal_cone(f, x)
     if cone.is_zero:
         raise GeometryError("zero cone admits no base; is x near the argmin?")
-    sections = [_ball_section(cone, atlas.charts[i]) for i in active]
+    sections = [atlas.section(i, cone) for i in active]
     if len(sections) == 1:
         base = sections[0]
     else:
@@ -424,18 +459,28 @@ def global_base(atlas: Atlas, f: StepLevelFunction, x, *,
                                             for i, w in zip(active, weights)),
                         cone=cone)
     if verify:
-        verts = base.vertices()
-        norms = np.linalg.norm(verts, axis=1)
-        if norms.max() > 1.0 + FEAS:
-            raise BaseInvariantError("base leaves the dual unit ball")
-        _, min_norm = base.project(np.zeros(f.dim))
-        if min_norm < ZERO:
-            raise BaseInvariantError(
-                f"base min-norm {min_norm:.3e} below the nonzero margin")
-        regenerated = GeneratedCone.from_rays(verts, dim=f.dim)
-        if not regenerated.equals(cone, CONE):
-            raise BaseInvariantError("base does not generate the normal cone")
+        _check_base(atlas, base, cone)
     return result
+
+
+def _check_base(atlas, base, cone):
+    """Raise ``BaseInvariantError`` unless ``base`` passes the checks of
+    ``global_base``; bits that passed once pass again."""
+    verts = base.vertices()
+    key = _bits(*base.halfspaces, verts, cone.generators)
+    if key in atlas._checked:
+        return
+    norms = np.linalg.norm(verts, axis=1)
+    if norms.max() > 1.0 + FEAS:
+        raise BaseInvariantError("base leaves the dual unit ball")
+    _, min_norm = base.project(np.zeros(cone.dim))
+    if min_norm < ZERO:
+        raise BaseInvariantError(
+            f"base min-norm {min_norm:.3e} below the nonzero margin")
+    regenerated = GeneratedCone.from_rays(verts, dim=cone.dim)
+    if not regenerated.equals(cone, CONE):
+        raise BaseInvariantError("base does not generate the normal cone")
+    _remember(atlas._checked, key, True)
 
 
 @dataclass
@@ -540,11 +585,14 @@ def closedness_probe(f: StepLevelFunction, x, approach_sequences=100,
     scales is linearly extrapolated to its limit and tested with a slack
     matched to the drift; a genuine jump has no drift and is flagged at
     the plain cone tolerance.
+    Each approach point's cone is computed once, kept by the point's exact
+    bytes (None outside the domain or in the argmin); errors are not kept.
     """
     x = np.asarray(x, dtype=float).ravel()
-    value = _require_regular_point(f, x)
+    _require_regular_point(f, x)
     cone_x = adjusted_normal_cone(f, x)
     rng = np.random.default_rng(seed)
+    cones = {}  # approach point bytes -> its cone, None when skipped
     violations = []
     checked = 0
     for _ in range(approach_sequences):
@@ -553,10 +601,12 @@ def closedness_probe(f: StepLevelFunction, x, approach_sequences=100,
         tail = []
         for t in (1e-1, 1e-2, 1e-3, 1e-4):
             point = x + t * direction
-            if math.isinf(f.evaluate(point)) or f.in_argmin(point):
-                continue
-            cone_k = adjusted_normal_cone(f, point)
-            if not cone_k.is_zero:
+            key = point.tobytes()
+            if key not in cones:
+                skip = math.isinf(f.evaluate(point)) or f.in_argmin(point)
+                cones[key] = None if skip else adjusted_normal_cone(f, point)
+            cone_k = cones[key]
+            if cone_k is not None and not cone_k.is_zero:
                 tail.append((t, cone_k.generators))
         if len(tail) < 2:
             continue

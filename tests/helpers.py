@@ -1,17 +1,22 @@
 """Polytope and solver oracles shared by the tests."""
 
+import math
 import time
 
 import numpy as np
 from scipy.optimize import nnls
 
-from adjcone import gqvi
+from adjcone import gqvi, normal_op
 from adjcone.geometry import (
+    CONE,
     FEAS,
+    ZERO,
     EmptyPolytopeError,
+    GeneratedCone,
     GeometryError,
     UnboundedPolytopeError,
     grid_points,
+    weighted_minkowski,
 )
 from adjcone.lp import solve_lp
 
@@ -284,3 +289,80 @@ def assert_same_report(got, want):
     else:
         assert [(s, bits(x), bits(v)) for s, x, v in got.trace] == [
             (s, bits(x), bits(v)) for s, x, v in want.trace]
+
+
+def uncached_global_base(atlas, f, x, *, verify=True):
+    """``global_base`` as it was before the atlas kept its checked sections
+    and base checks, kept as their bit-for-bit oracle: every call builds
+    each active section and checks every invariant of the base."""
+    x = np.asarray(x, dtype=float).ravel()
+    active, weights = atlas.weights(x)
+    cone = normal_op.adjusted_normal_cone(f, x)
+    if cone.is_zero:
+        raise GeometryError("zero cone admits no base; is x near the argmin?")
+    sections = [normal_op._ball_section(cone, atlas.charts[i]) for i in active]
+    if len(sections) == 1:
+        base = sections[0]
+    else:
+        base = weighted_minkowski(list(zip(weights, sections)))
+    result = normal_op.BaseResult(
+        base=base, active_charts=tuple((int(i), float(w))
+                                       for i, w in zip(active, weights)),
+        cone=cone)
+    if verify:
+        verts = base.vertices()
+        norms = np.linalg.norm(verts, axis=1)
+        if norms.max() > 1.0 + FEAS:
+            raise normal_op.BaseInvariantError("base leaves the dual unit ball")
+        _, min_norm = base.project(np.zeros(f.dim))
+        if min_norm < ZERO:
+            raise normal_op.BaseInvariantError(
+                f"base min-norm {min_norm:.3e} below the nonzero margin")
+        regenerated = GeneratedCone.from_rays(verts, dim=f.dim)
+        if not regenerated.equals(cone, CONE):
+            raise normal_op.BaseInvariantError(
+                "base does not generate the normal cone")
+    return result
+
+
+def uncached_closedness_probe(f, x, approach_sequences=100, seed=0):
+    """``closedness_probe`` as it was before it kept one cone per distinct
+    approach point, kept as its bit-for-bit oracle: every approach point
+    computes its cone afresh."""
+    x = np.asarray(x, dtype=float).ravel()
+    normal_op._require_regular_point(f, x)
+    cone_x = normal_op.adjusted_normal_cone(f, x)
+    rng = np.random.default_rng(seed)
+    violations = []
+    checked = 0
+    for _ in range(approach_sequences):
+        direction = rng.normal(size=f.dim)
+        direction /= np.linalg.norm(direction)
+        tail = []
+        for t in (1e-1, 1e-2, 1e-3, 1e-4):
+            point = x + t * direction
+            if math.isinf(f.evaluate(point)) or f.in_argmin(point):
+                continue
+            cone_k = normal_op.adjusted_normal_cone(f, point)
+            if not cone_k.is_zero:
+                tail.append((t, cone_k.generators))
+        if len(tail) < 2:
+            continue
+        (t_fin, finest), (t_sec, second) = tail[-1], tail[-2]
+        for g in finest:
+            drift_all = np.linalg.norm(second - g, axis=1)
+            match = int(np.argmin(drift_all))
+            drift = float(drift_all[match])
+            if drift > 1e-3:
+                continue
+            checked += 1
+            limit = g + (g - second[match]) * (t_fin / (t_sec - t_fin))
+            nrm = np.linalg.norm(limit)
+            if nrm > 1e-12:
+                limit = limit / nrm
+            slack = CONE + 0.5 * drift
+            if not cone_x.contains(limit, slack):
+                violations.append({"direction": direction.copy(),
+                                   "limit": limit.copy(), "drift": drift})
+    return normal_op.ProbeVerdict(passed=not violations, violations=violations,
+                                  checked=checked, kind="closedness")

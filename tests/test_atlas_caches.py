@@ -1,0 +1,220 @@
+"""The work probe points share: the checked chart sections and base checks
+an ``Atlas`` keeps, and the one cone per distinct approach point of
+``closedness_probe``.  Each cached path is checked bit for bit against
+the uncached oracles in ``helpers``, on the shipped ``sq2d`` and
+``step1d`` atlases and on the non-box ``STEP_3D`` atlas the CLI builds."""
+
+import argparse
+import os
+
+import numpy as np
+import pytest
+
+from adjcone import cli, normal_op
+from adjcone.cli import run
+from adjcone.geometry import GeneratedCone, GeometryError, Polytope
+from adjcone.normal_op import (
+    Atlas,
+    BaseInvariantError,
+    ChartError,
+    LocalChart,
+    adjusted_normal_cone,
+    closedness_probe,
+    global_base,
+    usc_probe,
+)
+from adjcone.quasiconvex import ArgminError, DomainError
+from adjcone.serialization import dump_json, load_instance
+from helpers import (
+    STEP_3D,
+    bits,
+    uncached_closedness_probe,
+    uncached_global_base,
+)
+
+SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "instances")
+ATLAS_3D_AT = [-2.176945166118501, 0.3610854896423776, -1.782008854052674]
+# name -> (probe point, --mesh) of the atlas the CLI builds there.
+ATLASES = {"sq2d": ([1.5, 0.5], None), "step1d": ([0.5], None),
+           "step3d": (ATLAS_3D_AT, 0.14)}
+FAILURES = (GeometryError, DomainError, ArgminError, ValueError)
+
+
+def load_function(name, tmp_path):
+    if name == "step3d":
+        path = tmp_path / "step3d.json"
+        dump_json(STEP_3D, path)
+    else:
+        path = os.path.join(SHIPPED, f"{name}.json")
+    return load_instance(str(path))[1]
+
+
+def cli_atlas(name, tmp_path):
+    """The function and the atlas that ``usc-probe`` builds at the point."""
+    payload = load_function(name, tmp_path)
+    at, mesh = ATLASES[name]
+    at = np.array(at)
+    atlas = cli._resolve_atlas(payload, payload["function"],
+                               argparse.Namespace(mesh=mesh), at=at,
+                               radii=cli._parse_radii(None))
+    return payload["function"], atlas, at
+
+
+def usc_points(at, seed=42):
+    """The points ``usc_probe`` visits around ``at`` with the CLI seed."""
+    points = []
+    box = Polytope.from_box(-np.ones(len(at)), np.ones(len(at)))
+    usc_probe(lambda p: points.append(np.array(p)) or box, at, seed=seed)
+    return points
+
+
+def base_outcome(call):
+    """Every bit of a global base, or the error it raised."""
+    try:
+        result = call()
+    except FAILURES as exc:
+        return type(exc), str(exc)
+    a, b = result.base.halfspaces
+    return (bits(a), bits(b), bits(result.base.vertices()),
+            result.active_charts, bits(result.cone.generators))
+
+
+@pytest.mark.parametrize("name", sorted(ATLASES))
+def test_global_base_matches_uncached_oracle(name, tmp_path):
+    f, atlas, at = cli_atlas(name, tmp_path)
+    grid = atlas.verification_grid()
+    points = [*usc_points(at), *grid[::max(1, len(grid) // 300)]]
+    first = [base_outcome(lambda: global_base(atlas, f, p)) for p in points]
+    again = [base_outcome(lambda: global_base(atlas, f, p)) for p in points]
+    want = [base_outcome(lambda: uncached_global_base(atlas, f, p))
+            for p in points]
+    assert first == want
+    assert again == want
+    results = [w for w in want if len(w) == 5]
+    # Both the one-section and the Minkowski path ran, and sections were
+    # shared: fewer were built than requested.
+    assert {len(w[3]) == 1 for w in results} == {True, False}
+    assert len(atlas._sections) < sum(len(w[3]) for w in results)
+
+
+def verdict_bits(verdict):
+    return (verdict.passed, verdict.checked, verdict.kind,
+            [(bits(v["direction"]), bits(v["limit"]), v["drift"])
+             for v in verdict.violations])
+
+
+@pytest.mark.parametrize("name, at", [
+    ("step1d", [0.5]), ("step1d", [1.0]), ("step1d", [1.5]),
+    ("sq2d", [1.5, 0.5]), ("sq2d", [2.0, 0.0]), ("sq2d", [2.0, 2.0]),
+    ("step3d", ATLAS_3D_AT),
+    ("step3d", [-1.563297783202433, -0.5910371217147096, -1.6280455207780833]),
+])
+@pytest.mark.parametrize("seed", [0, 42])
+def test_closedness_probe_matches_uncached_oracle(name, at, seed, tmp_path):
+    f = load_function(name, tmp_path)["function"]
+    got = closedness_probe(f, at, approach_sequences=40, seed=seed)
+    want = uncached_closedness_probe(f, at, approach_sequences=40, seed=seed)
+    assert verdict_bits(got) == verdict_bits(want)
+
+
+def counting(monkeypatch, name, key):
+    """Replace ``normal_op.<name>`` by a wrapper that records ``key`` of
+    each call's arguments."""
+    calls = []
+    wrapped = getattr(normal_op, name)
+
+    def counted(*args):
+        calls.append(key(*args))
+        return wrapped(*args)
+
+    monkeypatch.setattr(normal_op, name, counted)
+    return calls
+
+
+def test_closedness_probe_computes_one_cone_per_point(monkeypatch, tmp_path):
+    # In 1-D the unit directions are exactly +-1: 100 sequences at four
+    # scales visit 8 points, plus the probe point itself.  Without the
+    # dict this made 401 calls.
+    calls = counting(monkeypatch, "adjusted_normal_cone",
+                     lambda f, x: np.asarray(x).tobytes())
+    assert run(["closedness-probe", "--instance",
+                os.path.join(SHIPPED, "step1d.json"), "--at=0.5",
+                "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == len(set(calls)) == 9
+
+
+def test_usc_probe_builds_one_section_per_chart_and_cone(monkeypatch,
+                                                         tmp_path):
+    # The 81 global bases of usc-probe sq2d share one cone.  Without the
+    # atlas caches they built 99 sections and ran 81 base checks.
+    sections = counting(monkeypatch, "_ball_section",
+                        lambda cone, chart: (chart.center.tobytes(),
+                                             cone.generators.tobytes()))
+    checks = []
+    equals = GeneratedCone.equals
+    monkeypatch.setattr(GeneratedCone, "equals",
+                        lambda self, *a: checks.append(1) or equals(self, *a))
+    assert run(["usc-probe", "--instance", os.path.join(SHIPPED, "sq2d.json"),
+                "--at=1.5,0.5", "--out", str(tmp_path / "o")]) == 0
+    assert len(sections) == len(set(sections)) == 9
+    assert len(checks) == 17
+
+
+def far_anchor_atlas():
+    """One chart at 0.5 whose anchor sits 0.05 away: the section of the
+    plateau ray lies at norm 0.1 / 0.05 = 2, outside the dual unit ball."""
+    chart = LocalChart(center=np.array([0.5]), level=0.5,
+                       anchor=np.array([0.45]), radius=0.1)
+    return Atlas((chart,), Polytope.from_box([0.4], [0.6]), 0.1)
+
+
+def test_failing_section_is_never_cached(step1d, monkeypatch):
+    atlas = far_anchor_atlas()
+    calls = counting(monkeypatch, "_ball_section", lambda cone, chart: 1)
+    cone = adjusted_normal_cone(step1d, [0.5])
+    for expected in (1, 2):
+        with pytest.raises(ChartError, match="leaves the dual unit ball"):
+            atlas.section(0, cone)
+        assert len(calls) == expected
+    with pytest.raises(ChartError, match="leaves the dual unit ball"):
+        global_base(atlas, step1d, [0.5])
+    assert len(calls) == 3
+    assert atlas._sections == {}
+
+
+def test_failing_base_check_is_never_cached(step1d):
+    atlas = far_anchor_atlas()
+    cone = adjusted_normal_cone(step1d, [0.5])
+    base = Polytope.from_vertices([[2.0]])
+    for _ in range(2):
+        with pytest.raises(BaseInvariantError, match="dual unit ball"):
+            normal_op._check_base(atlas, base, cone)
+    assert atlas._checked == {}
+    good = Polytope.from_vertices([[0.5]])
+    normal_op._check_base(atlas, good, cone)
+    assert len(atlas._checked) == 1
+    # The cone is part of the key: the same base bits are checked afresh
+    # against another cone.
+    with pytest.raises(BaseInvariantError, match="does not generate"):
+        normal_op._check_base(atlas, good, GeneratedCone.from_rays([[-1.0]]))
+    assert len(atlas._checked) == 1
+
+
+def test_atlas_caches_drop_the_oldest_past_the_cap(step1d, monkeypatch):
+    monkeypatch.setattr(normal_op, "_ATLAS_CACHE", 3)
+    charts = tuple(LocalChart(center=np.array([0.5]), level=0.5,
+                              anchor=np.array([-0.5 - k]), radius=0.1)
+                   for k in range(5))
+    atlas = Atlas(charts, Polytope.from_box([0.4], [0.6]), 0.1)
+    cone = adjusted_normal_cone(step1d, [0.5])
+    for i in range(5):
+        section = atlas.section(i, cone)
+        normal_op._check_base(atlas, section, cone)
+        assert atlas.section(i, cone) is section
+    assert [key[0] for key in atlas._sections] == [2, 3, 4]
+    assert len(atlas._checked) == 3
+    # The entry of chart 0 was dropped, so its section is built again.
+    calls = counting(monkeypatch, "_ball_section", lambda cone, chart: 1)
+    atlas.section(0, cone)
+    assert len(calls) == 1
+    assert [key[0] for key in atlas._sections] == [3, 4, 0]

@@ -415,6 +415,22 @@ def test_vertices_match_qhull(data):
     assert gap.min(axis=0).max() <= 1e-9
 
 
+def test_subset_blocks_match_combinations():
+    # The blocks are slices of one lexicographic table per (m, k), built
+    # once, read-only and of the smallest unsigned dtype; their rows are
+    # itertools.combinations in order, also at a block size that splits
+    # every table.
+    for rows in (geometry._ENUM_BLOCK, 7):
+        with block_size(rows):
+            for m in range(41):
+                for k in range(5):
+                    blocks = list(geometry._subset_blocks(m, k))
+                    assert all(b.dtype == np.uint8 and len(b) <= rows
+                               and not b.flags.writeable for b in blocks)
+                    got = [tuple(r) for b in blocks for r in b.tolist()]
+                    assert got == list(itertools.combinations(range(m), k))
+
+
 def test_multi_block_inputs_match_reference():
     # 4-D, 20 rows: C(20, 4) = 4845 vertex subsets, and 30 translated
     # vertices give C(30, 3) = 4060 polar subsets, so both kernels cross

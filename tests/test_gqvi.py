@@ -351,6 +351,22 @@ def test_solve_reports_infeasible_when_operator_never_evaluates(moving_interval)
     assert report.x is None
 
 
+class _NoDimOperator:
+    def value(self, x):
+        return Polytope.from_vertices([[1.0]])
+
+
+def test_instance_rejects_operator_of_another_dimension(moving_interval):
+    # Built without the check, solve returned "infeasible" after 0
+    # iterations with {"ValueError": 44} abandoned.  An operator that
+    # declares no dim is not checked.
+    op = ConstantOperator(Polytope.from_box([1.0, 0.0], [1.0, 0.0]))
+    with pytest.raises(InstanceError, match=re.escape(
+            "T has dimension 2, expected 1 (the dimension of K)")):
+        GqviInstance(moving_interval, op)
+    GqviInstance(moving_interval, _NoDimOperator())
+
+
 @pytest.fixture(scope="module")
 def pinched_strip():
     """Non-box K(x) = {y : -x1 <= y1 + y2 <= x1, y1 - y2 <= 1} ∩ [-2, 2]^2:
