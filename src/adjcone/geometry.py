@@ -171,8 +171,9 @@ def _affine_dim(points):
 @functools.lru_cache(maxsize=32)
 def _subset_table(m, k):
     """Every ``k``-subset of ``range(m)`` in lexicographic order, one per
-    row of a read-only index array, built once per ``(m, k)``; the
-    smallest unsigned dtype that holds ``m`` keeps the kept tables small."""
+    row of a read-only index array, built once per ``(m, k)`` in the
+    smallest unsigned dtype that holds ``m``, so the cached tables stay
+    small."""
     rows = math.comb(m, k)
     table = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(m), k)),

@@ -59,6 +59,7 @@ from .geometry import (
     polytope_distance,
     weighted_minkowski,
 )
+from .lp import _bytes
 from .quasiconvex import ArgminError, DomainError, StepLevelFunction
 
 __all__ = [
@@ -263,11 +264,6 @@ def _ball_section(cone, chart):
     return base
 
 
-def _bits(*arrays):
-    """Exact cache key of arrays: their shapes and bytes."""
-    return tuple((a.shape, a.tobytes()) for a in arrays)
-
-
 def _remember(cache, key, value):
     """Store ``value`` under ``key``, dropping the oldest entry past
     ``_ATLAS_CACHE``."""
@@ -366,7 +362,7 @@ class Atlas:
     def section(self, i, cone):
         """``_ball_section`` of ``cone`` by chart ``i``, kept in
         ``_sections``."""
-        key = (int(i), *_bits(cone.generators))
+        key = (int(i), _bytes(cone.generators))
         base = self._sections.get(key)
         if base is None:
             base = _ball_section(cone, self.charts[i])
@@ -467,7 +463,8 @@ def _check_base(atlas, base, cone):
     """Raise ``BaseInvariantError`` unless ``base`` passes the checks of
     ``global_base``; bits that passed once pass again."""
     verts = base.vertices()
-    key = _bits(*base.halfspaces, verts, cone.generators)
+    a, b = base.halfspaces
+    key = (_bytes(a), _bytes(b), _bytes(verts), _bytes(cone.generators))
     if key in atlas._checked:
         return
     norms = np.linalg.norm(verts, axis=1)
