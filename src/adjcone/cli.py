@@ -240,6 +240,7 @@ def _cmd_adjusted_set(kind, payload, args, out_dir):
     lo, hi = lo - pad, hi + pad
     mesh = args.mesh if args.mesh else float(np.max(hi - lo)) / 200.0
     axes = [np.arange(lo[k], hi[k] + mesh / 2, mesh) for k in range(f.dim)]
+    labels = [[repr(v) for v in axis.tolist()] for axis in axes]  # as csv writes
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     shape = grid.shape[:-1]
     flat = grid.reshape(-1, f.dim)
@@ -254,7 +255,7 @@ def _cmd_adjusted_set(kind, payload, args, out_dir):
             edge |= np.pad(inner, pads)
             pads[axis] = (1, 0)
             edge |= np.pad(inner, pads)
-        return flat[(mask & edge).reshape(-1)]
+        return np.argwhere(mask & edge).tolist()  # grid indices, flat order
 
     strict_handle = f.strict_sublevel(value)
     rows = []
@@ -263,8 +264,8 @@ def _cmd_adjusted_set(kind, payload, args, out_dir):
         sets["strict_sublevel"] = strict_handle.polytope.contains_many(flat)
     sets["adjusted"] = anchor.contains_many(flat)
     for name, mask in sets.items():
-        for point in boundary(mask):
-            rows.append([name] + [float(v) for v in point])
+        for index in boundary(mask):
+            rows.append([name] + [labels[k][i] for k, i in enumerate(index)])
     report = {
         "at": at.tolist(),
         "f_value": value,

@@ -17,7 +17,9 @@ anything weaker is labelled ``residual_floor``.
 Given T(x), only the right-hand side of the minimax LP depends on x, so
 most steps retrace a pivot path an earlier LP of the same body took, and
 ``solve_lp``'s body cache replays it on the right-hand side alone (see
-``lp``).  The cache counts of the minimax LPs, and the branches
+``lp``).  K holds the LP's rows for the last vertex array of T(x) it
+met, a read-only array matched by identity, so a constant T builds them
+once per solve.  The cache counts of the minimax LPs, and the branches
 abandoned by error type, go to ``SolveReport.stats``.
 """
 
@@ -92,6 +94,7 @@ class MovingPolytope:
         self.box = box
         self.dim = box.dim
         self._rows = None  # see _unit_rows
+        self._minimax = None  # (vertices of T(x), their _minimax_rows)
 
     def value(self, x) -> Polytope:
         """K(x); raises EmptyPolytopeError when infeasible at x."""
@@ -112,23 +115,24 @@ class MovingPolytope:
         return self._unit_rows()[0], self._offsets_at(x)
 
     def _unit_rows(self):
-        """``(unit rows, row norms, axis layout)`` of K(x)."""
+        """``(unit rows, row norms, axis layout, no zero row)`` of K(x)."""
         if self._rows is None:
             rows = np.vstack([self.a, self.box.halfspaces[0]])
             norms = np.linalg.norm(rows, axis=1)
             unit, _ = _unit_halfspaces(rows, np.zeros(len(rows)), norms)
-            self._rows = unit, norms, _axis_layout(unit.tolist())[0]
+            self._rows = (unit, norms, _axis_layout(unit.tolist())[0],
+                          len(unit) == len(rows))
         return self._rows
 
     def _offsets_at(self, x):
         """The offsets of the unit rows of K(x).  Only the closed-form
         checks raise: non-finite offsets, a zero row with a negative
         offset, crossing box bounds."""
-        _, norms, layout = self._unit_rows()
+        _, norms, layout, whole = self._unit_rows()
         b = np.concatenate([self.b + self.d @ x, self.box.halfspaces[1]])
         if not np.isfinite(b).all():
             raise ValueError("Polytope: b has a non-finite entry")
-        b = _unit_offsets(b, norms)
+        b = b / norms if whole else _unit_offsets(b, norms)
         if layout is not None:
             _axis_box(layout, b.tolist(), self.dim)
         return b
@@ -310,13 +314,18 @@ def _minimax(operator, constraint_map, x, counts):
     # feasible exactly when K(x) is, and its phase 1 decides emptiness.
     k_a, k_b = constraint_map._halfspaces_at(x)
     vertices = operator.value(x).vertices()
-    c, a_ub = _minimax_rows(vertices, k_a)
-    before = lp.cache_counts()
+    held = constraint_map._minimax
+    if held is None or held[0] is not vertices:  # a read-only array
+        held = constraint_map._minimax = vertices, _minimax_rows(vertices, k_a)
+    c, a_ub = held[1]
+    lp_counts = lp._counts  # a call that returns is replayed or solved
+    solved, nodes = lp_counts["solved"], lp_counts["nodes"]
     sol = solve_lp(c, a_ub=a_ub, b_ub=np.concatenate([vertices @ x, k_b]))
-    after = lp.cache_counts()
+    solved = lp_counts["solved"] - solved
     counts["minimax_lps"] += 1
-    for name in ("replayed", "solved", "nodes"):
-        counts[name] += after[name] - before[name]
+    counts["replayed"] += 1 - solved
+    counts["solved"] += solved
+    counts["nodes"] += lp_counts["nodes"] - nodes
     return _minimax_result(sol, x), vertices
 
 
@@ -404,8 +413,9 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
 
     The starts run one after another, and the grid fallback scans its
     points in grid order.  ``stats`` counts the minimax LPs, those the LP
-    cache replayed and solved from scratch, the states it recorded for
-    them, and under ``abandoned`` the branches given up, by error type.
+    cache replayed and solved (from scratch or resumed), the states it
+    recorded for them, and under ``abandoned`` the branches given up, by
+    error type.
     """
     t_start = time.perf_counter()
     cfg = instance.config
@@ -437,7 +447,8 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
                 candidates.append((x, result))
                 break
             x_next = (1.0 - cfg.gamma) * x + cfg.gamma * result.y_opt
-            if np.linalg.norm(x_next - x) <= 1e-12:
+            step = x_next - x
+            if math.sqrt(step.dot(step)) <= 1e-12:
                 break
             x = x_next
 

@@ -24,7 +24,11 @@ replayed on its right-hand-side column alone, with the operations of
 each one IEEE binary64 operation that rounds once, in CPython floats as
 in numpy; the phase-1 dot product on a column with the tableau's
 strides; and the shared ``_solution``.  A program that leaves the
-recorded paths is solved from scratch and recorded.
+recorded paths is resumed, not restarted: ``_simplex`` first makes,
+unpriced, the pivots the replay took (those of a solve from scratch,
+counted in each phase's budget), then prices from the state where the
+paths part and records from there, with the candidate rows and entries
+its ratio tests built.
 
 ``solve_lp`` keeps one bounded cache of bodies, so no caller has to
 manage a memo.  The key is the exact body: the shape and bytes of ``c``,
@@ -35,8 +39,8 @@ body is solved from scratch and only marks the body as seen; from its
 second program on, a body is solved through its ``PathMemo``.  The cache
 holds at most ``_CACHE_BODIES`` bodies and drops the oldest past that;
 each memo records at most ``_MEMO_NODES`` states.  ``cache_counts``
-counts the ``calls``, the programs ``replayed`` and ``solved`` from
-scratch, and the ``nodes`` recorded; ``clear_cache`` empties both.  The
+counts the ``calls``, the programs ``replayed`` and ``solved`` (from
+scratch or resumed), and the ``nodes`` recorded; ``clear_cache`` empties both.  The
 command line clears the cache when a command starts, so no command's
 work depends on an earlier one.
 """
@@ -86,6 +90,7 @@ class LPBody:
     shift: np.ndarray | None = None
     var_of: np.ndarray | None = None
     coef: np.ndarray | None = None
+    terms: list | None = None  # (var_of[k], coef[k]) of every u column k
     cost2: np.ndarray | None = None
     block: np.ndarray | None = None  # rows over u and slacks, none negated
     widths: list | None = None  # right-hand sides of the capped rows
@@ -152,8 +157,9 @@ def _scan_leaving(rows, den, rhs, basis):
 
 def _run_phase(tableau, basis, cost, max_iter, path=None):
     """Minimize cost over the current tableau; returns 'optimal'/'unbounded'.
-    ``path`` collects ``(basis, entering column or None, leaving row)``
-    of every state met."""
+    ``path`` collects every state met: ``(basis list, candidate rows,
+    their entering-column entries, entering column, its index, leaving
+    row)``, or ``(basis list, None, None)`` where the phase is optimal."""
     n = tableau.shape[1] - 1
     for _ in range(max_iter):
         reduced = cost[:n] - cost[basis] @ tableau[:, :n]
@@ -161,14 +167,15 @@ def _run_phase(tableau, basis, cost, max_iter, path=None):
         entering = improving.argmax()  # Bland: the first improving column
         if not improving[entering]:
             if path is not None:
-                path.append((basis.copy(), None, -1))
+                path.append((basis.tolist(), None, None))
             return "optimal"
         col = tableau[:, entering]
         rows = (col > _PIVOT_TOL).nonzero()[0]
-        leaving = _scan_leaving(rows.tolist(), col[rows].tolist(),
-                                tableau[:, n].tolist(), basis)
+        rows, den = rows.tolist(), col[rows].tolist()
+        leaving = _scan_leaving(rows, den, tableau[:, n].tolist(), basis)
         if path is not None:
-            path.append((basis.copy(), col.copy(), leaving))
+            path.append((basis.tolist(), rows, den, col.copy(), int(entering),
+                         leaving))
         if leaving < 0:
             return "unbounded"
         _pivot(tableau, basis, leaving, entering)
@@ -271,6 +278,7 @@ def prepare_body(c, a_ub=None, a_eq=None, bounds=None):
     cost2[:ncols] += coef * c[var_of]
     body.c, body.shift, body.var_of, body.coef, body.cost2 = (
         c, shift, var_of, coef, cost2)
+    body.terms = list(zip(var_of.tolist(), coef.tolist()))
     body.block, body.widths = block, [width for _, width in capped]
     body.ub_shift, body.eq_shift = a_ub @ shift, a_eq @ shift
     return body
@@ -331,6 +339,8 @@ def _rhs(body, b_ub, b_eq):
                           sol.value)
     m = body.block.shape[0]
     n_a = body.ub_shift.size
+    if m == n_a:  # inequality rows only; out= rejects another length
+        return np.subtract(b_ub, body.ub_shift, out=np.empty(m))
     n_ub = n_a + len(body.widths)
     rhs = np.empty(m)
     if body.has_ub:
@@ -375,11 +385,13 @@ def _end_phase1(prog, status, drives=None):
 
 
 def _solution(body, basis, rhs):
-    """The optimal solution of a final basis and its right-hand side."""
-    u = np.zeros(body.block.shape[1])
-    u[basis] = rhs
-    x = body.shift.copy()
-    np.add.at(x, body.var_of, body.coef * u[:body.var_of.size])
+    """The optimal solution of a final basis and its right-hand side
+    (lists), summed term by term in ``np.add.at``'s order."""
+    u = dict(zip(basis, rhs))
+    x = body.shift.tolist()
+    for k, (j, coef) in enumerate(body.terms):
+        x[j] += coef * u.get(k, 0.0)
+    x = np.array(x)
     return LPSolution("optimal", x, float(body.c @ x))
 
 
@@ -414,20 +426,30 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     return entry.solve(b_ub, b_eq)
 
 
-def _simplex(prog, path1=None, drives=None, path2=None):
+def _simplex(prog, path1=None, drives=None, path2=None, known=()):
     """Both phases of a prepared tableau; the paths are ``_run_phase``'s
-    and ``drives`` is ``_end_phase1``'s."""
+    and ``drives`` is ``_end_phase1``'s.  ``known`` lists the pivots of
+    a replay per phase it entered, in order; all but its last phase
+    ended optimal (module docstring)."""
+    known = list(known)
     if prog.n_art:
-        status = _run_phase(prog.tableau, prog.basis, prog.cost, prog.budget,
-                            path1)
-        infeasible = _end_phase1(prog, status, drives)
+        infeasible = _end_phase1(prog, _resume(prog, known, path1), drives)
         if infeasible is not None:
             return infeasible
-    status = _run_phase(prog.tableau, prog.basis, prog.cost, prog.budget,
-                        path2)
-    if status == "unbounded":
+    if _resume(prog, known, path2) == "unbounded":
         return LPSolution("unbounded", None, None)
-    return _solution(prog.body, prog.basis, prog.tableau[:, -1])
+    return _solution(prog.body, prog.basis.tolist(), prog.tableau[:, -1].tolist())
+
+
+def _resume(prog, known, path):
+    """One phase of ``_simplex``, from the pivots first in ``known``."""
+    pivots = known.pop(0) if known else ()
+    for row, col in pivots:
+        _pivot(prog.tableau, prog.basis, row, col)
+    if known:
+        return "optimal"
+    return _run_phase(prog.tableau, prog.basis, prog.cost,
+                      prog.budget - len(pivots), path)
 
 
 # -- body cache ----------------------------------------------------------------
@@ -461,7 +483,8 @@ def clear_cache():
 
 def cache_counts():
     """The cache's counts since it was last cleared: ``solve_lp`` calls,
-    programs replayed and solved from scratch, and memo states recorded.
+    programs replayed and solved (from scratch or resumed), and memo states
+    recorded.
     A call that raised is counted only in ``calls``."""
     return {name: _counts[name] for name in ("calls", "replayed", "solved",
                                              "nodes")}
@@ -478,20 +501,18 @@ class _Node:
     """A recorded tableau state: its basis (``order``), the candidate rows
     of its entering column and their entries (None where the phase
     ends), and ``edges`` from a leaving row to ``(row, pivot, updated
-    rows, their factors, next state)``.  Once a feasible program got
-    there, the last state of phase 1 holds ``end``: ``(artificial mask,
-    tableau width, drive-out updates, rows kept, first phase-2 state)``."""
+    rows, their factors, entering column, next state)``.  Once a feasible
+    program got there, the last state of phase 1 holds ``end``:
+    ``(artificial mask, tableau width, drive-out updates, rows kept,
+    first phase-2 state)``."""
 
     __slots__ = ("order", "rows", "den", "edges", "end")
 
-    def __init__(self, memo, basis, col):
+    def __init__(self, memo, order, rows, den):
         memo.nodes += 1
         memo.counts["nodes"] += 1
         self.order, self.rows, self.den, self.edges, self.end = (
-            basis.tolist(), None, None, {}, None)
-        if col is not None:
-            rows = (col > _PIVOT_TOL).nonzero()[0]
-            self.rows, self.den = rows.tolist(), col[rows].tolist()
+            order, rows, den, {}, None)
 
 
 def _edge(col, row):
@@ -510,17 +531,21 @@ def _update(rhs, row, pivot, rows, factors):
         rhs[i] -= factor * value
 
 
-def _walk(node, rhs):
-    """Take ``rhs`` down the recorded pivots from ``node``; ``(node,
-    row)`` where it stops.  The row is -1 where the phase ends or the
-    program is unbounded, else a leaving row no recorded program took."""
+def _walk(node, rhs, taken):
+    """Take ``rhs`` down the recorded pivots from ``node``, each one's
+    ``(row, entering column)`` into ``taken``; ``(node, row)`` where it
+    stops.  The row is -1 where the phase ends or the program is
+    unbounded, else a leaving row no recorded program took."""
     while node.rows is not None:
         leaving = _scan_leaving(node.rows, node.den, rhs, node.order)
         edge = node.edges.get(leaving)
         if edge is None:
             return node, leaving
-        row, pivot, rows, factors, node = edge
-        _update(rhs, row, pivot, rows, factors)
+        row, pivot, rows, factors, entering, node = edge
+        value = rhs[row] = rhs[row] / pivot  # _update, inlined
+        for i, factor in zip(rows, factors):
+            rhs[i] -= factor * value
+        taken.append((row, entering))
     return node, -1
 
 
@@ -531,7 +556,8 @@ class PathMemo:
     body with these right-hand sides, bit for bit (module docstring).
     Paths are recorded in one trie per pattern of negated rows, at most
     ``_MEMO_NODES`` states.  ``counts``, shared when given, counts the
-    programs ``replayed`` and ``solved`` from scratch and the ``nodes``.
+    programs ``replayed`` and ``solved`` (from scratch, or resumed where
+    a replay left the paths) and the ``nodes``.
     """
 
     def __init__(self, body, counts=None):
@@ -544,27 +570,36 @@ class PathMemo:
             self.counts["solved"] += 1
             return rhs
         key = (rhs < 0).tobytes()
+        node, phase1, known = None, False, ()
         if key in self.roots:
             sol = self._replay(*self.roots[key], np.abs(rhs).tolist())
-            if sol is not None:
+            if isinstance(sol, LPSolution):
                 self.counts["replayed"] += 1
                 return sol
+            node, phase1, known = sol
         prog = _tableau(self.body, rhs)
         width = prog.tableau.shape[1]
         path1, drives, path2 = [], [], []
-        sol = _simplex(prog, path1, drives, path2)
+        sol = _simplex(prog, path1, drives, path2, known)
         self.counts["solved"] += 1
         # Each state met is at most one new node.
         if self.nodes + len(path1) + len(path2) <= _MEMO_NODES:
-            self._record(key, path1, width, drives, path2)
+            if node is None:
+                node, phase1 = _Node(self, *(path1 or path2)[0][:3]), bool(path1)
+                self.roots[key] = node, phase1
+            self._record(node, phase1, path1, width, drives, path2)
         return sol
 
     def _replay(self, node, phase1, rhs):
-        """The solution along the recorded paths; None where it leaves them."""
-        node, leaving = _walk(node, rhs)
+        """The solution along the recorded paths; where it leaves them,
+        ``(state, in phase 1, pivots taken)`` for ``_simplex`` to resume."""
+        known = [[]]
+        node, leaving = _walk(node, rhs, known[0])
         if phase1:
-            if node.end is None:
-                return None
+            if leaving >= 0:
+                return node, True, known
+            if node.end is None:  # only infeasible programs ended here
+                return node, True, known + [[]]
             art, width, drives, keep, root = node.end
             col = np.empty((len(rhs), width))[:, -1]  # the tableau's strides
             col[:] = rhs
@@ -573,34 +608,36 @@ class PathMemo:
             for edge in drives:
                 _update(rhs, *edge)
             rhs = [rhs[i] for i in keep]
-            node, leaving = _walk(root, rhs)
+            known.append([])
+            node, leaving = _walk(root, rhs, known[1])
         if leaving >= 0:
-            return None
+            return node, False, known
         if node.rows is not None:
             return LPSolution("unbounded", None, None)
         return _solution(self.body, node.order, rhs)
 
     def _graft(self, node, path):
         """Record ``path`` from its first state, ``node``; its last state."""
-        for (_, col, leaving), (basis, next_col, _) in zip(path, path[1:]):
+        for (*_, col, entering, leaving), state in zip(path, path[1:]):
             if leaving not in node.edges:
-                node.edges[leaving] = (*_edge(col, leaving),
-                                       _Node(self, basis, next_col))
-            node = node.edges[leaving][4]
+                node.edges[leaving] = (*_edge(col, leaving), entering,
+                                       _Node(self, *state[:3]))
+            node = node.edges[leaving][-1]
         return node
 
-    def _record(self, key, path1, width, drives, path2):
-        """Record one solved program's paths in the trie of its pattern."""
-        if key not in self.roots:
-            self.roots[key] = _Node(self, *(path1 or path2)[0][:2]), bool(path1)
-        node = self._graft(self.roots[key][0], path1 or path2)
-        if path1 and path2:  # phase 1 ended feasible
+    def _record(self, node, phase1, path1, width, drives, path2):
+        """Record the priced paths of a program from ``node``, their first state."""
+        if phase1:
+            node = self._graft(node, path1)
+            if not path2:  # phase 1 ended infeasible
+                return
             if node.end is None:
-                basis = path1[-1][0]
                 dropped = [row for row, col in drives if col is None]
                 node.end = (
-                    (basis >= self.body.block.shape[1]).astype(float), width,
+                    (np.array(node.order) >= self.body.block.shape[1])
+                    .astype(float), width,
                     [_edge(col, row) for row, col in drives if col is not None],
-                    [i for i in range(basis.size) if i not in dropped],
-                    _Node(self, *path2[0][:2]))
-            self._graft(node.end[4], path2)
+                    [i for i in range(len(node.order)) if i not in dropped],
+                    _Node(self, *path2[0][:3]))
+            node = node.end[4]
+        self._graft(node, path2)

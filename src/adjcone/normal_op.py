@@ -672,8 +672,8 @@ def quasimonotonicity_probe(f: StepLevelFunction, pair_samples=1000, seed=0,
     violations = []
     checked = 0
     tol = CONE
-    for _ in range(pair_samples):
-        i, j = rng.integers(0, len(usable), size=2)
+    # One draw of every pair: the stream of one size-2 draw per pair.
+    for i, j in rng.integers(0, len(usable), size=(pair_samples, 2)).tolist():
         if i == j:
             continue
         (px, cx), (py, cy) = usable[i], usable[j]

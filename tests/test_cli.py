@@ -217,6 +217,26 @@ def test_solve_gqvi_writes_memo_stats_to_manifest(tmp_path):
     assert "stats" not in (out / "report.json").read_text()
 
 
+@pytest.mark.parametrize("name, command, lp_counts, stats", [
+    ("moving_interval", "solve-gqvi",
+     {"calls": 495, "replayed": 490, "solved": 5, "nodes": 10},
+     {"minimax_lps": 493, "replayed": 489, "solved": 4, "nodes": 10}),
+    ("quasiopt_window1d", "solve-quasiopt",
+     {"calls": 123, "replayed": 79, "solved": 44, "nodes": 28},
+     {"minimax_lps": 52, "replayed": 13, "solved": 39, "nodes": 19}),
+])
+def test_solver_manifest_counts_pinned(name, command, lp_counts, stats,
+                                       tmp_path):
+    # The LP and solver counts of the shipped solves.  A program resumed
+    # where its replay left the recorded paths counts as solved, and
+    # records the states a solve from scratch would have recorded.
+    out = tmp_path / "o"
+    assert run_shipped(command, name, None, out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["lp"] == lp_counts
+    assert manifest["stats"] == {**stats, "abandoned": {}}
+
+
 def _square(half):
     return {"A": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
             "b": [half] * 4}

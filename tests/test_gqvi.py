@@ -608,6 +608,20 @@ def test_constant_operator_builds_one_body_per_solve(dim, monkeypatch):
     assert_same_report(got, want)
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+def test_minimax_rows_built_once_per_vertex_array(dim, monkeypatch):
+    # K holds the minimax rows with the vertex array of T(x) they were
+    # built for, so a constant operator builds them once per solve; the
+    # report keeps the bits of the oracle.
+    instance = random_gqvi(dim, dim)
+    built, rows = [], gqvi._minimax_rows
+    monkeypatch.setattr(gqvi, "_minimax_rows",
+                        lambda *args: built.append(1) or rows(*args))
+    got = solve(instance, collect_trace=True)
+    assert len(built) == 1 and got.stats["minimax_lps"] > 10
+    assert_same_report(got, sequential_solve(instance, collect_trace=True))
+
+
 class _InfiniteOffsetsPast1(MovingPolytope):
     """K(x) whose offsets are infinite for x0 > 1, as they are where
     huge offsets are divided by tiny row norms."""

@@ -741,6 +741,211 @@ def test_memo_budget_exhausted_on_a_miss(monkeypatch):
     assert memo.nodes == 0 and not memo.roots
 
 
+# -- resumed solves --------------------------------------------------------------
+#
+# A replay that leaves the recorded paths hands ``_simplex`` the pivots it
+# took; ``_simplex`` makes them without pricing and prices from the state
+# where the paths part.  Every result must keep the bits of a solve from
+# scratch, and only the states from the divergence on are priced.
+
+
+@st.composite
+def resume_sequences(draw):
+    """A program, with equality rows or not, and 4-10 right-hand sides
+    of its body around one point (the origin in some, so that free
+    variables and inequality rows alone need no phase 1), so most
+    retrace a prefix of a recorded path and leave it in phase 1 or 2.  A duplicated equality
+    row leaves an artificial on a redundant row after phase 1, and some
+    sides shift the duplicate off its twin, which ends phase 1 infeasible.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 4))
+    point = rng.uniform(-1, 1, size=n) * draw(st.sampled_from([0.0, 1.0]))
+    a_ub = rng.normal(size=(draw(st.integers(2, 7)), n))
+    b_ub = a_ub @ point + rng.uniform(0.05, 1.0, size=len(a_ub))
+    program = {"c": rng.normal(size=n), "a_ub": a_ub,
+               "bounds": draw(st.sampled_from([None, [(-2.0, 2.0)] * n]))}
+    b_eq, twin = None, False
+    if draw(st.booleans()):
+        a_eq = rng.normal(size=(draw(st.integers(1, 2)), n))
+        twin = draw(st.booleans())
+        if twin:
+            a_eq = np.vstack([a_eq, a_eq[:1]])
+        program["a_eq"], b_eq = a_eq, a_eq @ point
+    sides = [(b_ub, b_eq)]
+    for _ in range(draw(st.integers(3, 9))):
+        scale = draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.3]))
+        side_ub = b_ub + scale * rng.normal(size=b_ub.shape)
+        side_eq = None
+        if b_eq is not None:
+            side_eq = b_eq + scale * rng.normal(size=b_eq.shape)
+            if twin:
+                side_eq[-1] = side_eq[0] + 0.5 * (draw(st.integers(0, 3)) == 0)
+        sides.append((side_ub, side_eq))
+    return program, sides
+
+
+def test_resumed_solves_match_solve_lp(monkeypatch):
+    # Every right-hand side through one memo ends with the bits of its own
+    # solve from scratch.  Across the examples, replays leave the recorded
+    # paths in phase 1, after a whole phase 1, in a program without one,
+    # with a redundant row dropped and at an infeasible phase-1 end.
+    seen = set()
+    simplex = lp._simplex
+
+    def recording(prog, path1=None, drives=None, path2=None, known=()):
+        phase1 = prog.n_art > 0
+        sol = simplex(prog, path1, drives, path2, known)
+        if known and any(known):
+            seen.add("phase 1" if phase1 and len(known) == 1
+                     else "after phase 1" if phase1 else "no phase 1")
+            if phase1 and any(col is None for _, col in drives):
+                seen.add("redundant row")
+            if sol.status == "infeasible":
+                seen.add("infeasible")
+        return sol
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(resume_sequences())
+    def check(case):
+        program, sides = case
+        memo = assert_memo_matches(program, sides)
+        assert memo.counts["replayed"] + memo.counts["solved"] == len(sides)
+
+    monkeypatch.setattr(lp, "_simplex", recording)  # scratch solves pass no pivots
+    check()
+    assert seen == {"phase 1", "after phase 1", "no phase 1", "redundant row",
+                    "infeasible"}
+
+
+def test_resume_prices_only_from_the_divergence(monkeypatch):
+    # One recorded program, then right-hand sides that retrace part of its
+    # path.  A resumed solve makes the pivots of a solve from scratch, in
+    # order, but prices only the states from the one where the paths
+    # part: the phase it resumes starts there, and a phase the replay
+    # finished is not run.
+    rng = np.random.default_rng(2)
+    program = {"c": rng.normal(size=4), "a_ub": rng.normal(size=(10, 4)),
+               "a_eq": rng.normal(size=(1, 4))}
+    point = rng.uniform(-1, 1, size=4)
+    b_ub = program["a_ub"] @ point + rng.uniform(0.05, 1.0, size=10)
+    b_eq = program["a_eq"] @ point
+    memo = memo_of(program)
+    memo.solve(b_ub, b_eq)
+    run_phase, pivot = lp._run_phase, lp._pivot
+
+    def traced(solve, *args):
+        """The result, ``(start basis, states priced)`` of every phase
+        run, and every pivot made."""
+        runs, pivots = [], []
+
+        def pricing(tableau, basis, cost, max_iter, path=None):
+            start, before = basis.tolist(), len(path)
+            status = run_phase(tableau, basis, cost, max_iter, path)
+            runs.append((start, len(path) - before))
+            return status
+
+        monkeypatch.setattr(lp, "_run_phase", pricing)
+        monkeypatch.setattr(lp, "_pivot", lambda *a: pivots.append(
+            (int(a[2]), int(a[3]))) or pivot(*a))
+        try:
+            return solve(*args), runs, pivots
+        finally:
+            monkeypatch.undo()
+
+    found = set()
+    for scale in np.repeat([0.02, 0.1, 0.4], 100):
+        side_ub = b_ub + scale * rng.normal(size=10)
+        side_eq = b_eq + scale * rng.normal(size=1)
+        if ((side_ub < 0) != (b_ub < 0)).any() or (side_eq < 0) != (b_eq < 0):
+            continue  # the same negated rows: one trie serves
+        p1, drives, p2 = [], [], []
+        want, scratch, scratch_pivots = traced(
+            lp._simplex, lp.prepare_rhs(memo.body, side_ub, side_eq),
+            p1, drives, p2)
+        replayed = memo.counts["replayed"]
+        got, runs, pivots = traced(memo.solve, side_ub, side_eq)
+        assert_same_solution(got, want)
+        if memo.counts["replayed"] > replayed:
+            assert not runs and not pivots
+            continue
+        assert pivots == scratch_pivots
+        skipped = len(scratch) - len(runs)  # phases the replay finished
+        known = scratch[skipped][1] - runs[0][1]  # states it did not price
+        assert runs[1:] == scratch[skipped + 1:]
+        assert runs[0][0] == [p1, p2][skipped][known][0]
+        if known:
+            found.add(f"phase {skipped + 1}")
+    assert found == {"phase 1", "phase 2"}
+
+
+def test_resumed_budget_counts_known_pivots(monkeypatch):
+    # Under a small pivot budget, a resumed solve runs out exactly where a
+    # solve from scratch does: the pivots the replay took count.  (A
+    # whole replay prices nothing and is never out of budget.)
+    rng = np.random.default_rng(2)
+    program = {"c": rng.normal(size=4), "a_ub": rng.normal(size=(10, 4)),
+               "a_eq": rng.normal(size=(1, 4))}
+    point = rng.uniform(-1, 1, size=4)
+    b_ub = program["a_ub"] @ point + rng.uniform(0.05, 1.0, size=10)
+    b_eq = program["a_eq"] @ point
+    sides = [(b_ub + scale * rng.normal(size=10), b_eq + scale * rng.normal(size=1))
+             for scale in np.repeat([0.02, 0.1, 0.4], 30)]
+    memo = memo_of(program)
+    for side in sides[::2]:
+        memo.solve(*side)
+    monkeypatch.setattr(lp, "_budget", lambda rows, cols: 8)
+    outcomes = []
+    for side in sides[1::2]:
+        results = []
+        replayed = memo.counts["replayed"]
+        for solve in (lambda: scratch_solve(**{**program, "b_ub": side[0],
+                                                 "b_eq": side[1]}),
+                      lambda: memo.solve(*side)):
+            try:
+                results.append(solve())
+            except lp.LPError:
+                results.append(None)
+        if memo.counts["replayed"] > replayed:
+            continue
+        want, got = results
+        if want is None:
+            assert got is None
+        else:
+            assert_same_solution(got, want)
+        outcomes.append(want is None)
+    assert set(outcomes) == {True, False}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solution_is_the_add_at_form(seed):
+    # Free, one-sided and capped variables with signed-zero bounds, and
+    # final right-hand sides with signed zeros: the list form gives the
+    # bits of ``np.add.at`` over the columns, and of ``c @ x``.
+    rng = np.random.default_rng(seed)
+    ends = [0.0, -0.0, 1.5, -2.0]
+    for _ in range(250):
+        n = int(rng.integers(1, 5))
+        bounds = []
+        for _ in range(n):
+            lo, hi = sorted(rng.choice(ends, size=2), key=float)
+            kind = int(rng.integers(4))
+            bounds.append([(None, None), (lo, None), (None, hi),
+                           (lo, hi)][kind] if lo < hi or kind < 3 else (lo, lo))
+        body = lp.prepare_body(rng.choice([0.0, -0.0, 1.0, -1.0], size=n),
+                               rng.normal(size=(2, n)), bounds=bounds)
+        m, n_struct = body.block.shape
+        basis = rng.permutation(n_struct)[:m]
+        rhs = rng.choice([0.0, -0.0, 1.25, -3.5, rng.normal()], size=m)
+        u = np.zeros(n_struct)
+        u[basis] = rhs
+        x = body.shift.copy()
+        np.add.at(x, body.var_of, body.coef * u[:body.var_of.size])
+        got = lp._solution(body, basis.tolist(), rhs.tolist())
+        assert bit_identical(got.x, x)
+        assert got.value.hex() == float(body.c @ x).hex()
+
+
 # -- body cache ---------------------------------------------------------------
 #
 # ``solve_lp`` keys a cache by the exact body; from a body's second
@@ -1050,3 +1255,18 @@ def test_rhs_stage_rejects_non_finite_b_ub(bounds, bad):
         lp.prepare_rhs(body, [bad, 1.0])
     with pytest.raises(ValueError, match="solve_lp: b_eq has a non-finite"):
         lp.prepare_rhs(lp.prepare_body([1.0], a_eq=[[1.0]]), b_eq=[bad])
+
+
+@pytest.mark.parametrize("bounds", [None, [(0.0, 1.0)]],
+                         ids=["inequalities-only", "capped"])
+def test_rhs_stage_rejects_b_ub_of_another_length(bounds):
+    # A b_ub longer than a_ub is an error, not broadcast, on a body of
+    # inequality rows only too; a one-entry b_ub is broadcast, as numpy
+    # broadcasts it.
+    body = lp.prepare_body([1.0], [[1.0], [-1.0]], bounds=bounds)
+    with pytest.raises(ValueError):
+        lp.prepare_rhs(body, [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        lp.PathMemo(body).solve([1.0, 1.0, 1.0])
+    assert_same_preparation(lp.prepare_rhs(body, [1.0]), one_stage_prepare_lp(
+        [1.0], [[1.0], [-1.0]], [1.0], bounds=bounds))

@@ -448,6 +448,24 @@ class TestQuasimonotonicityProbe:
         assert v["forward"] > 0 >= v["backward"]
         assert float(np.asarray(v["x_gen"]) @ gap) == pytest.approx(v["forward"])
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 137, 160, 1000])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+    def test_pair_draws_are_the_per_pair_stream(self, n, buffered):
+        # The probe draws all its pairs in one call.  That call must give
+        # the pairs of one size-2 draw per pair and leave the generator in
+        # the same state, a buffered 32-bit half included; a numpy whose
+        # bounded-integer stream breaks this fails here first.
+        for seed in range(20):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            if buffered:
+                for rng in rngs:
+                    rng.integers(0, 10, size=1)
+                assert rngs[0].bit_generator.state["has_uint32"] == 1
+            want = [rngs[0].integers(0, n, size=2).tolist() for _ in range(1000)]
+            got = rngs[1].integers(0, n, size=(1000, 2)).tolist()
+            assert got == want
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
 
 class TestSpecProbePoints:
     def test_plateau_interior_locally_constant(self, atlas1d_stable, step1d):
