@@ -1001,6 +1001,27 @@ def test_atlas_and_verify_outputs_pinned(command, name, at, tmp_path):
             == ATLAS_VERIFY_DIGESTS[command, name, at])
 
 
+# sha256 of report.json for verify on the non-box GQVI data above,
+# recorded while K(x) was built as a Polytope from the stacked rows at
+# every point: the feasibility LP of each slice, and the active-set
+# projections of the lsc probe, show in the report bits.
+VERIFY_NON_BOX_DIGESTS = {
+    "gqvi2d":
+        "6e5f738cb2d856d91bc9b0e1279abe08667658cdf0e5e0764d77085d279ecdaf",
+    "gqvi3d":
+        "246bbc2778def4f239c34ca0d5f97a29d14e2a28535bb18654c4356c731fabf5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_NON_BOX_DIGESTS))
+def test_verify_pinned_non_box(name, tmp_path):
+    instance = tmp_path / f"{name}.json"
+    dump_json(NON_BOX_GQVI[name], instance)
+    out = tmp_path / "o"
+    assert run(["verify", "--instance", str(instance), "--out", str(out)]) == 0
+    assert sha256_of(out / "report.json") == VERIFY_NON_BOX_DIGESTS[name]
+
+
 # sha256 of report.json for the shipped commands that no other pin covers,
 # so that with the pins above every shipped command of the benchmark's
 # pass has its report bytes checked; recorded before the closed-form
