@@ -345,26 +345,10 @@ class Polytope:
             raise ValueError("halfspace matrix and offset vector disagree")
         if a.shape[0] == 0:
             raise ValueError("a polytope needs at least one halfspace")
-        self._a, self._b = _unit_halfspaces(a, b, np.linalg.norm(a, axis=1))
-        self._a.setflags(write=False)
-        self._b.setflags(write=False)
-        self.dim = a.shape[1]
-        self._vertices = None
-        self._cheb = None
-        self._reduced = None
-        layout, exact = _axis_layout(self._a.tolist())
-        self._box_bounds = self._exact_box = None
-        if layout is not None:
-            lo, hi = _axis_box(layout, self._b.tolist(), self.dim)
-            self._box_bounds = np.array(lo), np.array(hi)
-            if exact:
-                self._exact_box = hi, [-v for v in lo]
-        self._bbox = self._box_bounds
-
-        if check_feasible and self._box_bounds is None:
-            probe = solve_lp(np.zeros(self.dim), a_ub=self._a, b_ub=self._b)
-            if probe.status == "infeasible":
-                raise EmptyPolytopeError("halfspace system is infeasible")
+        a, b = _unit_halfspaces(a, b, np.linalg.norm(a, axis=1))
+        layout, exact = _axis_layout(a.tolist())
+        box = None if layout is None else _axis_box(layout, b.tolist(), a.shape[1])
+        self._start(a, b, box, exact, check_feasible)
         if check_bounded and self._box_bounds is None:
             m = self.num_halfspaces
             y = solve_lp(np.zeros(m), a_eq=self._a.T, b_eq=np.zeros(self.dim),
@@ -383,6 +367,35 @@ class Polytope:
                 raise ValueError("a cached vertex violates the halfspaces")
             self._vertices = verts
             self._vertices.setflags(write=False)
+
+    def _start(self, a, b, box, exact, check_feasible):
+        """Fields of the unit system ``a x <= b`` with the ``_axis_box``
+        of its rows (None unless all are axis rows) and ``_axis_layout``'s
+        ``exact``; then the feasibility LP, if asked, of a non-box system."""
+        a.setflags(write=False)
+        b.setflags(write=False)
+        self._a, self._b = a, b
+        self.dim = a.shape[1]
+        self._vertices = self._cheb = self._reduced = None
+        self._box_bounds = self._exact_box = None
+        if box is not None:
+            lo, hi = box
+            self._box_bounds = np.array(lo), np.array(hi)
+            if exact:
+                self._exact_box = hi, [-v for v in lo]
+        self._bbox = self._box_bounds
+        if check_feasible and box is None:
+            probe = solve_lp(np.zeros(self.dim), a_ub=a, b_ub=b)
+            if probe.status == "infeasible":
+                raise EmptyPolytopeError("halfspace system is infeasible")
+
+    @classmethod
+    def _from_unit(cls, a, b, box, exact):
+        """``cls(a, b, check_bounded=False)`` from the unit system and axis
+        data (see ``_start``) it would compute, without normalising."""
+        self = cls.__new__(cls)
+        self._start(a, b, box, exact, True)
+        return self
 
     # -- construction helpers -------------------------------------------------
 
@@ -670,7 +683,10 @@ class Polytope:
         if self._box_bounds is not None:
             lo, hi = self._box_bounds
             corners = np.array(list(itertools.product(*zip(lo, hi))))
-            verts = _dedupe_points(corners)
+            # Two corners differ by fl(hi_j - lo_j) in some axis j, and
+            # their computed distance is at least that less 1e-6 of it.
+            wide = np.min(hi - lo) > _MERGE_RADIUS * (1 + 1e-6)
+            verts = corners if wide else _dedupe_points(corners)
         else:
             a, b = self._a, self._b
             m = self.num_halfspaces

@@ -78,7 +78,12 @@ class InstanceError(RuntimeError):
 
 
 class MovingPolytope:
-    """Affinely moving constraint map ``K(x) = {y : A y <= b + D x} ∩ box``."""
+    """Affinely moving constraint map ``K(x) = {y : A y <= b + D x} ∩ box``.
+
+    The rows of K(x) are normalised and their axis layout found once per
+    map; per point run only the offsets, their closed-form checks and,
+    for a non-box K(x) in ``value``, the feasibility LP.
+    """
 
     def __init__(self, a, b, d, box: Polytope):
         self.a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -97,45 +102,41 @@ class MovingPolytope:
         self._minimax = None  # (vertices of T(x), their _minimax_rows)
 
     def value(self, x) -> Polytope:
-        """K(x); raises EmptyPolytopeError when infeasible at x."""
+        """K(x); raises EmptyPolytopeError when infeasible at x.  The bits,
+        errors and feasibility LP of ``Polytope`` on the stacked rows, from
+        the map's unit rows and the offsets at x."""
         x = np.asarray(x, dtype=float).ravel()
-        box_a, box_b = self.box.halfspaces
-        return Polytope(np.vstack([self.a, box_a]),
-                        np.concatenate([self.b + self.d @ x, box_b]),
-                        check_bounded=False)
+        unit, _, _, _, exact = self._unit_rows()
+        b, box = self._offsets_at(x)
+        return Polytope._from_unit(unit, b, box, exact)
 
     def _halfspaces_at(self, x):
         """The unit-normal rows of K(x), bit for bit those of ``value(x)``,
-        without its feasibility LP: the caller must settle emptiness.
-
-        The rows do not depend on x: they are normalised once, as
-        ``Polytope`` does, and the same array is returned for every x.
-        Only the offsets are computed per x, by :meth:`_offsets_at`.
-        """
-        return self._unit_rows()[0], self._offsets_at(x)
+        without its feasibility LP: the caller must settle emptiness."""
+        return self._unit_rows()[0], self._offsets_at(x)[0]
 
     def _unit_rows(self):
-        """``(unit rows, row norms, axis layout, no zero row)`` of K(x)."""
+        """``(unit rows, row norms, axis layout, no zero row, exact axes)``
+        of K(x), computed once per map as ``Polytope`` would."""
         if self._rows is None:
             rows = np.vstack([self.a, self.box.halfspaces[0]])
             norms = np.linalg.norm(rows, axis=1)
             unit, _ = _unit_halfspaces(rows, np.zeros(len(rows)), norms)
-            self._rows = (unit, norms, _axis_layout(unit.tolist())[0],
-                          len(unit) == len(rows))
+            layout, exact = _axis_layout(unit.tolist())
+            self._rows = unit, norms, layout, len(unit) == len(rows), exact
         return self._rows
 
     def _offsets_at(self, x):
-        """The offsets of the unit rows of K(x).  Only the closed-form
-        checks raise: non-finite offsets, a zero row with a negative
-        offset, crossing box bounds."""
-        _, norms, layout, whole = self._unit_rows()
+        """``(offsets, _axis_box lists or None)`` of the unit rows of K(x)
+        at the flat float x.  Only the closed-form checks raise: non-finite
+        offsets, a zero row with a negative offset, crossing box bounds."""
+        _, norms, layout, whole, _ = self._unit_rows()
         b = np.concatenate([self.b + self.d @ x, self.box.halfspaces[1]])
         if not np.isfinite(b).all():
             raise ValueError("Polytope: b has a non-finite entry")
         b = b / norms if whole else _unit_offsets(b, norms)
-        if layout is not None:
-            _axis_box(layout, b.tolist(), self.dim)
-        return b
+        return b, (None if layout is None
+                   else _axis_box(layout, b.tolist(), self.dim))
 
     def contains(self, x, y, tol=None):
         slack = tol if tol is not None else FEAS
@@ -496,6 +497,13 @@ def lsc_probe(value_fn, box: Polytope, seed=0):
     with r; a jump stalls the value and fails the verdict (above 1e-2).
     Every x' is drawn, so the draws do not depend on the map, but only
     those within the terminal radius are evaluated.
+
+    Per center, the map is called once, for its vertices.  Per draw, the
+    two random numbers and the step length ``r s`` come first: a step
+    past the reach by more than the rounding of ``x + r s u`` can take
+    back (``|fl(x') - x| >= r s (1 - 8 eps) - 2 eps |x|``) skips the draw
+    before x' is built.  The other draws are built and measured, and
+    those in the box and within the reach call the map.
     """
     rng = np.random.default_rng(seed)
     radii = (1e-1, 1e-2, 1e-3)
@@ -509,12 +517,17 @@ def lsc_probe(value_fn, box: Polytope, seed=0):
             vertices = value_fn(x).vertices()
         except EmptyPolytopeError:
             continue
+        cut = reach * (1 + 1e-9) + 1e-12 * (1 + float(np.abs(x).max()))
         for r in radii:
             for _ in range(6):
                 direction = rng.normal(size=box.dim)
-                direction /= np.linalg.norm(direction)
-                x_p = x + r * direction * rng.uniform() ** (1.0 / box.dim)
-                if float(np.linalg.norm(x_p - x)) > reach or not box.contains(x_p):
+                s = rng.random() ** (1.0 / box.dim)  # rng.uniform()'s bits
+                if r * s > cut:
+                    continue  # |x' - x| > reach whatever the rounding
+                direction /= math.sqrt(direction.dot(direction))  # np.linalg.norm
+                x_p = x + r * direction * s
+                step = x_p - x
+                if math.sqrt(step.dot(step)) > reach or not box.contains(x_p):
                     continue
                 try:
                     moved = value_fn(x_p)

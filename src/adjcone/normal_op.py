@@ -584,12 +584,15 @@ def closedness_probe(f: StepLevelFunction, x, approach_sequences=100,
     the plain cone tolerance.
     Each approach point's cone is computed once, kept by the point's exact
     bytes (None outside the domain or in the argmin); errors are not kept.
+    Each distinct (limit, slack) pair is decided once, kept by the limit's
+    exact bytes.
     """
     x = np.asarray(x, dtype=float).ravel()
     _require_regular_point(f, x)
     cone_x = adjusted_normal_cone(f, x)
     rng = np.random.default_rng(seed)
     cones = {}  # approach point bytes -> its cone, None when skipped
+    inside = {}  # (limit bytes, slack) -> cone_x.contains(limit, slack)
     violations = []
     checked = 0
     for _ in range(approach_sequences):
@@ -620,7 +623,10 @@ def closedness_probe(f: StepLevelFunction, x, approach_sequences=100,
             if nrm > 1e-12:
                 limit = limit / nrm
             slack = CONE + 0.5 * drift
-            if not cone_x.contains(limit, slack):
+            key = limit.tobytes(), slack
+            if key not in inside:
+                inside[key] = cone_x.contains(limit, slack)
+            if not inside[key]:
                 violations.append({"direction": direction.copy(),
                                    "limit": limit.copy(), "drift": drift})
     return ProbeVerdict(passed=not violations, violations=violations,
@@ -637,8 +643,14 @@ def _regular_point_pool(f: StepLevelFunction, rng, target):
             if not math.isinf(f.evaluate(p)) and not f.in_argmin(p):
                 pool.append(p)
     out = []
+    kept = np.empty((len(pool), f.dim))  # the rows of out
     for p in pool:
-        if all(np.linalg.norm(p - q) > 1e-10 for q in out[-40:]):
+        # A coordinate gap above 1e-10 (1 + 1e-6) puts the computed norm
+        # above 1e-10, so only the rows within that gap take the norm.
+        recent = kept[max(0, len(out) - 40):len(out)]
+        far = np.abs(recent - p).max(axis=1) > 1e-10 * (1 + 1e-6)
+        if all(np.linalg.norm(p - q) > 1e-10 for q in recent[~far]):
+            kept[len(out)] = p
             out.append(p)
     return out[: max(target, 1)]
 

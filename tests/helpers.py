@@ -14,6 +14,7 @@ from adjcone.geometry import (
     EmptyPolytopeError,
     GeneratedCone,
     GeometryError,
+    Polytope,
     UnboundedPolytopeError,
     grid_points,
     weighted_minkowski,
@@ -272,6 +273,17 @@ def sequential_solve(instance, collect_trace=False):
     status = "solved" if ok else "residual_floor"
     return gqvi.SolveReport(status, x_best, float(recheck.value), recheck.witness,
                        iterations, time.perf_counter() - t_start, len(starts), trace)
+
+
+def stacked_slice(cm, x):
+    """K(x) of the moving polytope ``cm`` as ``MovingPolytope.value`` built
+    it before it reused its map's unit rows: a ``Polytope`` of the stacked
+    rows, normalised at every x; kept as the bit-for-bit oracle of
+    ``value``, its errors and its feasibility LP."""
+    box_a, box_b = cm.box.halfspaces
+    return Polytope(np.vstack([cm.a, box_a]),
+                    np.concatenate([cm.b + cm.d @ x, box_b]),
+                    check_bounded=False)
 
 
 def bits(a):

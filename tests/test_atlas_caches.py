@@ -5,6 +5,7 @@ the uncached oracles in ``helpers``, on the shipped ``sq2d`` and
 ``step1d`` atlases and on the non-box ``STEP_3D`` atlas the CLI builds."""
 
 import argparse
+import json
 import os
 
 import numpy as np
@@ -134,13 +135,49 @@ def counting(monkeypatch, name, key):
 def test_closedness_probe_computes_one_cone_per_point(monkeypatch, tmp_path):
     # In 1-D the unit directions are exactly +-1: 100 sequences at four
     # scales visit 8 points, plus the probe point itself.  Without the
-    # dict this made 401 calls.
+    # dict this made 401 calls.  With one membership LP per distinct
+    # limit the command makes 4 LP calls (103 with one per direction).
     calls = counting(monkeypatch, "adjusted_normal_cone",
                      lambda f, x: np.asarray(x).tobytes())
+    out = tmp_path / "o"
     assert run(["closedness-probe", "--instance",
                 os.path.join(SHIPPED, "step1d.json"), "--at=0.5",
-                "--out", str(tmp_path / "o")]) == 0
+                "--out", str(out)]) == 0
     assert len(calls) == len(set(calls)) == 9
+    lp_counts = json.loads((out / "manifest.json").read_text())["lp"]
+    assert (lp_counts["calls"], lp_counts["replayed"]) == (4, 0)
+
+
+@pytest.mark.parametrize("holds", [True, False])
+def test_closedness_probe_decides_each_limit_once(holds, monkeypatch,
+                                                  tmp_path):
+    # On step1d at 0.5 all 100 accumulation directions share one limit and
+    # one slack, so one membership test decides them; the test per
+    # direction made 100, all but two of them replayed LPs.  A cone at the
+    # point that holds no limit turns every direction into a violation,
+    # as in the oracle.
+    f = load_function("step1d", tmp_path)["function"]
+    at = np.array([0.5])
+    cone = normal_op.adjusted_normal_cone
+    calls = []
+
+    class Probed:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def contains(self, v, tol=None):
+            calls.append((np.asarray(v).tobytes(), tol))
+            return holds and self.inner.contains(v, tol)
+
+    monkeypatch.setattr(normal_op, "adjusted_normal_cone",
+                        lambda g, x: Probed(cone(g, x))
+                        if np.array_equal(x, at) else cone(g, x))
+    got = closedness_probe(f, at)
+    assert len(calls) == len(set(calls)) == 1
+    want = uncached_closedness_probe(f, at)
+    assert len(calls) == 1 + got.checked == 101
+    assert verdict_bits(got) == verdict_bits(want)
+    assert len(got.violations) == (0 if holds else 100)
 
 
 def test_usc_probe_builds_one_section_per_chart_and_cone(monkeypatch,

@@ -8,6 +8,7 @@ its tightest row per side.  Near-axis rows keep the box bounds but take
 the matrix product for ``contains``.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from adjcone.geometry import (
     UnboundedPolytopeError,
     _axis_box,
     _axis_layout,
+    _dedupe_points,
 )
 from helpers import array_axis_box, array_axis_layout, bits, matrix_contains
 
@@ -182,3 +184,19 @@ def test_infinite_slack_takes_the_matrix_product():
     one = Polytope.from_box([-1.0], [1.0])
     assert one.contains([math.inf], math.inf)
     assert matrix_contains(one, [math.inf], math.inf)
+
+
+WIDTHS = [0.0, 5e-10, 1e-9, 1.0000001e-9, 1.000001e-9, 1.0000011e-9, 2e-9, 0.5]
+
+
+@PROPERTY
+@given(dim=st.integers(1, 3), origin=st.sampled_from([0.0, -1.0, 1e6]),
+       widths=st.lists(st.sampled_from(WIDTHS), min_size=3, max_size=3))
+def test_box_vertices_merge_only_corners_that_can(dim, origin, widths):
+    # Corners of a box wider than 1e-9 (1 + 1e-6) in every axis skip
+    # the merge; narrower boxes merge as before.
+    lo = np.full(dim, origin)
+    hi = lo + np.array(widths[:dim])
+    box = Polytope.from_box(lo, hi)
+    corners = np.array(list(itertools.product(*zip(*box._box_bounds))))
+    assert bits(box.vertices()) == bits(_dedupe_points(corners))

@@ -312,7 +312,7 @@ def test_every_command_writes_lp_counts_to_manifest(command, name, at,
 
 
 @pytest.mark.parametrize("command, name, at", [
-    ("usc-probe", "sq2d", "1.5,0.5"), ("closedness-probe", "step1d", "0.5"),
+    ("usc-probe", "sq2d", "1.5,0.5"), ("solve-gqvi", "moving_interval", None),
     ("solve-quasiopt", "quasiopt_window1d", None)])
 def test_lp_cache_lives_one_command(command, name, at, tmp_path):
     # The cache is cleared when a command starts: the same command twice

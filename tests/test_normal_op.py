@@ -426,6 +426,22 @@ class TestClosednessProbe:
         assert verdict.passed
 
 
+def norm_per_pair_pool(f, rng, target):
+    """``normal_op._regular_point_pool`` as first written, with a norm for
+    each pair of a candidate and the last 40 points kept."""
+    pool = []
+    per = max(8, target // max(1, len(f.polytopes)))
+    for poly in f.polytopes:
+        for p in np.vstack([poly.sample(rng, per), poly.vertices()]):
+            if not math.isinf(f.evaluate(p)) and not f.in_argmin(p):
+                pool.append(p)
+    out = []
+    for p in pool:
+        if all(np.linalg.norm(p - q) > 1e-10 for q in out[-40:]):
+            out.append(p)
+    return out[: max(target, 1)]
+
+
 class TestQuasimonotonicityProbe:
     def test_valid_instances_clean(self, step1d, sq2d):
         for f in (step1d, sq2d):
@@ -447,6 +463,31 @@ class TestQuasimonotonicityProbe:
         gap = np.asarray(v["y"]) - np.asarray(v["x"])
         assert v["forward"] > 0 >= v["backward"]
         assert float(np.asarray(v["x_gen"]) @ gap) == pytest.approx(v["forward"])
+
+    @pytest.mark.parametrize("name, gap", [
+        *[(name, None) for name in ("step1d", "sq2d", "nested3d", "pentagons2d")],
+        *[(f"near-{dim}d", gap) for dim in (1, 2)
+          for gap in (5e-11, 7.0710678e-11, 7.0710679e-11, 1e-10,
+                      1.00000001e-10, 1.0000002e-10, 2e-10)]])
+    def test_point_pool_matches_a_norm_per_pair(self, name, gap, request):
+        # The pool takes a norm only for rows within 1e-10 (1 + 1e-6) per
+        # coordinate.  The near families put the top level's vertex -gap
+        # a distance gap (1-D) or gap * sqrt(2) (2-D) from the middle
+        # level's vertex 0, on both sides of the 1e-10 threshold and of
+        # the coordinate cut.
+        if name.startswith("near"):
+            dim = int(name[-2])
+            f = StepLevelFunction([0.0, 1.0, 2.0], [
+                Polytope.from_box([1.0] * dim, [2.0] * dim),
+                Polytope.from_box([0.0] * dim, [3.0] * dim),
+                Polytope.from_box([-gap] * dim, [4.0] * dim)])
+        else:
+            f = request.getfixturevalue(name)
+        for seed, target in [(0, 30), (1, 160)]:
+            got = normal_op._regular_point_pool(
+                f, np.random.default_rng(seed), target)
+            want = norm_per_pair_pool(f, np.random.default_rng(seed), target)
+            assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
 
     @pytest.mark.parametrize("n", [1, 2, 7, 137, 160, 1000])
     @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
