@@ -7,20 +7,32 @@ constraint set and the minimax residual
 
     min over y in K(x) of  max over vertices v of T(x) of  <v, y - x>
 
-is nonnegative.  The residual is one LP; the reversed max-min is one LP
-per vertex and must coincide on polytope data, which ``sion_check``
-verifies.  The solver is a heuristic (damped fixed-point iteration with
-multistart and a grid fallback): the underlying theory is existence
-only, so every reported solution is re-verified from scratch and
-anything weaker is labelled ``residual_floor``.
+is nonnegative.  At a feasible x, ``y = x`` gives 0, so the residual
+there is at most 0: a solution's residual is 0 up to the LP's rounding.
+The residual is one LP; the reversed max-min is one LP per vertex and
+must coincide on polytope data, which ``sion_check`` verifies.  The
+solver is a heuristic (damped fixed-point iteration with multistart and
+a grid fallback): the underlying theory is existence only, so every
+reported solution is re-verified from scratch and anything weaker is
+labelled ``residual_floor``.
 
 Given T(x), only the right-hand side of the minimax LP depends on x, so
 most steps retrace a pivot path an earlier LP of the same body took, and
 ``solve_lp``'s body cache replays it on the right-hand side alone (see
 ``lp``).  K holds the LP's rows for the last vertex array of T(x) it
 met, a read-only array matched by identity, so a constant T builds them
-once per solve.  The cache counts of the minimax LPs, and the branches
-abandoned by error type, go to ``SolveReport.stats``.
+once per solve.
+
+On one final basis the LP's solution is affine in x, as the optimum of a
+right-hand-side parametric LP is on each of its critical regions (Gal &
+Nedoma, *Management Sci.* 18(7), 1972).  So when two damped steps in a
+row end on one basis with one vertex array of T(x), the solver jumps to
+the limit of the damped steps on that piece, as Newton's method does on
+the pieces of a piecewise-affine equation (Kojima & Shindo, *J. Oper.
+Res. Soc. Japan* 29, 1986), and keeps the jump only where the acceptance
+test passes.  The cache counts of the minimax LPs, the jumps tried and
+kept, and the branches abandoned by error type go to
+``SolveReport.stats``.
 """
 
 from __future__ import annotations
@@ -99,6 +111,7 @@ class MovingPolytope:
         self.box = box
         self.dim = box.dim
         self._rows = None  # see _unit_rows
+        self._slopes = None  # see _offset_slopes
         self._minimax = None  # (vertices of T(x), their _minimax_rows)
 
     def value(self, x) -> Polytope:
@@ -125,6 +138,16 @@ class MovingPolytope:
             layout, exact = _axis_layout(unit.tolist())
             self._rows = unit, norms, layout, len(unit) == len(rows), exact
         return self._rows
+
+    def _offset_slopes(self):
+        """The derivative in x of the offsets of the unit rows of K(x):
+        each row of D over its row norm, and zero on the box rows."""
+        if self._slopes is None:
+            norms = self._unit_rows()[1]
+            d = np.zeros((norms.size, self.dim))
+            d[:len(self.d)] = self.d
+            self._slopes = _unit_halfspaces(d, np.zeros(norms.size), norms)[0]
+        return self._slopes
 
     def _offsets_at(self, x):
         """``(offsets, _axis_box lists or None)`` of the unit rows of K(x)
@@ -308,9 +331,10 @@ def _witness(vertices, y_opt, x):
 
 def _minimax(operator, constraint_map, x, counts):
     """``minimax_value`` at the flat float point x without the witness,
-    and the vertex array of T(x).  ``counts`` counts the minimax LP under
-    ``minimax_lps`` and its share of the LP cache counts under their
-    names; the operator's own LPs, which run first, are not counted."""
+    the vertex array of T(x), and the final basis of the LP as a set.
+    ``counts`` counts the minimax LP under ``minimax_lps`` and its share
+    of the LP cache counts under their names; the operator's own LPs,
+    which run first, are not counted."""
     # K(x) skips its own feasibility LP: t is free, so the minimax LP is
     # feasible exactly when K(x) is, and its phase 1 decides emptiness.
     k_a, k_b = constraint_map._halfspaces_at(x)
@@ -327,7 +351,42 @@ def _minimax(operator, constraint_map, x, counts):
     counts["replayed"] += 1 - solved
     counts["solved"] += solved
     counts["nodes"] += lp_counts["nodes"] - nodes
-    return _minimax_result(sol, x), vertices
+    return _minimax_result(sol, x), vertices, frozenset(sol.basis)
+
+
+def _affine_jump(constraint_map, vertices, basis, x, y_opt):
+    """The limit of the damped steps from x while the minimax LP keeps
+    the final basis ``basis``, or None where that is not finite.
+
+    The LP's variables y and t are free, so their columns come first,
+    two each, and the rows whose slacks are nonbasic are tight.  With
+    n + 1 of them, the optimum on the piece is ``y*(x) = M x + q``: M is
+    the y part of their rows solved against the slopes of their
+    right-hand sides ``[V x; offsets of K(x)]``.  A damped step scales
+    ``y*(x) - x`` by ``1 - gamma (1 - lambda)`` along an eigenvector of
+    M, so the steps add up to ``S diag(g) S^-1 (y*(x) - x)``, with
+    ``M = S diag(lambda) S^-1`` and ``g = 1 / (1 - lambda)``.  g is 0
+    where ``|1 - lambda| <= 1e-9``: along those directions a step adds
+    the same amount every time, with no limit on the piece, so the jump
+    leaves them as they are.  The rows must be those ``_minimax`` held
+    for ``vertices``.
+    """
+    n = x.size
+    a_ub = constraint_map._minimax[1][1]
+    tight = [i for i in range(len(a_ub)) if 2 * (n + 1) + i not in basis]
+    if len(tight) != n + 1:
+        return None
+    slopes = np.vstack([vertices, constraint_map._offset_slopes()])
+    try:
+        m = np.linalg.solve(a_ub[tight], slopes[tight])[:n]
+        lam, s = np.linalg.eig(m)
+        moves = np.abs(1.0 - lam) > 1e-9
+        gain = np.where(moves, 1.0 / np.where(moves, 1.0 - lam, 1.0), 0.0)
+        step = s @ (gain * np.linalg.solve(s, y_opt - x))
+    except np.linalg.LinAlgError:  # a singular piece or a defective M
+        return None
+    jump = x + step.real
+    return jump if np.isfinite(jump).all() else None
 
 
 def minimax_value(operator, constraint_map, x) -> MinimaxResult:
@@ -337,7 +396,7 @@ def minimax_value(operator, constraint_map, x) -> MinimaxResult:
     nonnegative.  Raises EmptyPolytopeError when K(x) is empty.
     """
     x = np.asarray(x, dtype=float).ravel()
-    result, vertices = _minimax(operator, constraint_map, x, Counter())
+    result, vertices, _ = _minimax(operator, constraint_map, x, Counter())
     result.witness = _witness(vertices, result.y_opt, x)
     return result
 
@@ -407,15 +466,24 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
 
     From each start, ``x <- (1 - gamma) x + gamma y*(x)`` until the point
     is stationary or accepted (feasible for its own constraint set with
-    residual above ``-tol_solve``).  Operator evaluation errors abandon
+    residual above ``-tol_solve``).  When a step that is not accepted
+    ends on the final basis of the step before it, with the same vertex
+    array of T(x), the solver tries once per basis and start the jump to
+    the limit of those steps (``_affine_jump``).  A finite jump that lies
+    in its own constraint set is kept when a fresh minimax LP there,
+    counted as an iteration and traced, passes the residual test;
+    otherwise damping goes on from x.  Operator evaluation errors abandon
     the branch; if no branch qualifies, the residual is maximized over a
     grid of the fixed-point set and reported as ``residual_floor``.
-    Candidate ties break toward smaller norm, then lexicographically.
+    Candidates rank by residual, then by smaller norm, then
+    lexicographically.  The residual of an accepted point is at most 0
+    but for the LP's rounding, which therefore picks among them.
 
     The starts run one after another, and the grid fallback scans its
     points in grid order.  ``stats`` counts the minimax LPs, those the LP
     cache replayed and solved (from scratch or resumed), the states it
-    recorded for them, and under ``abandoned`` the branches given up, by
+    recorded for them, the jumps tried and kept (``affine_tried``,
+    ``affine_kept``), and under ``abandoned`` the branches given up, by
     error type.
     """
     t_start = time.perf_counter()
@@ -431,12 +499,14 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     candidates = []
     trace = [] if collect_trace else None
     counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0,
-                     abandoned=Counter())
+                     affine_tried=0, affine_kept=0, abandoned=Counter())
     for start, x in enumerate(starts):
         x = np.array(x, dtype=float)
+        last, tried = None, set()  # the last step's (vertices, basis)
         for _ in range(cfg.max_iters):
             try:
-                result, _ = _minimax(instance.operator, cm, x, counts)
+                result, vertices, basis = _minimax(instance.operator, cm, x,
+                                                   counts)
             except _ABANDON as exc:  # an operator hole or an empty slice
                 counts["abandoned"][type(exc).__name__] += 1
                 break
@@ -447,6 +517,29 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
             if result.value >= -cfg.tol_solve and cm.contains(x, x):
                 candidates.append((x, result))
                 break
+            if (last is not None and last[0] is vertices and last[1] == basis
+                    and basis not in tried):
+                tried.add(basis)
+                counts["affine_tried"] += 1
+                jump = _affine_jump(cm, vertices, basis, x, result.y_opt)
+                # The acceptance test, contains first: a jump out of
+                # K(jump) is dropped without an LP, and the LP of one in
+                # it is feasible.
+                if jump is not None and cm.contains(jump, jump):
+                    try:
+                        landed, _, _ = _minimax(instance.operator, cm, jump,
+                                                counts)
+                    except _ABANDON:  # the branch goes on from x
+                        landed = None
+                    else:
+                        iterations += 1
+                        if collect_trace:
+                            trace.append((start, jump, landed.value))
+                    if landed is not None and landed.value >= -cfg.tol_solve:
+                        counts["affine_kept"] += 1
+                        candidates.append((jump, landed))
+                        break
+            last = vertices, basis
             x_next = (1.0 - cfg.gamma) * x + cfg.gamma * result.y_opt
             step = x_next - x
             if math.sqrt(step.dot(step)) <= 1e-12:
@@ -463,7 +556,8 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
         best = best_key = None
         for g in _grid_points(fix, mesh):
             try:
-                result, vertices = _minimax(instance.operator, cm, g, counts)
+                result, vertices, _ = _minimax(instance.operator, cm, g,
+                                               counts)
             except _ABANDON as exc:
                 counts["abandoned"][type(exc).__name__] += 1
                 continue

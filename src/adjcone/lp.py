@@ -68,9 +68,17 @@ class LPError(RuntimeError):
 
 @dataclass
 class LPSolution:
+    """The outcome of a program.  An optimal solution carries ``basis``,
+    its final basis: the basic columns, row by row, of the phase-2
+    tableau, whose columns are those of the variables (two per free
+    variable, one per bounded one, in variable order) and then one slack
+    per ``a_ub`` row and per two-sided bound.  A solution decided before
+    any pivot has no basis."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     value: float | None
+    basis: tuple | None = None
 
     @property
     def optimal(self) -> bool:
@@ -392,7 +400,7 @@ def _solution(body, basis, rhs):
     for k, (j, coef) in enumerate(body.terms):
         x[j] += coef * u.get(k, 0.0)
     x = np.array(x)
-    return LPSolution("optimal", x, float(body.c @ x))
+    return LPSolution("optimal", x, float(body.c @ x), tuple(basis))
 
 
 def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):

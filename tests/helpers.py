@@ -1,5 +1,6 @@
 """Polytope and solver oracles shared by the tests."""
 
+import dataclasses
 import math
 import time
 
@@ -208,12 +209,43 @@ def band_edge_points(polytope, radius, rng):
                       for s in (-1e-12, 1e-12)])
 
 
+class _FreshVertices:
+    """A polytope's stand-in that hands out a fresh copy of its vertex
+    array at every call."""
+
+    def __init__(self, polytope):
+        self.polytope = polytope
+
+    def vertices(self):
+        return self.polytope.vertices().copy()
+
+
+class FreshVertexArrays:
+    """``operator`` with a fresh vertex array at every value.  ``gqvi.solve``
+    jumps only between two steps that share one vertex array of T(x), so
+    on this operator it runs the damped path alone, with the bits that
+    ``sequential_solve`` gives."""
+
+    def __init__(self, operator):
+        self.operator, self.dim = operator, operator.dim
+
+    def value(self, x):
+        return _FreshVertices(self.operator.value(x))
+
+
+def damped(instance):
+    """``instance`` with its operator wrapped in ``FreshVertexArrays``."""
+    return dataclasses.replace(instance,
+                               operator=FreshVertexArrays(instance.operator))
+
+
 def sequential_solve(instance, collect_trace=False):
     """The multistart loop of ``solve`` written from the public
-    ``minimax_value`` alone, kept as its bit-for-bit oracle: each start
-    iterates to acceptance, stationarity or ``max_iters`` before the next
-    one begins, one ``minimax_value`` per step, and the grid fallback
-    evaluates one point at a time."""
+    ``minimax_value`` alone, kept as the bit-for-bit oracle of its damped
+    path (run ``solve`` on ``damped(instance)``): each start iterates to
+    acceptance, stationarity or ``max_iters`` before the next one begins,
+    one ``minimax_value`` per step, and the grid fallback evaluates one
+    point at a time."""
     t_start = time.perf_counter()
     cfg = instance.config
     cm = instance.constraint_map

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adjcone.geometry import (
@@ -200,3 +200,50 @@ def test_box_vertices_merge_only_corners_that_can(dim, origin, widths):
     box = Polytope.from_box(lo, hi)
     corners = np.array(list(itertools.product(*zip(*box._box_bounds))))
     assert bits(box.vertices()) == bits(_dedupe_points(corners))
+
+
+@st.composite
+def boxes_and_rows(draw):
+    """A box of ``axis_systems`` rows, near-axis ones too (the unit box
+    where they make no box), and 1-3 rows of points: special values, the bounds with both zero signs and their
+    neighbours, and plain floats."""
+    a, b = draw(axis_systems(off_axis=st.sampled_from(OFF_AXIS[:5])))
+    try:
+        p = Polytope(a, b)
+    except (EmptyPolytopeError, UnboundedPolytopeError):
+        p = None
+    if p is None or p._box_bounds is None:
+        p = Polytope.from_box(-np.ones(a.shape[1]), np.ones(a.shape[1]))
+    lo, hi = p._box_bounds
+    near = [v for bound in (*lo, *hi)
+            for v in (bound, -bound, np.nextafter(bound, math.inf),
+                      np.nextafter(bound, -math.inf))]
+    coord = st.one_of(st.sampled_from(SPECIAL + [1e300, -1e300] + near),
+                      st.floats(-4.0, 4.0))
+    rows = draw(st.integers(1, 3))
+    return p, np.array([[draw(coord) for _ in range(p.dim)]
+                        for _ in range(rows)])
+
+
+def _box(lo, hi):
+    return Polytope.from_box(lo, hi)
+
+
+@PROPERTY
+@given(boxes_and_rows())
+@example((_box([0.0], [1.0]), np.array([[-0.0]])))
+@example((_box([-1.0], [-0.0]), np.array([[0.0], [-0.0]])))
+@example((_box([0.0, -0.0], [1.0, 1.0]), np.array([[-0.0, 0.0]])))
+@example((_box([-1.0, -1.0], [-0.0, 0.0]), np.array([[0.0, -0.0]])))
+def test_box_projection_matches_clip_and_norm(case):
+    # The Python-float path for a few points and the numpy path past
+    # them: the bits of np.clip and of np.linalg.norm(axis=1), with ties
+    # of signed zeros in one and in two columns.
+    p, pts = case
+    lo, hi = p._box_bounds
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.clip(pts, lo, hi)
+        dist = np.linalg.norm(pts - want, axis=1)
+        got, got_dist = p.project_many(pts)
+    assert bits(got) == bits(want)
+    assert bits(got_dist) == bits(dist)

@@ -196,13 +196,15 @@ def test_reports_embed_instance_hash(files, tmp_path):
     assert "ADJCONE_THREADS" not in json.dumps(manifest)  # read by nothing
 
 
-SOLVER_STATS = {"minimax_lps", "replayed", "solved", "nodes", "abandoned"}
+SOLVER_STATS = {"minimax_lps", "replayed", "solved", "nodes", "affine_tried",
+                "affine_kept", "abandoned"}
 
 
 def test_solve_gqvi_writes_memo_stats_to_manifest(tmp_path):
     # Every minimax LP is replayed or solved from scratch; on the moving
-    # interval all but the first few retrace a recorded pivot path.  The
-    # counts go to the manifest, never to the report.
+    # interval all but the first few retrace a recorded pivot path, and
+    # every jump to the damped limit is kept.  The counts go to the
+    # manifest, never to the report.
     out = tmp_path / "o"
     assert run(["solve-gqvi", "--instance",
                 os.path.join(SHIPPED, "moving_interval.json"),
@@ -211,19 +213,22 @@ def test_solve_gqvi_writes_memo_stats_to_manifest(tmp_path):
     assert set(stats) == SOLVER_STATS
     assert stats["replayed"] + stats["solved"] == stats["minimax_lps"]
     assert stats["minimax_lps"] == report_of(out)["report"]["iterations"]
-    assert stats["replayed"] >= 0.95 * stats["minimax_lps"]  # 489 of 493
+    assert stats["solved"] <= 4  # 4 of 31; all others replay
     assert stats["nodes"] > 0
+    assert stats["affine_kept"] == stats["affine_tried"] > 0
     assert stats["abandoned"] == {}
     assert "stats" not in (out / "report.json").read_text()
 
 
 @pytest.mark.parametrize("name, command, lp_counts, stats", [
     ("moving_interval", "solve-gqvi",
-     {"calls": 495, "replayed": 490, "solved": 5, "nodes": 10},
-     {"minimax_lps": 493, "replayed": 489, "solved": 4, "nodes": 10}),
+     {"calls": 33, "replayed": 28, "solved": 5, "nodes": 10},
+     {"minimax_lps": 31, "replayed": 27, "solved": 4, "nodes": 10,
+      "affine_tried": 10, "affine_kept": 10}),
     ("quasiopt_window1d", "solve-quasiopt",
      {"calls": 123, "replayed": 79, "solved": 44, "nodes": 28},
-     {"minimax_lps": 52, "replayed": 13, "solved": 39, "nodes": 19}),
+     {"minimax_lps": 52, "replayed": 13, "solved": 39, "nodes": 19,
+      "affine_tried": 0, "affine_kept": 0}),
 ])
 def test_solver_manifest_counts_pinned(name, command, lp_counts, stats,
                                        tmp_path):
@@ -577,15 +582,17 @@ GQVI_3D = {
 }
 NON_BOX_GQVI = {"gqvi2d": GQVI_2D, "gqvi3d": GQVI_3D}
 
-# sha256 of report.json, recorded from the row-by-row simplex kernel with
-# a separate feasibility LP for K(x) in every minimax step.
+# sha256 of report.json.  The quasiopt digest was recorded from the
+# row-by-row simplex kernel with a separate feasibility LP for K(x) in
+# every minimax step; the GQVI digests from the solver that jumps to the
+# damped limit on a repeated final basis.
 SOLVER_DIGESTS = {
     ("solve-gqvi", "moving_interval"):
-        "3a30017b41dcc253d1651c78be1eafb58c17697d97a0f7149b15977afe461ba0",
+        "e00372ff9f3084fd18a11dfd2d4bcb23930a897466e276eb970e13e52525dc2c",
     ("solve-gqvi", "gqvi2d"):
-        "3a13b81a6d035adadc075876422fbaf7d5e78cedfb1e4789931c6bd686a261ff",
+        "8d4154214dacaade79bb63dec43de2ee0a21ec542eb5d5dd266f60986ae7f2e2",
     ("solve-gqvi", "gqvi3d"):
-        "4bb4caeb01ec0ce618a2cd3a316a0882cc0aee0f0a2ef8c2425a372271191f8b",
+        "f5e4cb5127e639c75382702f0d90f171aa22dac9cf2f199bf51ce3d68b555c7b",
     ("solve-quasiopt", "quasiopt_window1d"):
         "ec1bafb3ef2eeae3de3229b4dc9be2fcf1b437f707b68540950748a70c46c58e",
 }
@@ -605,18 +612,19 @@ def test_solver_outputs_pinned(command, name, tmp_path):
 
 
 # sha256 of (report.json, trace.csv) of ``solve-gqvi --trace``, recorded
-# from the start-by-start solver loop: the trace lists every damped step
-# in (start, iteration) order.
+# from the start-by-start solver loop that jumps to the damped limit: the
+# trace lists every minimax LP, damped steps and jumps, in (start,
+# iteration) order.
 TRACE_DIGESTS = {
     "moving_interval": (
-        "3a30017b41dcc253d1651c78be1eafb58c17697d97a0f7149b15977afe461ba0",
-        "12510d4f1dfcbe9abf5d0997d6538c2c1ebb9de80fb8901845800f3a959248b2"),
+        "e00372ff9f3084fd18a11dfd2d4bcb23930a897466e276eb970e13e52525dc2c",
+        "c8618a203de630e1398b17248d489688a7ac4a3cd9fda6d72c74a831abbc2084"),
     "gqvi2d": (
-        "3a13b81a6d035adadc075876422fbaf7d5e78cedfb1e4789931c6bd686a261ff",
-        "2b759ddd695700b8d5d2ac2c2911dbcf50fa44e2535191b6f4856ff36891c61e"),
+        "8d4154214dacaade79bb63dec43de2ee0a21ec542eb5d5dd266f60986ae7f2e2",
+        "007ca3cdd4fba0a243ceb7380f2f61c5357924ec11f3672e27e907d7d2dc76c7"),
     "gqvi3d": (
-        "4bb4caeb01ec0ce618a2cd3a316a0882cc0aee0f0a2ef8c2425a372271191f8b",
-        "6ff8bf15cb6dde6a6592679e1e52d7bdbf3abcbb76bc2b9289d06a0b15eea9d2"),
+        "f5e4cb5127e639c75382702f0d90f171aa22dac9cf2f199bf51ce3d68b555c7b",
+        "a115e1a92c5ce8ae60afbd406652cd3db0694808b31585d0d1c4c18caf94910f"),
 }
 
 
@@ -894,16 +902,17 @@ def test_dimension_mismatch_exits_1(name, field, value, message, tmp_path,
 def test_tabulated_instance_solves(tmp_path):
     # The well-formed base of the tabulated cases above.  Its operator
     # value changes from cell to cell along the steps, so the digests of
-    # (report.json, trace.csv), recorded from the start-by-start solver,
-    # pin a solve whose minimax LPs change rows with x.
+    # (report.json, trace.csv), recorded from the start-by-start solver
+    # that jumps to the damped limit within a cell, pin a solve whose
+    # minimax LPs change rows with x.
     instance = _edited_shipped(tmp_path, "moving_interval", ("T",),
                                _TABULATED_1D)
     out = tmp_path / "o"
     assert run(["solve-gqvi", "--instance", str(instance), "--out", str(out),
                 "--trace"]) == 0
     assert (sha256_of(out / "report.json"), sha256_of(out / "trace.csv")) == (
-        "1e31a2da7b82e60ca7cbc04720127f337027b69baadca2938d3e013953d81da0",
-        "12510d4f1dfcbe9abf5d0997d6538c2c1ebb9de80fb8901845800f3a959248b2")
+        "fb431ce192196c670265d70ea981633dbce08ba0d0ced66d1f234e330e83a4c9",
+        "62adbf578692464aec2c01432ac6765ba2861109873df3f6a1718301463793b3")
 
 
 NON_BOX_STEP = {"step3d": STEP_3D, "step4d": STEP_4D}

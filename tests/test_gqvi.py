@@ -1,10 +1,12 @@
 import itertools
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from adjcone import geometry, gqvi, lp
 from adjcone.geometry import EmptyPolytopeError, Polytope
@@ -21,7 +23,13 @@ from adjcone.gqvi import (
     sion_check,
     solve,
 )
-from helpers import assert_same_report, bits, sequential_solve, stacked_slice
+from helpers import (
+    assert_same_report,
+    bits,
+    damped,
+    sequential_solve,
+    stacked_slice,
+)
 
 
 @pytest.fixture(scope="module")
@@ -480,7 +488,7 @@ def random_gqvi(seed, dim, operator=None, **solver):
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_matches_sequential_oracle(seed, dim):
-    instance = random_gqvi(seed, dim)
+    instance = damped(random_gqvi(seed, dim))
     assert_same_report(solve(instance, collect_trace=True),
                        sequential_solve(instance, collect_trace=True))
 
@@ -492,7 +500,8 @@ def test_grid_fallback_matches_sequential_oracle():
         return Polytope.from_box([v, -0.1], [v, 0.1])
 
     operator = TabulatedOperator(0, [0.0], [point(-1.0), point(1.0)])
-    instance = random_gqvi(5, 2, operator, max_iters=3, mesh_divisions=12)
+    instance = damped(random_gqvi(5, 2, operator, max_iters=3,
+                                  mesh_divisions=12))
     got = solve(instance, collect_trace=True)
     assert got.status == "residual_floor"
     assert got.iterations > 3 * got.starts_tried
@@ -531,8 +540,9 @@ def test_lane_abandoned_mid_run_leaves_other_lanes(moving_interval,
                                                    unit_operator):
     # From x = 2 the damped steps go 2, 1, 0.25, ...; a hole around 1
     # abandons that start at its second step.
-    holed = GqviInstance(moving_interval, _HoleOperator(unit_operator, 0.9, 1.1))
-    whole = GqviInstance(moving_interval, unit_operator)
+    holed = damped(GqviInstance(moving_interval,
+                                _HoleOperator(unit_operator, 0.9, 1.1)))
+    whole = damped(GqviInstance(moving_interval, unit_operator))
     got = solve(holed, collect_trace=True)
     assert_same_report(got, sequential_solve(holed, collect_trace=True))
     rows = {}
@@ -592,6 +602,23 @@ def test_halfspaces_at_are_the_slice_rows(seed):
             got = cm._halfspaces_at(x)
             assert all(bits(g) == bits(w) for g, w in zip(got, want))
         assert errors == ({EmptyPolytopeError} if cm is not maps[0] else set())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_offset_slopes_are_the_offsets_derivative(seed):
+    # The offsets of the unit rows of K(x) are affine in x, with the
+    # slopes of ``_offset_slopes``, also where a zero row is dropped.
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(4, 2))
+    a[1] = 0.0
+    cm = MovingPolytope(a, rng.uniform(0.5, 1.5, 4), rng.normal(size=(4, 2)),
+                        Polytope.from_box([-2.0, -2.0], [2.0, 2.0]))
+    base = cm._halfspaces_at(np.zeros(2))[1]
+    slopes = cm._offset_slopes()
+    assert slopes.shape == (len(base), 2)
+    for x in rng.uniform(-0.1, 0.1, size=(10, 2)):
+        got = cm._halfspaces_at(x)[1]
+        assert np.abs(got - (base + slopes @ x)).max() <= 1e-12
 
 
 def _slice_outcome(build):
@@ -668,7 +695,7 @@ def _count_bodies(monkeypatch):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_constant_operator_builds_one_body_per_solve(dim, monkeypatch):
-    instance = random_gqvi(dim, dim)
+    instance = damped(random_gqvi(dim, dim))
     want = sequential_solve(instance, collect_trace=True)
     lp.clear_cache()
     built = _count_bodies(monkeypatch)
@@ -682,15 +709,20 @@ def test_constant_operator_builds_one_body_per_solve(dim, monkeypatch):
 @pytest.mark.parametrize("dim", [1, 3])
 def test_minimax_rows_built_once_per_vertex_array(dim, monkeypatch):
     # K holds the minimax rows with the vertex array of T(x) they were
-    # built for, so a constant operator builds them once per solve; the
-    # report keeps the bits of the oracle.
+    # built for, so a constant operator builds them once per solve.  With
+    # a fresh array at every value they are built at every minimax LP,
+    # the recheck's too, and the report keeps the bits of the oracle.
     instance = random_gqvi(dim, dim)
     built, rows = [], gqvi._minimax_rows
     monkeypatch.setattr(gqvi, "_minimax_rows",
                         lambda *args: built.append(1) or rows(*args))
-    got = solve(instance, collect_trace=True)
+    got = solve(instance)
     assert len(built) == 1 and got.stats["minimax_lps"] > 10
-    assert_same_report(got, sequential_solve(instance, collect_trace=True))
+    built.clear()
+    got = solve(damped(instance), collect_trace=True)
+    assert len(built) == got.stats["minimax_lps"] + 1
+    assert_same_report(got, sequential_solve(damped(instance),
+                                             collect_trace=True))
 
 
 class _InfiniteOffsetsPast1(MovingPolytope):
@@ -724,8 +756,8 @@ def test_lane_abandoned_by_its_slice_leaves_other_lanes(kind, monkeypatch):
     # T(x) = {-1} beyond pushes it up past 1, where the start is abandoned
     # after some steps.  The two cells build one body each.
     operator = TabulatedOperator(0, [0.0], [_point_1d(1.0), _point_1d(-1.0)])
-    instance = GqviInstance(_unusable_past_1(kind), operator,
-                            gqvi.SolverConfig(starts=6, seed=3))
+    instance = damped(GqviInstance(_unusable_past_1(kind), operator,
+                                   gqvi.SolverConfig(starts=6, seed=3)))
     want = sequential_solve(instance, collect_trace=True)
     lp.clear_cache()
     built = _count_bodies(monkeypatch)
@@ -772,8 +804,8 @@ def test_minimax_stats_leave_out_the_operator_lps(moving_interval,
     # so the cache calls between the first and the last mark are the
     # steps' minimax LPs and all but the last operator LP.
     operator = _CountingOperator(0, [0.0], [_point_1d(1.0), _point_1d(-1.0)])
-    instance = GqviInstance(moving_interval, operator,
-                            gqvi.SolverConfig(starts=6, seed=3))
+    instance = damped(GqviInstance(moving_interval, operator,
+                                   gqvi.SolverConfig(starts=6, seed=3)))
     want = sequential_solve(instance, collect_trace=True)
     lp.clear_cache()
     operator.marks.clear()
@@ -833,8 +865,8 @@ def test_reduction_shares_the_dual_box_body(step1d, monkeypatch):
     window = MovingPolytope(a=[[1.0], [-1.0]], b=[0.5, 0.5],
                             d=[[1.0], [-1.0]],
                             box=Polytope.from_box([-1.0], [2.0]))
-    instance = GqviInstance(window, TFromNormal(step1d, atlas),
-                            config=gqvi.SolverConfig(starts=6))
+    instance = damped(GqviInstance(window, TFromNormal(step1d, atlas),
+                                   config=gqvi.SolverConfig(starts=6)))
     want = sequential_solve(instance, collect_trace=True)
     lp.clear_cache()
     built = _count_bodies(monkeypatch)
@@ -842,3 +874,194 @@ def test_reduction_shares_the_dual_box_body(step1d, monkeypatch):
     assert_same_report(got, want)
     assert 1 < len(built) < got.iterations
     assert got.stats["replayed"] > 0
+
+
+# -- the affine jump ------------------------------------------------------------
+
+
+def _damped_limit(instance, x, steps=5000):
+    """Where the damped steps of the public ``minimax_value`` from x stop
+    moving, bit for bit; None when they still move after ``steps``."""
+    cfg, cm = instance.config, instance.constraint_map
+    for _ in range(steps):
+        y = minimax_value(instance.operator, cm, x).y_opt
+        x_next = (1.0 - cfg.gamma) * x + cfg.gamma * y
+        if np.array_equal(x_next, x):
+            return x
+        x = x_next
+    return None
+
+
+def _first_jump(instance, x):
+    """The jump ``solve`` would try from x: at the first damped step that
+    ends on the final basis of the step before it."""
+    cfg, cm = instance.config, instance.constraint_map
+    last = None
+    for _ in range(cfg.max_iters):
+        result, vertices, basis = gqvi._minimax(instance.operator, cm, x,
+                                                 Counter())
+        if basis == last:
+            return gqvi._affine_jump(cm, vertices, basis, x, result.y_opt)
+        last = basis
+        x = (1.0 - cfg.gamma) * x + cfg.gamma * result.y_opt
+    return None
+
+
+def _hand_starts():
+    return [np.array([v]) for v in (2.0, 1.0, 0.3, -1.5, -1.999)]
+
+
+def test_jump_is_the_damped_limit(moving_interval, unit_operator):
+    # The hand instance (``gqvi_hand`` of the acceptance tests), where
+    # y*(x) = x/2 - 1 until the box row takes over within 2e-12 of the
+    # limit -2, and a 2-D instance whose damped paths keep one basis from
+    # their first repeat to their limit.
+    cases = [(GqviInstance(moving_interval, unit_operator), _hand_starts())]
+    instance = random_gqvi(5, 2)
+    fix = fixed_point_set(instance.constraint_map)
+    cases.append((instance, list(fix.sample(np.random.default_rng(5), 4))))
+    for instance, starts in cases:
+        for x in starts:
+            jump = _first_jump(instance, x)
+            limit = _damped_limit(instance, x)
+            assert jump is not None and limit is not None
+            assert np.abs(jump - limit).max() <= 1e-12
+
+
+def test_jump_leaves_the_eigenvalue_one_directions():
+    # K(x) = [x1 - 1, x1 + 1] x [x2/2 - 1, x2/2 + 1] in [-5, 5]^2 and
+    # T = {(1, 1)}: y*(x) = (x1 - 1, x2/2 - 1) on one basis, so
+    # M = diag(1, 1/2).  The damped steps contract x2 to -2 and shift x1
+    # by -1/2 each, a move of the kind g = 0 leaves out: the jump keeps
+    # x1 and takes x2 to its limit.
+    cm = MovingPolytope(a=[[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]],
+                        b=[1.0] * 4,
+                        d=[[-1.0, 0.0], [0.0, -0.5], [1.0, 0.0], [0.0, 0.5]],
+                        box=Polytope.from_box([-5.0, -5.0], [5.0, 5.0]))
+    operator = ConstantOperator(Polytope.from_vertices([[1.0, 1.0]]))
+    x = np.array([1.0, 2.0])
+    result, vertices, basis = gqvi._minimax(operator, cm, x, Counter())
+    assert np.array_equal(result.y_opt, [0.0, 0.0])
+    jump = gqvi._affine_jump(cm, vertices, basis, x, result.y_opt)
+    assert np.abs(jump - [1.0, -2.0]).max() <= 1e-12
+
+
+def _linprog_minimax(instance, x):
+    """The minimax residual at x by scipy's HiGHS, from the instance's
+    A, b, D, box and the vertices of T(x) as given."""
+    cm = instance.constraint_map
+    v = instance.operator.value(x).vertices()
+    box_a, box_b = cm.box.halfspaces
+    k_a = np.vstack([cm.a, box_a])
+    n = x.size
+    a_ub = np.vstack([np.hstack([v, -np.ones((len(v), 1))]),
+                      np.hstack([k_a, np.zeros((len(k_a), 1))])])
+    b_ub = np.concatenate([v @ x, cm.b + cm.d @ x, box_b])
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (n + 1),
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def _in_own_slice(instance, x, slack=1e-9):
+    cm = instance.constraint_map
+    box_a, box_b = cm.box.halfspaces
+    return (bool(np.all(cm.a @ x <= cm.b + cm.d @ x + slack))
+            and bool(np.all(box_a @ x <= box_b + slack)))
+
+
+def test_accepted_points_pass_an_independent_check():
+    # Every candidate the solver ranks, the accepted point of a start by
+    # a jump or a damped step, passes a check of its own: HiGHS puts its
+    # residual at or above -tol_solve (less its own 1e-9 optimality
+    # slack), and x lies in K(x) by the raw rows.  The explicit examples
+    # drop jumps that lie in K(jump) but fail the residual test.
+    kept, dropped = [], []
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3))
+    @example(seed=6, dim=2)
+    @example(seed=5, dim=3)
+    def check(seed, dim):
+        instance = random_gqvi(seed, dim)
+        ranked, key = [], gqvi._candidate_key
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gqvi, "_candidate_key",
+                          lambda x, value: ranked.append(x) or key(x, value))
+            report = solve(instance)
+        assert report.status == "solved" and ranked
+        assert any(bits(x) == bits(report.x) for x in ranked)
+        for x in ranked:
+            assert _linprog_minimax(instance, x) >= (
+                -instance.config.tol_solve - 1e-9)
+            assert _in_own_slice(instance, x)
+        kept.append(report.stats["affine_kept"])
+        dropped.append(report.stats["affine_tried"] - kept[-1])
+
+    check()
+    assert sum(kept) > len(kept) and sum(dropped) > 0
+
+
+class _Holes:
+    """``inner`` that raises ``GeometryError`` at the points of ``holes``,
+    bit for bit."""
+
+    def __init__(self, inner):
+        self.inner, self.dim, self.holes = inner, inner.dim, set()
+
+    def value(self, x):
+        if bits(x) in self.holes:
+            raise geometry.GeometryError("operator hole")
+        return self.inner.value(x)
+
+
+@pytest.mark.parametrize("kind", ["none", "outside", "hole", "rejected"])
+def test_dropped_jump_leaves_the_damped_path(kind, monkeypatch):
+    # A jump that is not finite, that leaves the box, where T raises, or
+    # whose LP fails the residual test is dropped, and damping goes on
+    # from where it was: the report of the damped path, with one more LP
+    # in the trace for every jump whose LP ran.  The rejected jump goes
+    # to x itself, whose LP replays the step before it; the hole is at a
+    # copy of x.
+    instance = random_gqvi(0, 2)
+    want = sequential_solve(damped(instance), collect_trace=True)
+    operator = _Holes(instance.operator)
+    instance = GqviInstance(instance.constraint_map, operator, instance.config)
+    tried = []
+
+    def jump(cm, vertices, basis, x, y_opt):
+        tried.append(1)
+        if kind == "hole":
+            operator.holes.add(bits(x))
+        return {"none": None, "outside": x + 10.0}.get(kind, x.copy())
+
+    monkeypatch.setattr(gqvi, "_affine_jump", jump)
+    got = solve(instance, collect_trace=True)
+    assert got.stats["affine_tried"] == len(tried) > 0
+    assert got.stats["affine_kept"] == 0
+    assert got.stats["minimax_lps"] == got.iterations
+    assert got.stats["abandoned"] == {}
+    rows = [(s, bits(x), bits(v)) for s, x, v in got.trace]
+    damped_rows = [row for i, row in enumerate(rows)
+                   if i == 0 or row != rows[i - 1]]
+    assert damped_rows == [(s, bits(x), bits(v)) for s, x, v in want.trace]
+    landed = len(rows) - len(damped_rows)
+    assert got.iterations == want.iterations + landed
+    assert (landed > 0) == (kind == "rejected")
+    assert bits(got.x) == bits(want.x) and got.residual == want.residual
+    assert bits(got.witness) == bits(want.witness)
+
+
+def test_jump_stats_on_the_hand_instance(moving_interval, unit_operator):
+    # Every start past its first step jumps to -2 and keeps the jump; the
+    # counts stay out of the report.
+    got = solve(GqviInstance(moving_interval, unit_operator))
+    want = solve(damped(GqviInstance(moving_interval, unit_operator)))
+    stats = got.stats
+    assert stats["affine_kept"] == stats["affine_tried"] > 0
+    assert stats["minimax_lps"] == got.iterations < want.iterations / 10
+    assert (want.stats["affine_tried"], want.stats["affine_kept"]) == (0, 0)
+    assert bits(got.x) == bits(np.array([-2.0])) and got.residual == 0.0
+    assert "affine_tried" not in got.to_dict()

@@ -503,6 +503,7 @@ def assert_same_solution(got, want):
     else:
         assert bit_identical(got.x, want.x)
         assert got.value == want.value
+    assert got.basis == want.basis
 
 
 def memo_of(program):
@@ -944,6 +945,25 @@ def test_solution_is_the_add_at_form(seed):
         got = lp._solution(body, basis.tolist(), rhs.tolist())
         assert bit_identical(got.x, x)
         assert got.value.hex() == float(body.c @ x).hex()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_final_basis_leaves_the_tight_rows_nonbasic(seed):
+    # Free variables take two columns each, then come the slacks of the
+    # a_ub rows: a row whose slack is not in the final basis holds with
+    # equality at the optimum.
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        n = int(rng.integers(1, 4))
+        eye = np.eye(n)
+        a = np.vstack([rng.normal(size=(int(rng.integers(1, 5)), n)),
+                       eye, -eye])
+        b = rng.uniform(0.5, 1.5, len(a))
+        sol = solve_lp(rng.normal(size=n), a_ub=a, b_ub=b)
+        assert sol.optimal and len(sol.basis) == len(a)
+        tight = [i for i in range(len(a)) if 2 * n + i not in sol.basis]
+        assert len(tight) >= n
+        assert np.abs(a[tight] @ sol.x - b[tight]).max() <= 1e-9
 
 
 # -- body cache ---------------------------------------------------------------
