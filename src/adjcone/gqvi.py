@@ -331,7 +331,8 @@ def _witness(vertices, y_opt, x):
 
 def _minimax(operator, constraint_map, x, counts):
     """``minimax_value`` at the flat float point x without the witness,
-    the vertex array of T(x), and the final basis of the LP as a set.
+    the vertex array of T(x), the LP's ``a_ub`` rows, and its final basis
+    as a set.
     ``counts`` counts the minimax LP under ``minimax_lps`` and its share
     of the LP cache counts under their names; the operator's own LPs,
     which run first, are not counted."""
@@ -351,12 +352,13 @@ def _minimax(operator, constraint_map, x, counts):
     counts["replayed"] += 1 - solved
     counts["solved"] += solved
     counts["nodes"] += lp_counts["nodes"] - nodes
-    return _minimax_result(sol, x), vertices, frozenset(sol.basis)
+    return _minimax_result(sol, x), vertices, a_ub, frozenset(sol.basis)
 
 
-def _affine_jump(constraint_map, vertices, basis, x, y_opt):
-    """The limit of the damped steps from x while the minimax LP keeps
-    the final basis ``basis``, or None where that is not finite.
+def _affine_jump(constraint_map, vertices, a_ub, basis, x, y_opt):
+    """The limit of the damped steps from x while the minimax LP, of
+    rows ``a_ub`` for ``vertices``, keeps the final basis ``basis``, or
+    None where that is not finite.
 
     The LP's variables y and t are free, so their columns come first,
     two each, and the rows whose slacks are nonbasic are tight.  With
@@ -368,11 +370,9 @@ def _affine_jump(constraint_map, vertices, basis, x, y_opt):
     ``M = S diag(lambda) S^-1`` and ``g = 1 / (1 - lambda)``.  g is 0
     where ``|1 - lambda| <= 1e-9``: along those directions a step adds
     the same amount every time, with no limit on the piece, so the jump
-    leaves them as they are.  The rows must be those ``_minimax`` held
-    for ``vertices``.
+    leaves them as they are.
     """
     n = x.size
-    a_ub = constraint_map._minimax[1][1]
     tight = [i for i in range(len(a_ub)) if 2 * (n + 1) + i not in basis]
     if len(tight) != n + 1:
         return None
@@ -383,7 +383,10 @@ def _affine_jump(constraint_map, vertices, basis, x, y_opt):
         moves = np.abs(1.0 - lam) > 1e-9
         gain = np.where(moves, 1.0 / np.where(moves, 1.0 - lam, 1.0), 0.0)
         step = s @ (gain * np.linalg.solve(s, y_opt - x))
-    except np.linalg.LinAlgError:  # a singular piece or a defective M
+    # Raised on an exactly singular system.  A defective M does not
+    # raise: S is then ill-conditioned, and its jump is left to the
+    # acceptance test.
+    except np.linalg.LinAlgError:
         return None
     jump = x + step.real
     return jump if np.isfinite(jump).all() else None
@@ -396,7 +399,7 @@ def minimax_value(operator, constraint_map, x) -> MinimaxResult:
     nonnegative.  Raises EmptyPolytopeError when K(x) is empty.
     """
     x = np.asarray(x, dtype=float).ravel()
-    result, vertices, _ = _minimax(operator, constraint_map, x, Counter())
+    result, vertices = _minimax(operator, constraint_map, x, Counter())[:2]
     result.witness = _witness(vertices, result.y_opt, x)
     return result
 
@@ -505,8 +508,8 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
         last, tried = None, set()  # the last step's (vertices, basis)
         for _ in range(cfg.max_iters):
             try:
-                result, vertices, basis = _minimax(instance.operator, cm, x,
-                                                   counts)
+                result, vertices, a_ub, basis = _minimax(
+                    instance.operator, cm, x, counts)
             except _ABANDON as exc:  # an operator hole or an empty slice
                 counts["abandoned"][type(exc).__name__] += 1
                 break
@@ -521,14 +524,15 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
                     and basis not in tried):
                 tried.add(basis)
                 counts["affine_tried"] += 1
-                jump = _affine_jump(cm, vertices, basis, x, result.y_opt)
+                jump = _affine_jump(cm, vertices, a_ub, basis, x,
+                                    result.y_opt)
                 # The acceptance test, contains first: a jump out of
                 # K(jump) is dropped without an LP, and the LP of one in
                 # it is feasible.
                 if jump is not None and cm.contains(jump, jump):
                     try:
-                        landed, _, _ = _minimax(instance.operator, cm, jump,
-                                                counts)
+                        landed = _minimax(instance.operator, cm, jump,
+                                          counts)[0]
                     except _ABANDON:  # the branch goes on from x
                         landed = None
                     else:
@@ -556,8 +560,8 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
         best = best_key = None
         for g in _grid_points(fix, mesh):
             try:
-                result, vertices, _ = _minimax(instance.operator, cm, g,
-                                               counts)
+                result, vertices = _minimax(instance.operator, cm, g,
+                                            counts)[:2]
             except _ABANDON as exc:
                 counts["abandoned"][type(exc).__name__] += 1
                 continue

@@ -20,6 +20,7 @@ from adjcone.geometry import (
     EmptyPolytopeError,
     Polytope,
     UnboundedPolytopeError,
+    _FEW_POINTS,
     _axis_box,
     _axis_layout,
     _dedupe_points,
@@ -205,7 +206,8 @@ def test_box_vertices_merge_only_corners_that_can(dim, origin, widths):
 @st.composite
 def boxes_and_rows(draw):
     """A box of ``axis_systems`` rows, near-axis ones too (the unit box
-    where they make no box), and 1-3 rows of points: special values, the bounds with both zero signs and their
+    where they make no box), and 1-3 rows of points, up to 20 on a 1-D
+    box: special values, the bounds with both zero signs and their
     neighbours, and plain floats."""
     a, b = draw(axis_systems(off_axis=st.sampled_from(OFF_AXIS[:5])))
     try:
@@ -220,7 +222,7 @@ def boxes_and_rows(draw):
                       np.nextafter(bound, -math.inf))]
     coord = st.one_of(st.sampled_from(SPECIAL + [1e300, -1e300] + near),
                       st.floats(-4.0, 4.0))
-    rows = draw(st.integers(1, 3))
+    rows = draw(st.integers(1, 20 if p.dim == 1 else 3))
     return p, np.array([[draw(coord) for _ in range(p.dim)]
                         for _ in range(rows)])
 
@@ -233,12 +235,11 @@ def _box(lo, hi):
 @given(boxes_and_rows())
 @example((_box([0.0], [1.0]), np.array([[-0.0]])))
 @example((_box([-1.0], [-0.0]), np.array([[0.0], [-0.0]])))
-@example((_box([0.0, -0.0], [1.0, 1.0]), np.array([[-0.0, 0.0]])))
-@example((_box([-1.0, -1.0], [-0.0, 0.0]), np.array([[0.0, -0.0]])))
+@example((_box([-1.0], [-0.0]), np.array([[0.0]] * (_FEW_POINTS + 1))))
 def test_box_projection_matches_clip_and_norm(case):
-    # The Python-float path for a few points and the numpy path past
-    # them: the bits of np.clip and of np.linalg.norm(axis=1), with ties
-    # of signed zeros in one and in two columns.
+    # The Python-float path for a few points on a 1-D box and the numpy
+    # path otherwise: the bits of np.clip and of np.linalg.norm(axis=1),
+    # with ties of signed zeros.
     p, pts = case
     lo, hi = p._box_bounds
     with np.errstate(invalid="ignore", over="ignore"):

@@ -898,10 +898,11 @@ def _first_jump(instance, x):
     cfg, cm = instance.config, instance.constraint_map
     last = None
     for _ in range(cfg.max_iters):
-        result, vertices, basis = gqvi._minimax(instance.operator, cm, x,
-                                                 Counter())
+        result, vertices, a_ub, basis = gqvi._minimax(instance.operator, cm,
+                                                       x, Counter())
         if basis == last:
-            return gqvi._affine_jump(cm, vertices, basis, x, result.y_opt)
+            return gqvi._affine_jump(cm, vertices, a_ub, basis, x,
+                                     result.y_opt)
         last = basis
         x = (1.0 - cfg.gamma) * x + cfg.gamma * result.y_opt
     return None
@@ -940,9 +941,9 @@ def test_jump_leaves_the_eigenvalue_one_directions():
                         box=Polytope.from_box([-5.0, -5.0], [5.0, 5.0]))
     operator = ConstantOperator(Polytope.from_vertices([[1.0, 1.0]]))
     x = np.array([1.0, 2.0])
-    result, vertices, basis = gqvi._minimax(operator, cm, x, Counter())
+    result, vertices, a_ub, basis = gqvi._minimax(operator, cm, x, Counter())
     assert np.array_equal(result.y_opt, [0.0, 0.0])
-    jump = gqvi._affine_jump(cm, vertices, basis, x, result.y_opt)
+    jump = gqvi._affine_jump(cm, vertices, a_ub, basis, x, result.y_opt)
     assert np.abs(jump - [1.0, -2.0]).max() <= 1e-12
 
 
@@ -1031,7 +1032,7 @@ def test_dropped_jump_leaves_the_damped_path(kind, monkeypatch):
     instance = GqviInstance(instance.constraint_map, operator, instance.config)
     tried = []
 
-    def jump(cm, vertices, basis, x, y_opt):
+    def jump(cm, vertices, a_ub, basis, x, y_opt):
         tried.append(1)
         if kind == "hole":
             operator.holes.add(bits(x))
