@@ -236,6 +236,7 @@ def _box(lo, hi):
 @example((_box([0.0], [1.0]), np.array([[-0.0]])))
 @example((_box([-1.0], [-0.0]), np.array([[0.0], [-0.0]])))
 @example((_box([-1.0], [-0.0]), np.array([[0.0]] * (_FEW_POINTS + 1))))
+@example((_box([0.0], [1.0]), np.empty((0, 1))))
 def test_box_projection_matches_clip_and_norm(case):
     # The Python-float path for a few points on a 1-D box and the numpy
     # path otherwise: the bits of np.clip and of np.linalg.norm(axis=1),
