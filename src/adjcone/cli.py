@@ -102,11 +102,8 @@ def _atomic_write(path, writer):
 def _write_json(path, data):
     import json
 
-    def do(handle):
-        json.dump(data, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
-
-    _atomic_write(path, do)
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _atomic_write(path, lambda handle: handle.write(text))
 
 
 def _write_csv(path, header, rows):
@@ -246,15 +243,14 @@ def _cmd_adjusted_set(kind, payload, args, out_dir):
     flat = grid.reshape(-1, f.dim)
 
     def boundary(mask):
+        # Members with a neighbour outside along some axis.
         mask = mask.reshape(shape)
         edge = np.zeros_like(mask)
         for axis in range(mask.ndim):
-            inner = np.diff(mask.astype(int), axis=axis) != 0
-            pads = [(0, 0)] * mask.ndim
-            pads[axis] = (0, 1)
-            edge |= np.pad(inner, pads)
-            pads[axis] = (1, 0)
-            edge |= np.pad(inner, pads)
+            m, e = np.moveaxis(mask, axis, 0), np.moveaxis(edge, axis, 0)
+            inner = m[1:] != m[:-1]
+            e[:-1] |= inner
+            e[1:] |= inner
         return np.argwhere(mask & edge).tolist()  # grid indices, flat order
 
     strict_handle = f.strict_sublevel(value)

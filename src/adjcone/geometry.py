@@ -16,7 +16,17 @@ with a min-norm-point fallback; linear subproblems go through the dense
 simplex kernel in :mod:`adjcone.lp`.  A caller that only compares
 distances with a radius uses :meth:`Polytope.within_distance`, which
 brackets every distance between two vectorized bounds and projects only
-the rows whose bracket meets a band around the radius.  Hull
+the rows whose bracket meets a band around the radius.
+
+Axis boxes take closed forms.  An exact box (rows exactly signed axes)
+answers ``contains`` and ``contains_many`` by the tightest bound per
+side, the latter one column of the point array at a time; a row of
+exact 0/+-1 entries makes ``a_i . y`` exactly ``+-y_j``, so the booleans
+are those of the matrix product.  Boxes in 2-D to 7-D clip in
+``project_many`` (and so in ``within_distance``) one column at a time
+with scalar bounds and add up the squared differences from left to
+right, which are the bits of ``np.clip`` with array bounds and of
+``np.linalg.norm(axis=1)``.  Hull
 construction for point sets uses scipy's convex hull (imported on first
 use) after an affine-hull rank reduction, which keeps lower-dimensional
 polytopes (segments, facets of cones) first class.
@@ -101,6 +111,9 @@ _CERTIFICATE_SLACK = 1e-12
 # is the faster past about 24 points.  The 1-D calls of the benchmark
 # take 2 points or 27 and more.
 _FEW_POINTS = 16
+# Row length from which numpy adds up a row pairwise (8 partial sums)
+# instead of from left to right; ``_clip_columns`` needs shorter rows.
+_PAIRWISE_SUM = 8
 
 
 class GeometryError(RuntimeError):
@@ -275,6 +288,31 @@ def _clip_column(values, low, high):
         proj.append(c)
         dist.append(math.sqrt((v - c) * (v - c)))
     return np.array(proj)[:, None], np.array(dist)
+
+
+def _clip_columns(pts, lo, hi):
+    """``np.clip(pts, lo, hi)`` and ``np.linalg.norm(pts - proj, axis=1)``
+    for two or more columns and the bound lists ``lo`` and ``hi``, one
+    column at a time; ``len(lo) < _PAIRWISE_SUM``.
+
+    With array bounds ``np.clip`` is ``min(max(x, lo), hi)`` and takes
+    the bound on a tie such as ``-0.0`` against ``0.0``, as
+    ``np.maximum`` and ``np.minimum`` with a scalar bound do; NaN stays
+    NaN in both.  The norm squares each entry and adds up each row from
+    left to right, as the running ``total`` does, then takes ``np.sqrt``.
+    Only a row with two NaNs of different payloads may keep the other
+    payload: numpy's loops pick between two NaN operands by their own
+    order.
+    """
+    proj = np.empty_like(pts)
+    total = None
+    for c, p, low, high in zip(pts.T, proj.T, lo, hi):
+        np.maximum(c, low, out=p)
+        np.minimum(p, high, out=p)
+        d = c - p
+        d *= d
+        total = d if total is None else np.add(total, d, out=total)
+    return proj, np.sqrt(total, out=total)
 
 
 def _unit_offsets(b, norms):
@@ -521,8 +559,27 @@ class Polytope:
         return bool(np.all(self._a @ x <= self._b + slack))
 
     def contains_many(self, points, tol=None):
+        """:meth:`contains` of every row of ``points``, as a boolean array.
+
+        On an exact box, under the slack guard of ``contains``, each
+        column ``c = points[:, k]`` meets its tightest bound per side:
+        ``c <= hi_k + slack`` and ``c >= -(nlo_k + slack)``, which is
+        ``-c <= nlo_k + slack`` as negation is exact.  The ``contains``
+        argument makes these the booleans of the matrix product row by
+        row.  Other polytopes, and points of another dimension, take the
+        product ``points @ a.T <= b + slack``.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         slack = tol if tol is not None else FEAS
+        if (self._exact_box is not None and slack <= 1.0
+                and pts.shape[1] == self.dim):
+            hi, nlo = self._exact_box
+            inside = pts[:, 0] <= hi[0] + slack
+            for k, c in enumerate(pts.T):
+                if k:
+                    inside &= c <= hi[k] + slack
+                inside &= c >= -(nlo[k] + slack)
+            return inside
         return np.all(pts @ self._a.T <= self._b + slack, axis=1)
 
     def bounding_box(self):
@@ -580,9 +637,13 @@ class Polytope:
         return p, float(np.linalg.norm(x - p))
 
     def project_many(self, points):
-        """``(projections, distances)`` of the rows of ``points``.  Boxes
-        clip; a 1-D box clips up to ``_FEW_POINTS`` points in Python
-        floats, with the bits of ``np.clip`` and ``np.linalg.norm(axis=1)``.
+        """``(projections, distances)`` of the rows of ``points``, with the
+        bits of ``np.clip(points, lo, hi)`` and ``np.linalg.norm(points -
+        proj, axis=1)`` on a box.
+
+        A 1-D box clips up to ``_FEW_POINTS`` points in Python floats.  A
+        box in 2-D to 7-D goes column by column (``_clip_columns``); the
+        other calls take ``np.clip`` and the norm themselves.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self._box_bounds is not None:
@@ -590,6 +651,8 @@ class Polytope:
             if pts.shape[1] == lo.size == 1 and len(pts) <= _FEW_POINTS:
                 return _clip_column(pts[:, 0].tolist(), float(lo[0]),
                                     float(hi[0]))
+            if pts.shape[1] == lo.size and 1 < lo.size < _PAIRWISE_SUM:
+                return _clip_columns(pts, lo.tolist(), hi.tolist())
             proj = np.clip(pts, lo, hi)
             return proj, np.linalg.norm(pts - proj, axis=1)
         proj = np.empty_like(pts)
@@ -602,8 +665,9 @@ class Polytope:
         """``project_many(points)[1] <= radius``, bit for bit, projecting
         only the rows whose distance lies near ``radius``.
 
-        Boxes return the clip result.  Otherwise two exact bounds bracket
-        ``d(y, P)``.  The rows are unit normals, so
+        Boxes compare the distances of :meth:`project_many` (column by
+        column from 2-D on) with ``radius``.  Otherwise two exact bounds
+        bracket ``d(y, P)``.  The rows are unit normals, so
         ``lower = max_i(a_i . y - b_i) <= d(y, P)``.  The segment from the
         Chebyshev center ``c`` to ``y`` leaves P at ``z = c + t (y - c)``,
         with ``t`` from the ratio test, so ``d(y, P) <= |y - z| = upper``.
@@ -958,7 +1022,7 @@ def grid_points(polytope, mesh):
         count = max(2, int(math.floor((hi[k] - lo[k]) / mesh + 1e-9)) + 1)
         axes.append(np.linspace(lo[k], hi[k], count))
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, polytope.dim)
-    return pts[polytope.contains_many(pts)]
+    return pts.compress(polytope.contains_many(pts), axis=0)
 
 
 def _cofactors(cols, idx):

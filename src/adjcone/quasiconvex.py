@@ -15,9 +15,14 @@ union semantics is what lets the diagnostic checks detect the damage.
 
 The batch kernels ``evaluate_many`` and ``AdjustedAnchor.contains_many``
 answer an array of points with one ``contains_many``/``within_distance``
-call per level.  The anchor is the one home of the adjusted membership
-rule: ``adjusted_contains(_many)``, the ``adjusted-set`` mesh, the
-sampled checks and the quasiopt grid oracles all go through it.
+call per level.  On exact axis boxes ``contains_many`` works one
+coordinate column at a time, and so does ``within_distance`` on boxes
+from 2-D on, with the booleans of the matrix product and of ``np.clip``
+with ``np.linalg.norm`` (see :mod:`adjcone.geometry`).  The anchor
+selects the rows it passes on with ``compress``, the same copy as
+boolean indexing.  It is the one home of the adjusted membership rule:
+``adjusted_contains(_many)``, the ``adjusted-set`` mesh, the sampled
+checks and the quasiopt grid oracles all go through it.
 
 Membership only compares a distance with ``rho(x) + tol``, which
 ``Polytope.within_distance`` decides bit for bit, projecting only near
@@ -253,12 +258,13 @@ class AdjustedAnchor:
         if not member.any() or self.in_argmin:
             return member
         radius = self.rho + slack
-        inside = ys[member]
+        inside = ys.compress(member, axis=0)
         near = np.zeros(inside.shape[0], dtype=bool)
         for lam, poly in zip(reversed(f.levels), reversed(f.polytopes)):
             if lam < value - 1e-12 and not near.all():
                 far = ~near
-                near[far] = poly.within_distance(inside[far], radius)
+                near[far] = poly.within_distance(inside.compress(far, axis=0),
+                                                 radius)
         member[member] = near
         return member
 

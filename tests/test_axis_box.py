@@ -3,9 +3,11 @@ against the numpy forms they replaced (``helpers.array_axis_layout``,
 ``helpers.array_axis_box`` and ``helpers.matrix_contains``).
 
 ``_axis_layout`` and ``_axis_box`` run on ``tolist()`` values, and an
-exact box (every unit row exactly a signed axis) decides ``contains`` by
-its tightest row per side.  Near-axis rows keep the box bounds but take
-the matrix product for ``contains``.
+exact box (every unit row exactly a signed axis) decides ``contains`` and
+``contains_many`` by its tightest row per side, the latter one column at
+a time.  Near-axis rows keep the box bounds but take the matrix product
+for both.  Box projections clip column by column, against ``np.clip``
+and ``np.linalg.norm(axis=1)``.
 """
 
 import itertools
@@ -54,10 +56,10 @@ def outcome(call):
 
 
 @st.composite
-def axis_systems(draw, off_axis=st.just(0.0)):
+def axis_systems(draw, off_axis=st.just(0.0), dims=st.integers(1, 3)):
     """``(a, b)`` of rows on random axes, in random order, with repeated
     rows on one axis; ``off_axis`` fills the other entries."""
-    dim = draw(st.integers(1, 3))
+    dim = draw(dims)
     rows, offs = [], []
     for j in range(dim):
         for sign in (1.0, -1.0):
@@ -121,10 +123,10 @@ def test_box_keeps_signed_zero_bits():
 
 
 @st.composite
-def boxes_and_points(draw):
-    """An exact box with repeated rows per side, and a point whose
-    coordinates lie on, near or far from its bounds, or are +-0, +-inf
-    or NaN."""
+def boxes_and_points(draw, count=st.just(1)):
+    """An exact box with repeated rows per side, and ``count`` points
+    whose coordinates lie on, near or far from its bounds, or are +-0,
+    +-inf or NaN."""
     dim = draw(st.integers(1, 3))
     rows, offs, near = [], [], []
     for j in range(dim):
@@ -144,18 +146,32 @@ def boxes_and_points(draw):
     a = np.array([rows[i] for i in order])
     b = np.array([offs[i] for i in order])
     coord = st.one_of(st.sampled_from(SPECIAL + near), st.floats(-4.0, 4.0))
-    x = [draw(coord) for _ in range(dim)]
-    return a, b, x, draw(st.sampled_from(TOLS))
+    xs = [[draw(coord) for _ in range(dim)] for _ in range(draw(count))]
+    return a, b, xs, draw(st.sampled_from(TOLS))
 
 
 @PROPERTY
 @given(boxes_and_points())
 def test_exact_box_contains_matches_matrix_product(case):
-    a, b, x, tol = case
+    a, b, (x,), tol = case
     p = Polytope(a, b)
     assert p._exact_box is not None
     with quiet():
         assert p.contains(x, tol) == matrix_contains(p, x, tol)
+
+
+@PROPERTY
+@given(boxes_and_points(count=st.integers(0, 6)))
+def test_exact_box_contains_many_matches_matrix_product(case):
+    # Every tolerance of TOLS, those above 1 and the non-finite ones
+    # (which take the matrix product) included.
+    a, b, xs, tol = case
+    p = Polytope(a, b)
+    pts = np.array(xs).reshape(len(xs), p.dim)
+    with quiet():
+        got = p.contains_many(pts, tol)
+        assert got.dtype == bool and got.shape == (len(xs),)
+        assert got.tolist() == [matrix_contains(p, x, tol) for x in xs]
 
 
 @pytest.mark.parametrize("off", [1e-13, -1e-13, 1e-300])
@@ -185,6 +201,42 @@ def test_infinite_slack_takes_the_matrix_product():
     one = Polytope.from_box([-1.0], [1.0])
     assert one.contains([math.inf], math.inf)
     assert matrix_contains(one, [math.inf], math.inf)
+
+
+@pytest.mark.parametrize("tol", TOLS)
+def test_exact_box_contains_many_at_bound_neighbours(tol):
+    # Every pair of coordinates from the bounds, the bounds plus or minus
+    # the slack, and the floats next to each, on a box with rows of
+    # several scales and a looser copy per side.
+    a = np.array([[2.0, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -2.0],
+                  [1.0, 0.0], [0.0, -1.0]])
+    b = np.array([2.0, 1.0, 0.25, 1.0, 1.0 + 1e-12, 0.5 + 1e-12])
+    p = Polytope(a, b)
+    assert p._exact_box is not None
+    slack = 1e-9 if tol is None else tol
+    coords = set(SPECIAL)
+    for bound in (*p._box_bounds[0], *p._box_bounds[1]):
+        for v in (bound, bound + slack, bound - slack):
+            coords |= {v, np.nextafter(v, math.inf), np.nextafter(v, -math.inf)}
+    pts = np.array(list(itertools.product(sorted(coords, key=repr), repeat=2)))
+    with quiet():
+        assert p.contains_many(pts, tol).tolist() == [
+            matrix_contains(p, x, tol) for x in pts]
+
+
+def test_contains_many_takes_the_matrix_product_off_the_column_test():
+    # Slack above 1 or infinite: the same rows as ``contains``.
+    p = Polytope.from_box([-1.0, -1.0], [1.0, 1.0])
+    with quiet():
+        assert p.contains_many([[math.inf, 0.0], [0.0, -math.inf]],
+                               math.inf).tolist() == [False, False]
+    one = Polytope.from_box([-1.0], [1.0])
+    assert one.contains_many([[math.inf], [-math.inf], [2.0]],
+                             math.inf).tolist() == [True, True, True]
+    assert one.contains_many([[3.5], [-2.0]], 2.0).tolist() == [False, True]
+    # Points of another dimension fail in the product, as before.
+    with pytest.raises(ValueError):
+        p.contains_many([[0.0, 0.0, 0.0]])
 
 
 WIDTHS = [0.0, 5e-10, 1e-9, 1.0000001e-9, 1.000001e-9, 1.0000011e-9, 2e-9, 0.5]
@@ -249,3 +301,77 @@ def test_box_projection_matches_clip_and_norm(case):
         got, got_dist = p.project_many(pts)
     assert bits(got) == bits(want)
     assert bits(got_dist) == bits(dist)
+
+
+@st.composite
+def boxes_and_point_arrays(draw):
+    """A box in 2-D to 4-D of ``axis_systems`` rows (near-axis ones too,
+    the unit box where they make no box) and 1-200 rows of points drawn
+    from special values, the bounds with both zero signs and their
+    neighbours, and plain floats."""
+    a, b = draw(axis_systems(off_axis=st.sampled_from(OFF_AXIS[:5]),
+                             dims=st.integers(2, 4)))
+    try:
+        p = Polytope(a, b)
+    except (EmptyPolytopeError, UnboundedPolytopeError):
+        p = None
+    if p is None or p._box_bounds is None:
+        p = Polytope.from_box(-np.ones(a.shape[1]), np.ones(a.shape[1]))
+    lo, hi = p._box_bounds
+    near = [v for bound in (*lo, *hi)
+            for v in (bound, -bound, np.nextafter(bound, math.inf),
+                      np.nextafter(bound, -math.inf))]
+    pool = np.array(SPECIAL + [1e300, -1e300] + near)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 200))
+    pts = rng.uniform(-4.0, 4.0, (rows, p.dim))
+    special = rng.random((rows, p.dim)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    pts[special] = rng.choice(pool, size=int(special.sum()))
+    return p, pts
+
+
+@PROPERTY
+@given(boxes_and_point_arrays())
+def test_box_columns_match_clip_and_norm(case):
+    # np.clip takes the bound on a tie of signed zeros here, and the
+    # norm adds each row from left to right: the same bits.
+    p, pts = case
+    lo, hi = p._box_bounds
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.clip(pts, lo, hi)
+        dist = np.linalg.norm(pts - want, axis=1)
+        got, got_dist = p.project_many(pts)
+    assert bits(got) == bits(want)
+    assert bits(got_dist) == bits(dist)
+
+
+def test_box_columns_keep_nan_and_tie_bits():
+    p = _box([0.0, -1.0], [1.0, -0.0])
+    pts = np.array([[-0.0, 0.0], [math.nan, -0.0], [math.nan, math.nan],
+                    [-math.inf, math.inf]])
+    with np.errstate(invalid="ignore"):
+        got, dist = p.project_many(pts)
+        assert bits(got) == bits(np.clip(pts, *p._box_bounds))
+    assert [math.copysign(1.0, v) for v in got[0]] == [1.0, -1.0]
+    assert np.isnan(dist[1:3]).all() and dist[3] == math.inf
+    # Two NaN payloads in one row: both forms give NaN, but which payload
+    # survives the sum is up to numpy's loop.
+    a, b = np.array([0x7FF8000000000001, 0xFFF8000000000ABC],
+                    dtype=np.uint64).view(float)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(p.project_many(np.array([[a, b]] * 40))[1]).all()
+
+
+@PROPERTY
+@given(boxes_and_point_arrays(),
+       st.sampled_from([0.0, -0.0, 1e-9, 0.5, 1.0, 3.0, math.inf, -math.inf,
+                        math.nan, "row"]))
+def test_box_within_distance_matches_projection(case, radius):
+    # "row" takes an exact distance of the case as the radius.
+    p, pts = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        dist = p.project_many(pts)[1]
+        if radius == "row":
+            radius = float(dist[len(dist) // 2])
+        got = p.within_distance(pts, radius)
+    assert got.tolist() == (dist <= radius).tolist()

@@ -449,6 +449,54 @@ def test_adjusted_set_outputs_pinned(name, at, tmp_path):
             sha256_of(out / "boundary.csv")) == ADJUSTED_SET_DIGESTS[name, at]
 
 
+def _box_rows(lo, hi):
+    n = len(lo)
+    return {"A": [[1.0 if j == k else 0.0 for j in range(n)] for k in range(n)]
+                 + [[-1.0 if j == k else 0.0 for j in range(n)]
+                    for k in range(n)],
+            "b": list(hi) + [-v for v in lo]}
+
+
+# A nested family of exact axis boxes in 3-D, off-centre on every axis.
+BOX_3D = {"schema_version": 1, "type": "step", "levels": [0.0, 1.0, 2.0],
+          "polytopes": [_box_rows([-1.0, -0.5, -0.25], [1.0, 1.0, 0.75]),
+                        _box_rows([-2.0, -1.0, -1.0], [1.5, 2.0, 1.0]),
+                        _box_rows([-3.0, -2.0, -1.5], [2.0, 3.0, 2.0])]}
+
+# sha256 of (report.json, boundary.csv) of adjusted-set in 3-D, recorded
+# from the mesh boundary built by np.diff and np.pad per axis.  Each case
+# sets a coarse --mesh: the default one would be 201^3 points.  One anchor
+# per family lies in the middle band, the other in the top band.
+ADJUSTED_SET_3D_DIGESTS = {
+    ("box3d", "1.25,1.5,0.5", "0.2"): (
+        "5038a74596c1244b2605ab75c4b1a245a5778cb2015bee361360eb37d6d8ea83",
+        "dce4f22f0ddaa7c9301599695bb69cb974bb6cd0895b18b89ef438ec3097fddc"),
+    ("box3d", "-2.5,-1.5,1.75", "0.25"): (
+        "ebddbee4ed2c92a171e894f9d6d5d4a71f0b760778e4b92ece23c45f744a84e8",
+        "b377a2b4ea57d79239f5e2639811becf98b70b5d66c2c50fa109ea0be0f85473"),
+    ("step3d", "1.0,0.5,-1.0", "0.3"): (
+        "8901d7528af0e6e86638824c4cec51c315270ca18413462adb7ac8a3e2583ac5",
+        "d5fda3addc20b702e6746a4413b97ef7504118977a8bc2a486b6720351e4c511"),
+    ("step3d", "-2.176945166118501,0.3610854896423776,-1.782008854052674",
+     "0.4"): (
+        "5205e64cb72a87bbc80ff24e0f7936cacf6d5e9ee6cd8ed794307941901c6c10",
+        "74c61048cceff0565c8940cc48188e9474e5cdf063d65ab6de489c84ecd69a4d"),
+}
+
+
+@pytest.mark.parametrize("name, at, mesh", ADJUSTED_SET_3D_DIGESTS,
+                         ids=["box3d-middle", "box3d-top", "step3d-middle",
+                              "step3d-top"])
+def test_adjusted_set_outputs_pinned_3d(name, at, mesh, tmp_path):
+    instance = tmp_path / f"{name}.json"
+    dump_json({"box3d": BOX_3D, "step3d": STEP_3D}[name], instance)
+    out = tmp_path / "o"
+    assert run(["adjusted-set", "--instance", str(instance), f"--at={at}",
+                f"--mesh={mesh}", "--out", str(out)]) == 0
+    assert (sha256_of(out / "report.json"), sha256_of(out / "boundary.csv")) \
+        == ADJUSTED_SET_3D_DIGESTS[name, at, mesh]
+
+
 # Both verdicts of check-quasiconvex at seed 42, recorded from the
 # point-by-point checks; corrupted1d fails at the first checked draw.
 CHECK_QUASICONVEX_VERDICTS = {
