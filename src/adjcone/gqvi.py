@@ -460,8 +460,14 @@ class SolveReport:
         }
 
 
-def _candidate_key(x, residual):
-    return (-residual, float(np.linalg.norm(x)), tuple(np.round(x, 12)))
+def _candidate_key(x):
+    """Rank of an accepted point: smaller norm, then lexicographically,
+    both of x rounded to 12 decimals, so points that differ by rounding
+    alone tie and the earliest stays.  Every accepted residual is at
+    least ``-tol_solve`` and at most 0 but for the LP's rounding, so it
+    does not rank them."""
+    x = np.round(x, 12)
+    return float(np.linalg.norm(x)), tuple(x)
 
 
 def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
@@ -478,9 +484,9 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     otherwise damping goes on from x.  Operator evaluation errors abandon
     the branch; if no branch qualifies, the residual is maximized over a
     grid of the fixed-point set and reported as ``residual_floor``.
-    Candidates rank by residual, then by smaller norm, then
-    lexicographically.  The residual of an accepted point is at most 0
-    but for the LP's rounding, which therefore picks among them.
+    Accepted candidates rank by smaller norm, then lexicographically;
+    their residuals are at most 0 but for the LP's rounding, so they do
+    not rank them.  Grid points rank by residual first.
 
     The starts run one after another, and the grid fallback scans its
     points in grid order.  ``stats`` counts the minimax LPs, those the LP
@@ -566,7 +572,7 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
                 counts["abandoned"][type(exc).__name__] += 1
                 continue
             iterations += 1
-            key = _candidate_key(g, result.value)
+            key = (-result.value, *_candidate_key(g))
             if best is None or key < best_key:
                 best, best_key = (g, result, vertices), key
         if best is None:
@@ -577,7 +583,7 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
         return report(status, x_best, float(res_best.value),
                       _witness(vertices, res_best.y_opt, x_best))
 
-    x_best, _ = min(candidates, key=lambda cr: _candidate_key(cr[0], cr[1].value))
+    x_best, _ = min(candidates, key=lambda cr: _candidate_key(cr[0]))
     # Solver soundness: re-verify the winner from scratch.
     recheck = minimax_value(instance.operator, cm, x_best)
     ok = cm.contains(x_best, x_best) and recheck.value >= -cfg.tol_solve

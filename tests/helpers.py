@@ -285,10 +285,9 @@ def sequential_solve(instance, collect_trace=False):
             except (GeometryError, gqvi.InstanceError, ValueError):
                 continue
             iterations += 1
-            if best is None or (gqvi._candidate_key(g, result.value)
-                                < gqvi._candidate_key(*best_key)):
-                best = (g, result)
-                best_key = (g, result.value)
+            key = (-result.value, *gqvi._candidate_key(g))
+            if best is None or key < best_key:
+                best, best_key = (g, result), key
         if best is None:
             return gqvi.SolveReport("infeasible", None, None, None, iterations,
                                time.perf_counter() - t_start, len(starts), trace)
@@ -298,7 +297,7 @@ def sequential_solve(instance, collect_trace=False):
         return gqvi.SolveReport(status, x_best, float(res_best.value), res_best.witness,
                            iterations, time.perf_counter() - t_start, len(starts), trace)
 
-    scored = sorted(candidates, key=lambda cr: gqvi._candidate_key(cr[0], cr[1].value))
+    scored = sorted(candidates, key=lambda cr: gqvi._candidate_key(cr[0]))
     x_best, _ = scored[0]
     recheck = gqvi.minimax_value(instance.operator, cm, x_best)
     ok = cm.contains(x_best, x_best) and recheck.value >= -cfg.tol_solve

@@ -633,14 +633,15 @@ NON_BOX_GQVI = {"gqvi2d": GQVI_2D, "gqvi3d": GQVI_3D}
 # sha256 of report.json.  The quasiopt digest was recorded from the
 # row-by-row simplex kernel with a separate feasibility LP for K(x) in
 # every minimax step; the GQVI digests from the solver that jumps to the
-# damped limit on a repeated final basis.
+# damped limit on a repeated final basis and ranks accepted points by
+# norm, not by residual.
 SOLVER_DIGESTS = {
     ("solve-gqvi", "moving_interval"):
         "e00372ff9f3084fd18a11dfd2d4bcb23930a897466e276eb970e13e52525dc2c",
     ("solve-gqvi", "gqvi2d"):
-        "8d4154214dacaade79bb63dec43de2ee0a21ec542eb5d5dd266f60986ae7f2e2",
+        "1acedd32d83ba2afa7e41a4d7059051a34afc7b36830ef84044e8202fd97b0a1",
     ("solve-gqvi", "gqvi3d"):
-        "f5e4cb5127e639c75382702f0d90f171aa22dac9cf2f199bf51ce3d68b555c7b",
+        "e179ce39c4c84ee1e2e0662586fb141bebef8a011460e1e44064a1b9d5e48886",
     ("solve-quasiopt", "quasiopt_window1d"):
         "ec1bafb3ef2eeae3de3229b4dc9be2fcf1b437f707b68540950748a70c46c58e",
 }
@@ -660,18 +661,18 @@ def test_solver_outputs_pinned(command, name, tmp_path):
 
 
 # sha256 of (report.json, trace.csv) of ``solve-gqvi --trace``, recorded
-# from the start-by-start solver loop that jumps to the damped limit: the
-# trace lists every minimax LP, damped steps and jumps, in (start,
-# iteration) order.
+# from the start-by-start solver loop that jumps to the damped limit and
+# ranks accepted points by norm: the trace lists every minimax LP, damped
+# steps and jumps, in (start, iteration) order.
 TRACE_DIGESTS = {
     "moving_interval": (
         "e00372ff9f3084fd18a11dfd2d4bcb23930a897466e276eb970e13e52525dc2c",
         "c8618a203de630e1398b17248d489688a7ac4a3cd9fda6d72c74a831abbc2084"),
     "gqvi2d": (
-        "8d4154214dacaade79bb63dec43de2ee0a21ec542eb5d5dd266f60986ae7f2e2",
+        "1acedd32d83ba2afa7e41a4d7059051a34afc7b36830ef84044e8202fd97b0a1",
         "007ca3cdd4fba0a243ceb7380f2f61c5357924ec11f3672e27e907d7d2dc76c7"),
     "gqvi3d": (
-        "f5e4cb5127e639c75382702f0d90f171aa22dac9cf2f199bf51ce3d68b555c7b",
+        "e179ce39c4c84ee1e2e0662586fb141bebef8a011460e1e44064a1b9d5e48886",
         "a115e1a92c5ce8ae60afbd406652cd3db0694808b31585d0d1c4c18caf94910f"),
 }
 

@@ -947,9 +947,16 @@ def test_jump_leaves_the_eigenvalue_one_directions():
     assert np.abs(jump - [1.0, -2.0]).max() <= 1e-12
 
 
+# HiGHS's default primal feasibility tolerance, 1e-7, lets it cross a
+# row by up to that much and so undercut the true residual by more than
+# the optimality slack the checks allow.
+_HIGHS_TIGHT = {"primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10}
+
+
 def _linprog_minimax(instance, x):
-    """The minimax residual at x by scipy's HiGHS, from the instance's
-    A, b, D, box and the vertices of T(x) as given."""
+    """The minimax residual at x by scipy's HiGHS at ``_HIGHS_TIGHT``,
+    from the instance's A, b, D, box and the vertices of T(x) as given."""
     cm = instance.constraint_map
     v = instance.operator.value(x).vertices()
     box_a, box_b = cm.box.halfspaces
@@ -961,7 +968,7 @@ def _linprog_minimax(instance, x):
     c = np.zeros(n + 1)
     c[n] = 1.0
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (n + 1),
-                  method="highs")
+                  method="highs", options=_HIGHS_TIGHT)
     assert res.status == 0
     return res.fun
 
@@ -990,7 +997,7 @@ def test_accepted_points_pass_an_independent_check():
         ranked, key = [], gqvi._candidate_key
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gqvi, "_candidate_key",
-                          lambda x, value: ranked.append(x) or key(x, value))
+                          lambda x: ranked.append(x) or key(x))
             report = solve(instance)
         assert report.status == "solved" and ranked
         assert any(bits(x) == bits(report.x) for x in ranked)
