@@ -16,12 +16,15 @@ a grid fallback): the underlying theory is existence only, so every
 reported solution is re-verified from scratch and anything weaker is
 labelled ``residual_floor``.
 
-Given T(x), only the right-hand side of the minimax LP depends on x, so
-most steps retrace a pivot path an earlier LP of the same body took, and
-``solve_lp``'s body cache replays it on the right-hand side alone (see
-``lp``).  K holds the LP's rows for the last vertex array of T(x) it
-met, a read-only array matched by identity, so a constant T builds them
-once per solve.
+Given T(x), only the right-hand side of the minimax LP depends on x.  So
+within one ``solve``, an LP of the same vertex array of T(x) as the LP
+before it starts from that LP's optimal basis, by the dual simplex of
+``lp.warm_solve`` (Bixby, *Oper. Res.* 50(1), 2002); where that declines,
+and for every other LP, ``solve_lp``'s body cache replays a pivot path an
+earlier LP of the same body took, on the right-hand side alone (see
+``lp``).  K holds the LP's rows, and their ``LPBody`` once a warm answer
+needs it, for the last vertex array of T(x) it met, a read-only array
+matched by identity, so a constant T builds them once per solve.
 
 On one final basis the LP's solution is affine in x, as the optimum of a
 right-hand-side parametric LP is on each of its critical regions (Gal &
@@ -30,9 +33,9 @@ row end on one basis with one vertex array of T(x), the solver jumps to
 the limit of the damped steps on that piece, as Newton's method does on
 the pieces of a piecewise-affine equation (Kojima & Shindo, *J. Oper.
 Res. Soc. Japan* 29, 1986), and keeps the jump only where the acceptance
-test passes.  The cache counts of the minimax LPs, the jumps tried and
-kept, and the branches abandoned by error type go to
-``SolveReport.stats``.
+test passes.  The cache counts of the minimax LPs, the warm answers and
+the declines by reason, the jumps tried and kept, and the branches
+abandoned by error type go to ``SolveReport.stats``.
 """
 
 from __future__ import annotations
@@ -112,7 +115,8 @@ class MovingPolytope:
         self.dim = box.dim
         self._rows = None  # see _unit_rows
         self._slopes = None  # see _offset_slopes
-        self._minimax = None  # (vertices of T(x), their _minimax_rows)
+        # [vertices of T(x), their _minimax_rows, its LPBody once needed]
+        self._minimax = None
 
     def value(self, x) -> Polytope:
         """K(x); raises EmptyPolytopeError when infeasible at x.  The bits,
@@ -329,30 +333,50 @@ def _witness(vertices, y_opt, x):
     return vertices[int(np.argmax(vertices @ (y_opt - x)))]
 
 
-def _minimax(operator, constraint_map, x, counts):
+def _minimax(operator, constraint_map, x, counts, warm=None):
     """``minimax_value`` at the flat float point x without the witness,
     the vertex array of T(x), the LP's ``a_ub`` rows, and its final basis
     as a set.
-    ``counts`` counts the minimax LP under ``minimax_lps`` and its share
-    of the LP cache counts under their names; the operator's own LPs,
-    which run first, are not counted."""
+    ``counts`` counts the minimax LP under ``minimax_lps``, and under
+    ``warm`` or its share of the LP cache counts, by their names; the
+    operator's own LPs, which run first, are not counted.  ``warm``, when
+    given, is ``[vertex array, basis]`` of the last optimal minimax LP:
+    an LP of that vertex array is answered by ``lp.warm_solve`` from that
+    basis, and by ``solve_lp`` where it declines (counted by reason under
+    ``warm_declined``); the LP's own pair then replaces it."""
     # K(x) skips its own feasibility LP: t is free, so the minimax LP is
     # feasible exactly when K(x) is, and its phase 1 decides emptiness.
     k_a, k_b = constraint_map._halfspaces_at(x)
     vertices = operator.value(x).vertices()
     held = constraint_map._minimax
     if held is None or held[0] is not vertices:  # a read-only array
-        held = constraint_map._minimax = vertices, _minimax_rows(vertices, k_a)
+        held = constraint_map._minimax = [vertices,
+                                          _minimax_rows(vertices, k_a), None]
     c, a_ub = held[1]
-    lp_counts = lp._counts  # a call that returns is replayed or solved
-    solved, nodes = lp_counts["solved"], lp_counts["nodes"]
-    sol = solve_lp(c, a_ub=a_ub, b_ub=np.concatenate([vertices @ x, k_b]))
-    solved = lp_counts["solved"] - solved
+    b_ub = np.concatenate([vertices @ x, k_b])
+    sol = None
+    if warm is not None and warm[0] is vertices:
+        if held[2] is None:
+            held[2] = lp.prepare_body(c, a_ub)
+        sol = lp.warm_solve(held[2], warm[1], b_ub)
+        if isinstance(sol, str):
+            counts["warm_declined"][sol] += 1
+            sol = None
+        else:
+            counts["warm"] += 1
+    if sol is None:
+        lp_counts = lp._counts  # a call that returns is replayed or solved
+        solved, nodes = lp_counts["solved"], lp_counts["nodes"]
+        sol = solve_lp(c, a_ub=a_ub, b_ub=b_ub)
+        solved = lp_counts["solved"] - solved
+        counts["replayed"] += 1 - solved
+        counts["solved"] += solved
+        counts["nodes"] += lp_counts["nodes"] - nodes
     counts["minimax_lps"] += 1
-    counts["replayed"] += 1 - solved
-    counts["solved"] += solved
-    counts["nodes"] += lp_counts["nodes"] - nodes
-    return _minimax_result(sol, x), vertices, a_ub, frozenset(sol.basis)
+    result = _minimax_result(sol, x)
+    if warm is not None:
+        warm[:] = vertices, sol.basis
+    return result, vertices, a_ub, frozenset(sol.basis)
 
 
 def _affine_jump(constraint_map, vertices, a_ub, basis, x, y_opt):
@@ -489,11 +513,20 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     not rank them.  Grid points rank by residual first.
 
     The starts run one after another, and the grid fallback scans its
-    points in grid order.  ``stats`` counts the minimax LPs, those the LP
-    cache replayed and solved (from scratch or resumed), the states it
-    recorded for them, the jumps tried and kept (``affine_tried``,
-    ``affine_kept``), and under ``abandoned`` the branches given up, by
-    error type.
+    points in grid order.  Every minimax LP after the first, damped
+    step, jump or grid point, starts from the optimal basis of the LP
+    before it when both share one vertex array of T(x) (``lp.warm_solve``),
+    across starts too; a decline solves it cold with ``solve_lp``.  So
+    its y* differs from a cold solve's in the last bits, and the
+    warm path declines where the optimum may be a face and ``solve_lp``
+    must pick the point.  The winner's recheck is ``minimax_value``,
+    always cold.  ``stats`` counts the minimax LPs (``minimax_lps``),
+    those the LP cache replayed and solved (from scratch or resumed),
+    the states it recorded for them, the LPs answered ``warm``, the warm
+    attempts declined by reason (``warm_declined``), the jumps tried
+    and kept (``affine_tried``, ``affine_kept``), and under
+    ``abandoned`` the branches given up, by error type;
+    ``minimax_lps == replayed + solved + warm``.
     """
     t_start = time.perf_counter()
     cfg = instance.config
@@ -507,15 +540,17 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     iterations = 0
     candidates = []
     trace = [] if collect_trace else None
-    counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0,
-                     affine_tried=0, affine_kept=0, abandoned=Counter())
+    counts = Counter(minimax_lps=0, replayed=0, solved=0, nodes=0, warm=0,
+                     warm_declined=Counter(), affine_tried=0, affine_kept=0,
+                     abandoned=Counter())
+    warm = [None, None]  # the last optimal minimax LP's vertices and basis
     for start, x in enumerate(starts):
         x = np.array(x, dtype=float)
         last, tried = None, set()  # the last step's (vertices, basis)
         for _ in range(cfg.max_iters):
             try:
                 result, vertices, a_ub, basis = _minimax(
-                    instance.operator, cm, x, counts)
+                    instance.operator, cm, x, counts, warm)
             except _ABANDON as exc:  # an operator hole or an empty slice
                 counts["abandoned"][type(exc).__name__] += 1
                 break
@@ -538,7 +573,7 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
                 if jump is not None and cm.contains(jump, jump):
                     try:
                         landed = _minimax(instance.operator, cm, jump,
-                                          counts)[0]
+                                          counts, warm)[0]
                     except _ABANDON:  # the branch goes on from x
                         landed = None
                     else:
@@ -559,7 +594,8 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     def report(status, x=None, residual=None, witness=None):
         return SolveReport(status, x, residual, witness, iterations,
                            time.perf_counter() - t_start, len(starts), trace,
-                           {**counts, "abandoned": dict(counts["abandoned"])})
+                           {**counts, "warm_declined": dict(counts["warm_declined"]),
+                            "abandoned": dict(counts["abandoned"])})
 
     if not candidates:
         mesh = max(fix.diameter() / cfg.mesh_divisions, 1e-9)
@@ -567,7 +603,7 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
         for g in _grid_points(fix, mesh):
             try:
                 result, vertices = _minimax(instance.operator, cm, g,
-                                            counts)[:2]
+                                            counts, warm)[:2]
             except _ABANDON as exc:
                 counts["abandoned"][type(exc).__name__] += 1
                 continue

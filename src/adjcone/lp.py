@@ -1,4 +1,5 @@
-"""Dense linear programming kernel (two-phase primal simplex).
+"""Dense linear programming kernel (two-phase primal simplex, and a
+warm-started dual simplex).
 
 Self-contained solver for the desk-scale subproblems generated by the
 geometric operations: feasibility checks, support functions, Chebyshev
@@ -43,6 +44,17 @@ counts the ``calls``, the programs ``replayed`` and ``solved`` (from
 scratch or resumed), and the ``nodes`` recorded; ``clear_cache`` empties both.  The
 command line clears the cache when a command starts, so no command's
 work depends on an earlier one.
+
+``warm_solve`` answers a program from the final basis of an earlier
+program of the same body by the dual simplex: a new right-hand side
+leaves that basis dual feasible, so a few pivots, often none, restore
+primal feasibility.  It serves the minimax LPs of ``gqvi.solve``, whose
+body stays fixed while x moves the right-hand side.  Its answers take
+another path than ``solve_lp`` and differ from its bits, so the
+bit-for-bit contract above covers ``solve_lp`` alone: the other LP
+families (Chebyshev anchors, boxes, certificates, cone membership) stay
+on it, because their bits reach reports.  A warm answer is checked
+before it is returned; where it declines, the caller solves cold.
 """
 
 from __future__ import annotations
@@ -54,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["LPError", "LPSolution", "PathMemo", "cache_counts", "clear_cache",
-           "prepare_body", "prepare_rhs", "solve_lp"]
+           "prepare_body", "prepare_rhs", "solve_lp", "warm_solve"]
 
 _COST_TOL = 1e-9
 _PIVOT_TOL = 1e-10
@@ -104,6 +116,7 @@ class LPBody:
     widths: list | None = None  # right-hand sides of the capped rows
     ub_shift: np.ndarray | None = None  # a_ub @ shift
     eq_shift: np.ndarray | None = None  # a_eq @ shift
+    a_ub: np.ndarray | None = None  # the rows, for warm_solve's check
 
 
 @dataclass(eq=False)
@@ -289,6 +302,7 @@ def prepare_body(c, a_ub=None, a_eq=None, bounds=None):
     body.terms = list(zip(var_of.tolist(), coef.tolist()))
     body.block, body.widths = block, [width for _, width in capped]
     body.ub_shift, body.eq_shift = a_ub @ shift, a_eq @ shift
+    body.a_ub = a_ub
     return body
 
 
@@ -649,3 +663,75 @@ class PathMemo:
                     _Node(self, *path2[0][:3]))
             node = node.end[4]
         self._graft(node, path2)
+
+
+# -- warm-started dual simplex ---------------------------------------------------
+
+
+# Dual simplex pivots one warm answer may take; past them it declines.
+_WARM_PIVOTS = 50
+# A basic value below -_WARM_FEAS is infeasible and leaves the basis.
+_WARM_FEAS = 1e-12
+# A warm answer's rows hold within _ROW_TOL * (1 + |b|).
+_ROW_TOL = 1e-9
+
+
+def warm_solve(body, basis, b_ub):
+    """The optimal solution of ``body`` with right-hand side ``b_ub``, by
+    the dual simplex from ``basis``, the final basis of an optimal
+    program of the same body (Bixby, *Oper. Res.* 50(1), 2002); or why
+    it declines, as a string: ``"singular"`` (the basis matrix is not
+    invertible), ``"empty"`` (an empty ratio test: the program is
+    infeasible), ``"budget"`` (more than ``_WARM_PIVOTS`` pivots), or
+    ``"check"`` (the answer fails its check).
+
+    The body must hold ``a_ub`` rows over free variables only, as the
+    minimax LP of ``gqvi`` does.  The tableau is factorised afresh from
+    ``basis``.  Pivots follow a Bland-type rule: the infeasible row of
+    the smallest basic index leaves, and the entering column has the
+    smallest ratio of reduced cost to entry, ties within ``_TIE`` going
+    to the smaller index.  Every answer is checked: each row of ``a_ub``
+    holds within ``_ROW_TOL * (1 + |b|)`` and every reduced cost is at
+    least ``-_COST_TOL``, so the answer is optimal up to those slacks.
+    Its bits are not those of :func:`solve_lp`, which takes another path.
+    """
+    if body.has_eq or body.var_of is None or body.var_of.size != 2 * body.c.size:
+        raise ValueError("warm_solve: the body must hold a_ub rows over "
+                         "free variables")
+    rhs = _rhs(body, b_ub, None)  # b_ub itself: every shift is 0
+    block, cost = body.block, body.cost2
+    n = block.shape[1]
+    basis = np.array(basis)
+    try:
+        tableau = np.linalg.solve(block[:, basis], np.column_stack([block, rhs]))
+    except np.linalg.LinAlgError:  # exactly singular, or not square
+        return "singular"
+    for pivots in range(_WARM_PIVOTS + 1):
+        low = (tableau[:, n] < -_WARM_FEAS).nonzero()[0]
+        if not low.size:
+            break
+        if pivots == _WARM_PIVOTS:
+            return "budget"
+        row = low[basis[low].argmin()]
+        entries = tableau[row, :n]
+        cols = (entries < -_PIVOT_TOL).nonzero()[0]
+        if not cols.size:
+            return "empty"
+        reduced = cost - cost[basis] @ tableau[:, :n]
+        ratios = np.maximum(reduced[cols], 0.0) / -entries[cols]
+        _pivot(tableau, basis, row, cols[(ratios <= ratios.min() + _TIE).argmax()])
+    reduced = cost - cost[basis] @ tableau[:, :n]
+    sol = _solution(body, basis.tolist(), tableau[:, n].tolist())
+    if (reduced.min() < -_COST_TOL
+            or not (body.a_ub @ sol.x - rhs
+                    <= _ROW_TOL * (1.0 + np.abs(rhs))).all()):
+        return "check"
+    # Columns 2j and 2j + 1 carry +x_j and -x_j, so the partner of a basic
+    # one always has reduced cost 0.  Any other nonbasic 0 may open a
+    # face of optima, where solve_lp's path, not this one, must choose.
+    other = np.ones(n, dtype=bool)
+    other[basis] = False
+    other[basis[basis < body.var_of.size] ^ 1] = False
+    if (reduced[other] <= _COST_TOL).any():
+        return "degenerate"
+    return sol

@@ -196,25 +196,27 @@ def test_reports_embed_instance_hash(files, tmp_path):
     assert "ADJCONE_THREADS" not in json.dumps(manifest)  # read by nothing
 
 
-SOLVER_STATS = {"minimax_lps", "replayed", "solved", "nodes", "affine_tried",
-                "affine_kept", "abandoned"}
+SOLVER_STATS = {"minimax_lps", "replayed", "solved", "nodes", "warm",
+                "warm_declined", "affine_tried", "affine_kept", "abandoned"}
 
 
 def test_solve_gqvi_writes_memo_stats_to_manifest(tmp_path):
-    # Every minimax LP is replayed or solved from scratch; on the moving
-    # interval all but the first few retrace a recorded pivot path, and
-    # every jump to the damped limit is kept.  The counts go to the
-    # manifest, never to the report.
+    # Every minimax LP is replayed, solved, or answered warm from the
+    # basis of the one before it; on the moving interval all but the
+    # first are answered warm, none declines, and every jump to the
+    # damped limit is kept.  The counts go to the manifest, never to the
+    # report.
     out = tmp_path / "o"
     assert run(["solve-gqvi", "--instance",
                 os.path.join(SHIPPED, "moving_interval.json"),
                 "--out", str(out)]) == 0
     stats = json.loads((out / "manifest.json").read_text())["stats"]
     assert set(stats) == SOLVER_STATS
-    assert stats["replayed"] + stats["solved"] == stats["minimax_lps"]
+    assert (stats["replayed"] + stats["solved"] + stats["warm"]
+            == stats["minimax_lps"])
     assert stats["minimax_lps"] == report_of(out)["report"]["iterations"]
-    assert stats["solved"] <= 4  # 4 of 31; all others replay
-    assert stats["nodes"] > 0
+    assert stats["solved"] == 1 and stats["warm"] == stats["minimax_lps"] - 1
+    assert stats["warm_declined"] == {}
     assert stats["affine_kept"] == stats["affine_tried"] > 0
     assert stats["abandoned"] == {}
     assert "stats" not in (out / "report.json").read_text()
@@ -222,19 +224,20 @@ def test_solve_gqvi_writes_memo_stats_to_manifest(tmp_path):
 
 @pytest.mark.parametrize("name, command, lp_counts, stats", [
     ("moving_interval", "solve-gqvi",
-     {"calls": 33, "replayed": 28, "solved": 5, "nodes": 10},
-     {"minimax_lps": 31, "replayed": 27, "solved": 4, "nodes": 10,
-      "affine_tried": 10, "affine_kept": 10}),
+     {"calls": 3, "replayed": 0, "solved": 3, "nodes": 4},
+     {"minimax_lps": 31, "replayed": 0, "solved": 1, "nodes": 0, "warm": 30,
+      "warm_declined": {}, "affine_tried": 10, "affine_kept": 10}),
     ("quasiopt_window1d", "solve-quasiopt",
-     {"calls": 123, "replayed": 79, "solved": 44, "nodes": 28},
-     {"minimax_lps": 52, "replayed": 13, "solved": 39, "nodes": 19,
-      "affine_tried": 0, "affine_kept": 0}),
+     {"calls": 119, "replayed": 76, "solved": 43, "nodes": 22},
+     {"minimax_lps": 52, "replayed": 10, "solved": 38, "nodes": 13, "warm": 4,
+      "warm_declined": {}, "affine_tried": 0, "affine_kept": 0}),
 ])
 def test_solver_manifest_counts_pinned(name, command, lp_counts, stats,
                                        tmp_path):
     # The LP and solver counts of the shipped solves.  A program resumed
     # where its replay left the recorded paths counts as solved, and
-    # records the states a solve from scratch would have recorded.
+    # records the states a solve from scratch would have recorded.  A
+    # minimax LP answered warm makes no solve_lp call.
     out = tmp_path / "o"
     assert run_shipped(command, name, None, out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -330,7 +333,11 @@ def test_lp_cache_lives_one_command(command, name, at, tmp_path):
                      json.loads((out / "manifest.json").read_text())["lp"]))
     assert runs[0] == runs[1]
     counts = runs[0][1]
-    assert 0 < counts["replayed"] and 0 < counts["solved"] < counts["calls"]
+    assert 0 < counts["solved"] and 0 < counts["nodes"]
+    # solve-gqvi answers all but its first minimax LP warm, so of its
+    # LPs only the recheck reaches the memo, and none is replayed.
+    if command != "solve-gqvi":
+        assert 0 < counts["replayed"] and counts["solved"] < counts["calls"]
 
 
 def test_malformed_instance_exits_1(tmp_path, capsys):
@@ -633,13 +640,14 @@ NON_BOX_GQVI = {"gqvi2d": GQVI_2D, "gqvi3d": GQVI_3D}
 # sha256 of report.json.  The quasiopt digest was recorded from the
 # row-by-row simplex kernel with a separate feasibility LP for K(x) in
 # every minimax step; the GQVI digests from the solver that jumps to the
-# damped limit on a repeated final basis and ranks accepted points by
-# norm, not by residual.
+# damped limit on a repeated final basis, ranks accepted points by norm,
+# not by residual, and answers each minimax LP after its first by the
+# dual simplex from the basis of the one before.
 SOLVER_DIGESTS = {
     ("solve-gqvi", "moving_interval"):
         "e00372ff9f3084fd18a11dfd2d4bcb23930a897466e276eb970e13e52525dc2c",
     ("solve-gqvi", "gqvi2d"):
-        "1acedd32d83ba2afa7e41a4d7059051a34afc7b36830ef84044e8202fd97b0a1",
+        "a3b095dd07d98e059b9585fc4c71eeea8423b34f4198ff1b8072df5119edfcc6",
     ("solve-gqvi", "gqvi3d"):
         "e179ce39c4c84ee1e2e0662586fb141bebef8a011460e1e44064a1b9d5e48886",
     ("solve-quasiopt", "quasiopt_window1d"):
@@ -661,19 +669,20 @@ def test_solver_outputs_pinned(command, name, tmp_path):
 
 
 # sha256 of (report.json, trace.csv) of ``solve-gqvi --trace``, recorded
-# from the start-by-start solver loop that jumps to the damped limit and
-# ranks accepted points by norm: the trace lists every minimax LP, damped
-# steps and jumps, in (start, iteration) order.
+# from the start-by-start solver loop that jumps to the damped limit,
+# ranks accepted points by norm and answers minimax LPs warm: the trace
+# lists every minimax LP, damped steps and jumps, in (start, iteration)
+# order.
 TRACE_DIGESTS = {
     "moving_interval": (
         "e00372ff9f3084fd18a11dfd2d4bcb23930a897466e276eb970e13e52525dc2c",
         "c8618a203de630e1398b17248d489688a7ac4a3cd9fda6d72c74a831abbc2084"),
     "gqvi2d": (
-        "1acedd32d83ba2afa7e41a4d7059051a34afc7b36830ef84044e8202fd97b0a1",
-        "007ca3cdd4fba0a243ceb7380f2f61c5357924ec11f3672e27e907d7d2dc76c7"),
+        "a3b095dd07d98e059b9585fc4c71eeea8423b34f4198ff1b8072df5119edfcc6",
+        "86a0c83e05f8f2c8367fac0f288c6ee2f01fdb907360bafdee96dc7d9a7ae115"),
     "gqvi3d": (
         "e179ce39c4c84ee1e2e0662586fb141bebef8a011460e1e44064a1b9d5e48886",
-        "a115e1a92c5ce8ae60afbd406652cd3db0694808b31585d0d1c4c18caf94910f"),
+        "ccc93b3bdcc62a0b6f3f5c976ca25c6de537047c92e5ebd41b00ca3e7feeeb51"),
 }
 
 
@@ -700,7 +709,8 @@ def _point_3d(v):
 # The 3-D constraint map of GQVI_3D with an operator that pushes toward
 # +x0 left of 0 and toward -x0 right of it, so the inequality has no
 # solution, no start is accepted after its one step, and the report comes
-# from the grid fallback (58 grid points) as ``residual_floor``.
+# from the grid fallback (58 grid points) as ``residual_floor``.  The
+# digest was recorded with the grid's minimax LPs answered warm.
 GRID_FALLBACK_3D = {
     **GQVI_3D,
     "T": {"kind": "tabulated", "axis": 0, "breakpoints": [0.0],
@@ -719,7 +729,7 @@ def test_solver_grid_fallback_pinned(tmp_path):
     assert report["status"] == "residual_floor"
     assert report["iterations"] == report["starts_tried"] + 58
     assert sha256_of(out / "report.json") == (
-        "14233ba3c4fbc37388567ca4183024f0d20e90dc60664c59b1c281e9b13fc175")
+        "3cb06b1a18b4f082402b8cd3f1a96016afc472bc567ada44ba2aade5e067dc4d")
 
 
 @pytest.mark.parametrize("name, path, value, command", [

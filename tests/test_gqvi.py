@@ -509,8 +509,10 @@ def test_grid_fallback_matches_sequential_oracle():
 
 
 def test_solve_stats_count_every_minimax_lp():
-    # The grid fallback's LPs go through the memos of the steps' bodies;
-    # the counts stay out of the report.
+    # Each minimax LP is replayed, solved or answered warm; the grid
+    # fallback's LPs that follow one of the same operator cell are
+    # answered warm, and the others go through the memos of the steps'
+    # bodies.  The counts stay out of the report.
     def point(v):
         return Polytope.from_box([v, -0.1], [v, 0.1])
 
@@ -518,8 +520,9 @@ def test_solve_stats_count_every_minimax_lp():
     got = solve(random_gqvi(5, 2, operator, max_iters=3, mesh_divisions=12))
     stats = got.stats
     assert stats["minimax_lps"] == got.iterations
-    assert stats["replayed"] + stats["solved"] == got.iterations
-    assert stats["replayed"] > 3 * stats["solved"]
+    assert stats["replayed"] + stats["solved"] + stats["warm"] == got.iterations
+    assert stats["warm"] > stats["replayed"] > stats["solved"] > 0
+    assert stats["warm_declined"] == {}
     assert stats["abandoned"] == {}
     assert "stats" not in got.to_dict()
 
@@ -1032,7 +1035,8 @@ def test_dropped_jump_leaves_the_damped_path(kind, monkeypatch):
     # from where it was: the report of the damped path, with one more LP
     # in the trace for every jump whose LP ran.  The rejected jump goes
     # to x itself, whose LP replays the step before it; the hole is at a
-    # copy of x.
+    # copy of x.  The warm path, whose LPs take other pivots than the
+    # oracle's, declines throughout.
     instance = random_gqvi(0, 2)
     want = sequential_solve(damped(instance), collect_trace=True)
     operator = _Holes(instance.operator)
@@ -1046,7 +1050,9 @@ def test_dropped_jump_leaves_the_damped_path(kind, monkeypatch):
         return {"none": None, "outside": x + 10.0}.get(kind, x.copy())
 
     monkeypatch.setattr(gqvi, "_affine_jump", jump)
+    monkeypatch.setattr(lp, "warm_solve", lambda *args: "check")
     got = solve(instance, collect_trace=True)
+    assert got.stats["warm"] == 0
     assert got.stats["affine_tried"] == len(tried) > 0
     assert got.stats["affine_kept"] == 0
     assert got.stats["minimax_lps"] == got.iterations
@@ -1073,3 +1079,88 @@ def test_jump_stats_on_the_hand_instance(moving_interval, unit_operator):
     assert (want.stats["affine_tried"], want.stats["affine_kept"]) == (0, 0)
     assert bits(got.x) == bits(np.array([-2.0])) and got.residual == 0.0
     assert "affine_tried" not in got.to_dict()
+
+
+# -- warm-started minimax LPs -----------------------------------------------------
+
+
+def test_minimax_value_never_answers_warm(moving_interval, unit_operator,
+                                          monkeypatch):
+    # The public minimax_value, the winner's recheck included, always
+    # solves cold; the solver's own steps go warm.
+    calls, inside = [], []
+    warm_solve, public = lp.warm_solve, gqvi.minimax_value
+    monkeypatch.setattr(lp, "warm_solve",
+                        lambda *args: calls.append(bool(inside)) or warm_solve(*args))
+
+    def recheck(*args):
+        inside.append(1)
+        try:
+            return public(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(gqvi, "minimax_value", recheck)
+    for x in (2.0, 1.0, 0.5, -1.0, -2.0):
+        gqvi.minimax_value(unit_operator, moving_interval, [x])
+    assert calls == []
+    got = solve(GqviInstance(moving_interval, unit_operator))
+    stats = got.stats
+    assert len(calls) == stats["warm"] + sum(stats["warm_declined"].values())
+    assert stats["warm"] == got.iterations - 1 and not any(calls)
+
+
+@pytest.mark.parametrize("reason", ["check", "budget", "singular", "empty",
+                                    "degenerate"])
+def test_declined_warm_answer_is_the_cold_one(reason, pinched_strip,
+                                              monkeypatch):
+    # A minimax LP at x1 after one at x0, on the same vertex array: where
+    # the warm attempt declines, _minimax gives minimax_value's answer at
+    # x1, bit for bit, or its EmptyPolytopeError.  No row slack passes
+    # the check; no pivot is allowed; a basis holds both columns of y1;
+    # K(x1) is empty; T = {(1, 0)} over a fixed box has a whole edge of
+    # minimizers.
+    instance = random_gqvi(0, 2)
+    cm, operator = instance.constraint_map, instance.operator
+    x0, x1 = np.zeros(2), np.array([1.5, -1.5])
+    if reason == "check":
+        monkeypatch.setattr(lp, "_ROW_TOL", -1.0)
+    elif reason == "budget":
+        monkeypatch.setattr(lp, "_WARM_PIVOTS", 0)
+    elif reason == "empty":
+        cm, x0, x1 = pinched_strip, np.array([0.5, 0.0]), np.array([-0.5, 0.0])
+    elif reason == "degenerate":
+        cm = MovingPolytope(a=[[1.0, 1.0]], b=[5.0], d=[[0.0, 0.0]],
+                            box=Polytope.from_box([-1.0, -1.0], [1.0, 1.0]))
+        operator = ConstantOperator(Polytope.from_vertices([[1.0, 0.0]]))
+    counts, warm = Counter(warm_declined=Counter()), [None, None]
+    gqvi._minimax(operator, cm, x0, counts, warm)
+    if reason == "singular":
+        warm[1] = (0, 1) + warm[1][2:]
+    if reason == "empty":
+        with pytest.raises(EmptyPolytopeError):
+            gqvi._minimax(operator, cm, x1, counts, warm)
+        with pytest.raises(EmptyPolytopeError):
+            minimax_value(operator, cm, x1)
+    else:
+        got = gqvi._minimax(operator, cm, x1, counts, warm)[0]
+        want = minimax_value(operator, cm, x1)
+        assert bits(got.y_opt) == bits(want.y_opt)
+        assert bits(got.value) == bits(want.value)
+    assert counts["warm_declined"] == {reason: 1} and counts["warm"] == 0
+    assert counts["minimax_lps"] == 2
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_warm_answers_keep_the_reported_point(dim, monkeypatch):
+    # Against the solver with every warm attempt declined: the same
+    # status, and x within 1e-12.
+    for seed in range(4):
+        instance = random_gqvi(seed, dim)
+        got = solve(instance)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "warm_solve", lambda *args: "check")
+            want = solve(instance)
+        assert got.status == want.status == "solved"
+        assert got.stats["warm"] == got.iterations - 1
+        assert np.abs(got.x - want.x).max() <= 1e-12

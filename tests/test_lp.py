@@ -1,8 +1,10 @@
 """LP kernel tests: small hand programs, the array kernel against the
-row-by-row reference it replaced, scipy's HiGHS as an oracle, and the
-pivot-path memo against ``solve_lp``."""
+row-by-row reference it replaced, scipy's HiGHS as an oracle, the
+pivot-path memo against ``solve_lp``, and the warm-started dual simplex
+against ``solve_lp``, HiGHS and a reference of its pivot rule."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from adjcone import lp
+from adjcone.gqvi import _minimax_rows
 from adjcone.lp import LPSolution, solve_lp
 
 
@@ -1290,3 +1293,205 @@ def test_rhs_stage_rejects_b_ub_of_another_length(bounds):
         lp.PathMemo(body).solve([1.0, 1.0, 1.0])
     assert_same_preparation(lp.prepare_rhs(body, [1.0]), one_stage_prepare_lp(
         [1.0], [[1.0], [-1.0]], [1.0], bounds=bounds))
+
+
+# -- warm-started dual simplex ---------------------------------------------------
+#
+# ``warm_solve`` on chains of right-hand sides of one minimax body, each
+# program started from the basis of the answer before it, or now and then
+# from a random basis, which may be singular or not dual feasible.
+
+
+def reference_warm(body, basis, b, budget):
+    """``warm_solve``'s pivot rule with one loop per choice, on the same
+    factorisation and ``_pivot``: the final basis, or ``"singular"``,
+    ``"empty"`` or ``"budget"`` where it stops."""
+    block, cost = body.block, body.cost2
+    n = block.shape[1]
+    basis = np.array(basis)
+    try:
+        t = np.linalg.solve(block[:, basis], np.column_stack([block, b]))
+    except np.linalg.LinAlgError:
+        return "singular"
+    for pivots in range(budget + 1):
+        low = [i for i in range(len(basis)) if t[i, n] < -lp._WARM_FEAS]
+        if not low:
+            return tuple(basis.tolist())
+        if pivots == budget:
+            return "budget"
+        row = min(low, key=lambda i: basis[i])
+        reduced = [cost[j] - sum(cost[basis[i]] * t[i, j] for i in range(len(basis)))
+                   for j in range(n)]
+        ratios = {j: max(reduced[j], 0.0) / -t[row, j] for j in range(n)
+                  if t[row, j] < -lp._PIVOT_TOL}
+        if not ratios:
+            return "empty"
+        least = min(ratios.values())
+        lp._pivot(t, basis, row,
+                  min(j for j, r in ratios.items() if r <= least + lp._TIE))
+    raise AssertionError("unreachable")
+
+
+def highs_value(c, a_ub, b):
+    res = linprog(c, A_ub=a_ub, b_ub=b, bounds=[(None, None)] * len(c),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    return res.fun if res.status == 0 else None
+
+
+@st.composite
+def warm_chains(draw):
+    """A minimax body in 1-4-D, as ``gqvi`` builds it from the vertices
+    of T(x) and the unit rows of K(x), and 2-8 steps ``(b, start)``.
+    Integer data make ratio ties; a repeated vertex makes two equal rows;
+    an ``empty`` step crosses the first box pair, so K(x) is empty.
+    ``start`` is None (the previous answer's basis) or a random basis."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integer = draw(st.booleans())
+    k = draw(st.integers(1, n + 3))
+    vertices = (rng.integers(-2, 3, size=(k, n)).astype(float) if integer
+                else rng.normal(size=(k, n)))
+    if draw(st.booleans()):
+        vertices = np.vstack([vertices, vertices[rng.integers(k)]])
+    eye = np.eye(n)
+    k_a = np.vstack([eye, -eye])
+    extra = draw(st.integers(0, 0 if integer else 3))
+    if extra:
+        rows = rng.normal(size=(extra, n))
+        k_a = np.vstack([k_a, rows / np.linalg.norm(rows, axis=1)[:, None]])
+    c, a_ub = _minimax_rows(vertices, k_a)
+    offsets = np.full(len(k_a), 2.0) if integer else rng.uniform(1.0, 2.0, len(k_a))
+    steps = []
+    for _ in range(draw(st.integers(2, 8))):
+        if integer:
+            x, k_b = rng.integers(-3, 4, n) / 2.0, offsets + rng.integers(-1, 2, len(k_a))
+        else:
+            x, k_b = rng.uniform(-1.5, 1.5, n), offsets + 0.5 * rng.normal(size=len(k_a))
+        if draw(st.integers(0, 5)) == 0:
+            k_b[0] = -k_b[n] - 0.5
+        start = None
+        if draw(st.integers(0, 4)) == 0:
+            # At most one column of each free variable, but now and then
+            # both of one, which makes the basis singular; slacks fill it.
+            free = rng.permutation(n + 1)[:rng.integers(0, n + 2)]
+            cols = [2 * j + int(rng.integers(2)) for j in free]
+            if cols and rng.random() < 0.25:
+                cols.append(cols[0] ^ 1)
+            m = a_ub.shape[0]
+            slacks = 2 * (n + 1) + rng.choice(m, m - len(cols), replace=False)
+            start = tuple(rng.permutation(cols + slacks.tolist()).tolist())
+        steps.append((np.concatenate([vertices @ x, k_b]), start))
+    budget = draw(st.sampled_from([lp._WARM_PIVOTS] * 9 + [0, 1, 2]))
+    return c, a_ub, steps, budget
+
+
+def test_warm_solve_matches_cold_highs_and_its_rule():
+    # Each warm answer has cold solve_lp's status, its objective within
+    # 1e-9 (1 + |v|) of solve_lp's and of HiGHS's, rows that hold, and
+    # the basis of the reference rule; every decline but the answer's
+    # own check and degeneracy is the reference's, an infeasible program
+    # is always declined, and its cold answer seeds the next step.
+    seen = Counter()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(warm_chains())
+    def check(case):
+        c, a_ub, steps, budget = case
+        body = lp.prepare_body(c, a_ub)
+        basis = None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lp, "_WARM_PIVOTS", budget)
+            for b, start in steps:
+                cold = solve_lp(c, a_ub=a_ub, b_ub=b)
+                start = start or basis
+                if start is None:
+                    answer = cold
+                else:
+                    got = lp.warm_solve(body, start, b)
+                    want = reference_warm(body, start, b, budget)
+                    answer = cold if isinstance(got, str) else got
+                    if isinstance(got, str):
+                        seen[got] += 1
+                        if got in ("check", "degenerate"):
+                            assert isinstance(want, tuple)
+                        else:
+                            assert got == want
+                    else:
+                        seen["answered"] += 1
+                        assert cold.optimal and got.basis == want
+                        for value in (cold.value, highs_value(c, a_ub, b)):
+                            assert abs(got.value - value) <= 1e-9 * (1 + abs(value))
+                        assert (a_ub @ got.x <= b + 1e-9 * (1 + np.abs(b))).all()
+                if answer.optimal:
+                    basis = answer.basis
+
+    check()
+    assert set(seen) == {"answered", "check", "degenerate", "empty", "budget",
+                         "singular"}
+    assert seen["answered"] >= 200, seen
+
+
+def _box_minimax(vertices, x):
+    """``(body, c, a_ub, b)`` of the minimax LP at x of ``vertices`` over
+    the box ``[-1, 1]^n``."""
+    vertices = np.array(vertices, dtype=float)
+    eye = np.eye(vertices.shape[1])
+    c, a_ub = _minimax_rows(vertices, np.vstack([eye, -eye]))
+    b = np.concatenate([vertices @ x, np.ones(2 * len(eye))])
+    return lp.prepare_body(c, a_ub), c, a_ub, b
+
+
+def test_warm_solve_keeps_an_optimal_basis_without_pivots(monkeypatch):
+    # The minimax LP of the vertices (1, 1/2) and (-1, 1/2) over the box
+    # has its optimum at (x1, -1): the basis at x = (0.2, 0) stays optimal
+    # at (0.25, 0.1), so the warm answer takes no pivot.
+    vertices = [[1.0, 0.5], [-1.0, 0.5]]
+    body, c, a_ub, b = _box_minimax(vertices, [0.2, 0.0])
+    cold = solve_lp(c, a_ub=a_ub, b_ub=b)
+    pivots = []
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda *args: pivots.append(1) or pivot(*args))
+    b = _box_minimax(vertices, [0.25, 0.1])[3]
+    got = lp.warm_solve(body, cold.basis, b)
+    assert pivots == [] and got.basis == cold.basis
+    assert np.abs(got.x - [0.25, -1.0, -0.55]).max() <= 1e-15
+    want = solve_lp(c, a_ub=a_ub, b_ub=b)
+    assert abs(got.value - want.value) <= 1e-15
+
+
+@pytest.mark.parametrize("reason", ["singular", "empty", "budget", "check",
+                                    "degenerate"])
+def test_warm_solve_declines(reason, monkeypatch):
+    # Each reason on the program of the test above, from its optimal
+    # basis at x = (0.2, 0): a basis holding both columns of y1; crossed
+    # box rows; no pivot allowed where y1 turns negative and one is
+    # needed; a row slack below any answer; and a lone vertex (1, 0),
+    # whose optimum is a whole edge of the box.
+    vertices = [[1.0, 0.5], [-1.0, 0.5]]
+    body, c, a_ub, b = _box_minimax(vertices, [0.2, 0.0])
+    basis = solve_lp(c, a_ub=a_ub, b_ub=b).basis
+    if reason == "singular":
+        basis = (0, 1) + basis[2:]
+    elif reason == "empty":
+        b[2], b[4] = -1.0, -1.0  # y1 <= -1 and -y1 <= -1
+    elif reason == "budget":
+        monkeypatch.setattr(lp, "_WARM_PIVOTS", 0)
+        b = _box_minimax(vertices, [-0.2, 0.0])[3]
+    elif reason == "check":
+        monkeypatch.setattr(lp, "_ROW_TOL", -1.0)
+    else:
+        body, c, a_ub, b = _box_minimax([[1.0, 0.0]], [0.2, 0.0])
+        basis = solve_lp(c, a_ub=a_ub, b_ub=b).basis
+    assert lp.warm_solve(body, basis, b) == reason
+    if reason == "budget":
+        monkeypatch.setattr(lp, "_WARM_PIVOTS", 1)
+        assert lp.warm_solve(body, basis, b).optimal
+
+
+def test_warm_solve_needs_rows_over_free_variables():
+    for body in (lp.prepare_body([1.0], [[1.0]], bounds=[(0.0, None)]),
+                 lp.prepare_body([1.0], a_eq=[[1.0]]),
+                 lp.prepare_body([1.0])):
+        with pytest.raises(ValueError, match="free variables"):
+            lp.warm_solve(body, (0,), [1.0])
