@@ -682,8 +682,9 @@ def warm_solve(body, basis, b_ub):
     program of the same body (Bixby, *Oper. Res.* 50(1), 2002); or why
     it declines, as a string: ``"singular"`` (the basis matrix is not
     invertible), ``"empty"`` (an empty ratio test: the program is
-    infeasible), ``"budget"`` (more than ``_WARM_PIVOTS`` pivots), or
-    ``"check"`` (the answer fails its check).
+    infeasible), ``"budget"`` (more than ``_WARM_PIVOTS`` pivots),
+    ``"check"`` (the answer fails its check), or ``"degenerate"`` (a
+    reduced cost of 0 that may open a face of optima).
 
     The body must hold ``a_ub`` rows over free variables only, as the
     minimax LP of ``gqvi`` does.  The tableau is factorised afresh from
@@ -707,6 +708,7 @@ def warm_solve(body, basis, b_ub):
     except np.linalg.LinAlgError:  # exactly singular, or not square
         return "singular"
     for pivots in range(_WARM_PIVOTS + 1):
+        reduced = cost - cost[basis] @ tableau[:, :n]
         low = (tableau[:, n] < -_WARM_FEAS).nonzero()[0]
         if not low.size:
             break
@@ -717,10 +719,8 @@ def warm_solve(body, basis, b_ub):
         cols = (entries < -_PIVOT_TOL).nonzero()[0]
         if not cols.size:
             return "empty"
-        reduced = cost - cost[basis] @ tableau[:, :n]
         ratios = np.maximum(reduced[cols], 0.0) / -entries[cols]
         _pivot(tableau, basis, row, cols[(ratios <= ratios.min() + _TIE).argmax()])
-    reduced = cost - cost[basis] @ tableau[:, :n]
     sol = _solution(body, basis.tolist(), tableau[:, n].tolist())
     if (reduced.min() < -_COST_TOL
             or not (body.a_ub @ sol.x - rhs
