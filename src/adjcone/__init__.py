@@ -33,10 +33,8 @@ from .normal_op import (  # noqa: F401
     adjusted_normal_cone,
     build_atlas,
     build_chart,
-    chart_base,
     closedness_probe,
     global_base,
-    normalized_base,
     quasimonotonicity_probe,
     strict_normal_cone,
     usc_probe,

@@ -1140,23 +1140,26 @@ def polar_extreme_rays(directions, dim=None, tol=1e-9):
     return _dedupe_points(rays) if len(rays) else np.zeros((0, n))
 
 
-def normal_cone_at(polytope, x):
+def _active_facets(polytope, x):
+    """Indices of the irredundant facet rows of ``polytope`` active at x."""
+    x = _as_point(x, polytope.dim)
+    a, b = polytope.halfspaces
+    return tuple(i for i in polytope.reduced()[0] if a[i] @ x >= b[i] - FEAS)
+
+
+def normal_cone_at(polytope, x, active=None):
     """Normal cone of a polytope at a boundary (or interior) point.
 
-    Generators are the active irredundant facet normals; implicit
+    Generators are the active irredundant facet normals (``active``, if
+    the caller holds ``_active_facets(polytope, x)`` already); implicit
     equality rows contribute both signs.  Interior points give the zero
     cone.
     """
-    x = _as_point(x, polytope.dim)
-    a, b = polytope.halfspaces
-    facet_idx, equality_idx = polytope.reduced()
-    gens = []
-    for i in facet_idx:
-        if a[i] @ x >= b[i] - FEAS:
-            gens.append(a[i])
-    for i in equality_idx:
-        gens.append(a[i])
-        gens.append(-a[i])
+    a, _ = polytope.halfspaces
+    gens = [a[i] for i in (_active_facets(polytope, x) if active is None
+                           else active)]
+    for i in polytope.reduced()[1]:
+        gens += [a[i], -a[i]]
     return GeneratedCone.from_rays(np.array(gens) if gens else np.zeros((0, polytope.dim)),
                                    dim=polytope.dim)
 

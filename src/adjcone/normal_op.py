@@ -19,11 +19,24 @@ certificate always holds.  Non-nested diagnostic families (corrupted
 instances) can fail it, and there the assembled cone may be smaller than
 the true normal cone.
 
+The generators are fixed by the index of ``sub``, its facet rows active at
+x and the bytes of the ray, so ``adjusted_normal_cone`` assembles the cone
+once per such key and keeps it on the function (successes only, off the
+argmin set); every other call takes f(x), the anchor and the ray afresh.
+
 A local chart anchors a section hyperplane that cuts every normal cone
 on its ball into a compact base inside the dual unit ball.  An atlas is
 a finite covering by such charts together with piecewise-linear hat
 bumps; normalizing the bumps yields a partition of unity and the global
 base map is the weighted Minkowski combination of the per-chart bases.
+
+The checks that the base generates the cone are made on the sections,
+once per (chart, cone bits), not on the sum.  With positive weights
+summing to one and sections S_i of the cone C with cone(S_i) = C, each
+vertex of ``sum_i w_i S_i`` is a convex combination of points of C, so
+it lies in C; and each extreme ray g of C meets every S_i, so the sum
+holds a positive multiple of g.  Hence cone(sum) = C, and the hull
+rounding of the sum (about 1e-15) lies far below the ``CONE`` slack.
 
 Every atlas query (bumps, weights, covering, the partition defect and
 the stable probe points) runs through one kernel, ``Atlas._gap_blocks``:
@@ -52,6 +65,7 @@ from .geometry import (
     GeneratedCone,
     GeometryError,
     Polytope,
+    _active_facets,
     _row_norms,
     grid_points,
     normal_cone_at,
@@ -74,9 +88,7 @@ __all__ = [
     "strict_normal_cone",
     "adjusted_normal_cone",
     "polar_of_samples",
-    "normalized_base",
     "build_chart",
-    "chart_base",
     "build_atlas",
     "global_base",
     "usc_probe",
@@ -143,7 +155,8 @@ def adjusted_normal_cone(f: StepLevelFunction, x):
     a set containing ``sub ∩ E``, so the assembled cone always lies in
     the true normal cone; it equals it when the anchor ``P_strict(x)``,
     an interior point of the enlargement ``E``, lies in ``sub`` (the sum
-    rule, Rockafellar Thm 23.8), which nesting guarantees.
+    rule, Rockafellar Thm 23.8), which nesting guarantees.  The cone is
+    kept in ``f._cones`` by (index of ``sub``, active facets, ray bytes).
     """
     x = np.asarray(x, dtype=float).ravel()
     value = f.evaluate(x)
@@ -152,15 +165,20 @@ def adjusted_normal_cone(f: StepLevelFunction, x):
     if f.in_argmin(x):
         return normal_cone_at(f.polytopes[0], x)
 
-    sub = f.sublevel(value).polytope
-    strict = f.strict_sublevel(value).polytope
-    anchor, radius = strict.project(x)
+    sub = f.sublevel(value)
+    anchor, radius = f.strict_sublevel(value).polytope.project(x)
     if radius <= FEAS:
         raise GeometryError("enlargement radius degenerate at x")
     ray = (x - anchor) / radius
-    facets = normal_cone_at(sub, x)
-    gens = np.vstack([facets.generators, ray[None, :]])
-    return GeneratedCone.from_rays(gens, dim=f.dim).minimal()
+    active = _active_facets(sub.polytope, x)
+    key = (sub.level_index, active, ray.tobytes())
+    cone = f._cones.get(key)
+    if cone is None:
+        facets = normal_cone_at(sub.polytope, x, active)
+        gens = np.vstack([facets.generators, ray[None, :]])
+        cone = GeneratedCone.from_rays(gens, dim=f.dim).minimal()
+        _remember(f._cones, key, cone)
+    return cone
 
 
 def polar_of_samples(points, x, dim):
@@ -173,19 +191,6 @@ def polar_of_samples(points, x, dim):
     except GeometryError:
         rays = np.zeros((0, dim))
     return GeneratedCone.from_rays(rays, dim=dim)
-
-
-def normalized_base(f, x):
-    """Hull of the unit-normalized generators: a compact base in R^n.
-
-    Kept as the finite-dimensional base of the abstract (unit sphere
-    intersected with the closed normal operator) that the atlas replaces.
-    """
-    cone = adjusted_normal_cone(f, x)
-    if cone.is_zero:
-        raise GeometryError("the zero cone has no base")
-    norms = np.linalg.norm(cone.generators, axis=1)
-    return Polytope.from_vertices(cone.generators / norms[:, None])
 
 
 @dataclass(frozen=True)
@@ -241,18 +246,6 @@ def build_chart(f: StepLevelFunction, z, radius_cap=None) -> LocalChart:
     return LocalChart(center=z, level=level, anchor=anchor, radius=radius)
 
 
-def chart_base(chart: LocalChart, f: StepLevelFunction, x):
-    """Section of the adjusted normal cone by the chart hyperplane.
-
-    The chart estimate guarantees the section lies in the dual unit
-    ball; the vertex norms are re-checked after construction.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if np.linalg.norm(x - chart.center) > chart.radius + FEAS:
-        raise ValueError("point outside the chart ball")
-    return _ball_section(adjusted_normal_cone(f, x), chart)
-
-
 def _ball_section(cone, chart):
     """Section of ``cone`` by the chart hyperplane, checked to lie in the
     dual unit ball."""
@@ -262,6 +255,15 @@ def _ball_section(cone, chart):
         raise ChartError(
             f"section leaves the dual unit ball (max norm {norms.max():.12f})")
     return base
+
+
+def _check_min_norm(base):
+    """Raise ``BaseInvariantError`` if ``base`` comes within ``ZERO`` of
+    the origin."""
+    _, min_norm = base.project(np.zeros(base.dim))
+    if min_norm < ZERO:
+        raise BaseInvariantError(
+            f"base min-norm {min_norm:.3e} below the nonzero margin")
 
 
 def _remember(cache, key, value):
@@ -277,10 +279,9 @@ class Atlas:
     """Finite chart covering of a compact region with hat-bump weights;
     ``centers`` (k x n) and ``radii`` (k) hold the charts as arrays.
 
-    Two caches keep successes only, each a pure function of its exact key:
-    ``_sections`` the checked section per (chart index, cone generator
-    shape and bytes), ``_checked`` the (base halfspace, base vertex, cone
-    generator) bits that passed the checks of ``global_base``.
+    ``_sections`` keeps the certified section per (chart index, cone
+    generator shape and bytes), successes only: in the dual unit ball,
+    min-norm at least ``ZERO`` and generating the cone within ``CONE``.
     """
 
     charts: tuple
@@ -291,8 +292,6 @@ class Atlas:
     radii: np.ndarray = field(init=False, repr=False)
     _sections: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
-    _checked: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
 
     def __post_init__(self):
         self.centers = np.array([c.center for c in self.charts], dtype=float
@@ -360,12 +359,16 @@ class Atlas:
         return self._grid
 
     def section(self, i, cone):
-        """``_ball_section`` of ``cone`` by chart ``i``, kept in
-        ``_sections``."""
+        """``_ball_section`` of ``cone`` by chart ``i``, certified and kept
+        in ``_sections``; a failing section raises and is not kept."""
         key = (int(i), _bytes(cone.generators))
         base = self._sections.get(key)
         if base is None:
             base = _ball_section(cone, self.charts[i])
+            _check_min_norm(base)
+            regenerated = GeneratedCone.from_rays(base.vertices(), dim=cone.dim)
+            if not regenerated.equals(cone, CONE):
+                raise BaseInvariantError("base does not generate the normal cone")
             _remember(self._sections, key, base)
         return base
 
@@ -432,13 +435,12 @@ class BaseResult:
         }
 
 
-def global_base(atlas: Atlas, f: StepLevelFunction, x, *,
-                verify=True) -> BaseResult:
+def global_base(atlas: Atlas, f: StepLevelFunction, x) -> BaseResult:
     """Partition-of-unity combination of the active chart bases.
 
-    Post-verifies the base invariants: contained in the dual unit ball,
-    min-norm point bounded away from the origin, and generating exactly
-    the adjusted normal cone at x (once per bits, ``Atlas._checked``).
+    Each section is certified once by ``Atlas.section``; a sum of several
+    generates the cone by the module's argument, and only its ball and
+    min-norm checks run per point.
     """
     x = np.asarray(x, dtype=float).ravel()
     active, weights = atlas.weights(x)
@@ -450,34 +452,13 @@ def global_base(atlas: Atlas, f: StepLevelFunction, x, *,
         base = sections[0]
     else:
         base = weighted_minkowski(list(zip(weights, sections)))
-    result = BaseResult(base=base,
-                        active_charts=tuple((int(i), float(w))
-                                            for i, w in zip(active, weights)),
-                        cone=cone)
-    if verify:
-        _check_base(atlas, base, cone)
-    return result
-
-
-def _check_base(atlas, base, cone):
-    """Raise ``BaseInvariantError`` unless ``base`` passes the checks of
-    ``global_base``; bits that passed once pass again."""
-    verts = base.vertices()
-    a, b = base.halfspaces
-    key = (_bytes(a), _bytes(b), _bytes(verts), _bytes(cone.generators))
-    if key in atlas._checked:
-        return
-    norms = np.linalg.norm(verts, axis=1)
-    if norms.max() > 1.0 + FEAS:
-        raise BaseInvariantError("base leaves the dual unit ball")
-    _, min_norm = base.project(np.zeros(cone.dim))
-    if min_norm < ZERO:
-        raise BaseInvariantError(
-            f"base min-norm {min_norm:.3e} below the nonzero margin")
-    regenerated = GeneratedCone.from_rays(verts, dim=cone.dim)
-    if not regenerated.equals(cone, CONE):
-        raise BaseInvariantError("base does not generate the normal cone")
-    _remember(atlas._checked, key, True)
+        if np.linalg.norm(base.vertices(), axis=1).max() > 1.0 + FEAS:
+            raise BaseInvariantError("base leaves the dual unit ball")
+        _check_min_norm(base)
+    return BaseResult(base=base,
+                      active_charts=tuple((int(i), float(w))
+                                          for i, w in zip(active, weights)),
+                      cone=cone)
 
 
 @dataclass

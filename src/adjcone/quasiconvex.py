@@ -123,6 +123,8 @@ class StepLevelFunction:
         # Chebyshev radii witness the nonempty-interior hypothesis of the
         # chart construction for full-dimensional families.
         self._cheb = tuple(p.chebyshev_center() for p in self.polytopes)
+        # Adjusted normal cones by exact key (``normal_op.adjusted_normal_cone``).
+        self._cones = {}
 
     @property
     def domain(self) -> Polytope:

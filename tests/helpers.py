@@ -18,9 +18,11 @@ from adjcone.geometry import (
     Polytope,
     UnboundedPolytopeError,
     grid_points,
+    normal_cone_at,
     weighted_minkowski,
 )
 from adjcone.lp import solve_lp
+from adjcone.quasiconvex import DomainError
 
 
 # Non-box nested step families: one polytope (rounded unit normals of a
@@ -366,6 +368,47 @@ def uncached_global_base(atlas, f, x, *, verify=True):
             raise normal_op.BaseInvariantError(
                 "base does not generate the normal cone")
     return result
+
+
+def normalized_base(f, x):
+    """Hull of the unit-normalized generators of the adjusted normal cone:
+    the finite-dimensional base of the abstract (unit sphere intersected
+    with the closed normal operator) that the atlas replaces."""
+    cone = normal_op.adjusted_normal_cone(f, x)
+    if cone.is_zero:
+        raise GeometryError("the zero cone has no base")
+    norms = np.linalg.norm(cone.generators, axis=1)
+    return Polytope.from_vertices(cone.generators / norms[:, None])
+
+
+def chart_base(chart, f, x):
+    """Section of the adjusted normal cone at x by the hyperplane of
+    ``chart``, checked to lie in the dual unit ball; x must lie in the
+    chart ball."""
+    x = np.asarray(x, dtype=float).ravel()
+    if np.linalg.norm(x - chart.center) > chart.radius + FEAS:
+        raise ValueError("point outside the chart ball")
+    return normal_op._ball_section(normal_op.adjusted_normal_cone(f, x), chart)
+
+
+def uncached_adjusted_normal_cone(f, x):
+    """``adjusted_normal_cone`` as it was before it kept one cone per key,
+    kept as its bit-for-bit oracle: every call assembles the cone."""
+    x = np.asarray(x, dtype=float).ravel()
+    value = f.evaluate(x)
+    if math.isinf(value):
+        raise DomainError("point outside the domain")
+    if f.in_argmin(x):
+        return normal_cone_at(f.polytopes[0], x)
+    sub = f.sublevel(value).polytope
+    strict = f.strict_sublevel(value).polytope
+    anchor, radius = strict.project(x)
+    if radius <= FEAS:
+        raise GeometryError("enlargement radius degenerate at x")
+    ray = (x - anchor) / radius
+    facets = normal_cone_at(sub, x)
+    gens = np.vstack([facets.generators, ray[None, :]])
+    return GeneratedCone.from_rays(gens, dim=f.dim).minimal()
 
 
 def uncached_closedness_probe(f, x, approach_sequences=100, seed=0):

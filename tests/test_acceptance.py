@@ -185,7 +185,7 @@ def test_criterion_03_compact_base(step1d, sq2d, nested3d, atlas_step1d,
     checked = 0
     for f, atlas, target in cases:
         for x in _criterion_grid(atlas, target):
-            result = global_base(atlas, f, x, verify=False)
+            result = global_base(atlas, f, x)
             verts = result.base.vertices()
             assert np.linalg.norm(verts, axis=1).max() <= 1.0 + TOL_BALL
             assert result.base.project(np.zeros(f.dim))[1] >= TOL_ZERO

@@ -1,8 +1,10 @@
-"""The work probe points share: the checked chart sections and base checks
-an ``Atlas`` keeps, and the one cone per distinct approach point of
-``closedness_probe``.  Each cached path is checked bit for bit against
-the uncached oracles in ``helpers``, on the shipped ``sq2d`` and
-``step1d`` atlases and on the non-box ``STEP_3D`` atlas the CLI builds."""
+"""The work probe points share: the certified chart sections an ``Atlas``
+keeps, the one adjusted normal cone per key a function keeps, and the one
+cone per distinct approach point of ``closedness_probe``.  Each cached
+path is checked bit for bit against the uncached oracles in ``helpers``,
+on the shipped ``sq2d`` and ``step1d`` atlases, on the non-box ``STEP_3D``
+atlas the CLI builds and, for the cones, on the non-nested
+``corrupted1d``."""
 
 import argparse
 import json
@@ -24,11 +26,12 @@ from adjcone.normal_op import (
     global_base,
     usc_probe,
 )
-from adjcone.quasiconvex import ArgminError, DomainError
+from adjcone.quasiconvex import ArgminError, DomainError, StepLevelFunction
 from adjcone.serialization import dump_json, load_instance
 from helpers import (
     STEP_3D,
     bits,
+    uncached_adjusted_normal_cone,
     uncached_closedness_probe,
     uncached_global_base,
 )
@@ -183,7 +186,9 @@ def test_closedness_probe_decides_each_limit_once(holds, monkeypatch,
 def test_usc_probe_builds_one_section_per_chart_and_cone(monkeypatch,
                                                          tmp_path):
     # The 81 global bases of usc-probe sq2d share one cone.  Without the
-    # atlas caches they built 99 sections and ran 81 base checks.
+    # atlas caches they built 99 sections and ran 81 base checks.  Each
+    # built section runs the one cone check of its certificate; checking
+    # the bits of each distinct base instead ran 17.
     sections = counting(monkeypatch, "_ball_section",
                         lambda cone, chart: (chart.center.tobytes(),
                                              cone.generators.tobytes()))
@@ -194,7 +199,7 @@ def test_usc_probe_builds_one_section_per_chart_and_cone(monkeypatch,
     assert run(["usc-probe", "--instance", os.path.join(SHIPPED, "sq2d.json"),
                 "--at=1.5,0.5", "--out", str(tmp_path / "o")]) == 0
     assert len(sections) == len(set(sections)) == 9
-    assert len(checks) == 17
+    assert len(checks) == 9
 
 
 def far_anchor_atlas():
@@ -219,25 +224,34 @@ def test_failing_section_is_never_cached(step1d, monkeypatch):
     assert atlas._sections == {}
 
 
-def test_failing_base_check_is_never_cached(step1d):
-    atlas = far_anchor_atlas()
+def test_failing_base_check_is_never_cached(step1d, monkeypatch):
+    # One chart whose anchor sits 999.5 away cuts the plateau ray at norm
+    # 0.5 / 1000, inside the dual unit ball but below the nonzero margin.
+    chart = LocalChart(center=np.array([0.5]), level=0.5,
+                       anchor=np.array([-999.5]), radius=0.5)
+    atlas = Atlas((chart,), Polytope.from_box([0.0], [1.0]), 0.5)
     cone = adjusted_normal_cone(step1d, [0.5])
-    base = Polytope.from_vertices([[2.0]])
     for _ in range(2):
-        with pytest.raises(BaseInvariantError, match="dual unit ball"):
-            normal_op._check_base(atlas, base, cone)
-    assert atlas._checked == {}
-    good = Polytope.from_vertices([[0.5]])
-    normal_op._check_base(atlas, good, cone)
-    assert len(atlas._checked) == 1
-    # The cone is part of the key: the same base bits are checked afresh
-    # against another cone.
-    with pytest.raises(BaseInvariantError, match="does not generate"):
-        normal_op._check_base(atlas, good, GeneratedCone.from_rays([[-1.0]]))
-    assert len(atlas._checked) == 1
+        with pytest.raises(BaseInvariantError, match="below the nonzero"):
+            atlas.section(0, cone)
+    with pytest.raises(BaseInvariantError, match="below the nonzero"):
+        global_base(atlas, step1d, [0.5])
+    assert atlas._sections == {}
+    # A section that does not regenerate its cone fails its cone check.
+    monkeypatch.setattr(normal_op, "_ball_section",
+                        lambda cone, chart: Polytope.from_vertices([[0.5]]))
+    for _ in range(2):
+        with pytest.raises(BaseInvariantError, match="does not generate"):
+            atlas.section(0, GeneratedCone.from_rays([[-1.0]]))
+    assert atlas._sections == {}
+    # The cone is part of the key: the same section bits pass for the
+    # cone they do generate.
+    assert atlas.section(0, cone).vertices().tolist() == [[0.5]]
+    assert len(atlas._sections) == 1
 
 
 def test_atlas_caches_drop_the_oldest_past_the_cap(step1d, monkeypatch):
+    # Sections 0.1 / (1 + k) pass every check of the certificate.
     monkeypatch.setattr(normal_op, "_ATLAS_CACHE", 3)
     charts = tuple(LocalChart(center=np.array([0.5]), level=0.5,
                               anchor=np.array([-0.5 - k]), radius=0.1)
@@ -246,12 +260,108 @@ def test_atlas_caches_drop_the_oldest_past_the_cap(step1d, monkeypatch):
     cone = adjusted_normal_cone(step1d, [0.5])
     for i in range(5):
         section = atlas.section(i, cone)
-        normal_op._check_base(atlas, section, cone)
         assert atlas.section(i, cone) is section
     assert [key[0] for key in atlas._sections] == [2, 3, 4]
-    assert len(atlas._checked) == 3
     # The entry of chart 0 was dropped, so its section is built again.
     calls = counting(monkeypatch, "_ball_section", lambda cone, chart: 1)
     atlas.section(0, cone)
     assert len(calls) == 1
     assert [key[0] for key in atlas._sections] == [3, 4, 0]
+
+
+def fresh_function(name, tmp_path, corrupted1d):
+    """The function ``name`` with an empty cone memo."""
+    if name == "corrupted1d":
+        return StepLevelFunction(corrupted1d.levels, corrupted1d.polytopes,
+                                 validate=False)
+    return load_function(name, tmp_path)["function"]
+
+
+def approach_points(at, seed, sequences=40):
+    """The points ``closedness_probe`` visits around ``at``, before it
+    skips those outside the domain or in the argmin set."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(sequences):
+        direction = rng.normal(size=len(at))
+        direction /= np.linalg.norm(direction)
+        points += [np.asarray(at) + t * direction
+                   for t in (1e-1, 1e-2, 1e-3, 1e-4)]
+    return points
+
+
+def cone_outcome(call):
+    """The generator bits of a cone, or the error it raised."""
+    try:
+        return bits(call().generators)
+    except FAILURES as exc:
+        return type(exc), str(exc)
+
+
+# name -> probe points, besides a vertex of the domain; corrupted1d's
+# straddle the gap (1.4, 1.5) between its upper levels, where the
+# sum-rule certificate fails.
+CONE_POINTS = {"sq2d": [[1.5, 0.5], [2.0, 0.0], [2.0, 2.0]],
+               "step1d": [[0.5], [1.0], [1.5]],
+               "step3d": [ATLAS_3D_AT],
+               "corrupted1d": [[1.45], [1.2], [1.5]]}
+
+
+@pytest.mark.parametrize("name", sorted(CONE_POINTS))
+def test_adjusted_normal_cone_matches_uncached_oracle(name, tmp_path,
+                                                      corrupted1d):
+    f = fresh_function(name, tmp_path, corrupted1d)
+    probes = [*CONE_POINTS[name], f.domain.vertices()[0]]
+    points = [p for at in probes for seed in (0, 42)
+              for p in [*usc_points(at, seed), *approach_points(at, seed)]]
+    points += normal_op._regular_point_pool(f, np.random.default_rng(42), 160)
+    first = [cone_outcome(lambda: adjusted_normal_cone(f, p)) for p in points]
+    again = [cone_outcome(lambda: adjusted_normal_cone(f, p)) for p in points]
+    want = [cone_outcome(lambda: uncached_adjusted_normal_cone(f, p))
+            for p in points]
+    assert first == want
+    assert again == want
+    # Both cones and errors were compared, and cones were shared: fewer
+    # were assembled than returned off the argmin set.
+    assert {len(w) == 2 and isinstance(w[0], bytes) for w in want} == {
+        True, False}
+    assert 0 < len(f._cones) < len(points)
+
+
+@pytest.mark.parametrize("args, calls, assemblies", [
+    (["usc-probe", "sq2d", "--at=1.5,0.5"], 81, 1),
+    (["solve-quasiopt", "quasiopt_window1d"], 41, 4),
+    (["quasimono-probe", "sq2d"], 44, 16),
+    (["closedness-probe", "step1d", "--at=0.5"], 9, 1),
+], ids=["usc-sq2d", "quasiopt-window1d", "quasimono-sq2d",
+        "closedness-step1d"])
+def test_commands_assemble_each_distinct_cone_once(args, calls, assemblies,
+                                                   monkeypatch, tmp_path):
+    # Each memo miss runs ``minimal`` once; every call assembled a cone
+    # before the memo.
+    command, name, *rest = args
+    seen = counting(monkeypatch, "adjusted_normal_cone", lambda f, x: 1)
+    built = []
+    minimal = GeneratedCone.minimal
+    monkeypatch.setattr(GeneratedCone, "minimal",
+                        lambda self: built.append(1) or minimal(self))
+    assert run([command, "--instance", os.path.join(SHIPPED, f"{name}.json"),
+                *rest, "--out", str(tmp_path / "o")]) == 0
+    assert (len(seen), len(built)) == (calls, assemblies)
+
+
+def test_cone_memo_drops_the_oldest_past_the_cap(monkeypatch, tmp_path):
+    # Five sq2d points with five keys: four rays off the faces of the
+    # inner square, and one active facet of the outer square.
+    monkeypatch.setattr(normal_op, "_ATLAS_CACHE", 3)
+    f = load_function("sq2d", tmp_path)["function"]
+    points = [[1.5, 0.5], [0.5, 1.5], [-1.5, 0.5], [0.5, -1.5], [2.0, 0.5]]
+    cones = [adjusted_normal_cone(f, p) for p in points]
+    assert len(f._cones) == 3
+    assert list(f._cones.values()) == cones[2:]
+    # The first cone was dropped, so it is assembled again.
+    again = adjusted_normal_cone(f, [1.5, 0.5])
+    assert again is not cones[0]
+    assert list(f._cones.values()) == [*cones[3:], again]
+    assert bits(again.generators) == bits(cones[0].generators)
+    assert adjusted_normal_cone(f, [2.0, 0.5]) is cones[4]

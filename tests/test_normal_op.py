@@ -13,17 +13,15 @@ from adjcone.normal_op import (
     adjusted_normal_cone,
     build_atlas,
     build_chart,
-    chart_base,
     closedness_probe,
     global_base,
-    normalized_base,
     quasimonotonicity_probe,
     stable_probe_points,
     strict_normal_cone,
     usc_probe,
 )
 from adjcone.quasiconvex import ArgminError, StepLevelFunction
-from helpers import same_set
+from helpers import chart_base, normalized_base, same_set
 
 
 def polar_oracle(f, x, cone, rng, trials=300):

@@ -3,14 +3,15 @@ import pytest
 
 from adjcone.geometry import Polytope
 from adjcone.gqvi import GqviInstance, MovingPolytope, SolverConfig, solve
-from adjcone.normal_op import adjusted_normal_cone, build_atlas
+from adjcone.normal_op import adjusted_normal_cone, build_atlas, global_base
 from adjcone.quasiopt import (
     QuasioptInstance,
     TFromNormal,
     brute_force_quasiopt,
     solve_quasiopt,
 )
-from helpers import assert_same_report, same_set, sequential_solve
+from helpers import (assert_same_report, chart_base, same_set,
+                     sequential_solve)
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,6 @@ class TestOperator:
     def test_single_chart_zone(self, step1d, atlas1d):
         op = TFromNormal(step1d, atlas1d)
         # 0.5 sits on the chart grid; only its own chart is active there
-        from adjcone.normal_op import chart_base, global_base
         result = global_base(atlas1d, step1d, [0.5])
         (i, w), = result.active_charts
         assert w == pytest.approx(1.0)
