@@ -47,12 +47,10 @@ from .gqvi import (  # noqa: F401
     fixed_point_set,
     hypothesis_report,
     minimax_value,
-    sion_check,
 )
 from .gqvi import solve as solve_gqvi  # noqa: F401
 from .quasiopt import (  # noqa: F401
     QuasioptInstance,
     TFromNormal,
-    brute_force_quasiopt,
     solve_quasiopt,
 )

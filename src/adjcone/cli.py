@@ -27,6 +27,7 @@ from .geometry import GeometryError, Polytope
 from .gqvi import (
     ConstantOperator,
     GqviInstance,
+    InstanceError,
     hypothesis_report,
     solve as gqvi_solve,
 )
@@ -456,7 +457,7 @@ def run(argv) -> int:
         code, report, series, *stats = _DISPATCH[args.command](
             kind, payload, args, out_dir)
     except (SchemaError, FileNotFoundError, ValueError, GeometryError,
-            DomainError, ArgminError) as exc:
+            DomainError, ArgminError, InstanceError) as exc:
         sys.stderr.write(f"adjcone: {exc}\n")
         return 1
 

@@ -9,8 +9,7 @@ constraint set and the minimax residual
 
 is nonnegative.  At a feasible x, ``y = x`` gives 0, so the residual
 there is at most 0: a solution's residual is 0 up to the LP's rounding.
-The residual is one LP; the reversed max-min is one LP per vertex and
-must coincide on polytope data, which ``sion_check`` verifies.  The
+The residual is one LP.  The
 solver is a heuristic (damped fixed-point iteration with multistart and
 a grid fallback): the underlying theory is existence only, so every
 reported solution is re-verified from scratch and anything weaker is
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -62,7 +60,7 @@ from . import lp
 from .lp import solve_lp
 
 # The benchmark's layer tracer looks this helper up as ``gqvi._grid_points``
-# (ROADMAP item 4 renames that target at the next benchmark change).
+# (ROADMAP item 5 renames that target at the next benchmark change).
 from .geometry import grid_points as _grid_points
 
 __all__ = [
@@ -73,11 +71,9 @@ __all__ = [
     "SolverConfig",
     "GqviInstance",
     "MinimaxResult",
-    "SionResult",
     "SolveReport",
     "fixed_point_set",
     "minimax_value",
-    "sion_check",
     "solve",
     "lsc_probe",
     "hypothesis_report",
@@ -268,31 +264,6 @@ class MinimaxResult:
     witness: np.ndarray | None = None  # maximizing vertex of T(x) at y_opt
 
 
-@dataclass
-class SionResult:
-    """Both orderings of the minimax residual.
-
-    ``maxmin`` restricts the outer maximum to the vertices of the
-    operator value, which is exact whenever the inner minimum is linear
-    over it (operators inside one orthant against box-like constraint
-    sets, which covers the shipped instances).  ``maxmin_full`` maximizes
-    over the whole operator polytope with one LP and coincides with
-    ``minmax`` on every polytope instance by the minimax theorem.
-    """
-
-    minmax: float
-    maxmin: float
-    maxmin_full: float
-
-    @property
-    def gap(self) -> float:
-        return abs(self.minmax - self.maxmin)
-
-    @property
-    def gap_full(self) -> float:
-        return abs(self.minmax - self.maxmin_full)
-
-
 def fixed_point_set(constraint_map: MovingPolytope) -> Polytope:
     """``{x : (A - D) x <= b} ∩ box``, exact and closed by construction."""
     box_a, box_b = constraint_map.box.halfspaces
@@ -432,35 +403,6 @@ def minimax_value(operator, constraint_map, x) -> MinimaxResult:
 _ABANDON = (GeometryError, InstanceError, ValueError)
 
 
-def sion_check(operator, constraint_map, x) -> SionResult:
-    """Exchange min and max; the gap must vanish on polytope data."""
-    x = np.asarray(x, dtype=float).ravel()
-    n = x.size
-    minmax = minimax_value(operator, constraint_map, x).value
-    feasible = constraint_map.value(x)
-    k_a, k_b = feasible.halfspaces
-    value_poly = operator.value(x)
-    best = -math.inf
-    for v in value_poly.vertices():
-        sol = solve_lp(v, a_ub=k_a, b_ub=k_b)
-        if not sol.optimal:
-            raise InstanceError(f"inner LP ended with status {sol.status}")
-        best = max(best, float(sol.value - v @ x))
-    # Exact outer maximum over the whole operator polytope: the inner min
-    # is attained at a constraint-set vertex, so one LP in (v, s) suffices.
-    k_verts = feasible.vertices()
-    t_a, t_b = value_poly.halfspaces
-    rows = np.hstack([-(k_verts - x), np.ones((len(k_verts), 1))])
-    rows = np.vstack([rows, np.hstack([t_a, np.zeros((t_a.shape[0], 1))])])
-    rhs = np.concatenate([np.zeros(len(k_verts)), t_b])
-    c = np.zeros(n + 1)
-    c[n] = -1.0
-    sol = solve_lp(c, a_ub=rows, b_ub=rhs)
-    if not sol.optimal:
-        raise InstanceError(f"full maxmin LP ended with status {sol.status}")
-    return SionResult(minmax=minmax, maxmin=best, maxmin_full=float(-sol.value))
-
-
 @dataclass
 class SolveReport:
     status: str  # "solved" | "residual_floor" | "infeasible"
@@ -468,7 +410,6 @@ class SolveReport:
     residual: float | None
     witness: np.ndarray | None
     iterations: int
-    wall_time: float
     starts_tried: int = 0
     trace: list | None = None
     stats: dict | None = None  # LP, memo and abandon counts, not reported
@@ -521,14 +462,13 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
     warm path declines where the optimum may be a face and ``solve_lp``
     must pick the point.  The winner's recheck is ``minimax_value``,
     always cold.  ``stats`` counts the minimax LPs (``minimax_lps``),
-    those the LP cache replayed and solved (from scratch or resumed),
+    those the LP cache replayed and solved from scratch,
     the states it recorded for them, the LPs answered ``warm``, the warm
     attempts declined by reason (``warm_declined``), the jumps tried
     and kept (``affine_tried``, ``affine_kept``), and under
     ``abandoned`` the branches given up, by error type;
     ``minimax_lps == replayed + solved + warm``.
     """
-    t_start = time.perf_counter()
     cfg = instance.config
     cm = instance.constraint_map
     fix = fixed_point_set(cm)
@@ -593,7 +533,7 @@ def solve(instance: GqviInstance, collect_trace=False) -> SolveReport:
 
     def report(status, x=None, residual=None, witness=None):
         return SolveReport(status, x, residual, witness, iterations,
-                           time.perf_counter() - t_start, len(starts), trace,
+                           len(starts), trace,
                            {**counts, "warm_declined": dict(counts["warm_declined"]),
                             "abandoned": dict(counts["abandoned"])})
 

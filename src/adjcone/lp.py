@@ -25,11 +25,8 @@ replayed on its right-hand-side column alone, with the operations of
 each one IEEE binary64 operation that rounds once, in CPython floats as
 in numpy; the phase-1 dot product on a column with the tableau's
 strides; and the shared ``_solution``.  A program that leaves the
-recorded paths is resumed, not restarted: ``_simplex`` first makes,
-unpriced, the pivots the replay took (those of a solve from scratch,
-counted in each phase's budget), then prices from the state where the
-paths part and records from there, with the candidate rows and entries
-its ratio tests built.
+recorded paths is solved from scratch, and its path is recorded with the
+candidate rows and entries its ratio tests built.
 
 ``solve_lp`` keeps one bounded cache of bodies, so no caller has to
 manage a memo.  The key is the exact body: the shape and bytes of ``c``,
@@ -40,8 +37,8 @@ body is solved from scratch and only marks the body as seen; from its
 second program on, a body is solved through its ``PathMemo``.  The cache
 holds at most ``_CACHE_BODIES`` bodies and drops the oldest past that;
 each memo records at most ``_MEMO_NODES`` states.  ``cache_counts``
-counts the ``calls``, the programs ``replayed`` and ``solved`` (from
-scratch or resumed), and the ``nodes`` recorded; ``clear_cache`` empties both.  The
+counts the ``calls``, the programs ``replayed`` and ``solved`` from
+scratch, and the ``nodes`` recorded; ``clear_cache`` empties both.  The
 command line clears the cache when a command starts, so no command's
 work depends on an earlier one.
 
@@ -179,8 +176,8 @@ def _scan_leaving(rows, den, rhs, basis):
 def _run_phase(tableau, basis, cost, max_iter, path=None):
     """Minimize cost over the current tableau; returns 'optimal'/'unbounded'.
     ``path`` collects every state met: ``(basis list, candidate rows,
-    their entering-column entries, entering column, its index, leaving
-    row)``, or ``(basis list, None, None)`` where the phase is optimal."""
+    their entering-column entries, entering column, leaving row)``, or
+    ``(basis list, None, None)`` where the phase is optimal."""
     n = tableau.shape[1] - 1
     for _ in range(max_iter):
         reduced = cost[:n] - cost[basis] @ tableau[:, :n]
@@ -195,8 +192,7 @@ def _run_phase(tableau, basis, cost, max_iter, path=None):
         rows, den = rows.tolist(), col[rows].tolist()
         leaving = _scan_leaving(rows, den, tableau[:, n].tolist(), basis)
         if path is not None:
-            path.append((basis.tolist(), rows, den, col.copy(), int(entering),
-                         leaving))
+            path.append((basis.tolist(), rows, den, col.copy(), leaving))
         if leaving < 0:
             return "unbounded"
         _pivot(tableau, basis, leaving, entering)
@@ -448,30 +444,19 @@ def solve_lp(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     return entry.solve(b_ub, b_eq)
 
 
-def _simplex(prog, path1=None, drives=None, path2=None, known=()):
+def _simplex(prog, path1=None, drives=None, path2=None):
     """Both phases of a prepared tableau; the paths are ``_run_phase``'s
-    and ``drives`` is ``_end_phase1``'s.  ``known`` lists the pivots of
-    a replay per phase it entered, in order; all but its last phase
-    ended optimal (module docstring)."""
-    known = list(known)
+    and ``drives`` is ``_end_phase1``'s."""
     if prog.n_art:
-        infeasible = _end_phase1(prog, _resume(prog, known, path1), drives)
+        status = _run_phase(prog.tableau, prog.basis, prog.cost, prog.budget,
+                            path1)
+        infeasible = _end_phase1(prog, status, drives)
         if infeasible is not None:
             return infeasible
-    if _resume(prog, known, path2) == "unbounded":
+    if _run_phase(prog.tableau, prog.basis, prog.cost, prog.budget,
+                  path2) == "unbounded":
         return LPSolution("unbounded", None, None)
     return _solution(prog.body, prog.basis.tolist(), prog.tableau[:, -1].tolist())
-
-
-def _resume(prog, known, path):
-    """One phase of ``_simplex``, from the pivots first in ``known``."""
-    pivots = known.pop(0) if known else ()
-    for row, col in pivots:
-        _pivot(prog.tableau, prog.basis, row, col)
-    if known:
-        return "optimal"
-    return _run_phase(prog.tableau, prog.basis, prog.cost,
-                      prog.budget - len(pivots), path)
 
 
 # -- body cache ----------------------------------------------------------------
@@ -505,8 +490,7 @@ def clear_cache():
 
 def cache_counts():
     """The cache's counts since it was last cleared: ``solve_lp`` calls,
-    programs replayed and solved (from scratch or resumed), and memo states
-    recorded.
+    programs replayed and solved from scratch, and memo states recorded.
     A call that raised is counted only in ``calls``."""
     return {name: _counts[name] for name in ("calls", "replayed", "solved",
                                              "nodes")}
@@ -523,10 +507,9 @@ class _Node:
     """A recorded tableau state: its basis (``order``), the candidate rows
     of its entering column and their entries (None where the phase
     ends), and ``edges`` from a leaving row to ``(row, pivot, updated
-    rows, their factors, entering column, next state)``.  Once a feasible
-    program got there, the last state of phase 1 holds ``end``:
-    ``(artificial mask, tableau width, drive-out updates, rows kept,
-    first phase-2 state)``."""
+    rows, their factors, next state)``.  Once a feasible program got
+    there, the last state of phase 1 holds ``end``: ``(artificial mask,
+    tableau width, drive-out updates, rows kept, first phase-2 state)``."""
 
     __slots__ = ("order", "rows", "den", "edges", "end")
 
@@ -553,21 +536,19 @@ def _update(rhs, row, pivot, rows, factors):
         rhs[i] -= factor * value
 
 
-def _walk(node, rhs, taken):
-    """Take ``rhs`` down the recorded pivots from ``node``, each one's
-    ``(row, entering column)`` into ``taken``; ``(node, row)`` where it
-    stops.  The row is -1 where the phase ends or the program is
-    unbounded, else a leaving row no recorded program took."""
+def _walk(node, rhs):
+    """Take ``rhs`` down the recorded pivots from ``node``; ``(node,
+    row)`` where it stops.  The row is -1 where the phase ends or the
+    program is unbounded, else a leaving row no recorded program took."""
     while node.rows is not None:
         leaving = _scan_leaving(node.rows, node.den, rhs, node.order)
         edge = node.edges.get(leaving)
         if edge is None:
             return node, leaving
-        row, pivot, rows, factors, entering, node = edge
+        row, pivot, rows, factors, node = edge
         value = rhs[row] = rhs[row] / pivot  # _update, inlined
         for i, factor in zip(rows, factors):
             rhs[i] -= factor * value
-        taken.append((row, entering))
     return node, -1
 
 
@@ -578,8 +559,7 @@ class PathMemo:
     body with these right-hand sides, bit for bit (module docstring).
     Paths are recorded in one trie per pattern of negated rows, at most
     ``_MEMO_NODES`` states.  ``counts``, shared when given, counts the
-    programs ``replayed`` and ``solved`` (from scratch, or resumed where
-    a replay left the paths) and the ``nodes``.
+    programs ``replayed`` and ``solved`` from scratch and the ``nodes``.
     """
 
     def __init__(self, body, counts=None):
@@ -592,36 +572,31 @@ class PathMemo:
             self.counts["solved"] += 1
             return rhs
         key = (rhs < 0).tobytes()
-        node, phase1, known = None, False, ()
         if key in self.roots:
             sol = self._replay(*self.roots[key], np.abs(rhs).tolist())
-            if isinstance(sol, LPSolution):
+            if sol is not None:
                 self.counts["replayed"] += 1
                 return sol
-            node, phase1, known = sol
         prog = _tableau(self.body, rhs)
         width = prog.tableau.shape[1]
         path1, drives, path2 = [], [], []
-        sol = _simplex(prog, path1, drives, path2, known)
+        sol = _simplex(prog, path1, drives, path2)
         self.counts["solved"] += 1
         # Each state met is at most one new node.
         if self.nodes + len(path1) + len(path2) <= _MEMO_NODES:
-            if node is None:
-                node, phase1 = _Node(self, *(path1 or path2)[0][:3]), bool(path1)
-                self.roots[key] = node, phase1
-            self._record(node, phase1, path1, width, drives, path2)
+            if key not in self.roots:
+                self.roots[key] = _Node(self, *(path1 or path2)[0][:3]), bool(path1)
+            self._record(*self.roots[key], path1, width, drives, path2)
         return sol
 
     def _replay(self, node, phase1, rhs):
-        """The solution along the recorded paths; where it leaves them,
-        ``(state, in phase 1, pivots taken)`` for ``_simplex`` to resume."""
-        known = [[]]
-        node, leaving = _walk(node, rhs, known[0])
+        """The solution along the recorded paths; None where it leaves them."""
+        node, leaving = _walk(node, rhs)
         if phase1:
-            if leaving >= 0:
-                return node, True, known
-            if node.end is None:  # only infeasible programs ended here
-                return node, True, known + [[]]
+            # Off the paths (no state inside the phase has an end), or at
+            # a phase-1 end that only infeasible programs met.
+            if node.end is None:
+                return None
             art, width, drives, keep, root = node.end
             col = np.empty((len(rhs), width))[:, -1]  # the tableau's strides
             col[:] = rhs
@@ -630,19 +605,18 @@ class PathMemo:
             for edge in drives:
                 _update(rhs, *edge)
             rhs = [rhs[i] for i in keep]
-            known.append([])
-            node, leaving = _walk(root, rhs, known[1])
+            node, leaving = _walk(root, rhs)
         if leaving >= 0:
-            return node, False, known
+            return None
         if node.rows is not None:
             return LPSolution("unbounded", None, None)
         return _solution(self.body, node.order, rhs)
 
     def _graft(self, node, path):
         """Record ``path`` from its first state, ``node``; its last state."""
-        for (*_, col, entering, leaving), state in zip(path, path[1:]):
+        for (*_, col, leaving), state in zip(path, path[1:]):
             if leaving not in node.edges:
-                node.edges[leaving] = (*_edge(col, leaving), entering,
+                node.edges[leaving] = (*_edge(col, leaving),
                                        _Node(self, *state[:3]))
             node = node.edges[leaving][-1]
         return node

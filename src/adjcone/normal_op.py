@@ -38,8 +38,8 @@ it lies in C; and each extreme ray g of C meets every S_i, so the sum
 holds a positive multiple of g.  Hence cone(sum) = C, and the hull
 rounding of the sum (about 1e-15) lies far below the ``CONE`` slack.
 
-Every atlas query (bumps, weights, covering, the partition defect and
-the stable probe points) runs through one kernel, ``Atlas._gap_blocks``:
+Every atlas query (bumps, weights, covering and the partition defect)
+runs through one kernel, ``Atlas._gap_blocks``:
 it holds the chart centers and radii as arrays and yields the gaps
 ``radius - |x - center|`` in row blocks of bounded size, each with the
 bits of the scalar ``LocalChart.bump`` (``geometry._row_norms`` argues
@@ -94,7 +94,6 @@ __all__ = [
     "usc_probe",
     "closedness_probe",
     "quasimonotonicity_probe",
-    "stable_probe_points",
 ]
 
 # Point-chart pairs per block of the atlas kernel (``Atlas._gap_blocks``).
@@ -683,16 +682,3 @@ def quasimonotonicity_probe(f: StepLevelFunction, pair_samples=1000, seed=0,
                                    "backward": float((h @ gap))})
     return ProbeVerdict(passed=not violations, violations=violations,
                         checked=checked, kind="quasimonotonicity")
-
-
-def stable_probe_points(atlas: Atlas, margin=1e-3, limit=None, mesh=None):
-    """Grid points covered by exactly one chart with every chart boundary
-    at least ``margin`` away; the base map is locally a single chart
-    section there, the regime the deviation probe needs.  ``limit`` keeps
-    the first points in grid order."""
-    grid = grid_points(atlas.region, mesh if mesh else atlas.cover_step / 8.0)
-    keep = np.concatenate([
-        ((gaps > 0).sum(axis=1) == 1)
-        & (np.abs(gaps).min(axis=1, initial=np.inf) >= margin)
-        for _, gaps in atlas._gap_blocks(grid)])
-    return grid[keep][:limit] if limit else grid[keep]

@@ -21,8 +21,8 @@ from 2-D on, with the booleans of the matrix product and of ``np.clip``
 with ``np.linalg.norm`` (see :mod:`adjcone.geometry`).  The anchor
 selects the rows it passes on with ``compress``, the same copy as
 boolean indexing.  It is the one home of the adjusted membership rule:
-``adjusted_contains(_many)``, the ``adjusted-set`` mesh, the sampled
-checks and the quasiopt grid oracles all go through it.
+``adjusted_contains``, the ``adjusted-set`` mesh and the sampled
+checks all go through it.
 
 Membership only compares a distance with ``rho(x) + tol``, which
 ``Polytope.within_distance`` decides bit for bit, projecting only near
@@ -184,13 +184,6 @@ class StepLevelFunction:
         return LevelSetHandle("strict_sublevel", level, self.polytopes[j],
                               is_closed=True, level_index=j)
 
-    # -- union-of-levels membership (the function as defined) ---------------
-
-    def sublevel_contains(self, level, y):
-        return any(poly.contains(y)
-                   for lam, poly in zip(self.levels, self.polytopes)
-                   if lam <= level + 1e-12)
-
     def strict_level_distance(self, level, y):
         """Distance from y to the strict sublevel region (inf if empty)."""
         best = math.inf
@@ -217,11 +210,7 @@ class StepLevelFunction:
 
     def adjusted_contains(self, x, y, tol=None):
         """Membership of y in the adjusted sublevel set anchored at x."""
-        return bool(self.adjusted_contains_many(x, [y], tol=tol)[0])
-
-    def adjusted_contains_many(self, x, ys, tol=None):
-        """``AdjustedAnchor(self, x).contains_many(ys, tol)``."""
-        return AdjustedAnchor(self, x).contains_many(ys, tol)
+        return bool(AdjustedAnchor(self, x).contains_many([y], tol)[0])
 
 
 class AdjustedAnchor:

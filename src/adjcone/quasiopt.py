@@ -8,8 +8,7 @@ own constraint set ``K(x)``.  The reduction builds the operator
 
 and solves the associated generalized quasivariational inequality.  Any
 accepted point is post-verified against a dense grid of its own
-constraint set; a brute-force enumerator over the fixed-point set is
-provided as the independent oracle.
+constraint set.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .gqvi import (
 )
 
 # The benchmark's layer tracer and its self-test expect this binding to be
-# the traced ``gqvi._grid_points`` (ROADMAP item 4 renames that target at
+# the traced ``gqvi._grid_points`` (ROADMAP item 5 renames that target at
 # the next benchmark change).
 from .geometry import grid_points as _grid_points
 from .normal_op import Atlas, global_base
@@ -41,7 +40,6 @@ __all__ = [
     "QuasioptInstance",
     "QuasioptReport",
     "solve_quasiopt",
-    "brute_force_quasiopt",
 ]
 
 
@@ -146,26 +144,3 @@ def solve_quasiopt(instance: QuasioptInstance) -> QuasioptReport:
     return QuasioptReport(x=x, f_value=float(f_value), gqvi=report,
                           verified=True, grid_min=grid_min,
                           in_argmin=instance.f.in_argmin(x))
-
-
-def brute_force_quasiopt(instance: QuasioptInstance, mesh):
-    """All grid points of fix K that minimize f over their own constraint
-    set at grid resolution.  Independent of the solver path."""
-    fix = fixed_point_set(instance.constraint_map)
-    lo, hi = instance.constraint_map.box.bounding_box()
-    box_grid = _grid_points(Polytope.from_box(lo, hi), mesh)
-    f_on_grid = instance.f.evaluate_many(box_grid)
-    solutions = []
-    for x in _grid_points(fix, mesh):
-        if not instance.constraint_map.contains(x, x):
-            continue
-        fx = instance.f.evaluate(x)
-        if math.isinf(fx):
-            continue
-        a, b, d = (instance.constraint_map.a, instance.constraint_map.b,
-                   instance.constraint_map.d)
-        mask = np.all(box_grid @ a.T <= b + d @ x + FEAS, axis=1)
-        if mask.any() and fx > f_on_grid[mask].min() + instance.tol_opt:
-            continue
-        solutions.append(x)
-    return np.array(solutions) if solutions else np.zeros((0, instance.f.dim))

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import time
 
 import numpy as np
 from scipy.optimize import nnls
@@ -248,7 +247,6 @@ def sequential_solve(instance, collect_trace=False):
     acceptance, stationarity or ``max_iters`` before the next one begins,
     one ``minimax_value`` per step, and the grid fallback evaluates one
     point at a time."""
-    t_start = time.perf_counter()
     cfg = instance.config
     cm = instance.constraint_map
     fix = gqvi.fixed_point_set(cm)
@@ -292,12 +290,12 @@ def sequential_solve(instance, collect_trace=False):
                 best, best_key = (g, result), key
         if best is None:
             return gqvi.SolveReport("infeasible", None, None, None, iterations,
-                               time.perf_counter() - t_start, len(starts), trace)
+                                    len(starts), trace)
         x_best, res_best = best
         status = "solved" if (res_best.value >= -cfg.tol_solve
                               and cm.contains(x_best, x_best)) else "residual_floor"
         return gqvi.SolveReport(status, x_best, float(res_best.value), res_best.witness,
-                           iterations, time.perf_counter() - t_start, len(starts), trace)
+                                iterations, len(starts), trace)
 
     scored = sorted(candidates, key=lambda cr: gqvi._candidate_key(cr[0]))
     x_best, _ = scored[0]
@@ -305,7 +303,7 @@ def sequential_solve(instance, collect_trace=False):
     ok = cm.contains(x_best, x_best) and recheck.value >= -cfg.tol_solve
     status = "solved" if ok else "residual_floor"
     return gqvi.SolveReport(status, x_best, float(recheck.value), recheck.witness,
-                       iterations, time.perf_counter() - t_start, len(starts), trace)
+                            iterations, len(starts), trace)
 
 
 def stacked_slice(cm, x):
@@ -452,3 +450,102 @@ def uncached_closedness_probe(f, x, approach_sequences=100, seed=0):
                                    "limit": limit.copy(), "drift": drift})
     return normal_op.ProbeVerdict(passed=not violations, violations=violations,
                                   checked=checked, kind="closedness")
+
+
+def sublevel_contains(f, level, y):
+    """Membership of y in the sublevel set of the step function ``f`` at
+    ``level``, over the union of the level polytopes (the function as
+    defined), as the oracle of the single-polytope ``sublevel``."""
+    return any(poly.contains(y) for lam, poly in zip(f.levels, f.polytopes)
+               if lam <= level + 1e-12)
+
+
+def stable_probe_points(atlas, margin=1e-3, limit=None, mesh=None):
+    """Grid points covered by exactly one chart with every chart boundary
+    at least ``margin`` away; the base map is locally a single chart
+    section there, the regime the deviation probe needs.  ``limit`` keeps
+    the first points in grid order."""
+    grid = grid_points(atlas.region, mesh if mesh else atlas.cover_step / 8.0)
+    keep = np.concatenate([
+        ((gaps > 0).sum(axis=1) == 1)
+        & (np.abs(gaps).min(axis=1, initial=np.inf) >= margin)
+        for _, gaps in atlas._gap_blocks(grid)])
+    return grid[keep][:limit] if limit else grid[keep]
+
+
+@dataclasses.dataclass
+class SionResult:
+    """Both orderings of the minimax residual.
+
+    ``maxmin`` restricts the outer maximum to the vertices of the
+    operator value, which is exact whenever the inner minimum is linear
+    over it (operators inside one orthant against box-like constraint
+    sets, which covers the shipped instances).  ``maxmin_full`` maximizes
+    over the whole operator polytope with one LP and coincides with
+    ``minmax`` on every polytope instance by the minimax theorem.
+    """
+
+    minmax: float
+    maxmin: float
+    maxmin_full: float
+
+    @property
+    def gap(self):
+        return abs(self.minmax - self.maxmin)
+
+    @property
+    def gap_full(self):
+        return abs(self.minmax - self.maxmin_full)
+
+
+def sion_check(operator, constraint_map, x):
+    """Exchange min and max of the minimax residual at x; the gap must
+    vanish on polytope data."""
+    x = np.asarray(x, dtype=float).ravel()
+    n = x.size
+    minmax = gqvi.minimax_value(operator, constraint_map, x).value
+    feasible = constraint_map.value(x)
+    k_a, k_b = feasible.halfspaces
+    value_poly = operator.value(x)
+    best = -math.inf
+    for v in value_poly.vertices():
+        sol = solve_lp(v, a_ub=k_a, b_ub=k_b)
+        if not sol.optimal:
+            raise gqvi.InstanceError(f"inner LP ended with status {sol.status}")
+        best = max(best, float(sol.value - v @ x))
+    # Exact outer maximum over the whole operator polytope: the inner min
+    # is attained at a constraint-set vertex, so one LP in (v, s) suffices.
+    k_verts = feasible.vertices()
+    t_a, t_b = value_poly.halfspaces
+    rows = np.hstack([-(k_verts - x), np.ones((len(k_verts), 1))])
+    rows = np.vstack([rows, np.hstack([t_a, np.zeros((t_a.shape[0], 1))])])
+    rhs = np.concatenate([np.zeros(len(k_verts)), t_b])
+    c = np.zeros(n + 1)
+    c[n] = -1.0
+    sol = solve_lp(c, a_ub=rows, b_ub=rhs)
+    if not sol.optimal:
+        raise gqvi.InstanceError(f"full maxmin LP ended with status {sol.status}")
+    return SionResult(minmax=minmax, maxmin=best, maxmin_full=float(-sol.value))
+
+
+def brute_force_quasiopt(instance, mesh):
+    """All grid points of fix K that minimize f over their own constraint
+    set at grid resolution, independent of the solver path: the oracle of
+    ``solve_quasiopt``."""
+    cm = instance.constraint_map
+    fix = gqvi.fixed_point_set(cm)
+    lo, hi = cm.box.bounding_box()
+    box_grid = grid_points(Polytope.from_box(lo, hi), mesh)
+    f_on_grid = instance.f.evaluate_many(box_grid)
+    solutions = []
+    for x in grid_points(fix, mesh):
+        if not cm.contains(x, x):
+            continue
+        fx = instance.f.evaluate(x)
+        if math.isinf(fx):
+            continue
+        mask = np.all(box_grid @ cm.a.T <= cm.b + cm.d @ x + FEAS, axis=1)
+        if mask.any() and fx > f_on_grid[mask].min() + instance.tol_opt:
+            continue
+        solutions.append(x)
+    return np.array(solutions) if solutions else np.zeros((0, instance.f.dim))

@@ -18,7 +18,6 @@ from adjcone.gqvi import (
     SolverConfig,
     fixed_point_set,
     minimax_value,
-    sion_check,
     solve,
 )
 from adjcone.normal_op import (
@@ -26,7 +25,6 @@ from adjcone.normal_op import (
     closedness_probe,
     global_base,
     quasimonotonicity_probe,
-    stable_probe_points,
     strict_normal_cone,
     usc_probe,
 )
@@ -36,7 +34,9 @@ from adjcone.quasiconvex import (
     analytic_from_name,
     quasiconvexity_check,
 )
-from adjcone.quasiopt import QuasioptInstance, brute_force_quasiopt, solve_quasiopt
+from adjcone.quasiopt import QuasioptInstance, solve_quasiopt
+from helpers import (brute_force_quasiopt, sion_check, stable_probe_points,
+                     sublevel_contains)
 
 TOL_SANDWICH = 1e-9
 TOL_CONE = 1e-6
@@ -132,7 +132,7 @@ def test_criterion_01_sandwich(step1d, sq2d, nested3d):
                 pairs += 1
                 in_strict = f.strict_level_distance(value, y) <= TOL_SANDWICH
                 in_adj = f.adjusted_contains(x, y, tol=TOL_SANDWICH)
-                in_sub = f.sublevel_contains(value, y)
+                in_sub = sublevel_contains(f, value, y)
                 if in_strict:
                     assert in_adj, (x, y)
                 if in_adj:

@@ -99,7 +99,7 @@ def test_adjusted_contains_many_matches_reference(name, tol, request, data):
     if data.draw(st.booleans()):
         ys = np.vstack([ys, x])
     expected = outcome(lambda: [reference_contains(f, x, y, tol) for y in ys])
-    got = outcome(lambda: f.adjusted_contains_many(x, ys, tol=tol))
+    got = outcome(lambda: AdjustedAnchor(f, x).contains_many(ys, tol))
     if isinstance(expected, type):
         assert got is expected
     else:
@@ -108,10 +108,10 @@ def test_adjusted_contains_many_matches_reference(name, tol, request, data):
 
 def test_kernels_reject_wrong_dimension(sq2d):
     with pytest.raises(ValueError, match="dimension"):
-        sq2d.adjusted_contains_many([1.5, 0.5], [[0.0, 0.0, 0.0]])
+        AdjustedAnchor(sq2d, [1.5, 0.5]).contains_many([[0.0, 0.0, 0.0]])
     # The rows are checked before the anchor is evaluated.
     with pytest.raises(ValueError, match="expected points of dimension 2"):
-        sq2d.adjusted_contains_many([1.5], [[0.0, 0.0, 0.0]])
+        AdjustedAnchor(sq2d, [1.5]).contains_many([[0.0, 0.0, 0.0]])
 
 
 def test_anchor_works_on_first_use(step1d, monkeypatch):
@@ -131,7 +131,7 @@ def test_anchor_works_on_first_use(step1d, monkeypatch):
 def test_tol_widens_the_enlargement(step1d, tol, expected):
     # rho(0.5) = 0.5; the rows sit 5e-8, 5e-10 and 2e-7 beyond it.
     ys = [[0.5 + 5e-8], [0.5 + 5e-10], [0.5 + 2e-7]]
-    assert step1d.adjusted_contains_many([0.5], ys, tol=tol).tolist() == expected
+    assert AdjustedAnchor(step1d, [0.5]).contains_many(ys, tol).tolist() == expected
     assert [reference_contains(step1d, [0.5], y, tol) for y in ys] == expected
 
 
@@ -161,7 +161,7 @@ def test_band_edge_rows_match_reference(name, tol, request):
             assert f.evaluate(x) == f.levels[j]
             ys = band_edge_points(f.polytopes[j - 1], f.rho(x) + slack, rng)
             expected = [reference_contains(f, x, y, tol) for y in ys]
-            got = f.adjusted_contains_many(x, ys, tol=tol)
+            got = AdjustedAnchor(f, x).contains_many(ys, tol)
             assert got.dtype == bool and got.tolist() == expected
             outcomes.update(expected)
     assert outcomes == {False, True}

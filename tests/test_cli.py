@@ -234,9 +234,9 @@ def test_solve_gqvi_writes_memo_stats_to_manifest(tmp_path):
 ])
 def test_solver_manifest_counts_pinned(name, command, lp_counts, stats,
                                        tmp_path):
-    # The LP and solver counts of the shipped solves.  A program resumed
-    # where its replay left the recorded paths counts as solved, and
-    # records the states a solve from scratch would have recorded.  A
+    # The LP and solver counts of the shipped solves.  A program whose
+    # replay leaves the recorded paths is solved from scratch, counts as
+    # solved, and records only the states no program recorded before.  A
     # minimax LP answered warm makes no solve_lp call.  A sum of certified
     # chart sections runs no cone check; on the window those checks were
     # 52 replayed LPs.
@@ -350,6 +350,27 @@ def test_malformed_instance_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "polytopes" in err
+
+
+@pytest.mark.parametrize("command, name, k", [
+    ("solve-gqvi", "moving_interval",
+     {"A": [[1.0], [-1.0]], "D": [[1.0], [-0.5]], "b": [-1.0, 1.0]}),
+    ("solve-quasiopt", "quasiopt_window1d",
+     {"D": [[1.0], [-1.0]], "b": [-1.0, 0.5]}),
+], ids=["solve-gqvi", "solve-quasiopt"])
+def test_no_fixed_point_exits_1(command, name, k, tmp_path, capsys):
+    # fix K = {x : (A - D) x <= b} ∩ box is empty.  Uncaught, the solver's
+    # InstanceError ended the command in a traceback.
+    with open(os.path.join(SHIPPED, f"{name}.json")) as fh:
+        doc = json.load(fh)
+    doc["K"].update(k)
+    path = tmp_path / "empty_fix.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert run([command, "--instance", str(path), "--out", str(out)]) == 1
+    assert (capsys.readouterr().err
+            == "adjcone: the constraint map has no fixed points\n")
+    assert not (out / "report.json").exists()
 
 
 def test_missing_file_exits_1(tmp_path):

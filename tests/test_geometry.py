@@ -16,6 +16,7 @@ from adjcone.geometry import (
     ConeSectionError,
     EmptyPolytopeError,
     GeneratedCone,
+    GeometryError,
     Polytope,
     ScaleBoundError,
     UnboundedPolytopeError,
@@ -588,3 +589,46 @@ def test_minkowski_scale_bound():
 def test_generated_cone_rejects_tiny_generator():
     with pytest.raises(ValueError):
         GeneratedCone([[1e-12, 0.0]])
+
+
+_SQUARE = Polytope.from_box([-1.0, -1.0], [1.0, 1.0])
+_SQUARE_A, _SQUARE_B = _SQUARE.halfspaces
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: weighted_minkowski([]), ValueError,
+     "empty Minkowski combination"),
+    (lambda: weighted_minkowski([(-0.5, _SQUARE), (1.5, _SQUARE)]), ValueError,
+     "Minkowski weights must be nonnegative"),
+    (lambda: weighted_minkowski([(0.5, _SQUARE),
+                                 (0.5, Polytope.from_box([0.0], [1.0]))]),
+     ValueError, "Minkowski terms must share a dimension"),
+    (lambda: GeneratedCone([]), ValueError,
+     "zero cone needs an explicit dimension"),
+    (lambda: GeneratedCone([[1.0, 0.0]], dim=3), ValueError,
+     "generator dimension mismatch"),
+    (lambda: GeneratedCone([[1.0, 0.0]]).section([1.0, 0.0], 0.0), ValueError,
+     "section offset must be positive"),
+    (lambda: GeneratedCone([[1.0, 0.0]]).section([1.0, 0.0], -1.0), ValueError,
+     "section offset must be positive"),
+    (lambda: GeneratedCone([], dim=2).section([1.0, 0.0], 1.0),
+     ConeSectionError, "the zero cone has no section"),
+    (lambda: polar_extreme_rays(np.zeros((0, 2)), dim=2), GeometryError,
+     "no directions given"),
+    (lambda: polar_extreme_rays([[1.0, 0.0], [-1.0, 0.0]]), GeometryError,
+     "directions do not span the space"),
+    (lambda: Polytope(_SQUARE_A, _SQUARE_B[:3]), ValueError,
+     "halfspace matrix and offset vector disagree"),
+    (lambda: Polytope(np.zeros((0, 2)), []), ValueError,
+     "a polytope needs at least one halfspace"),
+    (lambda: Polytope(_SQUARE_A, _SQUARE_B, vertices=[[0.0], [1.0]]),
+     ValueError, "cached vertices have the wrong dimension"),
+], ids=["minkowski-empty", "minkowski-negative-weight",
+        "minkowski-mixed-dims", "cone-zero-without-dim",
+        "cone-dim-mismatch", "section-zero-offset", "section-negative-offset",
+        "section-zero-cone", "polar-no-directions", "polar-no-span",
+        "polytope-row-count", "polytope-no-rows", "polytope-vertex-dim"])
+def test_input_checks(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value).startswith(message)

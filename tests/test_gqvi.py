@@ -20,7 +20,6 @@ from adjcone.gqvi import (
     hypothesis_report,
     lsc_probe,
     minimax_value,
-    sion_check,
     solve,
 )
 from helpers import (
@@ -28,6 +27,7 @@ from helpers import (
     bits,
     damped,
     sequential_solve,
+    sion_check,
     stacked_slice,
 )
 
@@ -460,6 +460,20 @@ def test_moving_polytope_rejects_non_finite_data(field, data):
     with pytest.raises(ValueError, match=f"MovingPolytope: {field} has a "
                                          "non-finite entry"):
         MovingPolytope(box=Polytope.from_box([-2.0], [2.0]), **kwargs)
+
+
+@pytest.mark.parametrize("data, box_dim, message", [
+    ({"d": [[0.5]]}, 1, "A, b, D shapes disagree"),
+    ({"b": [1.0]}, 1, "A, b, D shapes disagree"),
+    ({}, 2, "constraint matrix does not match the box dimension"),
+], ids=["d-rows", "b-size", "box-dim"])
+def test_moving_polytope_rejects_bad_shapes(data, box_dim, message):
+    kwargs = {"a": [[1.0], [-1.0]], "b": [1.0, 1.0], "d": [[0.5], [-0.5]],
+              **data}
+    box = Polytope.from_box([-2.0] * box_dim, [2.0] * box_dim)
+    with pytest.raises(ValueError) as info:
+        MovingPolytope(box=box, **kwargs)
+    assert str(info.value).startswith(message)
 
 
 # -- solver against the start-by-start oracle ------------------------------------

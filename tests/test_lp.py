@@ -745,180 +745,121 @@ def test_memo_budget_exhausted_on_a_miss(monkeypatch):
     assert memo.nodes == 0 and not memo.roots
 
 
-# -- resumed solves --------------------------------------------------------------
+# -- replays that leave the paths -----------------------------------------------
 #
-# A replay that leaves the recorded paths hands ``_simplex`` the pivots it
-# took; ``_simplex`` makes them without pricing and prices from the state
-# where the paths part.  Every result must keep the bits of a solve from
-# scratch, and only the states from the divergence on are priced.
+# A replay that leaves the recorded paths returns None; the program is
+# solved from scratch and its path grafted from the root.  Every result
+# must keep the bits of a solve from scratch.
 
 
-@st.composite
-def resume_sequences(draw):
-    """A program, with equality rows or not, and 4-10 right-hand sides
-    of its body around one point (the origin in some, so that free
-    variables and inequality rows alone need no phase 1), so most
-    retrace a prefix of a recorded path and leave it in phase 1 or 2.  A duplicated equality
-    row leaves an artificial on a redundant row after phase 1, and some
-    sides shift the duplicate off its twin, which ends phase 1 infeasible.
-    """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 4))
-    point = rng.uniform(-1, 1, size=n) * draw(st.sampled_from([0.0, 1.0]))
-    a_ub = rng.normal(size=(draw(st.integers(2, 7)), n))
-    b_ub = a_ub @ point + rng.uniform(0.05, 1.0, size=len(a_ub))
+def divergence_case(seed, n, rows, at_origin, eq_rows, twin, bounded, scales,
+                    shifts):
+    """A program and right-hand sides of its body around one point (the
+    origin if ``at_origin``, so that free variables and inequality rows
+    alone need no phase 1), each side a normal perturbation of the first
+    at one of ``scales``, so most retrace a prefix of a recorded path and
+    leave it in phase 1 or 2.  With ``twin``, the first of ``eq_rows``
+    equality rows is duplicated, which leaves an artificial on a
+    redundant row after phase 1; each side shifts the duplicate off its
+    twin by its entry of ``shifts``, and a nonzero shift ends phase 1
+    infeasible."""
+    rng = np.random.default_rng(seed)
+    point = rng.uniform(-1, 1, size=n) * (0.0 if at_origin else 1.0)
+    a_ub = rng.normal(size=(rows, n))
+    b_ub = a_ub @ point + rng.uniform(0.05, 1.0, size=rows)
     program = {"c": rng.normal(size=n), "a_ub": a_ub,
-               "bounds": draw(st.sampled_from([None, [(-2.0, 2.0)] * n]))}
-    b_eq, twin = None, False
-    if draw(st.booleans()):
-        a_eq = rng.normal(size=(draw(st.integers(1, 2)), n))
-        twin = draw(st.booleans())
+               "bounds": [(-2.0, 2.0)] * n if bounded else None}
+    b_eq = None
+    if eq_rows:
+        a_eq = rng.normal(size=(eq_rows, n))
         if twin:
             a_eq = np.vstack([a_eq, a_eq[:1]])
         program["a_eq"], b_eq = a_eq, a_eq @ point
     sides = [(b_ub, b_eq)]
-    for _ in range(draw(st.integers(3, 9))):
-        scale = draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.3]))
+    for scale, shift in zip(scales, shifts):
         side_ub = b_ub + scale * rng.normal(size=b_ub.shape)
         side_eq = None
         if b_eq is not None:
             side_eq = b_eq + scale * rng.normal(size=b_eq.shape)
             if twin:
-                side_eq[-1] = side_eq[0] + 0.5 * (draw(st.integers(0, 3)) == 0)
+                side_eq[-1] = side_eq[0] + shift
         sides.append((side_ub, side_eq))
     return program, sides
 
 
+@st.composite
+def divergence_sequences(draw):
+    """A ``divergence_case`` of 2-4 variables, 2-7 inequality rows, up to
+    two equality rows and 4-10 right-hand sides."""
+    count = draw(st.integers(3, 9))
+    eq_rows = draw(st.sampled_from([0, 0, 1, 2]))
+    return divergence_case(
+        draw(st.integers(0, 2**32 - 1)), draw(st.integers(2, 4)),
+        draw(st.integers(2, 7)), draw(st.booleans()), eq_rows,
+        eq_rows > 0 and draw(st.booleans()), draw(st.booleans()),
+        draw(st.lists(st.sampled_from([1e-6, 1e-3, 0.05, 0.3]),
+                      min_size=count, max_size=count)),
+        draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.5]),
+                      min_size=count, max_size=count)))
+
+
+# Drawn examples meet every kind of divergence only now and then, so these
+# fixed cases, at least one per kind, always run: (seed, at the origin,
+# equality rows, twin).
+DIVERGENCES = [divergence_case(seed, 4, 7, at_origin, eq_rows, twin, False,
+                               [0.05, 0.3] * 3, [0.0, 0.5, 0.0] * 2)
+               for seed, at_origin, eq_rows, twin in [
+                   (0, False, 1, False), (1, False, 1, False),
+                   (0, True, 0, False), (0, False, 1, True),
+                   (1, False, 1, True)]]
+
+
 def test_resumed_solves_match_solve_lp(monkeypatch):
     # Every right-hand side through one memo ends with the bits of its own
-    # solve from scratch.  Across the examples, replays leave the recorded
-    # paths in phase 1, after a whole phase 1, in a program without one,
-    # with a redundant row dropped and at an infeasible phase-1 end.
-    seen = set()
-    simplex = lp._simplex
+    # solve from scratch.  Replays take a recorded pivot and then leave
+    # the paths in phase 1, after a whole phase 1, in a program without
+    # one, with a redundant row dropped and at an infeasible phase-1 end.
+    seen, walks, left = set(), [], []
+    walk, replay, simplex = lp._walk, lp.PathMemo._replay, lp._simplex
 
-    def recording(prog, path1=None, drives=None, path2=None, known=()):
+    def walking(node, rhs):
+        stop = walk(node, rhs)
+        walks.append(stop[0] is not node)  # took a recorded pivot
+        return stop
+
+    def replaying(memo, node, phase1, rhs):
+        del walks[:]
+        sol = replay(memo, node, phase1, rhs)
+        if sol is None and any(walks):
+            left.append("no phase 1" if not phase1 else
+                        "phase 1" if len(walks) == 1 else "after phase 1")
+        return sol
+
+    def recording(prog, path1=None, drives=None, path2=None):
         phase1 = prog.n_art > 0
-        sol = simplex(prog, path1, drives, path2, known)
-        if known and any(known):
-            seen.add("phase 1" if phase1 and len(known) == 1
-                     else "after phase 1" if phase1 else "no phase 1")
+        sol = simplex(prog, path1, drives, path2)
+        if left:
+            seen.add(left.pop())
             if phase1 and any(col is None for _, col in drives):
                 seen.add("redundant row")
             if sol.status == "infeasible":
                 seen.add("infeasible")
         return sol
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(resume_sequences())
     def check(case):
         program, sides = case
         memo = assert_memo_matches(program, sides)
         assert memo.counts["replayed"] + memo.counts["solved"] == len(sides)
 
-    monkeypatch.setattr(lp, "_simplex", recording)  # scratch solves pass no pivots
-    check()
+    monkeypatch.setattr(lp, "_walk", walking)
+    monkeypatch.setattr(lp.PathMemo, "_replay", replaying)
+    monkeypatch.setattr(lp, "_simplex", recording)
+    for case in DIVERGENCES:
+        check(case)
     assert seen == {"phase 1", "after phase 1", "no phase 1", "redundant row",
                     "infeasible"}
-
-
-def test_resume_prices_only_from_the_divergence(monkeypatch):
-    # One recorded program, then right-hand sides that retrace part of its
-    # path.  A resumed solve makes the pivots of a solve from scratch, in
-    # order, but prices only the states from the one where the paths
-    # part: the phase it resumes starts there, and a phase the replay
-    # finished is not run.
-    rng = np.random.default_rng(2)
-    program = {"c": rng.normal(size=4), "a_ub": rng.normal(size=(10, 4)),
-               "a_eq": rng.normal(size=(1, 4))}
-    point = rng.uniform(-1, 1, size=4)
-    b_ub = program["a_ub"] @ point + rng.uniform(0.05, 1.0, size=10)
-    b_eq = program["a_eq"] @ point
-    memo = memo_of(program)
-    memo.solve(b_ub, b_eq)
-    run_phase, pivot = lp._run_phase, lp._pivot
-
-    def traced(solve, *args):
-        """The result, ``(start basis, states priced)`` of every phase
-        run, and every pivot made."""
-        runs, pivots = [], []
-
-        def pricing(tableau, basis, cost, max_iter, path=None):
-            start, before = basis.tolist(), len(path)
-            status = run_phase(tableau, basis, cost, max_iter, path)
-            runs.append((start, len(path) - before))
-            return status
-
-        monkeypatch.setattr(lp, "_run_phase", pricing)
-        monkeypatch.setattr(lp, "_pivot", lambda *a: pivots.append(
-            (int(a[2]), int(a[3]))) or pivot(*a))
-        try:
-            return solve(*args), runs, pivots
-        finally:
-            monkeypatch.undo()
-
-    found = set()
-    for scale in np.repeat([0.02, 0.1, 0.4], 100):
-        side_ub = b_ub + scale * rng.normal(size=10)
-        side_eq = b_eq + scale * rng.normal(size=1)
-        if ((side_ub < 0) != (b_ub < 0)).any() or (side_eq < 0) != (b_eq < 0):
-            continue  # the same negated rows: one trie serves
-        p1, drives, p2 = [], [], []
-        want, scratch, scratch_pivots = traced(
-            lp._simplex, lp.prepare_rhs(memo.body, side_ub, side_eq),
-            p1, drives, p2)
-        replayed = memo.counts["replayed"]
-        got, runs, pivots = traced(memo.solve, side_ub, side_eq)
-        assert_same_solution(got, want)
-        if memo.counts["replayed"] > replayed:
-            assert not runs and not pivots
-            continue
-        assert pivots == scratch_pivots
-        skipped = len(scratch) - len(runs)  # phases the replay finished
-        known = scratch[skipped][1] - runs[0][1]  # states it did not price
-        assert runs[1:] == scratch[skipped + 1:]
-        assert runs[0][0] == [p1, p2][skipped][known][0]
-        if known:
-            found.add(f"phase {skipped + 1}")
-    assert found == {"phase 1", "phase 2"}
-
-
-def test_resumed_budget_counts_known_pivots(monkeypatch):
-    # Under a small pivot budget, a resumed solve runs out exactly where a
-    # solve from scratch does: the pivots the replay took count.  (A
-    # whole replay prices nothing and is never out of budget.)
-    rng = np.random.default_rng(2)
-    program = {"c": rng.normal(size=4), "a_ub": rng.normal(size=(10, 4)),
-               "a_eq": rng.normal(size=(1, 4))}
-    point = rng.uniform(-1, 1, size=4)
-    b_ub = program["a_ub"] @ point + rng.uniform(0.05, 1.0, size=10)
-    b_eq = program["a_eq"] @ point
-    sides = [(b_ub + scale * rng.normal(size=10), b_eq + scale * rng.normal(size=1))
-             for scale in np.repeat([0.02, 0.1, 0.4], 30)]
-    memo = memo_of(program)
-    for side in sides[::2]:
-        memo.solve(*side)
-    monkeypatch.setattr(lp, "_budget", lambda rows, cols: 8)
-    outcomes = []
-    for side in sides[1::2]:
-        results = []
-        replayed = memo.counts["replayed"]
-        for solve in (lambda: scratch_solve(**{**program, "b_ub": side[0],
-                                                 "b_eq": side[1]}),
-                      lambda: memo.solve(*side)):
-            try:
-                results.append(solve())
-            except lp.LPError:
-                results.append(None)
-        if memo.counts["replayed"] > replayed:
-            continue
-        want, got = results
-        if want is None:
-            assert got is None
-        else:
-            assert_same_solution(got, want)
-        outcomes.append(want is None)
-    assert set(outcomes) == {True, False}
+    settings(max_examples=200, deadline=None, derandomize=True,
+             database=None)(given(divergence_sequences())(check))()
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adjcone import normal_op
-from adjcone.geometry import GeneratedCone, Polytope
+from adjcone.geometry import GeneratedCone, GeometryError, Polytope
 from adjcone.normal_op import (
     Atlas,
     CoverageError,
@@ -16,12 +16,11 @@ from adjcone.normal_op import (
     closedness_probe,
     global_base,
     quasimonotonicity_probe,
-    stable_probe_points,
     strict_normal_cone,
     usc_probe,
 )
-from adjcone.quasiconvex import ArgminError, StepLevelFunction
-from helpers import chart_base, normalized_base, same_set
+from adjcone.quasiconvex import ArgminError, DomainError, StepLevelFunction
+from helpers import chart_base, normalized_base, same_set, stable_probe_points
 
 
 def polar_oracle(f, x, cone, rng, trials=300):
@@ -407,6 +406,38 @@ class TestUscProbe:
 
         report = usc_probe(broken, [1.0], seed=3)
         assert not report.passed
+
+    @pytest.mark.parametrize("slope, passed", [(3.0, False), (1e-3, True)])
+    @pytest.mark.parametrize("error", [CoverageError, DomainError,
+                                       ArgminError, GeometryError])
+    def test_holes_are_counted_and_left_out(self, slope, passed, error):
+        # The map is undefined where y > 0, half of every ball.  Those
+        # samples are holes; the deviations and verdict are those of the
+        # rest, as if the holes had returned the reference value itself.
+        reference = Polytope.from_box([0.0, 0.0], [1.0, 1.0])
+
+        def moving(p):
+            return Polytope.from_box([slope * p[0], 0.0], [1.0, 1.0])
+
+        def holed(p):
+            if p[1] > 0.0:
+                raise error("no value here")
+            return moving(p)
+
+        def filled(p):
+            return reference if p[1] > 0.0 else moving(p)
+
+        x = [0.0, 0.0]
+        report = usc_probe(holed, x, seed=6)
+        want = usc_probe(filled, x, seed=6)
+        points = []
+        usc_probe(lambda p: points.append(p[1]) or reference, x, seed=6)
+        holes = sum(y > 0.0 for y in points[1:])  # points[0] is x
+        assert 0 < report.holes == holes < len(points) - 1
+        assert want.holes == 0
+        assert report.deviations == want.deviations
+        assert report.passed == want.passed == passed
+        assert report.deviations[0] > 0.0
 
 
 class TestClosednessProbe:

@@ -13,6 +13,7 @@ from adjcone.quasiconvex import (
     analytic_from_name,
     quasiconvexity_check,
 )
+from helpers import sublevel_contains
 
 
 class TestConstruction:
@@ -154,7 +155,7 @@ class TestAdjustedContains:
                 for y in ys:
                     in_strict = f.strict_level_distance(value, y) <= 1e-9
                     in_adj = f.adjusted_contains(x, y)
-                    in_sub = f.sublevel_contains(value, y)
+                    in_sub = sublevel_contains(f, value, y)
                     if in_strict:
                         assert in_adj
                     if in_adj:

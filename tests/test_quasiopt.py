@@ -7,11 +7,10 @@ from adjcone.normal_op import adjusted_normal_cone, build_atlas, global_base
 from adjcone.quasiopt import (
     QuasioptInstance,
     TFromNormal,
-    brute_force_quasiopt,
     solve_quasiopt,
 )
-from helpers import (assert_same_report, chart_base, same_set,
-                     sequential_solve)
+from helpers import (assert_same_report, brute_force_quasiopt, chart_base,
+                     same_set, sequential_solve)
 
 
 @pytest.fixture(scope="module")
