@@ -23,7 +23,7 @@ import time
 import numpy as np
 
 from . import __version__, lp
-from .geometry import GeometryError, Polytope
+from .geometry import GeometryError, Polytope, _check_grid
 from .gqvi import (
     ConstantOperator,
     GqviInstance,
@@ -237,6 +237,9 @@ def _cmd_adjusted_set(kind, payload, args, out_dir):
     pad = 0.05 * max(float(np.max(hi - lo)), 1.0)
     lo, hi = lo - pad, hi + pad
     mesh = args.mesh if args.mesh else float(np.max(hi - lo)) / 200.0
+    # The lengths np.arange gives the axes, counted before any is built.
+    spans = [(h + mesh / 2 - l) / mesh for l, h in zip(lo.tolist(), hi.tolist())]
+    _check_grid([math.ceil(s) if math.isfinite(s) else s for s in spans], mesh)
     axes = [np.arange(lo[k], hi[k] + mesh / 2, mesh) for k in range(f.dim)]
     labels = [[repr(v) for v in axis.tolist()] for axis in axes]  # as csv writes
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

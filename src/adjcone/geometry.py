@@ -111,6 +111,11 @@ _CERTIFICATE_SLACK = 1e-12
 # is the faster past about 24 points.  The 1-D calls of the benchmark
 # take 2 points or 27 and more.
 _FEW_POINTS = 16
+# Points a grid may hold (``grid_points``, the ``adjusted-set`` mesh).
+# The largest grids the commands build at their default meshes hold
+# about 7e6 points (3-D ``adjusted-set`` on the benchmark's families);
+# 4-D ``adjusted-set`` at its default mesh holds some 1e8 and stops here.
+_GRID_POINTS = 10_000_000
 # Row length from which numpy adds up a row pairwise (8 partial sums)
 # instead of from left to right; ``_clip_columns`` needs shorter rows.
 _PAIRWISE_SUM = 8
@@ -381,14 +386,18 @@ class Polytope:
 
     Rows are normalized to unit normals on construction.  Construction
     rejects non-finite data and, unless the caller vouches for them,
-    checks feasibility by LP, then boundedness: it holds iff rank A = n
-    and some y >= 1 has A^T y = 0 (Stiemke's alternative; Schrijver,
-    *Theory of Linear and Integer Programming*, ch. 7).  One LP finds y;
-    its phase-1 slack is absolute, so y is checked: a unit d with
-    A d <= 0 has sigma_min(A) <= |A d| <= |d . A^T y| / min(y), which
-    ``|A^T y| + _CERTIFICATE_SLACK * sum(y) < sigma_min(A) * min(y)``
-    rules out.  Else the 2n coordinate LPs of the box decide at once;
-    otherwise ``bounding_box`` solves them on first use.
+    runs the two certificates, in this order: ``_check_feasible`` (one
+    LP), then ``_check_bounded``.  Boundedness holds iff rank A = n and
+    some y >= 1 has A^T y = 0 (Stiemke's alternative; Schrijver, *Theory
+    of Linear and Integer Programming*, ch. 7).  One LP finds y
+    (``_bounded_certificate``); its phase-1 slack is absolute, so y is
+    checked: a unit d with A d <= 0 has sigma_min(A) <= |A d| <=
+    |d . A^T y| / min(y), which ``|A^T y| + _CERTIFICATE_SLACK * sum(y) <
+    sigma_min(A) * min(y)`` rules out.  Else the 2n coordinate LPs of the
+    box decide at once; otherwise ``bounding_box`` solves them on first
+    use.  A caller that certifies a family of polytopes at once (see
+    ``StepLevelFunction.from_uncertified``) builds them with both checks
+    off and calls the methods itself.
     """
 
     def __init__(self, a, b, vertices=None, *,
@@ -406,15 +415,11 @@ class Polytope:
         a, b = _unit_halfspaces(a, b, np.linalg.norm(a, axis=1))
         layout, exact = _axis_layout(a.tolist())
         box = None if layout is None else _axis_box(layout, b.tolist(), a.shape[1])
-        self._start(a, b, box, exact, check_feasible)
-        if check_bounded and self._box_bounds is None:
-            m = self.num_halfspaces
-            y = solve_lp(np.zeros(m), a_eq=self._a.T, b_eq=np.zeros(self.dim),
-                         bounds=[(1.0, None)] * m).x
-            sigma = np.linalg.svd(self._a, compute_uv=False)[-1]
-            if y is None or (np.linalg.norm(self._a.T @ y)
-                             + _CERTIFICATE_SLACK * y.sum() >= sigma * y.min()):
-                self._bbox = self._compute_bbox()  # raises if unbounded
+        self._start(a, b, box, exact)
+        if check_feasible:
+            self._check_feasible()
+        if check_bounded:
+            self._check_bounded()
 
         if vertices is not None:
             verts = np.atleast_2d(np.asarray(vertices, dtype=float))
@@ -426,15 +431,15 @@ class Polytope:
             self._vertices = verts
             self._vertices.setflags(write=False)
 
-    def _start(self, a, b, box, exact, check_feasible):
+    def _start(self, a, b, box, exact):
         """Fields of the unit system ``a x <= b`` with the ``_axis_box``
         of its rows (None unless all are axis rows) and ``_axis_layout``'s
-        ``exact``; then the feasibility LP, if asked, of a non-box system."""
+        ``exact``."""
         a.setflags(write=False)
         b.setflags(write=False)
         self._a, self._b = a, b
         self.dim = a.shape[1]
-        self._vertices = self._cheb = self._reduced = None
+        self._vertices = self._cheb = self._reduced = self._exits = None
         self._box_bounds = self._exact_box = None
         if box is not None:
             lo, hi = box
@@ -442,17 +447,57 @@ class Polytope:
             if exact:
                 self._exact_box = hi, [-v for v in lo]
         self._bbox = self._box_bounds
-        if check_feasible and box is None:
-            probe = solve_lp(np.zeros(self.dim), a_ub=a, b_ub=b)
+
+    def _check_feasible(self):
+        """The feasibility LP of a non-box system (``_axis_box`` has
+        checked a box): raises ``EmptyPolytopeError`` when it has no
+        point."""
+        if self._box_bounds is None:
+            probe = solve_lp(np.zeros(self.dim), a_ub=self._a, b_ub=self._b)
             if probe.status == "infeasible":
                 raise EmptyPolytopeError("halfspace system is infeasible")
+
+    def _bounded_certificate(self):
+        """Whether the one-LP certificate of the class docstring proves
+        the system bounded; a box needs none."""
+        if self._box_bounds is not None:
+            return True
+        m = self.num_halfspaces
+        y = solve_lp(np.zeros(m), a_eq=self._a.T, b_eq=np.zeros(self.dim),
+                     bounds=[(1.0, None)] * m).x
+        sigma = np.linalg.svd(self._a, compute_uv=False)[-1]
+        return y is not None and (np.linalg.norm(self._a.T @ y)
+                                  + _CERTIFICATE_SLACK * y.sum()
+                                  < sigma * y.min())
+
+    def _check_bounded(self):
+        """Boundedness: the certificate, else the 2n coordinate LPs of the
+        box, which raise ``UnboundedPolytopeError`` when it is unbounded."""
+        if not self._bounded_certificate():
+            self._bbox = self._compute_bbox()
+
+    def nests_in(self, outer):
+        """Exact containment by rows: whether every unit row
+        ``a . x <= beta`` of ``outer`` is also a row ``a . x <= b`` of
+        this polytope, entry for entry, with ``b <= beta``.  Then every
+        point of this polytope lies in ``outer``.  False settles nothing."""
+        if outer.dim != self.dim:
+            return False
+        if self._a.shape == outer._a.shape and (self._a == outer._a).all():
+            return bool((self._b <= outer._b).all())
+        tightest = {}
+        for row, off in zip(map(tuple, self._a.tolist()), self._b.tolist()):
+            tightest[row] = min(off, tightest.get(row, math.inf))
+        return all(tightest.get(row, math.inf) <= off for row, off in
+                   zip(map(tuple, outer._a.tolist()), outer._b.tolist()))
 
     @classmethod
     def _from_unit(cls, a, b, box, exact):
         """``cls(a, b, check_bounded=False)`` from the unit system and axis
         data (see ``_start``) it would compute, without normalising."""
         self = cls.__new__(cls)
-        self._start(a, b, box, exact, True)
+        self._start(a, b, box, exact)
+        self._check_feasible()
         return self
 
     # -- construction helpers -------------------------------------------------
@@ -688,18 +733,22 @@ class Polytope:
         ``FEAS = 1e-9`` the band is ``1e-6`` times the magnitude, a hundred
         times ``10 * FEAS`` and far above the rounding of the bounds (about
         ``1e-16`` times the magnitude).  A wider band only sends more rows
-        to ``project``.
+        to ``project``.  The centre and its offsets ``b - a . c`` are kept
+        per polytope.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self._box_bounds is not None:
             return self.project_many(pts)[1] <= radius
         a, b = self._a, self._b
-        center, _ = self.chebyshev_center()
+        if self._exits is None:
+            center, _ = self.chebyshev_center()
+            self._exits = center, b - a @ center
+        center, room = self._exits
         lower = (pts @ a.T - b).max(axis=1)
         step = pts - center
         rise = step @ a.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            exit_at = np.where(rise > 0, (b - a @ center) / rise, np.inf)
+        exit_at = np.divide(room, rise, out=np.full(rise.shape, np.inf),
+                            where=rise > 0)
         t = np.clip(exit_at.min(axis=1), 0.0, 1.0)
         upper = (1.0 - t) * np.linalg.norm(step, axis=1)
         band = (_DISTANCE_BAND * FEAS
@@ -1013,14 +1062,26 @@ def weighted_minkowski(terms):
     return Polytope.from_vertices(sums)
 
 
+def _check_grid(lengths, mesh):
+    """Raise ``ScaleBoundError`` when axes of ``lengths`` points (an
+    infinite length stands for one past any bound) make a grid of more
+    than ``_GRID_POINTS``, before any of it is built."""
+    if not math.prod(map(float, lengths)) <= _GRID_POINTS:
+        raise ScaleBoundError(
+            f"a grid of mesh {mesh!r} would hold more than "
+            f"{_GRID_POINTS:,} points; use a coarser --mesh")
+
+
 def grid_points(polytope, mesh):
     """Points of a bounding-box lattice with spacing at most ``mesh`` that
-    lie in the polytope; each axis keeps both box ends."""
+    lie in the polytope; each axis keeps both box ends.  A lattice past
+    ``_GRID_POINTS`` raises ``ScaleBoundError``."""
     lo, hi = polytope.bounding_box()
-    axes = []
-    for k in range(polytope.dim):
-        count = max(2, int(math.floor((hi[k] - lo[k]) / mesh + 1e-9)) + 1)
-        axes.append(np.linspace(lo[k], hi[k], count))
+    spans = [(h - l) / mesh + 1e-9 for l, h in zip(lo.tolist(), hi.tolist())]
+    counts = [max(2, math.floor(s) + 1) if math.isfinite(s) else s
+              for s in spans]
+    _check_grid(counts, mesh)
+    axes = [np.linspace(lo[k], hi[k], count) for k, count in enumerate(counts)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, polytope.dim)
     return pts.compress(polytope.contains_many(pts), axis=0)
 

@@ -6,6 +6,12 @@ strict sublevel sets are closed polytopes, so the adjustment radius and
 the adjusted sublevel set are exactly computable.  Analytic functions
 are kept for sampling-based checks.
 
+A loaded family is certified at once (``StepLevelFunction.from_uncertified``):
+where every row of each level also bounds the level below it, no
+looser, the levels nest exactly, so the innermost level's feasibility
+and the domain's boundedness certificate hold for every level.  The
+same row test settles nestedness before the vertex test is tried.
+
 Membership operations (``evaluate``, ``rho``, ``adjusted_contains``)
 evaluate the function as the family actually defines it, i.e. over the
 union of the level polytopes.  For a valid nested family this coincides
@@ -49,6 +55,7 @@ __all__ = [
     "ArgminError",
     "LevelSetHandle",
     "StepLevelFunction",
+    "certify_levels",
     "AdjustedAnchor",
     "AnalyticFunction",
     "analytic_from_name",
@@ -92,8 +99,12 @@ class StepLevelFunction:
 
     ``f(x) = min{levels[j] : x in polytopes[j]}`` and ``+inf`` outside the
     family.  Construction validates strictly increasing levels and
-    nestedness (every vertex of ``P_j`` belongs to ``P_{j+1}``); pass
-    ``validate=False`` only to build corrupted diagnostic instances.
+    nestedness step by step: exactly where every unit row of ``P_{j+1}``
+    bounds ``P_j`` at an offset no larger (``Polytope.nests_in``), else
+    where every vertex of ``P_j`` belongs to ``P_{j+1}`` within ``FEAS``.
+    Pass ``validate=False`` only to build corrupted diagnostic instances.
+    Each level's Chebyshev centre is computed on first use and kept by
+    its polytope.
     """
 
     def __init__(self, levels, polytopes, *, validate=True):
@@ -111,20 +122,30 @@ class StepLevelFunction:
         if any(b <= a for a, b in zip(levels, levels[1:])):
             raise ValueError("levels must be strictly increasing")
         if validate:
-            for j in range(len(polytopes) - 1):
-                outer = polytopes[j + 1]
-                ok = outer.contains_many(polytopes[j].vertices(), FEAS)
-                if not ok.all():
+            for j, (inner, outer) in enumerate(zip(polytopes, polytopes[1:])):
+                if inner.nests_in(outer):
+                    continue
+                if not outer.contains_many(inner.vertices(), FEAS).all():
                     raise ValueError(f"nestedness violated between levels "
                                      f"{levels[j]} and {levels[j + 1]}")
         self.levels = tuple(levels)
         self.polytopes = tuple(polytopes)
         self.dim = dims.pop()
-        # Chebyshev radii witness the nonempty-interior hypothesis of the
-        # chart construction for full-dimensional families.
-        self._cheb = tuple(p.chebyshev_center() for p in self.polytopes)
         # Adjusted normal cones by exact key (``normal_op.adjusted_normal_cone``).
         self._cones = {}
+
+    @classmethod
+    def from_uncertified(cls, levels, polytopes, *, validate=True):
+        """``cls(levels, polytopes, validate=validate)`` for level
+        polytopes built with ``check_feasible=False`` and
+        ``check_bounded=False``, certified first as a family by
+        ``certify_levels``: where every step nests by rows, two LPs
+        certify every level."""
+        polytopes = list(polytopes)
+        certify_levels(polytopes, all(
+            inner.nests_in(outer)
+            for inner, outer in zip(polytopes, polytopes[1:])))
+        return cls(levels, polytopes, validate=validate)
 
     @property
     def domain(self) -> Polytope:
@@ -136,7 +157,9 @@ class StepLevelFunction:
 
     @property
     def has_full_dimensional_levels(self) -> bool:
-        return all(r > FEAS for _, r in self._cheb)
+        """Whether every level's Chebyshev radius exceeds ``FEAS``: the
+        nonempty-interior hypothesis of the chart construction."""
+        return all(p.chebyshev_center()[1] > FEAS for p in self.polytopes)
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float).ravel()
@@ -213,6 +236,26 @@ class StepLevelFunction:
         return bool(AdjustedAnchor(self, x).contains_many([y], tol)[0])
 
 
+def certify_levels(polytopes, nested=False):
+    """Feasibility and boundedness of level polytopes built with both
+    checks of ``Polytope`` off, raising the error, in the order, that
+    building them one by one with the checks on raises.
+
+    With ``nested`` (each level lies in the next by ``Polytope.nests_in``)
+    the innermost level's feasibility LP covers every level, and so does
+    the domain's boundedness certificate: every level lies in the domain.
+    Otherwise, or when that certificate fails, each level runs its own
+    checks in level order (the failed case repeats those two LPs).
+    """
+    if nested:
+        polytopes[0]._check_feasible()
+        if polytopes[-1]._bounded_certificate():
+            return
+    for p in polytopes:
+        p._check_feasible()
+        p._check_bounded()
+
+
 class AdjustedAnchor:
     """An anchor x of the adjusted sublevel sets of a step function f:
     f(x), the argmin test and rho(x), each computed once on first use."""
@@ -266,19 +309,20 @@ class AdjustedAnchor:
         x, value = np.asarray(self.x, dtype=float).ravel(), self.value
         if math.isinf(value):
             raise DomainError("cannot sample outside the domain")
-        pool = [x.copy()]
+        blocks, size = [x[None]], 1
         eligible = [poly for lam, poly in zip(self.f.levels, self.f.polytopes)
                     if lam <= value + 1e-12]
         per = max(4, count)
         for poly in eligible:
             cand = np.vstack([poly.sample(rng, per), poly.vertices()])
             for t in (1.0, 0.5, 0.25):
-                room = 4 * count - len(pool)
+                room = 4 * count - size
                 if room <= 0:
                     break
                 blended = x + t * (cand - x)
-                pool.extend(blended[self.contains_many(blended)][:room])
-        pts = np.array(pool)
+                blocks.append(blended[self.contains_many(blended)][:room])
+                size += len(blocks[-1])
+        pts = np.concatenate(blocks)
         if len(pts) > count:
             idx = rng.choice(len(pts), size=count, replace=False)
             pts = pts[idx]

@@ -14,10 +14,15 @@ import numbers
 
 import numpy as np
 
-from .geometry import Polytope
+from .geometry import GeometryError, Polytope
 from .gqvi import ConstantOperator, GqviInstance, MovingPolytope, SolverConfig, TabulatedOperator
 from .normal_op import Atlas, LocalChart
-from .quasiconvex import AnalyticFunction, StepLevelFunction, analytic_from_name
+from .quasiconvex import (
+    AnalyticFunction,
+    StepLevelFunction,
+    analytic_from_name,
+    certify_levels,
+)
 
 __all__ = [
     "SchemaError",
@@ -70,6 +75,12 @@ def polytope_to_dict(polytope: Polytope) -> dict:
 
 
 def polytope_from_dict(data, where="polytope") -> Polytope:
+    return _polytope(data, where)
+
+
+def _polytope(data, where, certify=True):
+    """The polytope of ``data``; without ``certify``, built with both
+    checks of ``Polytope`` off."""
     if not isinstance(data, dict):
         raise SchemaError(f"{where} must be an object with 'A' and 'b'")
     a = _numbers(_need(data, "A", where), f"{where}.A", rows=True)
@@ -78,7 +89,8 @@ def polytope_from_dict(data, where="polytope") -> Polytope:
     if v is not None:
         v = _numbers(v, f"{where}.V", rows=True)
     try:
-        return Polytope(a, b, vertices=v)
+        return Polytope(a, b, vertices=v, check_feasible=certify,
+                        check_bounded=certify)
     except ValueError as exc:
         raise SchemaError(f"invalid {where}: {exc}") from exc
 
@@ -120,11 +132,8 @@ def _function(data, where):
         if not isinstance(validate, bool):
             raise SchemaError(f"{where}.validate must be true or false, "
                               f"got {validate!r}")
-        return StepLevelFunction(
-            levels,
-            [polytope_from_dict(p, f"{where}.polytopes[{i}]")
-             for i, p in enumerate(polys)],
-            validate=validate)
+        return StepLevelFunction.from_uncertified(
+            levels, _levels(polys, f"{where}.polytopes"), validate=validate)
     if kind == "analytic":
         name = _need(data, "name", where)
         box = polytope_from_dict(_need(data, "box", where), f"{where}.box")
@@ -133,6 +142,22 @@ def _function(data, where):
         except KeyError as exc:
             raise SchemaError(str(exc)) from exc
     raise SchemaError(f"{where}.type must be 'step' or 'analytic', got {kind!r}")
+
+
+def _levels(polys, where):
+    """The level polytopes of a step family, built uncertified for
+    ``StepLevelFunction.from_uncertified``.  A level that fails to build
+    raises what a level-by-level certified build raises: the levels
+    before it are certified first, then it is built with its checks."""
+    built = []
+    for i, data in enumerate(polys):
+        try:
+            built.append(_polytope(data, f"{where}[{i}]", certify=False))
+        except (ValueError, GeometryError):
+            certify_levels(built)
+            _polytope(data, f"{where}[{i}]")
+            raise
+    return built
 
 
 def atlas_to_dict(atlas: Atlas) -> dict:
@@ -196,10 +221,13 @@ def _number(value, where):
 
 def _numbers(value, where, rows=False):
     """A list of numbers, or with ``rows`` a list of equally long lists
-    of numbers, as a float array."""
+    of numbers, as a float array.  A list of floats converts in one call;
+    the element-wise path names a bad entry."""
     if not isinstance(value, list):
         raise SchemaError(f"{where} must be a list, got {value!r}")
     if not rows:
+        if set(map(type, value)) <= {float}:
+            return np.array(value, dtype=float)
         return np.array([_number(v, f"{where}[{i}]")
                          for i, v in enumerate(value)], dtype=float)
     out = [_numbers(row, f"{where}[{i}]") for i, row in enumerate(value)]
@@ -388,7 +416,11 @@ def load_instance(path):
     (function, K, atlas or the ``build_atlas`` arguments of
     atlas_build) for the caller to assemble.
     A NaN or infinite number raises SchemaError naming its field, such
-    as ``K.D[0][0]``.
+    as ``K.D[0][0]``.  A step family's levels are certified as a family
+    (``StepLevelFunction.from_uncertified``): where each level lies in
+    the next by its rows, one feasibility LP and one boundedness
+    certificate cover them all, with the errors of certifying level by
+    level.
     """
     non_finite = []
 

@@ -21,7 +21,8 @@ from adjcone.geometry import (
     weighted_minkowski,
 )
 from adjcone.lp import solve_lp
-from adjcone.quasiconvex import DomainError
+from adjcone.quasiconvex import DomainError, StepLevelFunction
+from adjcone.serialization import polytope_from_dict
 
 
 # Non-box nested step families: one polytope (rounded unit normals of a
@@ -549,3 +550,27 @@ def brute_force_quasiopt(instance, mesh):
             continue
         solutions.append(x)
     return np.array(solutions) if solutions else np.zeros((0, instance.f.dim))
+
+
+def eager_levels(data, where="function"):
+    """The level polytopes of the step family ``data``, each certified on
+    construction, in level order."""
+    return [polytope_from_dict(p, f"{where}.polytopes[{i}]")
+            for i, p in enumerate(data["polytopes"])]
+
+
+def eager_step_function(data, where="function"):
+    """The step function of ``data`` as it was loaded before families
+    were certified at once: ``eager_levels``, nestedness by the vertex
+    test alone and every level's Chebyshev centre computed at once.  The
+    oracle of ``StepLevelFunction.from_uncertified``."""
+    polytopes = eager_levels(data, where)
+    f = StepLevelFunction(data["levels"], polytopes, validate=False)
+    if data.get("validate", True):
+        for j, (inner, outer) in enumerate(zip(polytopes, polytopes[1:])):
+            if not outer.contains_many(inner.vertices(), FEAS).all():
+                raise ValueError(f"nestedness violated between levels "
+                                 f"{f.levels[j]} and {f.levels[j + 1]}")
+    for p in polytopes:
+        p.chebyshev_center()
+    return f

@@ -139,7 +139,8 @@ def test_closedness_probe_computes_one_cone_per_point(monkeypatch, tmp_path):
     # In 1-D the unit directions are exactly +-1: 100 sequences at four
     # scales visit 8 points, plus the probe point itself.  Without the
     # dict this made 401 calls.  With one membership LP per distinct
-    # limit the command makes 4 LP calls (103 with one per direction).
+    # limit the command makes 1 LP call (103 with one per direction, and
+    # 3 more while the load computed every level's Chebyshev centre).
     calls = counting(monkeypatch, "adjusted_normal_cone",
                      lambda f, x: np.asarray(x).tobytes())
     out = tmp_path / "o"
@@ -148,7 +149,7 @@ def test_closedness_probe_computes_one_cone_per_point(monkeypatch, tmp_path):
                 "--out", str(out)]) == 0
     assert len(calls) == len(set(calls)) == 9
     lp_counts = json.loads((out / "manifest.json").read_text())["lp"]
-    assert (lp_counts["calls"], lp_counts["replayed"]) == (4, 0)
+    assert (lp_counts["calls"], lp_counts["replayed"]) == (1, 0)
 
 
 @pytest.mark.parametrize("holds", [True, False])

@@ -228,7 +228,7 @@ def test_solve_gqvi_writes_memo_stats_to_manifest(tmp_path):
      {"minimax_lps": 31, "replayed": 0, "solved": 1, "nodes": 0, "warm": 30,
       "warm_declined": {}, "affine_tried": 10, "affine_kept": 10}),
     ("quasiopt_window1d", "solve-quasiopt",
-     {"calls": 67, "replayed": 24, "solved": 43, "nodes": 22},
+     {"calls": 66, "replayed": 23, "solved": 43, "nodes": 22},
      {"minimax_lps": 52, "replayed": 10, "solved": 38, "nodes": 13, "warm": 4,
       "warm_declined": {}, "affine_tried": 0, "affine_kept": 0}),
 ])
@@ -239,7 +239,9 @@ def test_solver_manifest_counts_pinned(name, command, lp_counts, stats,
     # solved, and records only the states no program recorded before.  A
     # minimax LP answered warm makes no solve_lp call.  A sum of certified
     # chart sections runs no cone check; on the window those checks were
-    # 52 replayed LPs.
+    # 52 replayed LPs.  Chebyshev centres are computed on first use: the
+    # window's innermost level never needs its centre, which was one
+    # replayed LP at load.
     out = tmp_path / "o"
     assert run_shipped(command, name, None, out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -1196,17 +1198,19 @@ def test_probe_outputs_pinned_non_box_3d(command, tmp_path):
 
 
 def test_normal_cone_lp_calls_pinned_non_box_3d(tmp_path):
-    # Loading each of the three levels solves a feasibility probe and one
-    # boundedness certificate, and the step function solves one Chebyshev
-    # centre per level; the cone itself needs no LP.  With the 2n
-    # bounding-box LPs of every load this was 24: an LP added to the
-    # load path shows here.
+    # Each level's rows bound the one below it, so loading solves one
+    # feasibility probe (innermost level) and one boundedness certificate
+    # (the domain), and the cone projects onto the strict level from its
+    # Chebyshev centre, the one centre computed.  Certifying each level
+    # and computing every centre at load made this 9; with the 2n
+    # bounding-box LPs of every load it was 24: an LP added to the load
+    # path shows here.
     instance = tmp_path / "step3d.json"
     dump_json(STEP_3D, instance)
     out = tmp_path / "o"
     assert run(["normal-cone", "--instance", str(instance),
                 f"--at={ATLAS_3D_AT}", "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["lp"]["calls"] == 9
+    assert json.loads((out / "manifest.json").read_text())["lp"]["calls"] == 3
 
 
 # sha256 of report.json for check-quasiconvex (seed 42) on the non-box
@@ -1274,3 +1278,43 @@ def test_adjusted_set_pinned_non_box_3d(tmp_path):
     assert (sha256_of(out / "report.json"), sha256_of(out / "boundary.csv")) == (
         "e3bcb1b7fb16da1fe6850b798843c310f4f7904aa8865d58c06090e7bc5fd5f7",
         "088bce1f2fdc175d05a19371a0f5e664a776bed8db466580640268b986d2770b")
+
+
+def _refuse_grids(monkeypatch):
+    # A grid past the bound is refused before it is built: both grid
+    # builders stack their axes with np.meshgrid.
+    def built(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(np, "meshgrid", built)
+
+
+@pytest.mark.parametrize("command", ["build-atlas", "usc-probe",
+                                     "adjusted-set"])
+def test_fine_mesh_exits_1_naming_the_flag(command, monkeypatch, tmp_path,
+                                           capsys):
+    # At mesh 1e-300 numpy refused the grid with its bare "Maximum
+    # allowed size exceeded".
+    _refuse_grids(monkeypatch)
+    assert run([command, "--instance", os.path.join(SHIPPED, "step1d.json"),
+                "--at=0.5", "--mesh=1e-300", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("adjcone: a grid of mesh 1e-300 would hold more than "
+                   "10,000,000 points; use a coarser --mesh\n")
+
+
+def test_adjusted_set_4d_default_mesh_exits_1(monkeypatch, tmp_path, capsys):
+    # At its default mesh (1/200 of the widest side) the 4-D grid of this
+    # sublevel set would hold about 1e8 points.
+    instance = tmp_path / "step4d.json"
+    dump_json(STEP_4D, instance)
+    a = np.array(STEP_4D["polytopes"][0]["A"])
+    b = np.array(STEP_4D["polytopes"][0]["b"])
+    up = a[:, 0] > 0
+    at = [2.5 * float(np.min(b[up] / a[up, 0])), 0.0, 0.0, 0.0]
+    _refuse_grids(monkeypatch)
+    assert run(["adjusted-set", "--instance", str(instance),
+                "--at=" + ",".join(map(repr, at)),
+                "--out", str(tmp_path / "o")]) == 1
+    assert "more than 10,000,000 points; use a coarser --mesh" in (
+        capsys.readouterr().err)
